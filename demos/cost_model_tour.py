@@ -17,11 +17,9 @@ def cold_scan():
     machine = Machine(MachineConfig(p=1, M=4096, B=64, seed=0))
     region = machine.alloc(10_000)
 
-    def scan(core):
+    def scan(core):  # a plain function is a one-round program
         for i in range(10_000):
             core.read(region.addr(i))
-        return
-        yield
 
     machine.run_rounds({0: scan})
     ledger = machine.ledger()
@@ -34,15 +32,10 @@ def write_contention():
     machine = Machine(MachineConfig(p=4, M=256, B=64, seed=0))
     region = machine.alloc(64)
 
-    def writer(i):
-        def prog(core):
-            core.write(region.addr(i), i)
-            return
-            yield
+    def writer(core):
+        core.write(region.addr(core.idx), core.idx)
 
-        return prog
-
-    machine.run_rounds({i: writer(i) for i in range(4)})
+    machine.run_rounds({i: writer for i in range(4)})
     print(f"4 cores wrote 4 words of one block in one round -> "
           f"{machine.ledger().block_misses} block misses (0+1+2+3)")
 
@@ -52,17 +45,15 @@ def invalidation():
     machine = Machine(MachineConfig(p=2, M=256, B=8, seed=0))
     region = machine.alloc(8)
 
-    def writer(core):
+    def writer(core):  # two rounds: a generator, yield is the barrier
         core.write(region.addr(0), 7)
         yield
         core.read(region.addr(0))  # still resident: this core wrote last
-        return
 
     def reader(core):
         core.read(region.addr(0))  # same-round read of a written block
         yield
         core.read(region.addr(0))  # re-read: the copy was invalidated
-        return
 
     machine.run_rounds({0: writer, 1: reader})
     ledger = machine.ledger()
@@ -80,15 +71,10 @@ def atomic_counter():
     region = machine.alloc(1)
     ranks = {}
 
-    def claim(i):
-        def prog(core):
-            ranks[i] = core.fetch_add(region.addr(0), 1)
-            return
-            yield
+    def claim(core):
+        ranks[core.idx] = core.fetch_add(region.addr(0), 1)
 
-        return prog
-
-    machine.run_rounds({i: claim(i) for i in range(4)})
+    machine.run_rounds({i: claim for i in range(4)})
     total = machine.snapshot_memory(region)[0]
     print(f"4 cores incremented one counter in one round; prior values "
           f"{[ranks[i] for i in range(4)]}, final {total}")

@@ -24,14 +24,11 @@ __all__ = [
     "HalfPlane",
     "HullChain",
     "Point2",
-    "Sector",
     "angle_key",
     "canonical_chain",
-    "ccw_between",
     "clip_chain",
     "convex_hull_points",
     "cross",
-    "dominates",
     "feasible",
     "frac",
     "halfplane",
@@ -39,7 +36,6 @@ __all__ = [
     "intersect_halfplanes_ordered",
     "line_intersect",
     "point2",
-    "translate_plane",
     "unbounded_directions",
 ]
 
@@ -67,15 +63,6 @@ class HalfPlane(NamedTuple):
     c: Fraction
 
 
-class Sector(NamedTuple):
-    """An angular wedge at ``apex`` from ``ray_lo`` to ``ray_hi`` (ccw)."""
-
-    apex: Point2
-    ray_lo: Point2
-    ray_hi: Point2
-    index: int
-
-
 def point2(x, y) -> Point2:
     return Point2(frac(x), frac(y))
 
@@ -90,11 +77,6 @@ def halfplane(a, b, c) -> HalfPlane:
 def cross(o: Point2, p: Point2, q: Point2) -> Fraction:
     """Signed area of the turn o->p->q; positive means counterclockwise."""
     return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
-
-
-def dominates(p, q) -> bool:
-    """Strict dominance: both coordinates strictly larger."""
-    return p[0] > q[0] and p[1] > q[1]
 
 
 def line_intersect(h: HalfPlane, g: HalfPlane) -> Point2 | None:
@@ -114,11 +96,6 @@ def feasible(pt, planes, strict: bool = False) -> bool:
     return all(h.a * x + h.b * y <= h.c for h in planes)
 
 
-def translate_plane(h: HalfPlane, origin: Point2) -> HalfPlane:
-    """Rewrite ``h`` in coordinates centered at ``origin``."""
-    return HalfPlane(h.a, h.b, h.c - h.a * origin[0] - h.b * origin[1])
-
-
 def angle_key(v) -> tuple:
     """Sort key ordering nonzero vectors counterclockwise from (1, 0).
 
@@ -132,16 +109,6 @@ def angle_key(v) -> tuple:
     if y == 0:
         return (0 if x > 0 else 2, Fraction(0))
     return (1 if y > 0 else 3, -Fraction(x) / y)
-
-
-def ccw_between(lo: Point2, hi: Point2, v) -> bool:
-    """Is direction ``v`` in the half-open wedge [lo, hi) going ccw?"""
-    klo, kv, khi = angle_key(lo), angle_key(v), angle_key(hi)
-    if klo == khi:
-        return kv == klo
-    if klo < khi:
-        return klo <= kv < khi
-    return kv >= klo or kv < khi
 
 
 def unbounded_directions(planes) -> bool:

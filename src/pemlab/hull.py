@@ -54,13 +54,18 @@ from pemlab.geometry import (
     intersect_halfplanes_ordered,
     unbounded_directions,
 )
-from pemlab.machine import MachineFault, MemRegion
+from pemlab.machine import MachineFault
 from pemlab.merge import BucketedRun, merge_bucketed
 from pemlab.partition import PartitionTask, partition_main, partition_seq
 from pemlab.primitives import (
     KeySeq,
-    chunk_bounds,
+    _map_pass,
+    _scan_words,
+    _slot_addr,
+    _subseq,
+    _write_words,
     compact,
+    parallel_for,
     sample_k_of_n_seq,
     spaced_slots,
 )
@@ -73,9 +78,7 @@ __all__ = [
     "HullStats",
     "convex_hull_2d",
     "dualize",
-    "dualize_vertices",
     "expand_by_sector",
-    "filter_all",
     "filter_sector",
     "find_sectors",
     "halfplane_brute",
@@ -183,73 +186,6 @@ def _make_ctx(machine, m, cores, plan, stats, stream) -> _Ctx:
     stats = stats if stats is not None else HullStats()
     return _Ctx(machine, plan, stats, N=m, P=max(1, len(cores)),
                 base_stream=stream)
-
-
-# --------------------------------------------------------------------------
-# charged pass helpers
-
-
-def _scan_words(machine, seq: KeySeq, core, tick: int = 1) -> list:
-    """Read every word of ``seq`` on one core; returns the host values."""
-    vals: list = []
-
-    def prog(c):
-        for i in range(seq.n):
-            vals.append(c.read(seq.addr(i)))
-            if tick:
-                c.tick(tick)
-        return
-        yield
-
-    machine.run_rounds({core.idx: prog})
-    return vals
-
-
-def _write_words(machine, words, core, dest: MemRegion | None = None) -> KeySeq:
-    """Write host words into a fresh (or given) region on one core."""
-    n = len(words)
-    dst = dest if dest is not None else machine.alloc(n)
-    if dst.len < n:
-        raise MachineFault("destination region too small")
-
-    def prog(c):
-        for i, w in enumerate(words):
-            c.write(dst.addr(i), w)
-        return
-        yield
-
-    if n:
-        machine.run_rounds({core.idx: prog})
-    return KeySeq(dst, n)
-
-
-def _map_pass(machine, src: KeySeq, cores, fn, tick: int = 1) -> KeySeq:
-    """Elementwise ``dest[i] = fn(src[i])`` across core-chunked ranges."""
-    n = src.n
-    dst = machine.alloc(n)
-    if n == 0:
-        return KeySeq(dst, 0)
-    g = min(len(cores), n)
-    bounds = chunk_bounds(n, g)
-
-    def prog_for(ci):
-        lo, hi = bounds[ci]
-
-        def prog(core):
-            for i in range(lo, hi):
-                core.write(dst.addr(i), fn(core.read(src.addr(i))))
-                core.tick(tick)
-            return
-            yield
-
-        return prog
-
-    machine.run_rounds({cores[ci].idx: prog_for(ci) for ci in range(g)})
-    return KeySeq(dst, n)
-
-
-def _subseq(seq: KeySeq, lo: int, hi: int) -> KeySeq:
-    return KeySeq(MemRegion(seq.region.base + lo, hi - lo), hi - lo)
 
 
 def _plane_word(w) -> tuple:
@@ -439,65 +375,6 @@ def dualize(machine, planes: KeySeq, cores) -> KeySeq:
     return _map_pass(machine, planes, cores, to_dual, tick=2)
 
 
-def dualize_vertices(chain: HullChain) -> tuple:
-    """Dual line of every chain vertex ``P``: the locus ``u . P = 1``."""
-    return tuple((v.x, v.y) for v in chain.vertices)
-
-
-class _SlabLine:
-    """A dual line restricted to one slab, ordered against point words.
-
-    Within an open slab no two dual lines cross, so comparing a line to a
-    point at the point's own x is consistent: the line is "less" when its y
-    there lies strictly below the point.  Lines compare to each other at the
-    slab's sample x.
-    """
-
-    __slots__ = ("nx", "ny", "sample_x", "_key")
-
-    def __init__(self, nx, ny, sample_x):
-        if ny == 0:
-            raise MachineFault("vertical dual lines cannot order a slab")
-        self.nx, self.ny, self.sample_x = nx, ny, sample_x
-        self._key = self.y_at(sample_x)
-
-    def y_at(self, x):
-        return (1 - self.nx * x) / self.ny
-
-    def _cmp_point(self, other):
-        return (self.y_at(other[0]), other[1])
-
-    def __lt__(self, other):
-        if isinstance(other, _SlabLine):
-            return self._key < other._key
-        y, py = self._cmp_point(other)
-        return y < py
-
-    def __gt__(self, other):
-        if isinstance(other, _SlabLine):
-            return self._key > other._key
-        y, py = self._cmp_point(other)
-        return y > py
-
-    def __le__(self, other):
-        return not self.__gt__(other)
-
-    def __ge__(self, other):
-        return not self.__lt__(other)
-
-    def __eq__(self, other):
-        if isinstance(other, _SlabLine):
-            return self._key == other._key
-        y, py = self._cmp_point(other)
-        return y == py
-
-    def __hash__(self):
-        return hash((self.nx, self.ny))
-
-    def __repr__(self):
-        return f"_SlabLine({self.nx}, {self.ny})"
-
-
 @dataclass(frozen=True)
 class Arrangement:
     """Slab decomposition of the sample chain's dual-line arrangement.
@@ -505,7 +382,9 @@ class Arrangement:
     ``xs`` are the slab boundaries (every pairwise intersection x plus the
     x of each vertical dual line).  Slab ``s`` covers the open interval
     between ``xs[s-1]`` and ``xs[s]``; ``lines[s]`` holds the slab's
-    non-vertical dual lines bottom-to-top; ``regions[(s, band)]`` stores
+    non-vertical dual lines ``n . u = 1`` bottom-to-top as ``(y, nx, ny)``
+    tuples, ``y`` being the line's height at the slab's sample x (within an
+    open slab no two lines cross); ``regions[(s, band)]`` stores
     the precomputed sector interval of every region, where ``band`` counts
     the lines at or below a point.  Points exactly on a slab boundary are
     not covered and must be classified directly.
@@ -526,7 +405,7 @@ def preprocess_arrangement(machine, chain: HullChain, core) -> Arrangement:
     """
     verts = chain.vertices
     t = len(verts)
-    duals = dualize_vertices(chain)
+    duals = [(v.x, v.y) for v in verts]
     xs_set = set()
     for j in range(t):
         nxj, nyj = duals[j]
@@ -552,13 +431,11 @@ def preprocess_arrangement(machine, chain: HullChain, core) -> Arrangement:
         else:
             sx = (xs[s - 1] + xs[s]) / 2
         slab = sorted(
-            (_SlabLine(nx, ny, sx) for nx, ny in duals if ny != 0),
-            key=lambda ln: ln._key,
+            ((1 - nx * sx) / ny, nx, ny) for nx, ny in duals if ny != 0
         )
-        for i in range(len(slab) - 1):
-            if not (slab[i]._key < slab[i + 1]._key):
-                raise MachineFault("slab lines must be strictly ordered")
-        ys = [ln._key for ln in slab]
+        ys = [ln[0] for ln in slab]
+        if any(ys[i] >= ys[i + 1] for i in range(len(ys) - 1)):
+            raise MachineFault("slab lines must be strictly ordered")
         for band in range(len(slab) + 1):
             if not ys:
                 sy = Fraction(0)
@@ -572,13 +449,7 @@ def preprocess_arrangement(machine, chain: HullChain, core) -> Arrangement:
             regions[(s, band)] = _sector_interval(word, verts)
         lines.append(tuple(slab))
 
-    def prog(c):
-        pairs = t * t
-        c.tick(max(1, pairs + len(regions) * t))
-        return
-        yield
-
-    machine.run_rounds({core.idx: prog})
+    machine.run_rounds({core.idx: lambda c: c.tick(max(1, t * t + len(regions) * t))})
     return Arrangement(xs=xs, lines=tuple(lines), regions=regions, chain=chain)
 
 
@@ -649,7 +520,10 @@ def locate_points(machine, duals: KeySeq, arr: Arrangement, cores,
             lo, hi = 0, z
             while lo < hi:
                 mid = (lo + hi) // 2
-                if lines[mid] <= (w[0], w[1]):
+                # Is the line at or below the point at the point's own x?
+                # No two lines cross inside the slab, so the order holds.
+                _, nx, ny = lines[mid]
+                if (1 - nx * w[0]) / ny <= w[1]:
                     lo = mid + 1
                 else:
                     hi = mid
@@ -729,26 +603,16 @@ def expand_by_sector(machine, groups, sector_count: int, cores) -> BucketedRun:
             slots.append((pos, sq))
             pos += sq.n
 
-    g = min(len(cores), total)
-    bounds = chunk_bounds(total, g)
+    def body(core, ci, lo, hi):
+        for dpos, sq in slots:
+            if dpos + sq.n <= lo or dpos >= hi:
+                continue
+            for i in range(max(lo, dpos), min(hi, dpos + sq.n)):
+                w = core.read(sq.addr(i - dpos))
+                core.write(dst.addr(i), (w[-3], w[-2], w[-1]))
+                core.tick(1)
 
-    def prog_for(ci):
-        lo, hi = bounds[ci]
-
-        def prog(core):
-            for dpos, sq in slots:
-                if dpos + sq.n <= lo or dpos >= hi:
-                    continue
-                for i in range(max(lo, dpos), min(hi, dpos + sq.n)):
-                    w = core.read(sq.addr(i - dpos))
-                    core.write(dst.addr(i), (w[-3], w[-2], w[-1]))
-                    core.tick(1)
-            return
-            yield
-
-        return prog
-
-    machine.run_rounds({cores[ci].idx: prog_for(ci) for ci in range(g)})
+    parallel_for(machine, total, cores, body)
     return BucketedRun(KeySeq(dst, total), tuple(sizes))
 
 
@@ -767,45 +631,32 @@ def _sweep_survivors(machine, seq: KeySeq, cores, rule: str, emit) -> tuple:
     if n == 0:
         return KeySeq(machine.alloc(0), 0), []
     g = min(len(cores), n)
-    bounds = chunk_bounds(n, g)
     slots = spaced_slots(machine, 2 * g)
-    B = machine.config.B
-
-    def slot_addr(i):
-        return slots.base + i * B
-
     chunks: list = [None] * g
 
-    def read_for(ci):
-        lo, hi = bounds[ci]
+    def read(core, ci, lo, hi):
+        vals = []
+        for i in range(lo, hi):
+            vals.append(core.read(seq.addr(i)))
+            core.tick(1)
+        chunks[ci] = vals
+        first = vals[0][0]
+        eqm = max(v[1] for v in vals if v[0] == first)
+        above = [v[1] for v in vals if v[0] > first]
+        sm = max(above) if above else None
+        core.write(_slot_addr(machine, slots, ci), (first, eqm, sm))
 
-        def prog(core):
-            vals = []
-            for i in range(lo, hi):
-                vals.append(core.read(seq.addr(i)))
-                core.tick(1)
-            chunks[ci] = vals
-            first = vals[0][0]
-            eqm = max(v[1] for v in vals if v[0] == first)
-            above = [v[1] for v in vals if v[0] > first]
-            sm = max(above) if above else None
-            core.write(slot_addr(ci), (first, eqm, sm))
-            return
-            yield
-
-        return prog
-
-    machine.run_rounds({cores[ci].idx: read_for(ci) for ci in range(g)})
+    parallel_for(machine, n, cores, read)
 
     carries: list = [None] * g
 
     def fold(core):
-        summaries = [core.read(slot_addr(ci)) for ci in range(g)]
+        summaries = [core.read(_slot_addr(machine, slots, ci)) for ci in range(g)]
         core.tick(g)
         tail = None
         for ci in range(g - 1, -1, -1):
             carries[ci] = tail
-            core.write(slot_addr(g + ci), tail)
+            core.write(_slot_addr(machine, slots, g + ci), tail)
             first, eqm, sm = summaries[ci]
             if tail is None:
                 tail = (first, eqm, sm)
@@ -817,8 +668,6 @@ def _sweep_survivors(machine, seq: KeySeq, cores, rule: str, emit) -> tuple:
                 nsm = extra if sm is None else (
                     sm if extra is None else max(sm, extra))
                 tail = (first, neq, nsm)
-        return
-        yield
 
     machine.run_rounds({cores[0].idx: fold})
 
@@ -836,25 +685,18 @@ def _sweep_survivors(machine, seq: KeySeq, cores, rule: str, emit) -> tuple:
     for sz in sizes:
         offs.append(offs[-1] + sz)
 
-    def write_for(ci):
-        lo, hi = bounds[ci]
+    def write(core, ci, lo, hi):
         keep_idx = set(survivors_per_chunk[ci])
+        core.read(_slot_addr(machine, slots, g + ci))
+        out = offs[ci]
+        for i in range(lo, hi):
+            v = core.read(seq.addr(i))
+            core.tick(1)
+            if i - lo in keep_idx:
+                core.write(dst.addr(out), emit(v))
+                out += 1
 
-        def prog(core):
-            core.read(slot_addr(g + ci))
-            out = offs[ci]
-            for i in range(lo, hi):
-                v = core.read(seq.addr(i))
-                core.tick(1)
-                if i - lo in keep_idx:
-                    core.write(dst.addr(out), emit(v))
-                    out += 1
-            return
-            yield
-
-        return prog
-
-    machine.run_rounds({cores[ci].idx: write_for(ci) for ci in range(g)})
+    parallel_for(machine, n, cores, write)
     host = []
     for ci in range(g):
         for i in survivors_per_chunk[ci]:
@@ -939,18 +781,6 @@ def filter_sector(machine, sector_planes: KeySeq, j: int, chain: HullChain,
                           stream=stream)
     return _sweep_survivors(machine, ordered, cores, "one_strict",
                             emit=lambda w: (w[2], w[3], w[4]))
-
-
-def filter_all(machine, copies: BucketedRun, chain: HullChain, cores,
-               plan: HullPlan | None = None, stream: int = 0) -> list:
-    """Run :func:`filter_sector` over every sector slice of ``copies``."""
-    out = []
-    starts = copies.bucket_starts()
-    for j, (st, sz) in enumerate(zip(starts, copies.sizes)):
-        out.append(filter_sector(
-            machine, _subseq(copies.seq, st, st + sz), j, chain, cores,
-            plan=plan, stream=(stream << 8) | j))
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -1044,12 +874,7 @@ def _stitch(machine, chain: HullChain, sub_chains, core) -> HullChain:
     t = len(verts)
     total = sum(len(sc.vertices) for sc in sub_chains)
 
-    def prog(c):
-        c.tick(max(1, 4 * total))
-        return
-        yield
-
-    machine.run_rounds({core.idx: prog})
+    machine.run_rounds({core.idx: lambda c: c.tick(max(1, 4 * total))})
 
     origin = Point2(Fraction(0), Fraction(0))
     out: list = []
@@ -1140,31 +965,22 @@ def split_upper_lower(machine, points: KeySeq, cores):
     if pmin == pmax:
         return points, KeySeq(machine.alloc(0), 0), pmin, pmax
 
-    g = min(len(cores), n)
-    bounds = chunk_bounds(n, g)
-    runs: list = [None] * g
+    runs: list = [None] * min(len(cores), n)
 
-    def prog_for(ci):
-        lo, hi = bounds[ci]
+    def body(core, ci, lo, hi):
         size = hi - lo
         region = machine.alloc(2 * size)
         counts = [0, 0]
+        for i in range(lo, hi):
+            w = core.read(points.addr(i))
+            side = 0 if cross(pmin, pmax, w) >= 0 else 1
+            core.tick(1)
+            core.write(region.addr(side * size + counts[side]), w)
+            counts[side] += 1
+        runs[ci] = BucketedRun(KeySeq(region, size), tuple(counts),
+                               starts=(0, size))
 
-        def prog(core):
-            for i in range(lo, hi):
-                w = core.read(points.addr(i))
-                side = 0 if cross(pmin, pmax, w) >= 0 else 1
-                core.tick(1)
-                core.write(region.addr(side * size + counts[side]), w)
-                counts[side] += 1
-            runs[ci] = BucketedRun(KeySeq(region, size), tuple(counts),
-                                   starts=(0, size))
-            return
-            yield
-
-        return prog
-
-    machine.run_rounds({cores[ci].idx: prog_for(ci) for ci in range(g)})
+    parallel_for(machine, n, cores, body)
     merged = merge_bucketed(machine, runs, cores)
     u, low = merged.sizes
     upper = _subseq(merged.seq, 0, u)

@@ -2,7 +2,22 @@
 
 ``p`` cores, each with an ``M``-word fully associative LRU cache, share a
 word-addressed memory that moves in aligned ``B``-word blocks.  Programs are
-per-core generators executed in lockstep rounds; ``yield`` is a barrier.
+per-core functions of a :class:`Core` handle, executed in lockstep rounds.
+A plain function is a one-round program; a program that needs several
+rounds is a generator, and each ``yield`` is a global barrier::
+
+    def fill(core):                      # one round
+        core.write(region.addr(core.idx), core.idx)
+
+    def pass_right(core):                # two rounds
+        core.write(region.addr(core.idx), core.idx)
+        yield
+        core.read(region.addr(1 - core.idx))
+
+    machine.run_rounds({0: fill, 1: pass_right})
+
+Most steps cut their input into one chunk per core;
+:func:`pemlab.primitives.parallel_for` writes that step.
 
 Cost rules
 ----------
@@ -17,18 +32,20 @@ Cost rules
   except in the cache of its last writer.
 
 Reads observe the memory state at the start of the round, except that a
-core sees its own writes from the current round.  Writes commit at the
-barrier in core-id order.  Two cores writing the same address in one round
-is a data race: it is recorded as a diagnostic, never resolved silently.
-``fetch_add`` is the sanctioned read-modify-write for shared counters; it
-serialises in core-id order within the round and pays the same block-miss
-charges as a write.
+core sees its own writes and ``fetch_add`` results from the current round.
+Writes commit at the barrier in core-id order.  Two cores writing the same
+address in one round, or one core writing an address another core
+``fetch_add``s, is a data race: it is recorded as a diagnostic, never
+resolved silently.  ``fetch_add`` is the sanctioned read-modify-write for
+shared counters; it serialises in core-id order within the round, commits
+after the plain writes, and pays the same block-miss charges as a write.
 """
 from __future__ import annotations
 
 import csv
 from collections import OrderedDict
 from dataclasses import dataclass
+from types import GeneratorType
 
 import numpy as np
 
@@ -178,7 +195,6 @@ class Core:
         "block_misses",
         "_cache",
         "_wbuf",
-        "_abuf",
     )
 
     def __init__(self, idx: int, machine: "Machine") -> None:
@@ -189,7 +205,6 @@ class Core:
         self.block_misses = 0
         self._cache: OrderedDict = OrderedDict()
         self._wbuf: dict = {}
-        self._abuf: dict = {}
 
     def _touch_block(self, block: int) -> bool:
         """Make ``block`` resident; return True when it was a miss."""
@@ -271,10 +286,16 @@ class Core:
             m._round_writers[block] = {self.idx}
         else:
             writers.add(self.idx)
-        abuf = m._round_atomics
-        prior = abuf.get(addr, m._mem[addr])
-        abuf[addr] = prior + delta
-        self._abuf[addr] = True
+        adders = m._round_adders.get(addr)
+        if adders is None:
+            m._round_adders[addr] = {self.idx}
+        else:
+            adders.add(self.idx)
+        atomics = m._round_atomics
+        prior = atomics.get(addr, m._mem[addr])
+        # The core's own reads see the sum; the barrier commits it after
+        # every plain write, so this buffered copy never decides memory.
+        atomics[addr] = self._wbuf[addr] = prior + delta
         if m._trace is not None:
             m._trace.append((m._round, self.idx, "fetch_add", addr, "cache_miss" if missed else "hit"))
         return prior
@@ -301,6 +322,7 @@ class Machine:
         self._round_readers: dict = {}
         self._round_writers: dict = {}
         self._round_addr_writer: dict = {}
+        self._round_adders: dict = {}
         self._round_atomics: dict = {}
         self._trace = [] if trace else None
 
@@ -333,24 +355,40 @@ class Machine:
     # -- execution ---------------------------------------------------------
 
     def run_rounds(self, programs) -> CostLedger:
-        """Run per-core generator programs to completion in lockstep rounds.
+        """Run per-core programs to completion in lockstep rounds.
 
         ``programs`` maps core ids to functions of one argument (the
-        :class:`Core` handle) returning generators; a list pairs with cores
-        ``0..len-1``.  Each ``yield`` is a global barrier.  Returns the
+        :class:`Core` handle); a list pairs with cores ``0..len-1``.  Each
+        program is called at its turn in round 0, in core-id order.  A call
+        that returns a generator continues at every following round until
+        the generator is exhausted, so each ``yield`` is a global barrier;
+        any other return value completes a one-round program.  Returns the
         cumulative ledger.
         """
         if not isinstance(programs, dict):
             programs = dict(enumerate(programs))
-        gens = []
-        for idx in sorted(programs):
+        order = sorted(programs)
+        for idx in order:
             if not 0 <= idx < self.config.p:
                 raise MachineFault(f"no core {idx} on a {self.config.p}-core machine")
+        if not order:
+            return self.ledger()
+        self._round = self._rounds
+        alive = []
+        for idx in order:
             gen = programs[idx](self.cores[idx])
-            if gen is not None:
-                gens.append((idx, gen))
-        alive = gens
-        while alive:
+            if isinstance(gen, GeneratorType):
+                try:
+                    next(gen)
+                except StopIteration:
+                    pass
+                else:
+                    alive.append((idx, gen))
+        while True:
+            self._settle_round()
+            self._rounds += 1
+            if not alive:
+                return self.ledger()
             self._round = self._rounds
             survivors = []
             for idx, gen in alive:
@@ -360,10 +398,7 @@ class Machine:
                     pass
                 else:
                     survivors.append((idx, gen))
-            self._settle_round()
-            self._rounds += 1
             alive = survivors
-        return self.ledger()
 
     def _settle_round(self) -> None:
         mem = self._mem
@@ -375,12 +410,18 @@ class Machine:
                 for addr, value in core._wbuf.items():
                     mem[addr] = value
                 core._wbuf.clear()
-            if core._abuf:
-                core._abuf.clear()
         if self._round_atomics:
             for addr, value in self._round_atomics.items():
                 mem[addr] = value
+                # The sum overwrites a plain write from any other core.
+                writer = self._round_addr_writer.get(addr)
+                if writer is not None and self._round_adders[addr] != {writer}:
+                    self.diagnostics.append(
+                        f"data race: core {writer} wrote address {addr} that cores "
+                        f"{sorted(self._round_adders[addr])} fetch_added in round {self._round}"
+                    )
             self._round_atomics.clear()
+            self._round_adders.clear()
         if writers_by_block:
             trace = self._trace
             for block in sorted(writers_by_block):

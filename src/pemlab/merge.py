@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 
 from pemlab.machine import MachineFault, MemRegion
-from pemlab.primitives import KeySeq, chunk_bounds, compact, prefix_sum, transpose
+from pemlab.primitives import KeySeq, prefix_sum, transpose
 
-__all__ = ["BucketedRun", "concat_runs", "merge_bucketed", "plan_cuts"]
+__all__ = ["BucketedRun", "merge_bucketed", "plan_cuts"]
 
 
 @dataclass(frozen=True)
@@ -102,19 +103,13 @@ def merge_bucketed(machine, runs, cores, dest: MemRegion | None = None, stride: 
     mat = machine.alloc(entries)
     writers = max(1, min(len(cores), -(-entries // B)))
 
-    def write_sizes(ci):
+    def write_sizes(core, ci):
         lo = ci * B
         hi = min(entries, lo + B) if ci < writers - 1 else entries
+        for k in range(lo, hi):
+            core.write(mat.addr(k), runs[k // t].sizes[k % t])
 
-        def prog(core):
-            for k in range(lo, hi):
-                core.write(mat.addr(k), runs[k // t].sizes[k % t])
-            return
-            yield
-
-        return prog
-
-    machine.run_rounds({cores[ci].idx: write_sizes(ci) for ci in range(writers)})
+    machine.run_rounds({cores[ci].idx: partial(write_sizes, ci=ci) for ci in range(writers)})
     mat_t = transpose(machine, KeySeq(mat, entries), x, t, cores[:writers])
     ends_seq = prefix_sum(machine, mat_t, cores)
     ends = [int(v) for v in machine.snapshot_memory(ends_seq.region)[:entries]]
@@ -123,40 +118,28 @@ def merge_bucketed(machine, runs, cores, dest: MemRegion | None = None, stride: 
     plans = plan_cuts(ends, p, y)
     row_starts = [r.bucket_starts() for r in runs]
 
-    def copy_for(ci):
-        segs = plans[ci]
+    def copy(core, ci):
         out_lo = ci * y // p
+        lo_i, hi_i = 0, entries
+        while lo_i < hi_i:
+            mid = (lo_i + hi_i) // 2
+            v = core.read(ends_seq.addr(mid))
+            core.tick(1)
+            if v > out_lo:
+                hi_i = mid
+            else:
+                lo_i = mid + 1
+        out = out_lo
+        for k, a_lo, a_hi in plans[ci]:
+            core.read(ends_seq.addr(k))
+            j, i = divmod(k, x)
+            src = runs[i].seq
+            base = row_starts[i][j]
+            for item in range(a_lo, a_hi):
+                for w in range(stride):
+                    word = core.read(src.region.addr((base + item) * stride + w))
+                    core.write(dst.addr(out * stride + w), word)
+                out += 1
 
-        def prog(core):
-            lo_i, hi_i = 0, entries
-            while lo_i < hi_i:
-                mid = (lo_i + hi_i) // 2
-                v = core.read(ends_seq.addr(mid))
-                core.tick(1)
-                if v > out_lo:
-                    hi_i = mid
-                else:
-                    lo_i = mid + 1
-            out = out_lo
-            for k, a_lo, a_hi in segs:
-                core.read(ends_seq.addr(k))
-                j, i = divmod(k, x)
-                src = runs[i].seq
-                base = row_starts[i][j]
-                for item in range(a_lo, a_hi):
-                    for w in range(stride):
-                        word = core.read(src.region.addr((base + item) * stride + w))
-                        core.write(dst.addr(out * stride + w), word)
-                    out += 1
-            return
-            yield
-
-        return prog
-
-    machine.run_rounds({cores[ci].idx: copy_for(ci) for ci in range(p)})
+    machine.run_rounds({cores[ci].idx: partial(copy, ci=ci) for ci in range(p)})
     return BucketedRun(KeySeq(dst, y), col_sums)
-
-
-def concat_runs(machine, runs, cores, dest: MemRegion | None = None, stride: int = 1) -> KeySeq:
-    """Concatenate runs end to end (a single-bucket merge)."""
-    return compact(machine, [r.seq for r in runs], cores, dest=dest, stride=stride)

@@ -31,11 +31,10 @@ from math import isqrt
 
 from pemlab.machine import MachineFault, MemRegion
 from pemlab.merge import BucketedRun, merge_bucketed
-from pemlab.primitives import KeySeq, SplitterSet, brute_sort, chunk_bounds, compact
+from pemlab.primitives import KeySeq, SplitterSet, _subseq, brute_sort, compact, parallel_for
 
 __all__ = [
     "PartitionTask",
-    "multisearch",
     "partition_main",
     "partition_quadratic",
     "partition_seq",
@@ -48,10 +47,6 @@ def _splitter_keys(splitters) -> tuple:
     if any(keys[i] > keys[i + 1] for i in range(len(keys) - 1)):
         raise MachineFault("splitters must be sorted")
     return keys
-
-
-def _subseq(seq: KeySeq, lo: int, hi: int) -> KeySeq:
-    return KeySeq(MemRegion(seq.region.base + lo, hi - lo), hi - lo)
 
 
 @dataclass(frozen=True)
@@ -117,8 +112,6 @@ def partition_seq(machine, a: KeySeq, splitters, core) -> BucketedRun:
                     c.read(region.addr(j))
                 j += 1
             c.tick(1)
-        return
-        yield
 
     machine.run_rounds({core.idx: prog})
     host = machine.snapshot_memory(out)[:n]
@@ -151,8 +144,6 @@ def _distribute_seq(machine, a: KeySeq, keys: tuple, core, dest: MemRegion | Non
             c.tick(probe)
             c.write(dst.addr(cursors[b]), v)
             cursors[b] += 1
-        return
-        yield
 
     machine.run_rounds({core.idx: prog})
     return BucketedRun(KeySeq(dst, n), tuple(counts))
@@ -181,8 +172,6 @@ def _distribute_columns(machine, a: KeySeq, keys: tuple, core) -> BucketedRun:
             c.tick(probe)
             c.write(region.addr(b * n + counts[b]), v)
             counts[b] += 1
-        return
-        yield
 
     machine.run_rounds({core.idx: prog})
     return BucketedRun(KeySeq(region, n), tuple(counts), starts=tuple(b * n for b in range(z + 1)))
@@ -196,30 +185,20 @@ def partition_quadratic(machine, a: KeySeq, splitters, cores) -> BucketedRun:
     if n == 0:
         return BucketedRun(KeySeq(machine.alloc(0), 0), (0,) * (z + 1))
     srt = brute_sort(machine, a, cores)
-    if z:
-        g = min(len(cores), z)
-        owner = chunk_bounds(z, g)
 
-        def search_for(ci):
-            lo_s, hi_s = owner[ci]
+    def search(core, ci, lo, hi):
+        for j in range(lo, hi):
+            left, right = 0, n
+            while left < right:
+                mid = (left + right) // 2
+                v = core.read(srt.addr(mid))
+                core.tick(1)
+                if v <= keys[j]:
+                    left = mid + 1
+                else:
+                    right = mid
 
-            def prog(core):
-                for j in range(lo_s, hi_s):
-                    lo, hi = 0, n
-                    while lo < hi:
-                        mid = (lo + hi) // 2
-                        v = core.read(srt.addr(mid))
-                        core.tick(1)
-                        if v <= keys[j]:
-                            lo = mid + 1
-                        else:
-                            hi = mid
-                return
-                yield
-
-            return prog
-
-        machine.run_rounds({cores[ci].idx: search_for(ci) for ci in range(g)})
+    parallel_for(machine, z, cores, search)
     host = machine.snapshot_memory(srt.region)[:n]
     bounds = [bisect_right(host, s) for s in keys]
     return BucketedRun(srt, _bucket_sizes_from_bounds(bounds, n))
@@ -349,66 +328,3 @@ def _chunked(machine, seq: KeySeq, keys: tuple, task: PartitionTask, cores, refi
         band = cores[: max(1, g // max(1, isqrt(c_len)))]
         runs.append(partition_sqrt(machine, _subseq(seq, lo, hi), keys, band))
     return merge_bucketed(machine, runs, cores, dest=dest)
-
-
-def multisearch(machine, queries: KeySeq, sorted_keys: KeySeq, cores) -> KeySeq:
-    """Bucket index of every query among ``m <= sqrt(n)`` sorted keys.
-
-    Queries are tagged with their positions, partitioned around the sorted
-    keys, and the bucketed order is inverted back to input order.
-    """
-    n = queries.n
-    m = sorted_keys.n
-    out = machine.alloc(n)
-    if n == 0:
-        return KeySeq(out, 0)
-    host_keys = machine.snapshot_memory(sorted_keys.region)[:m]
-
-    def read_keys(core):
-        for j in range(m):
-            core.read(sorted_keys.addr(j))
-        return
-        yield
-
-    machine.run_rounds({cores[0].idx: read_keys})
-
-    tagged = machine.alloc(n)
-    from pemlab.primitives import chunk_bounds
-
-    bounds = chunk_bounds(n, min(len(cores), n))
-
-    def tag_for(ci):
-        lo, hi = bounds[ci]
-
-        def prog(core):
-            for i in range(lo, hi):
-                core.write(tagged.addr(i), (core.read(queries.addr(i)), i))
-            return
-            yield
-
-        return prog
-
-    machine.run_rounds({cores[ci].idx: tag_for(ci) for ci in range(len(bounds))})
-    wrapped = tuple((s, math.inf) for s in host_keys)
-    if m * m <= n:
-        task = PartitionTask(KeySeq(tagged, n), wrapped, N=n, P=len(cores))
-        run = partition_main(machine, task, cores)
-    else:
-        run = partition_sqrt(machine, KeySeq(tagged, n), wrapped, cores)
-
-    starts = list(accumulate(run.sizes))
-
-    def invert_for(ci):
-        lo, hi = bounds[ci]
-
-        def prog(core):
-            for i in range(lo, hi):
-                _, tag = core.read(run.seq.addr(i))
-                core.write(out.addr(tag), bisect_right(starts, i))
-            return
-            yield
-
-        return prog
-
-    machine.run_rounds({cores[ci].idx: invert_for(ci) for ci in range(len(bounds))})
-    return KeySeq(out, n)

@@ -3,18 +3,20 @@
 Every routine here charges its memory traffic through :class:`~pemlab.machine.Core`
 handles, so ledgers reflect the access pattern of the stated algorithm:
 chunked folds with tree combines, an infix-layout prefix tree, recursive
-matrix transposition, counting ranks, slice-per-core compaction, quadratic
-rank sorting, and splitter sampling by oversampled chunks.
+matrix transposition, slice-per-core compaction, quadratic rank sorting,
+and splitter sampling by oversampled chunks.
 
 Work is split into per-core chunks of about ``n/p`` items with the remainder
-on the last core.  Cross-core partial values always live in block-spaced
-slots so that reduction rounds never incur block misses.
+on the last core; :func:`parallel_for` runs one such step.  Cross-core
+partial values always live in block-spaced slots so that reduction rounds
+never incur block misses.
 """
 from __future__ import annotations
 
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from math import isqrt
 
 from pemlab.machine import MachineFault, MemRegion
@@ -23,11 +25,9 @@ __all__ = [
     "KeySeq",
     "SplitterSet",
     "chunk_bounds",
-    "par_max",
-    "par_sum",
+    "parallel_for",
     "prefix_sum",
     "transpose",
-    "rank",
     "compact",
     "brute_sort",
     "sample_splitters",
@@ -89,6 +89,72 @@ def chunk_bounds(n: int, p: int) -> list:
     return bounds
 
 
+def parallel_for(machine, n: int, cores, body) -> None:
+    """One step over ``range(n)``: ``body(core, ci, lo, hi)`` on each core.
+
+    The items are cut by :func:`chunk_bounds` into ``g = min(len(cores), n)``
+    chunks and chunk ``ci`` runs on ``cores[ci]``.  ``body`` is a machine
+    program: a plain function takes one round, a generator one round per
+    ``yield`` plus one.  It loops over its own chunk, so a step costs one
+    Python call per core, not per item.  ``n == 0`` runs no round.
+    """
+    if n == 0:
+        return
+    g = min(len(cores), n)
+    machine.run_rounds({
+        cores[ci].idx: lambda core, ci=ci, lo=lo, hi=hi: body(core, ci, lo, hi)
+        for ci, (lo, hi) in enumerate(chunk_bounds(n, g))
+    })
+
+
+def _subseq(seq: KeySeq, lo: int, hi: int) -> KeySeq:
+    """Items ``[lo, hi)`` of ``seq`` as a view on the same memory."""
+    return KeySeq(MemRegion(seq.region.base + lo, hi - lo), hi - lo)
+
+
+def _scan_words(machine, seq: KeySeq, core, tick: int = 1) -> list:
+    """Read every word of ``seq`` on one core; returns the host values."""
+    vals: list = []
+
+    def prog(c):
+        for i in range(seq.n):
+            vals.append(c.read(seq.addr(i)))
+            if tick:
+                c.tick(tick)
+
+    machine.run_rounds({core.idx: prog})
+    return vals
+
+
+def _write_words(machine, words, core, dest: MemRegion | None = None) -> KeySeq:
+    """Write host words into a fresh (or given) region on one core."""
+    n = len(words)
+    dst = dest if dest is not None else machine.alloc(n)
+    if dst.len < n:
+        raise MachineFault("destination region too small")
+
+    def prog(c):
+        for i, w in enumerate(words):
+            c.write(dst.addr(i), w)
+
+    if n:
+        machine.run_rounds({core.idx: prog})
+    return KeySeq(dst, n)
+
+
+def _map_pass(machine, src: KeySeq, cores, fn, tick: int = 1) -> KeySeq:
+    """Elementwise ``dest[i] = fn(src[i])`` across core-chunked ranges."""
+    dst = machine.alloc(src.n)
+
+    def body(core, ci, lo, hi):
+        for i in range(lo, hi):
+            core.write(dst.addr(i), fn(core.read(src.addr(i))))
+            core.tick(tick)
+
+    parallel_for(machine, src.n, cores, body)
+    return KeySeq(dst, src.n)
+
+
 def spaced_slots(machine, count: int) -> MemRegion:
     """A region holding ``count`` words, one per cache block."""
     return machine.alloc(count * machine.config.B)
@@ -104,74 +170,50 @@ def _combine_slots(machine, slots: MemRegion, count: int, cores, combine):
     Leaves the result in slot 0 and returns it (read host-side afterwards).
     """
     g = min(len(cores), count)
-    bounds = chunk_bounds(count, g)
     levels = []
     step = 1
     while step < g:
         levels.append(step)
         step *= 2
 
-    def prog_for(ci):
-        lo, hi = bounds[ci]
-
-        def prog(core):
-            acc = _NONE
-            for k in range(lo, hi):
-                v = core.read(_slot_addr(machine, slots, k))
-                acc = v if acc is _NONE else combine(acc, v)
+    def body(core, ci, lo, hi):
+        acc = _NONE
+        for k in range(lo, hi):
+            v = core.read(_slot_addr(machine, slots, k))
+            acc = v if acc is _NONE else combine(acc, v)
+            core.tick(1)
+        core.write(_slot_addr(machine, slots, ci), acc)
+        yield
+        for step in levels:
+            if ci % (2 * step) == 0 and ci + step < g:
+                other = core.read(_slot_addr(machine, slots, ci + step))
+                acc = combine(acc, other)
                 core.tick(1)
-            core.write(_slot_addr(machine, slots, ci), acc)
+                core.write(_slot_addr(machine, slots, ci), acc)
             yield
-            for step in levels:
-                if ci % (2 * step) == 0 and ci + step < g:
-                    other = core.read(_slot_addr(machine, slots, ci + step))
-                    acc = combine(acc, other)
-                    core.tick(1)
-                    core.write(_slot_addr(machine, slots, ci), acc)
-                yield
 
-        return prog
-
-    machine.run_rounds({cores[ci].idx: prog_for(ci) for ci in range(g)})
+    parallel_for(machine, count, cores, body)
     return machine.snapshot_memory(slots)[0]
 
 
 def _reduce(machine, a: KeySeq, cores, combine):
+    """Fold ``a`` with ``combine``: per-core chunk folds, then a halving
+    reduction tree over block-spaced partials."""
     if a.n == 0:
         raise MachineFault("reduction over an empty sequence")
     g = min(len(cores), a.n)
-    bounds = chunk_bounds(a.n, g)
     slots = spaced_slots(machine, g)
 
-    def prog_for(ci):
-        lo, hi = bounds[ci]
+    def body(core, ci, lo, hi):
+        acc = _NONE
+        for i in range(lo, hi):
+            v = core.read(a.addr(i))
+            acc = v if acc is _NONE else combine(acc, v)
+            core.tick(1)
+        core.write(_slot_addr(machine, slots, ci), acc)
 
-        def prog(core):
-            acc = _NONE
-            for i in range(lo, hi):
-                v = core.read(a.addr(i))
-                acc = v if acc is _NONE else combine(acc, v)
-                core.tick(1)
-            core.write(_slot_addr(machine, slots, ci), acc)
-            return
-            yield
-
-        return prog
-
-    machine.run_rounds({cores[ci].idx: prog_for(ci) for ci in range(g)})
+    parallel_for(machine, a.n, cores, body)
     return _combine_slots(machine, slots, g, cores[:g], combine)
-
-
-def par_max(machine, a: KeySeq, cores):
-    """Maximum of ``a``: per-core chunk folds, then a halving reduction tree."""
-    return _reduce(machine, a, cores, lambda u, v: u if u >= v else v)
-
-
-def par_sum(machine, a: KeySeq, cores):
-    """Sum of ``a`` with the same chunk-then-tree schedule as :func:`par_max`."""
-    if a.n == 0:
-        return 0
-    return _reduce(machine, a, cores, operator.add)
 
 
 def prefix_sum(machine, a: KeySeq, cores, op=operator.add, out: MemRegion | None = None) -> KeySeq:
@@ -230,39 +272,35 @@ def prefix_sum(machine, a: KeySeq, cores, op=operator.add, out: MemRegion | None
             core.tick(1)
         phase2(core, i + half, size - half, down)
 
-    def prog_for(ci):
+    def prog(core, ci):
         lo = ci * chunk
         hi = min(n, lo + chunk)
-
-        def prog(core):
-            total = phase1(core, lo, hi - lo)
-            core.write(_slot_addr(machine, aux, ci), total)
+        total = phase1(core, lo, hi - lo)
+        core.write(_slot_addr(machine, aux, ci), total)
+        yield
+        acc = total
+        for step in levels:
+            if ci % (2 * step) == 0 and ci + step < g:
+                other = core.read(_slot_addr(machine, aux, ci + step))
+                core.write(sreg.addr((ci + step) * chunk), acc)
+                acc = op(acc, other)
+                core.tick(1)
+                core.write(_slot_addr(machine, aux, ci), acc)
             yield
-            acc = total
-            for step in levels:
-                if ci % (2 * step) == 0 and ci + step < g:
-                    other = core.read(_slot_addr(machine, aux, ci + step))
-                    core.write(sreg.addr((ci + step) * chunk), acc)
-                    acc = op(acc, other)
+        carry = _NONE
+        for step in reversed(levels):
+            group = (ci // (2 * step)) * (2 * step)
+            mid = group + step
+            if mid <= ci:
+                left = core.read(sreg.addr(mid * chunk))
+                if carry is _NONE:
+                    carry = left
+                else:
+                    carry = op(carry, left)
                     core.tick(1)
-                    core.write(_slot_addr(machine, aux, ci), acc)
-                yield
-            carry = _NONE
-            for step in reversed(levels):
-                group = (ci // (2 * step)) * (2 * step)
-                mid = group + step
-                if mid <= ci:
-                    left = core.read(sreg.addr(mid * chunk))
-                    if carry is _NONE:
-                        carry = left
-                    else:
-                        carry = op(carry, left)
-                        core.tick(1)
-            phase2(core, lo, hi - lo, carry)
+        phase2(core, lo, hi - lo, carry)
 
-        return prog
-
-    machine.run_rounds({cores[ci].idx: prog_for(ci) for ci in range(g)})
+    machine.run_rounds({cores[ci].idx: partial(prog, ci=ci) for ci in range(g)})
     return KeySeq(rreg, n)
 
 
@@ -315,49 +353,9 @@ def transpose(machine, a: KeySeq, m: int, n: int, cores, out: MemRegion | None =
             tile_moves(core, im, i1, j0, j1)
 
     jobs = split(0, m, 0, n, list(range(min(len(cores), m * n))))
-
-    def prog_for(ci, i0, i1, j0, j1):
-        def prog(core):
-            tile_moves(core, i0, i1, j0, j1)
-            return
-            yield
-
-        return prog
-
-    machine.run_rounds({cores[ci].idx: prog_for(ci, *rect) for ci, *rect in jobs})
+    machine.run_rounds({cores[ci].idx: partial(tile_moves, i0=i0, i1=i1, j0=j0, j1=j1)
+                        for ci, i0, i1, j0, j1 in jobs})
     return KeySeq(dst, m * n)
-
-
-def rank(machine, q, a: KeySeq, cores) -> int:
-    """Number of keys in ``a`` strictly below ``q``.
-
-    Each core counts within its chunk; the ``p`` partial counts are summed
-    by a reduction over ``max(1, p*p // n)`` cores.
-    """
-    if a.n == 0:
-        return 0
-    g = min(len(cores), a.n)
-    bounds = chunk_bounds(a.n, g)
-    slots = spaced_slots(machine, g)
-
-    def prog_for(ci):
-        lo, hi = bounds[ci]
-
-        def prog(core):
-            count = 0
-            for i in range(lo, hi):
-                if core.read(a.addr(i)) < q:
-                    count += 1
-            core.tick(hi - lo)
-            core.write(_slot_addr(machine, slots, ci), count)
-            return
-            yield
-
-        return prog
-
-    machine.run_rounds({cores[ci].idx: prog_for(ci) for ci in range(g)})
-    g2 = max(1, (g * g) // a.n)
-    return _combine_slots(machine, slots, g, cores[:g2], operator.add)
 
 
 def compact(machine, parts, cores, dest: MemRegion | None = None, stride: int = 1) -> KeySeq:
@@ -376,29 +374,20 @@ def compact(machine, parts, cores, dest: MemRegion | None = None, stride: int = 
     starts = [0]
     for part in parts:
         starts.append(starts[-1] + part.n)
-    g = min(len(cores), total)
-    bounds = chunk_bounds(total, g)
 
-    def prog_for(ci):
-        lo, hi = bounds[ci]
+    def body(core, ci, lo, hi):
+        k = bisect_right(starts, lo) - 1
+        off = lo - starts[k]
+        for item in range(lo, hi):
+            while off >= parts[k].n:
+                k += 1
+                off = 0
+            src = parts[k].region.base + off * stride
+            for w in range(stride):
+                core.write(dst.addr(item * stride + w), core.read(src + w))
+            off += 1
 
-        def prog(core):
-            k = bisect_right(starts, lo) - 1
-            off = lo - starts[k]
-            for item in range(lo, hi):
-                while off >= parts[k].n:
-                    k += 1
-                    off = 0
-                src = parts[k].region.base + off * stride
-                for w in range(stride):
-                    core.write(dst.addr(item * stride + w), core.read(src + w))
-                off += 1
-            return
-            yield
-
-        return prog
-
-    machine.run_rounds({cores[ci].idx: prog_for(ci) for ci in range(g)})
+    parallel_for(machine, total, cores, body)
     return KeySeq(dst, total)
 
 
@@ -416,38 +405,31 @@ def brute_sort(machine, a: KeySeq, cores, dest: MemRegion | None = None) -> KeyS
         raise MachineFault("destination region too small")
     if n == 0:
         return KeySeq(dst, 0)
-    g = min(len(cores), n)
-    bounds = chunk_bounds(n, g)
     scratch = machine.alloc(n * n)
-    phases = -(-n // g)
+    phases = -(-n // min(len(cores), n))
 
-    def prog_for(ci):
-        lo, hi = bounds[ci]
-
-        def prog(core):
-            mine = []
-            for i in range(lo, hi):
-                ki = core.read(a.addr(i))
-                r = 0
-                for j in range(n):
-                    kj = core.read(a.addr(j))
-                    if kj < ki or (kj == ki and j < i):
-                        r += 1
-                core.tick(n)
-                mine.append((r, ki))
+    def body(core, ci, lo, hi):
+        mine = []
+        for i in range(lo, hi):
+            ki = core.read(a.addr(i))
+            r = 0
+            for j in range(n):
+                kj = core.read(a.addr(j))
+                if kj < ki or (kj == ki and j < i):
+                    r += 1
+            core.tick(n)
+            mine.append((r, ki))
+        yield
+        for phase in range(phases):
+            for r, ki in mine:
+                if r % phases == phase:
+                    core.write(scratch.addr(n * r), ki)
             yield
-            for phase in range(phases):
-                for r, ki in mine:
-                    if r % phases == phase:
-                        core.write(scratch.addr(n * r), ki)
-                yield
-            if ci == 0:
-                for r in range(n):
-                    core.write(dst.addr(r), core.read(scratch.addr(n * r)))
+        if ci == 0:
+            for r in range(n):
+                core.write(dst.addr(r), core.read(scratch.addr(n * r)))
 
-        return prog
-
-    machine.run_rounds({cores[ci].idx: prog_for(ci) for ci in range(g)})
+    parallel_for(machine, n, cores, body)
     return KeySeq(dst, n)
 
 
@@ -469,32 +451,21 @@ def sample_splitters(machine, a: KeySeq, x: int, cores, stream: int = 0) -> Spli
     stride = max(1, m_star // s_count)
     chunks = chunk_bounds(n, m_star)
     star = machine.alloc(m_star)
-    g = min(len(cores), m_star)
-    owner = chunk_bounds(m_star, g)
 
-    def prog_for(ci):
-        lo, hi = owner[ci]
+    def body(core, ci, lo, hi):
+        rng = machine.rng(11, stream, ci)
+        for k in range(lo, hi):
+            clo, chi = chunks[k]
+            off = int(rng.integers(chi - clo))
+            core.write(star.addr(k), core.read(a.addr(clo + off)))
 
-        def prog(core):
-            rng = machine.rng(11, stream, ci)
-            for k in range(lo, hi):
-                clo, chi = chunks[k]
-                off = int(rng.integers(chi - clo))
-                core.write(star.addr(k), core.read(a.addr(clo + off)))
-            return
-            yield
-
-        return prog
-
-    machine.run_rounds({cores[ci].idx: prog_for(ci) for ci in range(g)})
-    sorted_star = brute_sort(machine, KeySeq(star, m_star), cores[:g])
+    parallel_for(machine, m_star, cores, body)
+    sorted_star = brute_sort(machine, KeySeq(star, m_star), cores[:m_star])
     sreg = machine.alloc(s_count)
 
     def select(core):
         for j in range(1, s_count + 1):
             core.write(sreg.addr(j - 1), core.read(sorted_star.addr(stride * j - 1)))
-        return
-        yield
 
     machine.run_rounds({cores[0].idx: select})
     keys = tuple(machine.snapshot_memory(sreg))

@@ -23,13 +23,13 @@ charged to the ledger; the host only mirrors what the leaders wrote.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from pemlab.machine import MachineFault
 from pemlab.primitives import KeySeq, chunk_bounds, prefix_sum, spaced_slots
 
 __all__ = [
     "IdAssignment",
-    "assign_ids",
     "estimate_processors",
     "oblivious_prefix",
 ]
@@ -112,36 +112,28 @@ def estimate_processors(machine, n: int, cores=None,
 
     misses_before = machine.ledger().block_misses
 
-    def register_for(ci):
-        def prog(core):
-            rng = machine.rng(17, stream, core.idx)
-            s = int(rng.integers(0, slots_n))
-            my_slot[ci] = s
-            my_rank[ci] = core.fetch_add(slots.addr(s), 1)
-            return
-            yield
+    def register(core, ci):
+        rng = machine.rng(17, stream, core.idx)
+        s = int(rng.integers(0, slots_n))
+        my_slot[ci] = s
+        my_rank[ci] = core.fetch_add(slots.addr(s), 1)
 
-        return prog
-
-    machine.run_rounds({cores[ci].idx: register_for(ci) for ci in range(p)})
+    machine.run_rounds({cores[ci].idx: partial(register, ci=ci) for ci in range(p)})
     write_misses = machine.ledger().block_misses - misses_before
 
     leader: list = []
 
-    def left_walk_for(ci):
-        def prog(core):
-            pos = my_slot[ci] - 1
-            while pos >= 0:
-                v = core.read(slots.addr(pos))
-                if v:
-                    return
-                pos -= 1
-                yield
-            leader.append(ci)
+    def left_walk(core, ci):
+        pos = my_slot[ci] - 1
+        while pos >= 0:
+            v = core.read(slots.addr(pos))
+            if v:
+                return
+            pos -= 1
+            yield
+        leader.append(ci)
 
-        return prog
-
-    machine.run_rounds({cores[ci].idx: left_walk_for(ci)
+    machine.run_rounds({cores[ci].idx: partial(left_walk, ci=ci)
                         for ci in range(p) if my_rank[ci] == 0})
     if len(leader) != 1:
         raise MachineFault("leftward election did not produce one leader")
@@ -177,43 +169,32 @@ def estimate_processors(machine, n: int, cores=None,
     gsum = machine.alloc(nblocks)
     block_leader = [False] * p
 
-    def block_walk_for(ci):
+    def block_walk(core, ci):
         start = (my_slot[ci] // b) * b
+        core.read(header.addr(0))
+        pos = my_slot[ci] - 1
+        while pos >= start:
+            v = core.read(slots.addr(pos))
+            if v:
+                return
+            pos -= 1
+            yield
+        block_leader[ci] = True
 
-        def prog(core):
-            core.read(header.addr(0))
-            pos = my_slot[ci] - 1
-            while pos >= start:
-                v = core.read(slots.addr(pos))
-                if v:
-                    return
-                pos -= 1
-                yield
-            block_leader[ci] = True
-
-        return prog
-
-    machine.run_rounds({cores[ci].idx: block_walk_for(ci)
+    machine.run_rounds({cores[ci].idx: partial(block_walk, ci=ci)
                         for ci in range(p) if my_rank[ci] == 0})
 
-    def block_scan_for(ci):
+    def block_scan(core, ci):
         mb = my_slot[ci] // b
-        start, end = mb * b, min((mb + 1) * b, slots_n)
+        running = 0
+        for pos in range(mb * b, min((mb + 1) * b, slots_n)):
+            v = core.read(slots.addr(pos))
+            if v:
+                core.write(offs.addr(pos), running)
+                running += v
+        core.write(summaries.addr(mb), running)
 
-        def prog(core):
-            running = 0
-            for pos in range(start, end):
-                v = core.read(slots.addr(pos))
-                if v:
-                    core.write(offs.addr(pos), running)
-                    running += v
-            core.write(summaries.addr(mb), running)
-            return
-            yield
-
-        return prog
-
-    machine.run_rounds({cores[ci].idx: block_scan_for(ci)
+    machine.run_rounds({cores[ci].idx: partial(block_scan, ci=ci)
                         for ci in range(p) if block_leader[ci]})
 
     grand = {}
@@ -225,8 +206,6 @@ def estimate_processors(machine, n: int, cores=None,
             core.write(gsum.addr(k), running)
             running += v
         grand["total"] = running
-        return
-        yield
 
     machine.run_rounds({cores[leader[0]].idx: gsum_prog})
     if grand["total"] != p:
@@ -235,22 +214,17 @@ def estimate_processors(machine, n: int, cores=None,
     ids = [None] * p
     dense = [None] * p
 
-    def derive_for(ci):
-        def prog(core):
-            hv = core.read(header.addr(0))
-            mb = my_slot[ci] // hv[2]
-            slot_off = core.read(offs.addr(my_slot[ci]))
-            block_off = core.read(gsum.addr(mb))
-            rank = slot_off + my_rank[ci]
-            ids[ci] = (mb, rank)
-            dense[ci] = block_off + rank
-            core.tick(2)
-            return
-            yield
+    def derive(core, ci):
+        hv = core.read(header.addr(0))
+        mb = my_slot[ci] // hv[2]
+        slot_off = core.read(offs.addr(my_slot[ci]))
+        block_off = core.read(gsum.addr(mb))
+        rank = slot_off + my_rank[ci]
+        ids[ci] = (mb, rank)
+        dense[ci] = block_off + rank
+        core.tick(2)
 
-        return prog
-
-    machine.run_rounds({cores[ci].idx: derive_for(ci) for ci in range(p)})
+    machine.run_rounds({cores[ci].idx: partial(derive, ci=ci) for ci in range(p)})
     return IdAssignment(
         estimated_p=est["p_hat"],
         beta=est["beta"],
@@ -262,11 +236,6 @@ def estimate_processors(machine, n: int, cores=None,
         dense_ids=tuple(dense),
         write_block_misses=write_misses,
     )
-
-
-def assign_ids(assignment: IdAssignment) -> tuple:
-    """Per-core dense ids (a permutation of ``range(total)``)."""
-    return assignment.dense_ids
 
 
 def oblivious_prefix(machine, a: KeySeq, cores=None,
@@ -300,40 +269,24 @@ def oblivious_prefix(machine, a: KeySeq, cores=None,
     partials = machine.alloc(est.total)
     out = machine.alloc(n)
 
-    def sum_for(ci):
-        k = est.dense_ids[ci]
-        lo, hi = owners[k]
+    def chunk_sum(core, k):
+        acc = 0
+        for i in range(*owners[k]):
+            acc += core.read(a.addr(i))
+            core.tick(1)
+        core.write(partials.addr(k), acc)
 
-        def prog(core):
-            acc = 0
-            for i in range(lo, hi):
-                acc += core.read(a.addr(i))
-                core.tick(1)
-            core.write(partials.addr(k), acc)
-            return
-            yield
-
-        return prog
-
-    machine.run_rounds({cores[ci].idx: sum_for(ci)
-                        for ci in range(len(cores))})
+    machine.run_rounds({core.idx: partial(chunk_sum, k=k)
+                        for core, k in zip(cores, est.dense_ids)})
     pref = prefix_sum(machine, KeySeq(partials, est.total), cores)
 
-    def emit_for(ci):
-        k = est.dense_ids[ci]
-        lo, hi = owners[k]
+    def emit(core, k):
+        acc = core.read(pref.addr(k - 1)) if k else 0
+        for i in range(*owners[k]):
+            acc += core.read(a.addr(i))
+            core.write(out.addr(i), acc)
+            core.tick(1)
 
-        def prog(core):
-            acc = core.read(pref.addr(k - 1)) if k else 0
-            for i in range(lo, hi):
-                acc += core.read(a.addr(i))
-                core.write(out.addr(i), acc)
-                core.tick(1)
-            return
-            yield
-
-        return prog
-
-    machine.run_rounds({cores[ci].idx: emit_for(ci)
-                        for ci in range(len(cores))})
+    machine.run_rounds({core.idx: partial(emit, k=k)
+                        for core, k in zip(cores, est.dense_ids)})
     return KeySeq(out, n)

@@ -33,9 +33,9 @@ from math import isqrt
 
 from pemlab.machine import MachineFault, MemRegion
 from pemlab.partition import PartitionTask, _distribute_columns, partition_main
-from pemlab.primitives import KeySeq, chunk_bounds, sample_splitters
+from pemlab.primitives import KeySeq, _subseq, parallel_for, sample_splitters
 
-__all__ = ["SortPlan", "SortStats", "sample_sort", "seq_sort"]
+__all__ = ["SortPlan", "SortStats", "sample_sort"]
 
 
 @dataclass(frozen=True)
@@ -149,31 +149,16 @@ def sample_sort(machine, a: KeySeq, cores, plan: SortPlan | None = None,
     return KeySeq(out, n)
 
 
-def seq_sort(machine, a: KeySeq, core, plan: SortPlan | None = None,
-             stats: SortStats | None = None, stream: int = 0) -> KeySeq:
-    """Run the same recursion on a single core."""
-    return sample_sort(machine, a, [core], plan=plan, stats=stats, stream=stream)
-
-
 def _tag_keys(machine, a: KeySeq, cores) -> KeySeq:
     """Wrap every key as ``(key, offset)`` so all values are distinct."""
-    n = a.n
-    reg = machine.alloc(n)
-    bounds = chunk_bounds(n, min(len(cores), n))
+    reg = machine.alloc(a.n)
 
-    def tag_for(ci):
-        lo, hi = bounds[ci]
+    def body(core, ci, lo, hi):
+        for i in range(lo, hi):
+            core.write(reg.addr(i), (core.read(a.addr(i)), i))
 
-        def prog(core):
-            for i in range(lo, hi):
-                core.write(reg.addr(i), (core.read(a.addr(i)), i))
-            return
-            yield
-
-        return prog
-
-    machine.run_rounds({cores[ci].idx: tag_for(ci) for ci in range(len(bounds))})
-    return KeySeq(reg, n)
+    parallel_for(machine, a.n, cores, body)
+    return KeySeq(reg, a.n)
 
 
 def _leaf(machine, a: KeySeq, core, out: MemRegion, off: int, tagged: bool) -> None:
@@ -186,8 +171,6 @@ def _leaf(machine, a: KeySeq, core, out: MemRegion, off: int, tagged: bool) -> N
         c.tick(n * max(1, n.bit_length()))
         for i, v in enumerate(vals):
             c.write(out.addr(off + i), v[0] if tagged else v)
-        return
-        yield
 
     machine.run_rounds({core.idx: prog})
 
@@ -236,7 +219,7 @@ def _seq_branch(machine, seq: KeySeq, core, out: MemRegion, off: int, ctx: _Ctx)
     starts = run.bucket_starts()
     sub_off = off
     for b, size in enumerate(run.sizes):
-        view = KeySeq(MemRegion(run.seq.region.base + starts[b], size), size)
+        view = _subseq(run.seq, starts[b], starts[b] + size)
         _sort_rec(machine, view, [core], out, sub_off, ctx)
         sub_off += size
 
@@ -258,7 +241,7 @@ def _par_branch(machine, seq: KeySeq, cores, out: MemRegion, off: int, ctx: _Ctx
     at = 0
     sub_off = off
     for b, size in enumerate(run.sizes):
-        view = KeySeq(MemRegion(run.seq.region.base + starts[b], size), size)
+        view = _subseq(run.seq, starts[b], starts[b] + size)
         if shares[b]:
             band = cores[at : at + shares[b]]
             at += shares[b]

@@ -20,16 +20,13 @@ from oracles import (
 )
 from pemlab.geometry import (
     GeometryError,
-    HalfPlane,
     HullChain,
     Point2,
     angle_key,
     canonical_chain,
-    ccw_between,
     clip_chain,
     convex_hull_points,
     cross,
-    dominates,
     feasible,
     frac,
     halfplane,
@@ -37,7 +34,6 @@ from pemlab.geometry import (
     intersect_halfplanes_ordered,
     line_intersect,
     point2,
-    translate_plane,
     unbounded_directions,
 )
 
@@ -108,9 +104,6 @@ def test_cross_and_dominates():
     assert cross(point2(0, 0), point2(1, 0), point2(0, 1)) == 1
     assert cross(point2(0, 0), point2(0, 1), point2(1, 0)) == -1
     assert cross(point2(0, 0), point2(2, 2), point2(3, 3)) == 0
-    assert dominates((2, 3), (1, 1))
-    assert not dominates((2, 1), (1, 1))
-    assert not dominates((1, 5), (1, 1))
 
 
 def test_halfplane_rejects_zero_normal():
@@ -133,11 +126,6 @@ def test_feasible_strict_and_weak():
     assert not feasible((1, 0), planes, strict=True)
     assert feasible((0, 0), planes, strict=True)
     assert not feasible((2, 0), planes)
-
-
-def test_translate_plane():
-    h = translate_plane(halfplane(2, 3, 10), point2(1, 2))
-    assert h == HalfPlane(F(2), F(3), F(2))  # 10 - 2*1 - 3*2
 
 
 # -------------------------------------------------------------- angle_key
@@ -168,20 +156,6 @@ def test_angle_key_matches_atan2_order():
     by_key = sorted(vecs, key=angle_key)
     by_atan = sorted(vecs, key=lambda v: math.atan2(v[1], v[0]) % math.tau)
     assert by_key == by_atan
-
-
-def test_ccw_between_wedges():
-    lo, hi = point2(1, 0), point2(0, 1)
-    assert ccw_between(lo, hi, (1, 0))       # closed at lo
-    assert ccw_between(lo, hi, (3, 1))
-    assert not ccw_between(lo, hi, (0, 1))   # open at hi
-    assert not ccw_between(lo, hi, (-1, 0))
-    lo, hi = point2(0, -1), point2(1, 1)     # wedge wrapping east axis
-    assert ccw_between(lo, hi, (0, -1))
-    assert ccw_between(lo, hi, (1, 0))
-    assert ccw_between(lo, hi, (5, -1))
-    assert not ccw_between(lo, hi, (1, 1))
-    assert not ccw_between(lo, hi, (-1, 0))
 
 
 # -------------------------------------------------- chain cleanup / clip

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pemlab.machine import Machine, MachineConfig, MachineFault
@@ -291,6 +293,70 @@ class TestRoundSemantics:
         assert m.ledger().block_misses == 6
         assert not m.diagnostics
 
+    def test_fetch_add_result_visible_to_own_reads(self, make_machine):
+        m = make_machine(p=2, B=8)
+        region = m.alloc(8)
+        seen = {}
+
+        def prog(core):
+            core.fetch_add(region.addr(0), 5)
+            seen[core.idx] = core.read(region.addr(0))
+            yield
+
+        m.run_rounds({0: prog})
+        # Core 0 sees its +5; core 1 sees its own +5 after core 0's.
+        m.run_rounds([prog, prog])
+        assert seen == {0: 10, 1: 15}
+        assert m.snapshot_memory(region)[0] == 15
+
+    def test_other_cores_do_not_see_fetch_add_before_barrier(self, make_machine):
+        m = make_machine(p=2, B=8)
+        region = m.alloc(8)
+        seen = []
+
+        def adder(core):
+            core.fetch_add(region.addr(0), 5)
+            yield
+
+        def reader(core):
+            seen.append(core.read(region.addr(0)))
+            yield
+            seen.append(core.read(region.addr(0)))
+
+        m.run_rounds({0: adder, 1: reader})
+        assert seen == [0, 5]
+
+    @pytest.mark.parametrize("writer_core", [0, 1])
+    def test_write_against_fetch_add_is_a_race(self, make_machine, writer_core):
+        m = make_machine(p=2, B=8)
+        region = m.alloc(8)
+
+        def writer(core):
+            core.write(region.addr(0), 100)
+            yield
+
+        def adder(core):
+            core.fetch_add(region.addr(0), 5)
+            yield
+
+        m.run_rounds({writer_core: writer, 1 - writer_core: adder})
+        # Commit order is unchanged: fetch_add results land after writes.
+        assert m.snapshot_memory(region)[0] == 5
+        assert len(m.diagnostics) == 1
+        assert m.diagnostics[0].startswith("data race")
+
+    def test_one_core_writing_and_adding_is_no_race(self, make_machine):
+        m = make_machine(p=2, B=8)
+        region = m.alloc(8)
+
+        def prog(core):
+            core.fetch_add(region.addr(core.idx), 1)
+            core.write(region.addr(core.idx), 7)
+            yield
+
+        m.run_rounds([prog, prog])
+        assert not m.diagnostics
+
     def test_empty_program_runs_zero_rounds(self, make_machine):
         m = make_machine(p=2)
         led = m.run_rounds([])
@@ -330,3 +396,117 @@ class TestRoundSemantics:
         assert lines[0] == "round,core,op,addr,miss_kind"
         assert any("write" in line for line in lines[1:])
         assert any("block_miss" in line for line in lines[1:])
+
+
+def _apply(core, ops, log):
+    for op, addr, val in ops:
+        if op == "read":
+            log.append((core.idx, core.read(addr)))
+        elif op == "write":
+            core.write(addr, val)
+        elif op == "fetch_add":
+            log.append((core.idx, core.fetch_add(addr, val)))
+        else:
+            core.tick(val)
+
+
+def _plain_form(rounds, log):
+    """A one-round program as a plain function, else a generator."""
+    if len(rounds) == 1:
+        def prog(core):
+            _apply(core, rounds[0], log)
+
+        return prog
+    return _generator_form(rounds, log)
+
+
+def _tail_form(rounds, log):
+    """The same program with a generator for every round count."""
+    if len(rounds) == 1:
+        def prog(core):
+            _apply(core, rounds[0], log)
+            return
+            yield
+
+        return prog
+    return _generator_form(rounds, log)
+
+
+def _generator_form(rounds, log):
+    def prog(core):
+        for k, ops in enumerate(rounds):
+            if k:
+                yield
+            _apply(core, ops, log)
+
+    return prog
+
+
+def _random_mix(rng, p, words):
+    mix = {}
+    for idx in rng.sample(range(p), rng.randint(1, p)):
+        rounds = []
+        for _ in range(1 if rng.random() < 0.5 else rng.randint(1, 4)):
+            ops = []
+            for _ in range(rng.randint(0, 6)):
+                op = rng.choice(("read", "read", "write", "fetch_add", "tick"))
+                ops.append((op, rng.randrange(words), rng.randint(1, 9)))
+            rounds.append(ops)
+        mix[idx] = rounds
+    return mix
+
+
+class TestPlainPrograms:
+    def test_plain_program_counts_one_round_and_commits(self, make_machine):
+        m = make_machine(B=8)
+        region = m.alloc(8)
+
+        def prog(core):
+            core.write(region.addr(0), 42)
+
+        led = m.run_rounds([prog])
+        assert led.rounds == 1
+        assert led.ops == 1
+        assert m.snapshot_memory(region)[0] == 42
+
+    def test_plain_program_runs_at_its_turn(self, make_machine):
+        m = make_machine(p=2, B=8)
+        region = m.alloc(8)
+        order = []
+
+        def gen(core):
+            order.append(("gen", m.ledger().rounds))
+            yield
+            order.append(("gen", m.ledger().rounds))
+
+        def plain(core):
+            order.append(("plain", m.ledger().rounds))
+
+        m.run_rounds({0: gen, 1: plain})
+        assert order == [("gen", 0), ("plain", 0), ("gen", 1)]
+        assert m.ledger().rounds == 2
+
+    def test_unknown_core_rejected_before_any_program_runs(self, make_machine):
+        m = make_machine(p=2)
+        ran = []
+        with pytest.raises(MachineFault):
+            m.run_rounds({0: ran.append, 5: ran.append})
+        assert ran == []
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_plain_and_tail_forms_agree(self, seed):
+        rng = random.Random(seed)
+        p = rng.randint(1, 4)
+        words = 40
+        mixes = [_random_mix(rng, p, words) for _ in range(3)]
+        results = []
+        for form in (_plain_form, _tail_form):
+            m = Machine(MachineConfig(p=p, M=16, B=4), trace=True)
+            region = m.alloc(words)
+            m.load(region, range(words))
+            log = []
+            for mix in mixes:
+                m.run_rounds({idx: form(rounds, log) for idx, rounds in mix.items()})
+            results.append((m.ledger(), m.cache_state(), m.snapshot_memory(region),
+                            list(m.diagnostics), list(m._trace), log))
+        assert results[0] == results[1]

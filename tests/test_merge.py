@@ -5,7 +5,7 @@ from itertools import accumulate
 import pytest
 
 from pemlab import Machine, MachineConfig, MachineFault
-from pemlab.merge import BucketedRun, concat_runs, merge_bucketed, plan_cuts
+from pemlab.merge import BucketedRun, merge_bucketed, plan_cuts
 from pemlab.primitives import KeySeq
 
 
@@ -139,11 +139,3 @@ class TestPlanCuts:
                     covered.extend(range(starts[k] + a, starts[k] + b))
             assert covered == list(range(y))
 
-
-class TestConcatRuns:
-    def test_concatenates_in_run_order(self, make_machine):
-        m = make_machine(p=2)
-        a = load_run(m, [[3, 1], [2]])
-        b = load_run(m, [[9], []])
-        got = concat_runs(m, [a, b], m.cores)
-        assert m.snapshot_memory(got.region)[: got.n] == [3, 1, 2, 9]

@@ -13,7 +13,6 @@ import pytest
 from pemlab import Machine, MachineConfig, MachineFault
 from pemlab.partition import (
     PartitionTask,
-    multisearch,
     partition_main,
     partition_quadratic,
     partition_seq,
@@ -196,27 +195,3 @@ class TestPartitionMain:
             outs.append((run.sizes, m.snapshot_memory(run.seq.region)))
         assert outs[0] == outs[1]
 
-
-class TestMultisearch:
-    def test_three_queries_two_keys(self, make_machine):
-        m = make_machine(p=2)
-        queries = load_seq(m, [1, 9, 5])
-        keys = load_seq(m, [4, 8])
-        got = multisearch(m, queries, keys, m.cores)
-        assert m.snapshot_memory(got.region)[:3] == [0, 2, 1]
-
-    def test_queries_equal_to_keys_take_lower_bucket(self, make_machine):
-        m = make_machine(p=2)
-        queries = load_seq(m, [4, 8, 3, 12])
-        keys = load_seq(m, [4, 8])
-        got = multisearch(m, queries, keys, m.cores)
-        assert m.snapshot_memory(got.region)[:4] == [0, 1, 0, 2]
-
-    @pytest.mark.parametrize("p", [1, 4])
-    def test_random_against_bisect_oracle(self, make_machine, p):
-        m = make_machine(p=p, M=1024, B=8)
-        rng = random.Random(p)
-        qs = [rng.randrange(300) for _ in range(128)]
-        keys = sorted(rng.sample(range(300), 8))
-        got = multisearch(m, load_seq(m, qs), load_seq(m, keys), m.cores)
-        assert m.snapshot_memory(got.region)[:128] == [bisect_left(keys, q) for q in qs]

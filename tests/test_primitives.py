@@ -2,8 +2,8 @@
 
 Expected values come from independent host-side references: ``max``/``sum``,
 ``itertools.accumulate``, direct index arithmetic for transposition,
-comparison counting for ranks, ``sorted`` for the quadratic sort, and a
-replayed generator stream for sequential sampling.
+``sorted`` for the quadratic sort, and a replayed generator stream for
+sequential sampling.
 """
 import math
 import operator
@@ -16,13 +16,12 @@ from pemlab import Machine, MachineConfig, MachineFault
 from pemlab.primitives import (
     KeySeq,
     SplitterSet,
+    _reduce,
     brute_sort,
     chunk_bounds,
     compact,
-    par_max,
-    par_sum,
+    parallel_for,
     prefix_sum,
-    rank,
     sample_k_of_n_seq,
     sample_splitters,
     transpose,
@@ -52,48 +51,78 @@ class TestChunking:
             KeySeq(reg, 9)
 
 
+class TestParallelFor:
+    def test_one_chunk_per_core_in_one_round(self, make_machine):
+        m = make_machine(p=4)
+        seen = []
+        parallel_for(m, 10, m.cores, lambda core, ci, lo, hi: seen.append((core.idx, ci, lo, hi)))
+        assert seen == [(0, 0, 0, 2), (1, 1, 2, 4), (2, 2, 4, 6), (3, 3, 6, 10)]
+        assert m.ledger().rounds == 1
+
+    def test_fewer_items_than_cores_uses_a_prefix_of_the_cores(self, make_machine):
+        m = make_machine(p=4)
+        seen = []
+        parallel_for(m, 2, m.cores[1:], lambda core, ci, lo, hi: seen.append((core.idx, lo, hi)))
+        assert seen == [(1, 0, 1), (2, 1, 2)]
+
+    def test_generator_body_takes_a_round_per_yield(self, make_machine):
+        m = make_machine(p=2)
+
+        def body(core, ci, lo, hi):
+            core.tick(hi - lo)
+            yield
+            core.tick(1)
+
+        parallel_for(m, 5, m.cores, body)
+        led = m.ledger()
+        assert led.rounds == 2
+        assert led.per_core_ops == (3, 4)
+
+    def test_empty_range_runs_no_round(self, make_machine):
+        m = make_machine(p=2)
+        parallel_for(m, 0, m.cores, lambda core, ci, lo, hi: core.tick(1))
+        assert m.ledger().rounds == 0
+        assert m.ledger().ops == 0
+
+
 class TestReductions:
     @pytest.mark.parametrize("n,p", [(1, 1), (7, 2), (64, 4), (100, 8), (5, 8)])
     def test_par_max_matches_builtin(self, make_machine, n, p):
         m = make_machine(p=p)
         vals = [random.Random(n * 31 + p).randrange(-50, 50) for _ in range(n)]
         seq = load_seq(m, vals)
-        assert par_max(m, seq, m.cores) == max(vals)
+        assert _reduce(m, seq, m.cores, max) == max(vals)
 
     @pytest.mark.parametrize("n,p", [(1, 1), (7, 2), (64, 4), (100, 8)])
     def test_par_sum_matches_builtin(self, make_machine, n, p):
         m = make_machine(p=p)
         vals = [random.Random(n * 37 + p).randrange(-50, 50) for _ in range(n)]
         seq = load_seq(m, vals)
-        assert par_sum(m, seq, m.cores) == sum(vals)
-
-    def test_par_sum_empty_is_zero(self, make_machine):
-        m = make_machine(p=2)
-        assert par_sum(m, KeySeq(m.alloc(8), 0), m.cores) == 0
+        assert _reduce(m, seq, m.cores, operator.add) == sum(vals)
 
     def test_par_max_empty_raises(self, make_machine):
         m = make_machine(p=2)
         with pytest.raises(MachineFault):
-            par_max(m, KeySeq(m.alloc(8), 0), m.cores)
+            _reduce(m, KeySeq(m.alloc(8), 0), m.cores, max)
 
     def test_reduction_round_count_is_logarithmic(self, make_machine):
         for p in (2, 4, 8):
             m = make_machine(p=p)
             seq = load_seq(m, list(range(8 * p)))
-            par_max(m, seq, m.cores)
+            _reduce(m, seq, m.cores, max)
             assert m.ledger().rounds <= math.ceil(math.log2(p)) + 4
 
     def test_reduction_spaced_partials_avoid_block_misses(self, make_machine):
         m = make_machine(p=8, M=256, B=16)
         seq = load_seq(m, list(range(128)))
-        par_sum(m, seq, m.cores)
+        _reduce(m, seq, m.cores, operator.add)
         assert m.ledger().block_misses == 0
 
     def test_tuple_keys_reduce_lexicographically(self, make_machine):
         m = make_machine(p=4)
         vals = [(5, 1), (5, 9), (2, 100), (7, 0)]
         seq = load_seq(m, vals)
-        assert par_max(m, seq, m.cores) == (7, 0)
+        assert _reduce(m, seq, m.cores, max) == (7, 0)
 
 
 class TestPrefixSum:
@@ -168,20 +197,6 @@ class TestTranspose:
         seq = load_seq(mach, list(range(64 * 64)))
         transpose(mach, seq, 64, 64, mach.cores)
         assert mach.ledger().cache_misses <= 8 * (64 * 64) // 8
-
-
-class TestRank:
-    @pytest.mark.parametrize("p", [1, 2, 4])
-    def test_matches_comparison_count(self, make_machine, p):
-        m = make_machine(p=p)
-        vals = [random.Random(5 + p).randrange(30) for _ in range(40)]
-        seq = load_seq(m, vals)
-        for q in (-1, 0, 7, 29, 99):
-            assert rank(m, q, seq, m.cores) == sum(1 for v in vals if v < q)
-
-    def test_empty_sequence_ranks_zero(self, make_machine):
-        m = make_machine(p=2)
-        assert rank(m, 5, KeySeq(m.alloc(8), 0), m.cores) == 0
 
 
 class TestCompact:

@@ -6,7 +6,7 @@ import pytest
 
 from pemlab.machine import Machine, MachineConfig, MachineFault
 from pemlab.primitives import KeySeq
-from pemlab.sorting import SortPlan, SortStats, _Ctx, _partition_round, sample_sort, seq_sort
+from pemlab.sorting import SortPlan, SortStats, _Ctx, _partition_round, sample_sort
 from pemlab.merge import BucketedRun
 
 
@@ -93,13 +93,13 @@ class TestPinnedExamples:
 
     def test_seq_sort_example(self):
         m = make(p=1)
-        out = seq_sort(m, load_seq(m, [2, 1, 3]), m.cores[0])
+        out = sample_sort(m, load_seq(m, [2, 1, 3]), m.cores[:1])
         assert seq_values(m, out) == [1, 2, 3]
 
     def test_seq_sort_sorted_input_unchanged(self):
         m = make(p=1)
         vals = list(range(500))
-        out = seq_sort(m, load_seq(m, vals), m.cores[0])
+        out = sample_sort(m, load_seq(m, vals), m.cores[:1])
         assert seq_values(m, out) == vals
 
     def test_seq_sort_miss_ratio(self):
@@ -109,7 +109,7 @@ class TestPinnedExamples:
         rng = random.Random(0)
         vals = [rng.randrange(n * 8) for _ in range(n)]
         m = Machine(MachineConfig(p=1, M=1024, B=32, seed=2))
-        out = seq_sort(m, load_seq(m, vals), m.cores[0])
+        out = sample_sort(m, load_seq(m, vals), m.cores[:1])
         assert seq_values(m, out) == sorted(vals)
         led = m.ledger()
         bound = (n / 32) * (math.log(n) / math.log(1024))
@@ -246,6 +246,6 @@ class TestCostShape:
         m = make(p=1, M=256, B=8)
         st = SortStats()
         vals = [5, 3, 9, 1]
-        out = seq_sort(m, load_seq(m, vals), m.cores[0], stats=st)
+        out = sample_sort(m, load_seq(m, vals), m.cores[:1], stats=st)
         assert seq_values(m, out) == [1, 3, 5, 9]
         assert st.rounds == 0 and st.resamples == 0
