@@ -39,6 +39,31 @@ address in one round, or one core writing an address another core
 resolved silently.  ``fetch_add`` is the sanctioned read-modify-write for
 shared counters; it serialises in core-id order within the round, commits
 after the plain writes, and pays the same block-miss charges as a write.
+Within one core, plain writes and ``fetch_add`` on one address take effect
+in program order.
+
+Runs of words
+-------------
+``read_run``, ``write_run`` and ``route_run`` stand for word loops of
+``read``, ``write`` and read-route-write over consecutive words of one
+region.  They charge exactly what those loops charge — ops, both miss
+kinds, the round's reader and writer sets, holders, LRU order, memory and
+diagnostics — and return the same values, at a cost per block rather than
+per word.  The bounds of a run are checked once, against its region.
+
+The replay is exact because inside a *piece*, a stretch of the loop in
+which no stream crosses a block boundary, the loop only re-touches the same
+few blocks.  If they number at most ``M/B``, every eviction in the piece
+hits a block outside it, so touching them once in first-touch order and
+then moving them to MRU in last-touch order leaves the cache as the loop
+does.  A single stream touches one block per piece, so ``read_run`` and
+``write_run`` are always replayed; a ``route_run`` piece may scatter to
+more than ``M/B`` blocks.  A run falls back to its own word loop, with the
+same results, when the machine keeps a trace (so the rows stay the same),
+when a piece touches more than ``M/B`` blocks, or when another core has
+already written one of its destination words this round (so every word
+reports its own race).  Reads see the core's pending writes, including
+those of the same run.
 """
 from __future__ import annotations
 
@@ -292,13 +317,166 @@ class Core:
         else:
             adders.add(self.idx)
         atomics = m._round_atomics
-        prior = atomics.get(addr, m._mem[addr])
-        # The core's own reads see the sum; the barrier commits it after
-        # every plain write, so this buffered copy never decides memory.
-        atomics[addr] = self._wbuf[addr] = prior + delta
+        wbuf = self._wbuf
+        # The core's own earlier write or sum to this address comes first
+        # in program order; its reads see the new sum.
+        prior = wbuf[addr] if addr in wbuf else atomics.get(addr, m._mem[addr])
+        atomics[addr] = wbuf[addr] = prior + delta
         if m._trace is not None:
             m._trace.append((m._round, self.idx, "fetch_add", addr, "cache_miss" if missed else "hit"))
         return prior
+
+    # -- runs of words: the word loops above, charged once per block -------
+
+    def read_run(self, src, lo: int, hi: int) -> list:
+        """Read words ``[lo, hi)`` of a region (or key sequence) in order.
+
+        Returns and charges exactly what
+        ``[self.read(region.addr(i)) for i in range(lo, hi)]`` would.
+        """
+        a0, a1 = self._span(src, lo, hi, "read_run")
+        m = self._m
+        if m._trace is not None:
+            return [self.read(a) for a in range(a0, a1)]
+        if a0 == a1:
+            return []
+        idx = self.idx
+        readers = m._round_readers
+        writers = m._round_writers
+        own = False
+        for block in range(a0 // m._B, (a1 - 1) // m._B + 1):
+            self._touch_block(block)
+            readers.setdefault(block, set()).add(idx)
+            own = own or idx in writers.get(block, ())
+        self.ops += a1 - a0
+        vals = m._mem[a0:a1]
+        if own:
+            wbuf = self._wbuf
+            vals = [wbuf.get(a, v) for a, v in zip(range(a0, a1), vals)]
+        return vals
+
+    def write_run(self, region, lo: int, values) -> None:
+        """Write ``values`` to words ``lo, lo + 1, ...`` of a region in order.
+
+        Charges exactly what ``self.write(region.addr(lo + k), v)`` for each
+        ``(k, v)`` would.
+        """
+        a0, a1 = self._span(region, lo, lo + len(values), "write_run")
+        if a0 == a1:
+            return
+        m = self._m
+        addrs = range(a0, a1)
+        blocks = range(a0 // m._B, (a1 - 1) // m._B + 1)
+        if m._trace is not None or self._clashes(blocks, addrs):
+            for a, v in zip(addrs, values):
+                self.write(a, v)
+            return
+        idx = self.idx
+        writers = m._round_writers
+        for block in blocks:
+            self._touch_block(block)
+            writers.setdefault(block, set()).add(idx)
+        self.ops += a1 - a0
+        m._round_addr_writer.update(dict.fromkeys(addrs, idx))
+        self._wbuf.update(zip(addrs, values))
+
+    def route_run(self, src, lo: int, hi: int, route) -> None:
+        """Move words ``[lo, hi)`` of a region (or key sequence) one by one.
+
+        For each word ``v`` in order: read it, take ``(dst_region,
+        dst_index, word) = route(v)`` and write ``word`` at
+        ``dst_region.addr(dst_index)``.  Charges exactly what that word loop
+        would.  ``route`` is called once per word, in order; it must not
+        touch the machine.
+        """
+        a0, a1 = self._span(src, lo, hi, "route_run")
+        B = self._m._B
+        while a0 < a1:
+            stop = min(a1, a0 - a0 % B + B)
+            self._route_piece(a0, stop, route)
+            a0 = stop
+
+    def _span(self, src, lo: int, hi: int, what: str) -> tuple:
+        """Addresses ``[a0, a1)`` of words ``[lo, hi)`` of ``src``'s region,
+        checked against the region once, as ``region.addr`` checks a word."""
+        region = getattr(src, "region", src)
+        if not 0 <= lo <= hi <= region.len:
+            raise MachineFault(f"{what} [{lo}, {hi}) outside region of length {region.len}")
+        a0, a1 = region.base + lo, region.base + hi
+        if lo < hi and not (0 <= a0 and a1 <= self._m._limit):
+            raise MachineFault(f"{what} of unallocated addresses [{a0}, {a1})")
+        return a0, a1
+
+    def _clashes(self, blocks, addrs) -> bool:
+        """Whether another core wrote one of ``addrs`` this round, so that
+        every word must report its own race."""
+        idx = self.idx
+        writers = self._m._round_writers
+        for block in blocks:
+            seen = writers.get(block)
+            if seen and (len(seen) > 1 or idx not in seen):
+                owner = self._m._round_addr_writer
+                return any(owner.get(a, idx) != idx for a in addrs)
+        return False
+
+    def _route_piece(self, a0: int, a1: int, route) -> None:
+        """``route_run`` over source words that share one block.
+
+        The routes are taken first, from the values the word loop would
+        read.  Inside the piece that loop only re-touches the same few
+        blocks, so when they number at most ``M/B`` every eviction hits a
+        block outside the piece: touching them in first-touch order and
+        then moving them to MRU in last-touch order replays its cache state
+        exactly.  Otherwise (or with a trace, or a race to report) the
+        piece is replayed word by word with the routes already taken.
+        """
+        m = self._m
+        B = m._B
+        idx = self.idx
+        src_block = a0 // B
+        n = a1 - a0
+        vals = m._mem[a0:a1]
+        if idx in m._round_writers.get(src_block, ()):
+            wbuf = self._wbuf
+            vals = [wbuf.get(a, v) for a, v in zip(range(a0, a1), vals)]
+        limit = m._limit
+        dsts = []
+        words = []
+        for k in range(n):
+            region, i, word = route(vals[k])
+            d = region.base + i
+            if not (0 <= i < region.len and 0 <= d < limit):
+                raise MachineFault(f"route_run destination {i} outside region of length {region.len}")
+            dsts.append(d)
+            words.append(word)
+            if k < d - a0 < n:
+                vals[d - a0] = word  # a later read of this piece sees it
+        dst_blocks = [d // B for d in dsts]
+        touched = dict.fromkeys([src_block, *dst_blocks])
+        if (m._trace is not None or len(touched) > m._cache_blocks
+                or self._clashes(touched, dsts)):
+            for a, d, word in zip(range(a0, a1), dsts, words):
+                self.read(a)
+                self.write(d, word)
+            return
+        for block in touched:
+            self._touch_block(block)
+        # Last touches, oldest first: other destination blocks, then the
+        # source block (read just before the final write), then the block
+        # of the final write.
+        latest = list(dict.fromkeys(reversed(dst_blocks)))
+        cache = self._cache
+        for block in reversed(latest):
+            cache.move_to_end(block)
+        cache.move_to_end(src_block)
+        cache.move_to_end(latest[0])
+        m._round_readers.setdefault(src_block, set()).add(idx)
+        writers = m._round_writers
+        for block in latest:
+            writers.setdefault(block, set()).add(idx)
+        self.ops += 2 * n
+        m._round_addr_writer.update(dict.fromkeys(dsts, idx))
+        self._wbuf.update(zip(dsts, words))
 
     def tick(self, n: int = 1) -> None:
         """Charge ``n`` compute operations with no memory traffic."""
@@ -412,10 +590,14 @@ class Machine:
                 core._wbuf.clear()
         if self._round_atomics:
             for addr, value in self._round_atomics.items():
-                mem[addr] = value
-                # The sum overwrites a plain write from any other core.
                 writer = self._round_addr_writer.get(addr)
-                if writer is not None and self._round_adders[addr] != {writer}:
+                if writer is not None and self._round_adders[addr] == {writer}:
+                    # One core wrote and added: its buffer, committed above,
+                    # holds whichever of the two came last.
+                    continue
+                # The sum overwrites a plain write from any other core.
+                mem[addr] = value
+                if writer is not None:
                     self.diagnostics.append(
                         f"data race: core {writer} wrote address {addr} that cores "
                         f"{sorted(self._round_adders[addr])} fetch_added in round {self._round}"

@@ -16,7 +16,7 @@ from functools import partial
 from itertools import accumulate
 
 from pemlab.machine import MachineFault, MemRegion
-from pemlab.primitives import KeySeq, prefix_sum, transpose
+from pemlab.primitives import KeySeq, _copy_words, prefix_sum, transpose
 
 __all__ = ["BucketedRun", "merge_bucketed", "plan_cuts"]
 
@@ -133,13 +133,10 @@ def merge_bucketed(machine, runs, cores, dest: MemRegion | None = None, stride: 
         for k, a_lo, a_hi in plans[ci]:
             core.read(ends_seq.addr(k))
             j, i = divmod(k, x)
-            src = runs[i].seq
             base = row_starts[i][j]
-            for item in range(a_lo, a_hi):
-                for w in range(stride):
-                    word = core.read(src.region.addr((base + item) * stride + w))
-                    core.write(dst.addr(out * stride + w), word)
-                out += 1
+            _copy_words(machine, core, runs[i].seq.region, (base + a_lo) * stride,
+                        (base + a_hi) * stride, dst, out * stride)
+            out += a_hi - a_lo
 
     machine.run_rounds({cores[ci].idx: partial(copy, ci=ci) for ci in range(p)})
     return BucketedRun(KeySeq(dst, y), col_sums)

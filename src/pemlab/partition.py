@@ -99,19 +99,23 @@ def partition_seq(machine, a: KeySeq, splitters, core) -> BucketedRun:
         return BucketedRun(KeySeq(out, 0), (0,) * (z + 1))
 
     def prog(c):
-        vals = [c.read(a.addr(i)) for i in range(n)]
+        vals = c.read_run(a, 0, n)
         vals.sort()
         c.tick(n * max(1, n.bit_length()))
-        for i, v in enumerate(vals):
-            c.write(out.addr(i), v)
+        c.write_run(out, 0, vals)
+        # Scan ``out`` back, reading splitter ``j`` once the scan passes it.
         j = 0
-        for i in range(n):
-            v = c.read(out.addr(i))
-            while j < z and v > keys[j]:
-                if region is not None:
-                    c.read(region.addr(j))
-                j += 1
-            c.tick(1)
+        start = 0
+        for i, v in enumerate(vals):
+            if j < z and v > keys[j]:
+                c.read_run(out, start, i + 1)
+                start = i + 1
+                while j < z and v > keys[j]:
+                    if region is not None:
+                        c.read(region.addr(j))
+                    j += 1
+        c.read_run(out, start, n)
+        c.tick(n)
 
     machine.run_rounds({core.idx: prog})
     host = machine.snapshot_memory(out)[:n]
@@ -134,16 +138,18 @@ def _distribute_seq(machine, a: KeySeq, keys: tuple, core, dest: MemRegion | Non
     probe = max(1, (z + 1).bit_length())
 
     def prog(c):
-        for i in range(n):
-            counts[bisect_left(keys, c.read(a.addr(i)))] += 1
-            c.tick(probe)
+        for v in c.read_run(a, 0, n):
+            counts[bisect_left(keys, v)] += 1
+        c.tick(probe * n)
         cursors = [0] + list(accumulate(counts))[:-1]
-        for i in range(n):
-            v = c.read(a.addr(i))
+
+        def place(v):
             b = bisect_left(keys, v)
-            c.tick(probe)
-            c.write(dst.addr(cursors[b]), v)
             cursors[b] += 1
+            return dst, cursors[b] - 1, v
+
+        c.route_run(a, 0, n, place)
+        c.tick(probe * n)
 
     machine.run_rounds({core.idx: prog})
     return BucketedRun(KeySeq(dst, n), tuple(counts))
@@ -165,13 +171,14 @@ def _distribute_columns(machine, a: KeySeq, keys: tuple, core) -> BucketedRun:
     counts = [0] * (z + 1)
     probe = max(1, (z + 1).bit_length())
 
+    def place(v):
+        b = bisect_left(keys, v)
+        counts[b] += 1
+        return region, b * n + counts[b] - 1, v
+
     def prog(c):
-        for i in range(n):
-            v = c.read(a.addr(i))
-            b = bisect_left(keys, v)
-            c.tick(probe)
-            c.write(region.addr(b * n + counts[b]), v)
-            counts[b] += 1
+        c.route_run(a, 0, n, place)
+        c.tick(probe * n)
 
     machine.run_rounds({core.idx: prog})
     return BucketedRun(KeySeq(region, n), tuple(counts), starts=tuple(b * n for b in range(z + 1)))

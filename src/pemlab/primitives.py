@@ -117,10 +117,8 @@ def _scan_words(machine, seq: KeySeq, core, tick: int = 1) -> list:
     vals: list = []
 
     def prog(c):
-        for i in range(seq.n):
-            vals.append(c.read(seq.addr(i)))
-            if tick:
-                c.tick(tick)
+        vals.extend(c.read_run(seq, 0, seq.n))
+        c.tick(tick * seq.n)
 
     machine.run_rounds({core.idx: prog})
     return vals
@@ -134,8 +132,7 @@ def _write_words(machine, words, core, dest: MemRegion | None = None) -> KeySeq:
         raise MachineFault("destination region too small")
 
     def prog(c):
-        for i, w in enumerate(words):
-            c.write(dst.addr(i), w)
+        c.write_run(dst, 0, words)
 
     if n:
         machine.run_rounds({core.idx: prog})
@@ -147,12 +144,38 @@ def _map_pass(machine, src: KeySeq, cores, fn, tick: int = 1) -> KeySeq:
     dst = machine.alloc(src.n)
 
     def body(core, ci, lo, hi):
-        for i in range(lo, hi):
-            core.write(dst.addr(i), fn(core.read(src.addr(i))))
-            core.tick(tick)
+        _copy_words(machine, core, src, lo, hi, dst, lo, fn)
+        core.tick(tick * (hi - lo))
 
     parallel_for(machine, src.n, cores, body)
     return KeySeq(dst, src.n)
+
+
+def _copy_words(machine, core, src, lo: int, hi: int, dst: MemRegion, at: int, fn=None) -> None:
+    """``dst[at + k] = fn(src[lo + k])`` for ``k < hi - lo`` on one core,
+    charged exactly as reading and writing one word at a time in order.
+
+    The copy is cut wherever either stream crosses a block boundary, and
+    each piece is one ``read_run`` and one ``write_run``: inside a piece the
+    word loop only alternates between the same two blocks.  A piece is a
+    single word when that is not the same thing: when one block fills the
+    cache (``M == B``), when the trace must list every access in order, or
+    when the two streams share a block (a read could see an earlier write).
+    ``fn`` defaults to the identity.
+    """
+    B = machine.config.B
+    src_base = getattr(src, "region", src).base
+    by_word = machine.config.M == B or machine._trace is not None
+    while lo < hi:
+        s, d = src_base + lo, dst.base + at
+        if by_word or s // B == d // B:
+            step = 1
+        else:
+            step = min(hi - lo, B - s % B, B - d % B)
+        vals = core.read_run(src, lo, lo + step)
+        core.write_run(dst, at, vals if fn is None else [fn(v) for v in vals])
+        lo += step
+        at += step
 
 
 def spaced_slots(machine, count: int) -> MemRegion:
@@ -377,15 +400,15 @@ def compact(machine, parts, cores, dest: MemRegion | None = None, stride: int = 
 
     def body(core, ci, lo, hi):
         k = bisect_right(starts, lo) - 1
-        off = lo - starts[k]
-        for item in range(lo, hi):
-            while off >= parts[k].n:
-                k += 1
-                off = 0
-            src = parts[k].region.base + off * stride
-            for w in range(stride):
-                core.write(dst.addr(item * stride + w), core.read(src + w))
-            off += 1
+        item = lo
+        while item < hi:
+            off = item - starts[k]
+            take = min(hi, starts[k + 1]) - item
+            if take > 0:
+                _copy_words(machine, core, parts[k], off * stride, (off + take) * stride,
+                            dst, item * stride)
+                item += take
+            k += 1
 
     parallel_for(machine, total, cores, body)
     return KeySeq(dst, total)
@@ -412,11 +435,9 @@ def brute_sort(machine, a: KeySeq, cores, dest: MemRegion | None = None) -> KeyS
         mine = []
         for i in range(lo, hi):
             ki = core.read(a.addr(i))
-            r = 0
-            for j in range(n):
-                kj = core.read(a.addr(j))
-                if kj < ki or (kj == ki and j < i):
-                    r += 1
+            row = core.read_run(a, 0, n)
+            # Ties break by position.
+            r = sum(kj < ki for kj in row) + row[:i].count(ki)
             core.tick(n)
             mine.append((r, ki))
         yield

@@ -33,7 +33,7 @@ from math import isqrt
 
 from pemlab.machine import MachineFault, MemRegion
 from pemlab.partition import PartitionTask, _distribute_columns, partition_main
-from pemlab.primitives import KeySeq, _subseq, parallel_for, sample_splitters
+from pemlab.primitives import KeySeq, _copy_words, _subseq, parallel_for, sample_splitters
 
 __all__ = ["SortPlan", "SortStats", "sample_sort"]
 
@@ -154,8 +154,8 @@ def _tag_keys(machine, a: KeySeq, cores) -> KeySeq:
     reg = machine.alloc(a.n)
 
     def body(core, ci, lo, hi):
-        for i in range(lo, hi):
-            core.write(reg.addr(i), (core.read(a.addr(i)), i))
+        offsets = count(lo)
+        _copy_words(machine, core, a, lo, hi, reg, lo, lambda v: (v, next(offsets)))
 
     parallel_for(machine, a.n, cores, body)
     return KeySeq(reg, a.n)
@@ -166,11 +166,10 @@ def _leaf(machine, a: KeySeq, core, out: MemRegion, off: int, tagged: bool) -> N
     n = a.n
 
     def prog(c):
-        vals = [c.read(a.addr(i)) for i in range(n)]
+        vals = c.read_run(a, 0, n)
         vals.sort()
         c.tick(n * max(1, n.bit_length()))
-        for i, v in enumerate(vals):
-            c.write(out.addr(off + i), v[0] if tagged else v)
+        c.write_run(out, off, [v[0] for v in vals] if tagged else vals)
 
     machine.run_rounds({core.idx: prog})
 

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pemlab.machine import Machine, MachineConfig, MachineFault
+from pemlab.machine import Machine, MachineConfig, MachineFault, MemRegion
+from pemlab.primitives import _copy_words
 
 
 def scan_program(region, out=None):
@@ -510,3 +513,229 @@ class TestPlainPrograms:
             results.append((m.ledger(), m.cache_state(), m.snapshot_memory(region),
                             list(m.diagnostics), list(m._trace), log))
         assert results[0] == results[1]
+
+
+class TestFetchAddProgramOrder:
+    def test_fetch_add_after_own_write_adds_to_it(self, make_machine):
+        m = make_machine(B=8)
+        region = m.alloc(8)
+        priors = []
+
+        def prog(core):
+            core.write(region.addr(0), 100)
+            priors.append(core.fetch_add(region.addr(0), 5))
+
+        m.run_rounds([prog])
+        assert priors == [100]
+        assert m.snapshot_memory(region)[0] == 105
+        assert not m.diagnostics
+
+    def test_write_after_own_fetch_add_lands_last(self, make_machine):
+        m = make_machine(B=8)
+        region = m.alloc(8)
+
+        def prog(core):
+            core.fetch_add(region.addr(0), 1)
+            core.write(region.addr(0), 7)
+
+        m.run_rounds([prog])
+        assert m.snapshot_memory(region)[0] == 7
+        assert not m.diagnostics
+
+
+# -- runs of words against the word loops they stand for --------------------
+
+
+def _route_for(regions, dests, log):
+    """A route sending the k-th word to ``dests[k]``, logging what it saw."""
+    it = iter(dests)
+
+    def route(v):
+        log.append(("route", v))
+        r, i = next(it)
+        return regions[r], i, v + 1000
+
+    return route
+
+
+def _run_op(machine, core, regions, op, log):
+    kind = op[0]
+    if kind == "read":
+        log.append((core.idx, core.read(regions[op[1]].addr(op[2]))))
+    elif kind == "write":
+        core.write(regions[op[1]].addr(op[2]), op[3])
+    elif kind == "fetch_add":
+        log.append((core.idx, core.fetch_add(regions[op[1]].addr(op[2]), op[3])))
+    elif kind == "tick":
+        core.tick(op[1])
+    elif kind == "read_run":
+        log.append((core.idx, core.read_run(regions[op[1]], op[2], op[3])))
+    elif kind == "write_run":
+        core.write_run(regions[op[1]], op[2], op[3])
+    elif kind == "route_run":
+        core.route_run(regions[op[1]], op[2], op[3], _route_for(regions, op[4], log))
+    else:
+        _, r, lo, hi, d, at, mapped = op
+        fn = (lambda v: v * 2 + 1) if mapped else None
+        _copy_words(machine, core, regions[r], lo, hi, regions[d], at, fn)
+
+
+def _word_op(machine, core, regions, op, log):
+    """The same operation as the word loop it stands for."""
+    kind = op[0]
+    if kind == "read_run":
+        region = regions[op[1]]
+        log.append((core.idx, [core.read(region.addr(i)) for i in range(op[2], op[3])]))
+    elif kind == "write_run":
+        region = regions[op[1]]
+        for k, v in enumerate(op[3]):
+            core.write(region.addr(op[2] + k), v)
+    elif kind == "route_run":
+        src = regions[op[1]]
+        route = _route_for(regions, op[4], log)
+        for i in range(op[2], op[3]):
+            dst, j, word = route(core.read(src.addr(i)))
+            core.write(dst.addr(j), word)
+    elif kind == "copy":
+        _, r, lo, hi, d, at, mapped = op
+        for k in range(hi - lo):
+            v = core.read(regions[r].addr(lo + k))
+            core.write(regions[d].addr(at + k), v * 2 + 1 if mapped else v)
+    else:
+        _run_op(machine, core, regions, op, log)
+
+
+def _execute(shape, lengths, steps, apply, trace):
+    p, M, B = shape
+    m = Machine(MachineConfig(p=p, M=M, B=B), trace=trace)
+    regions = [m.alloc(n) for n in lengths]
+    for k, region in enumerate(regions):
+        m.load(region, [100 * k + i for i in range(region.len)])
+    log = []
+
+    def program(rounds):
+        def prog(core):
+            for k, ops in enumerate(rounds):
+                if k:
+                    yield
+                for op in ops:
+                    apply(m, core, regions, op, log)
+
+        return prog
+
+    for step in steps:
+        m.run_rounds({idx: program(rounds) for idx, rounds in step.items()})
+    return (m.ledger(), m.cache_state(), [m.snapshot_memory(r) for r in regions],
+            list(m.diagnostics), m._trace, log)
+
+
+def _assert_runs_match_words(shape, lengths, steps, trace=False):
+    runs = _execute(shape, lengths, steps, _run_op, trace)
+    words = _execute(shape, lengths, steps, _word_op, trace)
+    assert runs == words
+
+
+@st.composite
+def _run_programs(draw):
+    B = draw(st.sampled_from((1, 2, 4)))
+    M = B * draw(st.sampled_from((1, 2, 3, 5)))
+    p = draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.integers(1, 3 * B + 3), min_size=1, max_size=3))
+
+    def span(r):
+        lo = draw(st.integers(0, lengths[r]))
+        return lo, draw(st.integers(lo, lengths[r]))
+
+    def dest():
+        r = draw(st.integers(0, len(lengths) - 1))
+        return r, draw(st.integers(0, lengths[r] - 1))
+
+    def op():
+        kind = draw(st.sampled_from(("read", "write", "fetch_add", "tick", "read_run",
+                                     "write_run", "route_run", "copy")))
+        r = draw(st.integers(0, len(lengths) - 1))
+        if kind in ("read", "write", "fetch_add"):
+            return (kind, *dest(), draw(st.integers(1, 9)))[: 3 if kind == "read" else 4]
+        if kind == "tick":
+            return ("tick", draw(st.integers(0, 3)))
+        lo, hi = span(r)
+        if kind == "read_run":
+            return ("read_run", r, lo, hi)
+        if kind == "write_run":
+            vals = draw(st.lists(st.integers(-50, 50), max_size=lengths[r] - lo))
+            return ("write_run", r, lo, vals)
+        if kind == "route_run":
+            return ("route_run", r, lo, hi, [dest() for _ in range(hi - lo)])
+        d = draw(st.integers(0, len(lengths) - 1))
+        size = min(hi - lo, lengths[d])
+        at = draw(st.integers(0, lengths[d] - size))
+        return ("copy", r, lo, lo + size, d, at, draw(st.booleans()))
+
+    steps = []
+    for _ in range(draw(st.integers(1, 3))):
+        cores = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True))
+        steps.append({
+            idx: [[op() for _ in range(draw(st.integers(0, 4)))]
+                  for _ in range(draw(st.integers(1, 3)))]
+            for idx in cores
+        })
+    return (p, M, B), lengths, steps, draw(st.booleans())
+
+
+class TestRuns:
+    @settings(max_examples=300, deadline=None)
+    @given(_run_programs())
+    def test_runs_charge_exactly_the_word_loops(self, program):
+        shape, lengths, steps, trace = program
+        _assert_runs_match_words(shape, lengths, steps, trace)
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_one_block_cache(self, trace):
+        # M == B: the word loop misses on every access of a two-block copy.
+        steps = [{0: [[("copy", 0, 0, 8, 1, 1, False), ("route_run", 1, 0, 4, [(0, 7)] * 4)]]}]
+        _assert_runs_match_words((1, 4, 4), [8, 10], steps, trace)
+
+    def test_trace_rows_interleave(self):
+        steps = [{0: [[("copy", 0, 1, 7, 1, 0, True), ("read_run", 1, 0, 6),
+                       ("write_run", 0, 2, [5, 6, 7])]],
+                  1: [[("route_run", 1, 0, 6, [(0, 0), (1, 7), (0, 3), (0, 4), (1, 8), (1, 0)])]]}]
+        _assert_runs_match_words((2, 8, 4), [8, 9], steps, trace=True)
+
+    def test_read_run_sees_own_pending_writes(self):
+        steps = [{0: [[("write", 0, 3, 9), ("fetch_add", 0, 5, 4), ("read_run", 0, 0, 8),
+                       ("route_run", 0, 2, 7, [(1, 0)] * 5), ("copy", 0, 3, 6, 1, 4, False)]]}]
+        _assert_runs_match_words((1, 16, 4), [8, 8], steps)
+
+    def test_route_into_its_own_source(self):
+        # Word k's destination is word k + 1 of the same block: each later
+        # read sees the word just written, and so does its route.
+        steps = [{0: [[("route_run", 0, 0, 8, [(0, i + 1) for i in range(7)] + [(0, 0)]),
+                       ("copy", 0, 0, 6, 0, 1, True)]]}]
+        _assert_runs_match_words((1, 16, 8), [8], steps)
+
+    def test_destinations_written_by_another_core(self):
+        steps = [{0: [[("write", 1, 2, 5), ("write", 1, 9, 6)]],
+                  1: [[("write_run", 1, 0, [1, 2, 3, 4]), ("route_run", 0, 0, 4, [(1, 9)] * 4),
+                       ("copy", 0, 0, 4, 1, 8, False)]]}]
+        _assert_runs_match_words((2, 16, 4), [4, 12], steps)
+
+    def test_runs_past_their_region_fault(self, make_machine):
+        m = make_machine(B=4)
+        a = m.alloc(6)
+        b = m.alloc(6)
+        outside = MemRegion(m.alloc(0).base, 4)
+        calls = [
+            lambda c: c.read_run(a, 0, 7),
+            lambda c: c.read_run(a, 3, 2),
+            lambda c: c.write_run(a, 4, [1, 2, 3]),
+            lambda c: c.route_run(a, 5, 7, lambda v: (b, 0, v)),
+            lambda c: c.route_run(a, 0, 2, lambda v: (b, 6, v)),
+            lambda c: c.read_run(outside, 0, 1),
+            lambda c: _copy_words(m, c, a, 0, 6, b, 1),
+        ]
+        for call in calls:
+            with pytest.raises(MachineFault):
+                m.run_rounds([call])
+        # The word loop would fault too, at its first word past the end.
+        with pytest.raises(MachineFault):
+            a.addr(6)
