@@ -1,10 +1,18 @@
 """Exact rational plane geometry: types and pure predicates.
 
-Everything here is host arithmetic over :class:`fractions.Fraction`; no
-simulator cores are involved.  The machine-level pipeline charges its memory
-traffic separately and calls these kernels for the mathematics, so every
-geometric decision is exact and bit-reproducible — there are no epsilon
-tolerances anywhere.
+Everything here is exact host arithmetic; no simulator cores are involved.
+The machine-level pipeline charges its memory traffic separately and calls
+these kernels for the mathematics, so every geometric decision is exact and
+bit-reproducible — there are no epsilon tolerances anywhere.
+
+Number rule: a coefficient stays a Python ``int`` when it is integral (see
+:func:`coeff`) and is a :class:`fractions.Fraction` only otherwise.  A
+predicate is a sign test on cross-multiplied products, so it divides
+nothing and, on integral coefficients, runs on ``int``s alone; a point is
+tested in its vertex form ``(X, Y, D)`` with ``D > 0`` and
+``(x, y) = (X/D, Y/D)``, integers whenever the coefficients that made it
+are.  A ``Fraction`` is built, once, only for a value that is stored or
+returned: vertices, dual points, filter scores and slab boundaries.
 
 Conventions: a half-plane ``(a, b, c)`` admits the points with
 ``a*x + b*y <= c``; hull chains are counterclockwise and strictly convex
@@ -12,8 +20,9 @@ Conventions: a half-plane ``(a, b, c)`` admits the points with
 """
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -27,6 +36,7 @@ __all__ = [
     "angle_key",
     "canonical_chain",
     "clip_chain",
+    "coeff",
     "convex_hull_points",
     "cross",
     "feasible",
@@ -48,19 +58,35 @@ def frac(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
+def coeff(v) -> int | Fraction:
+    """An exact coefficient in its cheapest form: an ``int`` stays an
+    ``int``, an integral ``Fraction`` becomes its numerator, and any other
+    value goes through :func:`frac`."""
+    if type(v) is int:
+        return v
+    v = frac(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 class Point2(NamedTuple):
-    """A point; compares lexicographically like the tuple it is."""
+    """A point; compares lexicographically like the tuple it is.
+
+    Points are stored values, so both coordinates are ``Fraction``s.
+    """
 
     x: Fraction
     y: Fraction
 
 
 class HalfPlane(NamedTuple):
-    """The constraint ``a*x + b*y <= c`` with ``(a, b) != (0, 0)``."""
+    """The constraint ``a*x + b*y <= c`` with ``(a, b) != (0, 0)``.
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    Each coefficient is an ``int`` when integral, else a ``Fraction``.
+    """
+
+    a: int | Fraction
+    b: int | Fraction
+    c: int | Fraction
 
 
 def point2(x, y) -> Point2:
@@ -68,10 +94,45 @@ def point2(x, y) -> Point2:
 
 
 def halfplane(a, b, c) -> HalfPlane:
-    a, b, c = frac(a), frac(b), frac(c)
+    a, b, c = coeff(a), coeff(b), coeff(c)
     if a == 0 and b == 0:
         raise GeometryError("half-plane normal must be nonzero")
     return HalfPlane(a, b, c)
+
+
+def _vertex_form(p) -> tuple:
+    """The point ``p`` as ``(X, Y, D)`` with ``D > 0`` and
+    ``(x, y) = (X/D, Y/D)``, all integers."""
+    x, y = frac(p[0]), frac(p[1])
+    dx, dy = x.denominator, y.denominator
+    d = math.lcm(dx, dy)
+    return (x.numerator * (d // dx), y.numerator * (d // dy), d)
+
+
+def _meet(h: HalfPlane, g: HalfPlane) -> tuple | None:
+    """Boundary-line intersection in vertex form, or None if parallel.
+
+    ``D`` is ``|det|``; the form is integral when the coefficients are.
+    """
+    det = h.a * g.b - g.a * h.b
+    if det == 0:
+        return None
+    X = h.c * g.b - g.c * h.b
+    Y = h.a * g.c - g.a * h.c
+    return (X, Y, det) if det > 0 else (-X, -Y, -det)
+
+
+def _point(v) -> Point2:
+    """The stored point of the vertex form ``v``."""
+    return Point2(Fraction(v[0], v[2]), Fraction(v[1], v[2]))
+
+
+def _admits(planes, v, strict: bool = False) -> bool:
+    """Does the vertex form ``v`` satisfy every plane (strictly, if asked)?"""
+    X, Y, D = v
+    if strict:
+        return all(h.a * X + h.b * Y < h.c * D for h in planes)
+    return all(h.a * X + h.b * Y <= h.c * D for h in planes)
 
 
 def cross(o: Point2, p: Point2, q: Point2) -> Fraction:
@@ -81,19 +142,12 @@ def cross(o: Point2, p: Point2, q: Point2) -> Fraction:
 
 def line_intersect(h: HalfPlane, g: HalfPlane) -> Point2 | None:
     """Intersection point of the two boundary lines, or None if parallel."""
-    det = h.a * g.b - g.a * h.b
-    if det == 0:
-        return None
-    x = (h.c * g.b - g.c * h.b) / det
-    y = (h.a * g.c - g.a * h.c) / det
-    return Point2(x, y)
+    v = _meet(h, g)
+    return None if v is None else _point(v)
 
 
 def feasible(pt, planes, strict: bool = False) -> bool:
-    x, y = pt[0], pt[1]
-    if strict:
-        return all(h.a * x + h.b * y < h.c for h in planes)
-    return all(h.a * x + h.b * y <= h.c for h in planes)
+    return _admits(planes, _vertex_form(pt), strict)
 
 
 def angle_key(v) -> tuple:
@@ -108,7 +162,9 @@ def angle_key(v) -> tuple:
         raise GeometryError("zero direction has no angle")
     if y == 0:
         return (0 if x > 0 else 2, Fraction(0))
-    return (1 if y > 0 else 3, -Fraction(x) / y)
+    if type(x) is not int or type(y) is not int:
+        x, y = frac(x), frac(y)
+    return (1 if y > 0 else 3, Fraction(-x, y))
 
 
 def unbounded_directions(planes) -> bool:
@@ -227,9 +283,9 @@ def intersect_halfplanes(planes) -> tuple:
     m = len(planes)
     for i in range(m):
         for j in range(i + 1, m):
-            pt = line_intersect(planes[i], planes[j])
-            if pt is not None and feasible(pt, planes):
-                cand.add(pt)
+            v = _meet(planes[i], planes[j])
+            if v is not None and _admits(planes, v):
+                cand.add(_point(v))
     if not cand:
         raise GeometryError("half-plane intersection is empty")
     chain = convex_hull_points(cand)
@@ -248,16 +304,16 @@ def _tighter(h: HalfPlane, g: HalfPlane) -> bool:
     return h.c * sg <= g.c * sh
 
 
-def _vertex(h1: HalfPlane, h2: HalfPlane) -> Point2:
-    pt = line_intersect(h1, h2)
-    if pt is None:
+def _vertex(h1: HalfPlane, h2: HalfPlane) -> tuple:
+    v = _meet(h1, h2)
+    if v is None:
         raise GeometryError("adjacent boundary constraints are parallel")
-    return pt
+    return v
 
 
 def _violates(h1: HalfPlane, h2: HalfPlane, h: HalfPlane) -> bool:
-    pt = _vertex(h1, h2)
-    return h.a * pt.x + h.b * pt.y > h.c
+    X, Y, D = _vertex(h1, h2)
+    return h.a * X + h.b * Y > h.c * D
 
 
 def intersect_halfplanes_ordered(planes) -> tuple:
@@ -275,13 +331,13 @@ def intersect_halfplanes_ordered(planes) -> tuple:
     planes = [halfplane(*h) for h in planes]
     if unbounded_directions(planes):
         raise GeometryError("half-plane intersection is unbounded")
-    width = Fraction(2) ** 20
+    width = 2 ** 20
     while True:
         box = (
-            HalfPlane(frac(1), frac(0), width),
-            HalfPlane(frac(-1), frac(0), width),
-            HalfPlane(frac(0), frac(1), width),
-            HalfPlane(frac(0), frac(-1), width),
+            HalfPlane(1, 0, width),
+            HalfPlane(-1, 0, width),
+            HalfPlane(0, 1, width),
+            HalfPlane(0, -1, width),
         )
         best: dict = {}
         for h in list(planes) + list(box):
@@ -307,7 +363,7 @@ def intersect_halfplanes_ordered(planes) -> tuple:
         if any(h in boxset for h in dq):
             width = width * width
             continue
-        verts = [_vertex(dq[i - 1], dq[i]) for i in range(len(dq))]
+        verts = [_point(_vertex(dq[i - 1], dq[i])) for i in range(len(dq))]
         chain = canonical_chain(verts)
         if len(chain) < 3:
             raise GeometryError("half-plane intersection has no interior")
@@ -316,14 +372,20 @@ def intersect_halfplanes_ordered(planes) -> tuple:
 
 @dataclass(frozen=True)
 class HullChain:
-    """A counterclockwise, strictly convex, closed vertex cycle."""
+    """A counterclockwise, strictly convex, closed vertex cycle.
+
+    ``int_vertices`` holds each vertex in :func:`_vertex_form`, computed once
+    per chain for the cross-multiplied predicates that test against it.
+    """
 
     vertices: tuple
+    int_vertices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(
-            Point2(frac(p[0]), frac(p[1])) for p in self.vertices
-        ))
+        verts = tuple(Point2(frac(p[0]), frac(p[1])) for p in self.vertices)
+        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "int_vertices",
+                           tuple(_vertex_form(v) for v in verts))
 
     def is_convex_ccw(self) -> bool:
         v = self.vertices

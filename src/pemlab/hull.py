@@ -8,9 +8,12 @@ over the polygon's angular sectors, and accepts a sample whose estimated
 spread is balanced.  Every plane is then routed to the sectors whose
 triangle (origin, two adjacent sample vertices) it can actually cut, the
 per-sector groups are pruned by an exact dominance rule, and the sectors
-recurse independently.  The final chain is stitched per sector and is exact:
-all geometry runs over :mod:`fractions` rationals via :mod:`pemlab.geometry`
-kernels, with no epsilon anywhere.
+recurse independently.  The final chain is stitched per sector and is exact,
+with no epsilon anywhere.  Numbers follow the rule of :mod:`pemlab.geometry`:
+plane coefficients stay ``int`` when integral, every per-plane decision
+(dual extremes, sector flags, slab bands) is a sign test on cross-multiplied
+products against a chain's integer vertex forms, and a ``Fraction`` is built
+only for a value that is stored: a dual point, a filter score, a vertex.
 
 Machine conventions: a half-plane ``a*x + b*y <= c`` is one memory word,
 stored as the tuple ``(a, b, c)``; points are ``(x, y)`` words.  Cores are
@@ -39,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import count
 
 from pemlab.geometry import (
@@ -46,8 +50,10 @@ from pemlab.geometry import (
     HalfPlane,
     HullChain,
     Point2,
+    _vertex_form,
     canonical_chain,
     clip_chain,
+    coeff,
     cross,
     frac,
     intersect_halfplanes,
@@ -189,7 +195,7 @@ def _make_ctx(machine, m, cores, plan, stats, stream) -> _Ctx:
 
 
 def _plane_word(w) -> tuple:
-    a, b, c = frac(w[0]), frac(w[1]), frac(w[2])
+    a, b, c = coeff(w[0]), coeff(w[1]), coeff(w[2])
     if a == 0 and b == 0:
         raise GeometryError("half-plane normal must be nonzero")
     return (a, b, c)
@@ -226,42 +232,46 @@ def _hull_base(machine, planes: KeySeq, core) -> HullChain:
 
 def _dual_extremes(machine, planes: KeySeq, cores) -> list:
     """The four planes extreme in dual coordinates ``(a/c, b/c)``."""
+    return [_reduce_words(machine, planes, cores, _dual_pick(i, s))
+            for i, s in ((0, 1), (0, -1), (1, 1), (1, -1))]
 
-    def keep(sel):
-        return lambda u, v: u if sel(u, v) else v
 
-    ux = lambda w: frac(w[0]) / frac(w[2])
-    uy = lambda w: frac(w[1]) / frac(w[2])
-    out = []
-    for pick in (
-        keep(lambda u, v: ux(u) >= ux(v)),
-        keep(lambda u, v: ux(u) <= ux(v)),
-        keep(lambda u, v: uy(u) >= uy(v)),
-        keep(lambda u, v: uy(u) <= uy(v)),
-    ):
-        out.append(_reduce_words(machine, planes, cores, pick))
-    return out
+def _dual_pick(i: int, s: int):
+    """Reduction step keeping the word with the larger (``s = 1``) or
+    smaller (``s = -1``) dual coordinate ``w[i]/w[2]``; ties keep ``u``.
+
+    ``u[i]/u[2] - v[i]/v[2]`` has the sign of ``u[i]*v[2] - v[i]*u[2]``,
+    flipped when ``u[2]`` and ``v[2]`` differ in sign.
+    """
+
+    def pick(u, v):
+        d = u[i] * v[2] - v[i] * u[2]
+        return u if (d if (u[2] > 0) == (v[2] > 0) else -d) * s >= 0 else v
+
+    return pick
 
 
 def _poll_intervals(machine, polled: KeySeq, chain: HullChain, core) -> list:
     """Sector interval span of each polled plane against the sample chain."""
     words = _scan_words(machine, polled, core,
                         tick=max(1, len(chain.vertices)))
-    return [_sector_interval(_plane_word(w), chain.vertices) for w in words]
+    return [_sector_interval(_plane_word(w), chain.int_vertices)
+            for w in words]
 
 
 def _sector_interval(word, verts) -> tuple | None:
     """Circular sector interval ``(lo, hi)`` the plane can cut, or None.
 
-    Vertex ``j`` is flagged when ``u . P_j >= 1`` (with ``u = (a/c, b/c)``,
-    evaluated cross-multiplied so nothing divides).  The flags of a convex
-    chain form one circular arc ``[lo..hi]``; the plane can touch exactly
-    the sectors ``lo - 1 .. hi``.  No flags means the plane misses every
-    sector triangle; all flags means it cuts everywhere.
+    ``verts`` is the chain's ``int_vertices``.  Vertex ``j`` is flagged when
+    ``u . P_j >= 1`` (with ``u = (a/c, b/c)``, ``c > 0``), evaluated
+    cross-multiplied as ``a*X + b*Y >= c*D`` so nothing divides.  The flags
+    of a convex chain form one circular arc ``[lo..hi]``; the plane can
+    touch exactly the sectors ``lo - 1 .. hi``.  No flags means the plane
+    misses every sector triangle; all flags means it cuts everywhere.
     """
     a, b, c = word
     t = len(verts)
-    flags = [a * v.x + b * v.y >= c for v in verts]
+    flags = [a * X + b * Y >= c * D for X, Y, D in verts]
     if not any(flags):
         return None
     if all(flags):
@@ -295,7 +305,19 @@ def polling_sample(machine, planes: KeySeq, cores, plan: HullPlan | None = None,
     budget; the best accepted candidate (fewest estimated copies) wins.
     One re-poll with fresh planes follows if nothing is accepted.  Returns
     ``(chain, sample_words)`` or ``None`` when every attempt fails.
+
+    Raises :class:`GeometryError` unless every plane has ``int`` or
+    ``Fraction`` coefficients (the dual extremes are compared
+    cross-multiplied, which is exact only for those) and ``c > 0`` (the
+    origin strictly interior).  The check reads the words on the host and
+    charges nothing.
     """
+    for w in machine.snapshot_memory(planes.region)[:planes.n]:
+        if not all(isinstance(x, (int, Fraction)) for x in w[:3]):
+            raise GeometryError("plane coefficients must be int or Fraction")
+        if _plane_word(w)[2] <= 0:
+            raise GeometryError("polling needs the origin strictly interior "
+                                "(c > 0)")
     ctx = _make_ctx(machine, planes.n, cores, plan, stats, stream)
     return _polling_sample(ctx, planes, cores)
 
@@ -370,7 +392,7 @@ def dualize(machine, planes: KeySeq, cores) -> KeySeq:
         if c <= 0:
             raise GeometryError("dualization needs the origin strictly "
                                 "interior (c > 0)")
-        return (a / c, b / c, a, b, c)
+        return (Fraction(a, c), Fraction(b, c), a, b, c)
 
     return _map_pass(machine, planes, cores, to_dual, tick=2)
 
@@ -382,9 +404,10 @@ class Arrangement:
     ``xs`` are the slab boundaries (every pairwise intersection x plus the
     x of each vertical dual line).  Slab ``s`` covers the open interval
     between ``xs[s-1]`` and ``xs[s]``; ``lines[s]`` holds the slab's
-    non-vertical dual lines ``n . u = 1`` bottom-to-top as ``(y, nx, ny)``
+    non-vertical dual lines ``n . u = 1`` bottom-to-top as ``(y, X, Y, D)``
     tuples, ``y`` being the line's height at the slab's sample x (within an
-    open slab no two lines cross); ``regions[(s, band)]`` stores
+    open slab no two lines cross) and ``(X, Y, D)`` the vertex form of the
+    line's normal ``n``, a chain vertex; ``regions[(s, band)]`` stores
     the precomputed sector interval of every region, where ``band`` counts
     the lines at or below a point.  Points exactly on a slab boundary are
     not covered and must be classified directly.
@@ -403,20 +426,19 @@ def preprocess_arrangement(machine, chain: HullChain, core) -> Arrangement:
     the work of intersecting all line pairs and probing one sample point
     per region with all ``t`` dual lines.
     """
-    verts = chain.vertices
+    verts = chain.int_vertices
     t = len(verts)
-    duals = [(v.x, v.y) for v in verts]
     xs_set = set()
     for j in range(t):
-        nxj, nyj = duals[j]
-        if nyj == 0:
-            xs_set.add(Fraction(1, 1) / nxj)
+        Xj, Yj, Dj = verts[j]
+        if Yj == 0:
+            xs_set.add(Fraction(Dj, Xj))
         for i in range(j + 1, t):
-            nxi, nyi = duals[i]
-            det = nxj * nyi - nxi * nyj
+            Xi, Yi, Di = verts[i]
+            det = Xj * Yi - Xi * Yj
             if det == 0:
                 continue
-            xs_set.add((nyi - nyj) / det)
+            xs_set.add(Fraction(Yi * Dj - Yj * Di, det))
     xs = tuple(sorted(xs_set))
 
     lines: list = []
@@ -431,7 +453,7 @@ def preprocess_arrangement(machine, chain: HullChain, core) -> Arrangement:
         else:
             sx = (xs[s - 1] + xs[s]) / 2
         slab = sorted(
-            ((1 - nx * sx) / ny, nx, ny) for nx, ny in duals if ny != 0
+            ((D - X * sx) / Y, X, Y, D) for X, Y, D in verts if Y != 0
         )
         ys = [ln[0] for ln in slab]
         if any(ys[i] >= ys[i + 1] for i in range(len(ys) - 1)):
@@ -445,8 +467,9 @@ def preprocess_arrangement(machine, chain: HullChain, core) -> Arrangement:
                 sy = ys[-1] + 1
             else:
                 sy = (ys[band - 1] + ys[band]) / 2
-            word = (sx, sy, Fraction(1))
-            regions[(s, band)] = _sector_interval(word, verts)
+            # The plane (sx, sy, 1) scaled by a positive denominator.
+            regions[(s, band)] = _sector_interval(_vertex_form((sx, sy)),
+                                                  verts)
         lines.append(tuple(slab))
 
     machine.run_rounds({core.idx: lambda c: c.tick(max(1, t * t + len(regions) * t))})
@@ -478,7 +501,11 @@ def locate_points(machine, duals: KeySeq, arr: Arrangement, cores,
     exactly on a dual line lands in the band above it, matching its own
     closed cut test; either band is exact there, because touching a
     triangle only at a vertex removes no area.  Boundary-bucket points are
-    classified directly against the chain instead.
+    classified directly against the chain instead.  The band test reads the
+    plane ``(a, b, c)`` that the dual point carries, not the point itself:
+    with ``c > 0`` and ``D > 0`` the line ``(X, Y, D)`` lies at or below
+    ``u = (a/c, b/c)`` iff ``a*X + b*Y >= c*D`` when ``Y > 0``, and iff
+    ``a*X + b*Y <= c*D`` when ``Y < 0``.
     """
     n = duals.n
     N = root_n if root_n is not None else max(1, n)
@@ -516,18 +543,8 @@ def locate_points(machine, duals: KeySeq, arr: Arrangement, cores,
             continue
         z = len(lines)
 
-        def tag(w, lines=lines, z=z):
-            lo, hi = 0, z
-            while lo < hi:
-                mid = (lo + hi) // 2
-                # Is the line at or below the point at the point's own x?
-                # No two lines cross inside the slab, so the order holds.
-                _, nx, ny = lines[mid]
-                if (1 - nx * w[0]) / ny <= w[1]:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            return (lo, w[2], w[3], w[4])
+        def tag(w, lines=lines):
+            return (_band(lines, w[2], w[3], w[4]), w[2], w[3], w[4])
 
         tagged = _map_pass(machine, bucket, cores, tag,
                            tick=1 + max(1, z.bit_length()))
@@ -542,9 +559,27 @@ def locate_points(machine, duals: KeySeq, arr: Arrangement, cores,
     return groups
 
 
+def _band(lines, a, b, c) -> int:
+    """How many of a slab's ``lines`` lie at or below the dual point of the
+    plane ``(a, b, c)``, ``c > 0``, at the point's own x.
+
+    No two lines cross inside the slab, so a binary search holds.
+    """
+    lo, hi = 0, len(lines)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        _, X, Y, D = lines[mid]
+        d = a * X + b * Y - c * D
+        if (d >= 0) if Y > 0 else (d <= 0):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def _classify_direct(machine, bucket: KeySeq, arr: Arrangement, core) -> list:
     """Classify slab-boundary points one by one and regroup them by interval."""
-    verts = arr.chain.vertices
+    verts = arr.chain.int_vertices
     words = _scan_words(machine, bucket, core, tick=max(1, len(verts)))
     by_interval: dict = {}
     for w in words:
@@ -754,6 +789,15 @@ def _staircase(vals, tail, rule) -> list:
     return keep
 
 
+def _score(v1, v2, w) -> tuple:
+    """The plane word ``w`` as ``(u . P1, u . P2, a, b, c)`` for the sector
+    vertices ``P1``, ``P2`` given in vertex form."""
+    a, b, c = _plane_word(w)
+    (X1, Y1, D1), (X2, Y2, D2) = v1, v2
+    return (Fraction(a * X1 + b * Y1, c * D1),
+            Fraction(a * X2 + b * Y2, c * D2), a, b, c)
+
+
 def filter_sector(machine, sector_planes: KeySeq, j: int, chain: HullChain,
                   cores, plan: HullPlan | None = None, stream: int = 0):
     """Drop the planes of sector ``j`` that another plane makes redundant.
@@ -766,14 +810,8 @@ def filter_sector(machine, sector_planes: KeySeq, j: int, chain: HullChain,
     the chunked dominance sweep.  Returns ``(survivors, host_words)``.
     """
     plan = plan if plan is not None else HullPlan()
-    verts = chain.vertices
-    t = len(verts)
-    p1, p2 = verts[j], verts[(j + 1) % t]
-
-    def score(w):
-        a, b, c = _plane_word(w)
-        return ((a * p1.x + b * p1.y) / c, (a * p2.x + b * p2.y) / c, a, b, c)
-
+    verts = chain.int_vertices
+    score = partial(_score, verts[j], verts[(j + 1) % len(verts)])
     if sector_planes.n == 0:
         return KeySeq(machine.alloc(0), 0), []
     scored = _map_pass(machine, sector_planes, cores, score, tick=4)
@@ -917,16 +955,16 @@ def hull_main(machine, planes: KeySeq, cores, plan: HullPlan | None = None,
     if m < 3:
         raise GeometryError("at least three half-planes are required")
     ctx = _make_ctx(machine, m, cores, plan, stats, stream)
-    if interior is not None:
-        ix, iy = frac(interior[0]), frac(interior[1])
-    else:
-        ix = iy = Fraction(0)
+    ix, iy = (0, 0) if interior is None else (coeff(interior[0]),
+                                              coeff(interior[1]))
 
     def shift(w):
         a, b, c = _plane_word(w)
-        return (a, b, c - a * ix - b * iy)
+        return (a, b, coeff(c - a * ix - b * iy))
 
-    normalized = _map_pass(machine, planes, cores, shift, tick=3)
+    moved = ix != 0 or iy != 0
+    normalized = _map_pass(machine, planes, cores,
+                           shift if moved else _plane_word, tick=3)
     host = machine.snapshot_memory(normalized.region)[:m]
     if any(w[2] <= 0 for w in host):
         raise GeometryError("the interior point must satisfy every "
@@ -934,9 +972,10 @@ def hull_main(machine, planes: KeySeq, cores, plan: HullPlan | None = None,
     if unbounded_directions([HalfPlane(*w) for w in host]):
         raise GeometryError("half-plane intersection is unbounded")
 
-    chain = _hull_rec(ctx, normalized, cores, depth=0)
-    final = HullChain(canonical_chain(
-        [Point2(v.x + ix, v.y + iy) for v in chain.vertices]))
+    # Translation keeps a chain canonical (same turns, same smallest vertex).
+    final = _hull_rec(ctx, normalized, cores, depth=0)
+    if moved:
+        final = HullChain([(v.x + ix, v.y + iy) for v in final.vertices])
     written = _write_words(machine, list(final.vertices), cores[0])
     return final, written
 
@@ -1003,17 +1042,16 @@ def _upper_hull_points(machine, pts: KeySeq, cores, ctx: _Ctx,
     sign = -1 if negate else 1
 
     def to_plane(w):
-        x, y = sign * frac(w[0]), sign * frac(w[1])
-        return (-x, Fraction(-1), -y)
+        return (coeff(-sign * w[0]), -1, coeff(-sign * w[1]))
 
     planes = _map_pass(machine, pts, cores, to_plane, tick=1)
     host = [tuple(w) for w in machine.snapshot_memory(planes.region)[:pts.n]]
     point_of = {(w[0], -w[2]): (-w[0], -w[2]) for w in host}
     top_y = max(-w[2] for w in host)
     artificial = [
-        (Fraction(1), Fraction(0), frac(m_big)),
-        (Fraction(-1), Fraction(0), frac(m_big)),
-        (Fraction(0), Fraction(1), frac(c_big)),
+        (1, 0, coeff(m_big)),
+        (-1, 0, coeff(m_big)),
+        (0, 1, coeff(c_big)),
     ]
     extra = _write_words(machine, artificial, cores[0])
     full = compact(machine, [planes, extra], cores)

@@ -1,0 +1,307 @@
+"""Cross-multiplied hull predicates against the Fraction formulas they
+replace.
+
+Each predicate in ``pemlab.geometry`` and ``pemlab.hull`` that decides a
+sign on integer products is compared here with the direct rational
+formula: divide first, then compare.  Coefficients are drawn as ``int``,
+as integral ``Fraction`` and as non-integral ``Fraction``; points are
+placed exactly on lines and vertices, where the ``<=``/``>=`` boundary
+semantics must not move.
+"""
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from pemlab.geometry import (
+    GeometryError,
+    HullChain,
+    _violates,
+    feasible,
+    halfplane,
+    intersect_halfplanes,
+    line_intersect,
+)
+from pemlab.hull import (
+    _band,
+    _dual_pick,
+    _score,
+    _sector_interval,
+    dualize,
+    polling_sample,
+    preprocess_arrangement,
+)
+from pemlab.machine import Machine, MachineConfig, MachineFault
+from pemlab.primitives import KeySeq
+
+F = Fraction
+
+coef = st.one_of(
+    st.integers(-40, 40),
+    st.integers(-40, 40).map(F),
+    st.fractions(min_value=-40, max_value=40, max_denominator=9),
+)
+plane = st.tuples(coef, coef, coef).filter(lambda w: w[0] != 0 or w[1] != 0)
+positive = st.one_of(
+    st.integers(1, 40),
+    st.fractions(min_value=F(1, 9), max_value=40, max_denominator=9),
+)
+
+
+def machine(p=2):
+    return Machine(MachineConfig(p=p, M=256, B=8, seed=0))
+
+
+def load(m, words):
+    region = m.alloc(max(1, len(words)))
+    m.load(region, list(words))
+    return KeySeq(region, len(words))
+
+
+# ------------------------------------------------- the Fraction formulas
+
+
+def ref_point(h, g):
+    (a1, b1, c1), (a2, b2, c2) = [map(F, w) for w in (h, g)]
+    det = a1 * b2 - a2 * b1
+    if det == 0:
+        return None
+    return ((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det)
+
+
+def ref_side(w, pt):
+    """``a*x + b*y - c`` at ``pt``, in Fractions."""
+    return F(w[0]) * pt[0] + F(w[1]) * pt[1] - F(w[2])
+
+
+def ref_dual_pick(i, s):
+    def pick(u, v):
+        du, dv = F(u[i]) / F(u[2]), F(v[i]) / F(v[2])
+        return u if (du >= dv if s > 0 else du <= dv) else v
+    return pick
+
+
+def ref_sector_interval(word, verts):
+    a, b, c = map(F, word)
+    t = len(verts)
+    flags = [a * v.x + b * v.y >= c for v in verts]
+    if not any(flags):
+        return None
+    if all(flags):
+        return (0, t - 1)
+    starts = [j for j in range(t) if flags[j] and not flags[j - 1]]
+    if len(starts) != 1:
+        raise MachineFault("vertex flags of a convex chain must be one arc")
+    lo = hi = starts[0]
+    while flags[(hi + 1) % t]:
+        hi = (hi + 1) % t
+    return ((lo - 1) % t, hi)
+
+
+def ref_band(lines, a, b, c):
+    """The slab binary search with the line height divided out."""
+    ux, uy = F(a) / F(c), F(b) / F(c)
+    lo, hi = 0, len(lines)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        _, X, Y, D = lines[mid]
+        nx, ny = F(X, D), F(Y, D)
+        if (1 - nx * ux) / ny <= uy:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except (GeometryError, MachineFault) as exc:
+        return ("raise", type(exc))
+
+
+# ---------------------------------------------------------- strategies
+
+
+@st.composite
+def chains(draw):
+    """A convex chain around the origin with non-integral vertices."""
+    planes = draw(st.lists(st.tuples(coef, coef, positive)
+                           .filter(lambda w: w[0] != 0 or w[1] != 0),
+                           min_size=0, max_size=6))
+    box = [(1, 0, draw(positive)), (-1, 0, draw(positive)),
+           (0, 1, draw(positive)), (0, -1, draw(positive))]
+    return HullChain(intersect_halfplanes(planes + box))
+
+
+@st.composite
+def through(draw, pt):
+    """A plane whose boundary passes exactly through ``pt``."""
+    a, b = draw(coef), draw(coef)
+    assume(a != 0 or b != 0)
+    return (a, b, a * pt[0] + b * pt[1])
+
+
+@st.composite
+def vertex_and_plane(draw):
+    h1, h2 = draw(plane), draw(plane)
+    pt = ref_point(h1, h2)
+    assume(pt is not None)
+    h = draw(st.one_of(plane, through(pt)))
+    return h1, h2, h
+
+
+# ------------------------------------------------------ geometry kernels
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_and_plane())
+@example(((1, 0, 2), (0, 1, 3), (1, 1, 5)))      # det > 0, on the vertex
+@example(((0, 1, 3), (1, 0, 2), (1, 1, 5)))      # det < 0, on the vertex
+@example(((0, 1, 3), (1, 0, 2), (1, 1, 4)))      # det < 0, outside
+@example(((F(1, 2), 0, 1), (0, F(-1, 3), 1), (F(2, 3), F(-1, 2), F(5, 2))))
+def test_violates_and_line_intersect_match_fraction_formula(case):
+    h1, h2, h = case
+    H1, H2, H = halfplane(*h1), halfplane(*h2), halfplane(*h)
+    pt = ref_point(h1, h2)
+    assert _violates(H1, H2, H) == (ref_side(h, pt) > 0)
+    got = line_intersect(H1, H2)
+    assert got == pt
+    assert type(got.x) is F and type(got.y) is F
+    assert feasible(pt, [H]) == (ref_side(h, pt) <= 0)
+    assert feasible(pt, [H], strict=True) == (ref_side(h, pt) < 0)
+
+
+def test_parallel_lines_have_no_vertex():
+    h, g = halfplane(1, 2, 3), halfplane(F(2), 4, 1)
+    assert line_intersect(h, g) is None
+    with pytest.raises(GeometryError):
+        _violates(h, g, halfplane(1, 0, 1))
+
+
+def test_halfplane_keeps_integral_coefficients_as_int():
+    h = halfplane(F(6, 2), 4, F(1, 2))
+    assert (type(h.a), type(h.b), type(h.c)) == (int, int, F)
+    assert h == (3, 4, F(1, 2))
+
+
+# -------------------------------------------------------- hull predicates
+
+
+@settings(max_examples=300, deadline=None)
+@given(plane, plane, st.integers(-3, 3).filter(bool), st.booleans())
+@example((1, 2, 3), (2, 4, 6), 1, False)         # same dual point: tie
+@example((1, 2, 3), (-1, 5, -3), 1, False)       # tie in x, c of both signs
+@example((1, 2, -3), (2, 1, 5), -1, True)
+def test_dual_pick_matches_fraction_formula(u, v, k, tie):
+    assume(u[2] != 0 and v[2] != 0)
+    if tie:
+        v = (k * u[0], v[1], k * u[2])          # same a/c, other b
+    for i, s in ((0, 1), (0, -1), (1, 1), (1, -1)):
+        assert _dual_pick(i, s)(u, v) is ref_dual_pick(i, s)(u, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sector_interval_and_score_match_fraction_formula(data):
+    chain = data.draw(chains())
+    verts, ints = chain.vertices, chain.int_vertices
+    assert all(D > 0 and F(X, D) == v.x and F(Y, D) == v.y
+               for v, (X, Y, D) in zip(verts, ints))
+    j = data.draw(st.integers(0, len(verts) - 1))
+    word = data.draw(st.one_of(plane, through(verts[j])))
+    assert outcome(_sector_interval, word, ints) == \
+        outcome(ref_sector_interval, word, verts)
+    assume(word[2] != 0)
+    got = _score(ints[j], ints[(j + 1) % len(ints)], word)
+    p1, p2 = verts[j], verts[(j + 1) % len(verts)]
+    a, b, c = map(F, word)
+    assert got == ((a * p1.x + b * p1.y) / c, (a * p2.x + b * p2.y) / c,
+                   a, b, c)
+    assert type(got[0]) is F and type(got[1]) is F
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_slab_band_matches_fraction_formula(data):
+    chain = data.draw(chains())
+    m = machine(p=1)
+    arr = preprocess_arrangement(m, chain, m.cores[0])
+    xs = arr.xs
+    s = data.draw(st.integers(0, len(xs)))
+    lines = arr.lines[s]
+    assume(lines)
+    # The chain surrounds the origin, so some line has Y < 0.
+    assert any(Y < 0 for _, _, Y, _ in lines)
+    # A dual point strictly inside slab s.
+    lo = xs[s - 1] if s > 0 else (xs[0] - 2 if xs else F(-1))
+    hi = xs[s] if s < len(xs) else (xs[-1] + 2 if xs else F(1))
+    t = data.draw(st.fractions(min_value=F(1, 20), max_value=F(19, 20),
+                               max_denominator=20))
+    ux = lo + t * (hi - lo)
+    on = data.draw(st.integers(-1, len(lines) - 1))
+    if on >= 0:                                  # exactly on a line
+        _, X, Y, D = lines[on]
+        uy = (D - X * ux) / Y
+    else:
+        uy = data.draw(st.fractions(min_value=-50, max_value=50,
+                                    max_denominator=12))
+    # The plane (a, b, c) with dual point (ux, uy), c > 0, scaled by a
+    # positive factor that may leave it non-integral.
+    c = F(math.lcm(ux.denominator, uy.denominator)) * data.draw(positive)
+    a, b = ux * c, uy * c
+    a, b, c = halfplane(a, b, c)
+    assert _band(lines, a, b, c) == ref_band(lines, a, b, c)
+    for line in lines:
+        assert _band([line], a, b, c) == ref_band([line], a, b, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(coef, coef, positive)
+                .filter(lambda w: w[0] != 0 or w[1] != 0),
+                min_size=1, max_size=12))
+def test_dualize_matches_fraction_formula(words):
+    m = machine()
+    out = dualize(m, load(m, words), m.cores)
+    got = m.snapshot_memory(out.region)[:out.n]
+    want = [(F(a) / F(c), F(b) / F(c), a, b, c) for a, b, c in words]
+    assert got == want
+    assert all(type(w[0]) is F and type(w[1]) is F for w in got)
+
+
+@pytest.mark.parametrize("c", [0, -7, F(-1, 2)])
+def test_dualize_rejects_nonpositive_c(c):
+    m = machine()
+    with pytest.raises(GeometryError):
+        dualize(m, load(m, [(1, 1, 5), (3, 4, c)]), m.cores)
+
+
+# ------------------------------------------------ polling_sample inputs
+
+
+def good_planes(count):
+    """``count`` planes around the origin (c > 0) with a bounded box."""
+    planes = [(1, 0, 50), (-1, 0, 50), (0, 1, 50), (0, -1, 50)]
+    k = 1
+    while len(planes) < count:
+        planes.append((k % 17 - 8 or 1, k % 13 - 6, 40 + k % 29))
+        k += 1
+    return planes
+
+
+@pytest.mark.parametrize("bad", [(3, 4, -7), (3, 4, 0)])
+def test_polling_sample_rejects_nonpositive_c_without_charge(bad):
+    m = Machine(MachineConfig(p=4, M=1024, B=8, seed=0))
+    seq = load(m, good_planes(204) + [bad])
+    with pytest.raises(GeometryError):
+        polling_sample(m, seq, m.cores, stream=1)
+    assert m.ledger().ops == 0 and m.ledger().rounds == 0
+
+
+def test_polling_sample_rejects_inexact_coefficients():
+    m = Machine(MachineConfig(p=4, M=1024, B=8, seed=0))
+    seq = load(m, good_planes(40) + [(0.5, 1, 3)])
+    with pytest.raises(GeometryError):
+        polling_sample(m, seq, m.cores, stream=1)
