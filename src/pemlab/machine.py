@@ -44,26 +44,42 @@ in program order.
 
 Runs of words
 -------------
-``read_run``, ``write_run`` and ``route_run`` stand for word loops of
-``read``, ``write`` and read-route-write over consecutive words of one
-region.  They charge exactly what those loops charge — ops, both miss
-kinds, the round's reader and writer sets, holders, LRU order, memory and
-diagnostics — and return the same values, at a cost per block rather than
-per word.  The bounds of a run are checked once, against its region.
+``read_run``, ``write_run``, ``copy_run`` and ``route_run`` stand for word
+loops of ``read``, ``write``, read-write (a two-stream copy) and
+read-route-write (a scatter) over consecutive words of one region.  They
+charge exactly what those loops charge — ops, both miss kinds, the round's
+reader and writer sets, holders, LRU order, memory and diagnostics — and
+return the same values, at a cost per block rather than per word.
 
-The replay is exact because inside a *piece*, a stretch of the loop in
-which no stream crosses a block boundary, the loop only re-touches the same
-few blocks.  If they number at most ``M/B``, every eviction in the piece
-hits a block outside it, so touching them once in first-touch order and
-then moving them to MRU in last-touch order leaves the cache as the loop
-does.  A single stream touches one block per piece, so ``read_run`` and
-``write_run`` are always replayed; a ``route_run`` piece may scatter to
-more than ``M/B`` blocks.  A run falls back to its own word loop, with the
-same results, when the machine keeps a trace (so the rows stay the same),
-when a piece touches more than ``M/B`` blocks, or when another core has
-already written one of its destination words this round (so every word
-reports its own race).  Reads see the core's pending writes, including
-those of the same run.
+Once per run, not once per word or block: the bounds of each stream are
+checked against its region and the allocation, every route is taken and
+every destination checked, the run checks whether another core already
+wrote one of its destination words this round, the core's own pending
+writes are read, and ``ops``, the round's address owners and the write
+buffer are updated.  A run that faults therefore raises before it charges
+anything: a span past its region's end, a route that raises, or a routed
+destination outside its region leaves the whole run uncharged, where the
+word loop would have charged the words before the fault.
+
+Per piece, a stretch of the loop in which no stream crosses a block
+boundary, a run touches the piece's blocks and adds them to the round's
+reader and writer sets.  The replay is exact because inside a piece the
+loop only re-touches the same few blocks.  If they number at most ``M/B``,
+every eviction in the piece hits a block outside it, so touching them once
+in first-touch order and then moving them to MRU in last-touch order
+leaves the cache as the loop does.  A copy piece touches its source block,
+then its destination block.  A ``route_run`` piece (the words of one source
+block) may scatter to more than ``M/B`` blocks; it is then replayed word by
+word inside an otherwise batched run.
+
+A whole run falls back to its own word loop, with the same results, when
+the machine keeps a trace (so the rows stay the same) or when another core
+has already written one of its destination words this round (so every word
+reports its own race).  A copy also falls back when one block fills the
+cache (``M == B``) or when its two spans share a block (a read could see
+an earlier write of the copy).  Reads see the core's pending writes,
+including those of the same run; ``fn`` and ``route`` are called once per
+word, in order, and must not touch the machine.
 """
 from __future__ import annotations
 
@@ -342,18 +358,11 @@ class Core:
             return []
         idx = self.idx
         readers = m._round_readers
-        writers = m._round_writers
-        own = False
         for block in range(a0 // m._B, (a1 - 1) // m._B + 1):
             self._touch_block(block)
             readers.setdefault(block, set()).add(idx)
-            own = own or idx in writers.get(block, ())
         self.ops += a1 - a0
-        vals = m._mem[a0:a1]
-        if own:
-            wbuf = self._wbuf
-            vals = [wbuf.get(a, v) for a, v in zip(range(a0, a1), vals)]
-        return vals
+        return self._values(a0, a1)
 
     def write_run(self, region, lo: int, values) -> None:
         """Write ``values`` to words ``lo, lo + 1, ...`` of a region in order.
@@ -380,6 +389,54 @@ class Core:
         m._round_addr_writer.update(dict.fromkeys(addrs, idx))
         self._wbuf.update(zip(addrs, values))
 
+    def copy_run(self, src, lo: int, hi: int, dst, at: int, fn=None) -> None:
+        """Copy words ``[lo, hi)`` of a region (or key sequence) to words
+        ``at, at + 1, ...`` of ``dst``, one word at a time in order.
+
+        Charges exactly what ``self.write(dst.addr(at + k),
+        fn(self.read(src.addr(lo + k))))`` for each ``k`` would.  ``fn``
+        defaults to the identity; it is called once per word, in order, and
+        must not touch the machine.
+        """
+        s0, s1 = self._span(src, lo, hi, "copy_run")
+        d0, d1 = self._span(dst, at, at + hi - lo, "copy_run")
+        if s0 == s1:
+            return
+        m = self._m
+        B = m._B
+        src_blocks = range(s0 // B, (s1 - 1) // B + 1)
+        dst_blocks = range(d0 // B, (d1 - 1) // B + 1)
+        dst_addrs = range(d0, d1)
+        if (m._trace is not None or m._cache_blocks == 1
+                or (src_blocks[0] <= dst_blocks[-1] and dst_blocks[0] <= src_blocks[-1])
+                or self._clashes(dst_blocks, dst_addrs)):
+            for a, d in zip(range(s0, s1), dst_addrs):
+                v = self.read(a)
+                self.write(d, v if fn is None else fn(v))
+            return
+        vals = self._values(s0, s1)
+        words = vals if fn is None else list(map(fn, vals))
+        # A piece ends where either stream crosses a block boundary; inside
+        # it the loop alternates between its source and destination block.
+        touch = self._touch_block
+        s, d = s0, d0
+        while s < s1:
+            touch(s // B)
+            touch(d // B)
+            step = min(B - s % B, B - d % B)
+            s += step
+            d += step
+        idx = self.idx
+        readers = m._round_readers
+        for block in src_blocks:
+            readers.setdefault(block, set()).add(idx)
+        writers = m._round_writers
+        for block in dst_blocks:
+            writers.setdefault(block, set()).add(idx)
+        self.ops += 2 * (s1 - s0)
+        m._round_addr_writer.update(dict.fromkeys(dst_addrs, idx))
+        self._wbuf.update(zip(dst_addrs, words))
+
     def route_run(self, src, lo: int, hi: int, route) -> None:
         """Move words ``[lo, hi)`` of a region (or key sequence) one by one.
 
@@ -388,13 +445,71 @@ class Core:
         ``dst_region.addr(dst_index)``.  Charges exactly what that word loop
         would.  ``route`` is called once per word, in order; it must not
         touch the machine.
+
+        Every route is taken first, from the values the word loop would
+        read.  A piece here is the stretch of the run whose source words
+        share one block; it is replayed by touching its blocks in
+        first-touch order and then moving them to MRU in last-touch order,
+        or word by word when it touches more than ``M/B`` blocks.
         """
         a0, a1 = self._span(src, lo, hi, "route_run")
-        B = self._m._B
-        while a0 < a1:
-            stop = min(a1, a0 - a0 % B + B)
-            self._route_piece(a0, stop, route)
-            a0 = stop
+        if a0 == a1:
+            return
+        m = self._m
+        B = m._B
+        n = a1 - a0
+        vals = self._values(a0, a1)
+        limit = m._limit
+        dsts = []
+        words = []
+        for k in range(n):
+            region, i, word = route(vals[k])
+            d = region.base + i
+            if not (0 <= i < region.len and 0 <= d < limit):
+                raise MachineFault(f"route_run destination {i} outside region of length {region.len}")
+            dsts.append(d)
+            words.append(word)
+            if k < d - a0 < n:
+                vals[d - a0] = word  # a later read of this run sees it
+        dst_blocks = [d // B for d in dsts]
+        if m._trace is not None or self._clashes(set(dst_blocks), dsts):
+            for a, d, word in zip(range(a0, a1), dsts, words):
+                self.read(a)
+                self.write(d, word)
+            return
+        idx = self.idx
+        cache = self._cache
+        touch = self._touch_block
+        readers = m._round_readers
+        cap = m._cache_blocks
+        k = 0
+        for src_block in range(a0 // B, (a1 - 1) // B + 1):
+            stop = min(n, (src_block + 1) * B - a0)
+            piece = dst_blocks[k:stop]
+            k = stop
+            readers.setdefault(src_block, set()).add(idx)
+            touched = dict.fromkeys([src_block, *piece])
+            if len(touched) > cap:
+                for block in piece:
+                    touch(src_block)
+                    touch(block)
+                continue
+            for block in touched:
+                touch(block)
+            # Last touches, oldest first: other destination blocks, then the
+            # source block (read just before the piece's final write), then
+            # the block of that final write.
+            latest = list(dict.fromkeys(reversed(piece)))
+            for block in reversed(latest):
+                cache.move_to_end(block)
+            cache.move_to_end(src_block)
+            cache.move_to_end(latest[0])
+        writers = m._round_writers
+        for block in set(dst_blocks):
+            writers.setdefault(block, set()).add(idx)
+        self.ops += 2 * n
+        m._round_addr_writer.update(dict.fromkeys(dsts, idx))
+        self._wbuf.update(zip(dsts, words))
 
     def _span(self, src, lo: int, hi: int, what: str) -> tuple:
         """Addresses ``[a0, a1)`` of words ``[lo, hi)`` of ``src``'s region,
@@ -407,6 +522,19 @@ class Core:
             raise MachineFault(f"{what} of unallocated addresses [{a0}, {a1})")
         return a0, a1
 
+    def _values(self, a0: int, a1: int) -> list:
+        """Words ``[a0, a1)`` (``a0 < a1``) as this core reads them now: the
+        memory of the round's start under the core's own pending writes."""
+        m = self._m
+        vals = m._mem[a0:a1]
+        wbuf = self._wbuf
+        if wbuf:
+            idx = self.idx
+            writers = m._round_writers
+            if any(idx in writers.get(b, ()) for b in range(a0 // m._B, (a1 - 1) // m._B + 1)):
+                vals = list(map(wbuf.get, range(a0, a1), vals))
+        return vals
+
     def _clashes(self, blocks, addrs) -> bool:
         """Whether another core wrote one of ``addrs`` this round, so that
         every word must report its own race."""
@@ -418,65 +546,6 @@ class Core:
                 owner = self._m._round_addr_writer
                 return any(owner.get(a, idx) != idx for a in addrs)
         return False
-
-    def _route_piece(self, a0: int, a1: int, route) -> None:
-        """``route_run`` over source words that share one block.
-
-        The routes are taken first, from the values the word loop would
-        read.  Inside the piece that loop only re-touches the same few
-        blocks, so when they number at most ``M/B`` every eviction hits a
-        block outside the piece: touching them in first-touch order and
-        then moving them to MRU in last-touch order replays its cache state
-        exactly.  Otherwise (or with a trace, or a race to report) the
-        piece is replayed word by word with the routes already taken.
-        """
-        m = self._m
-        B = m._B
-        idx = self.idx
-        src_block = a0 // B
-        n = a1 - a0
-        vals = m._mem[a0:a1]
-        if idx in m._round_writers.get(src_block, ()):
-            wbuf = self._wbuf
-            vals = [wbuf.get(a, v) for a, v in zip(range(a0, a1), vals)]
-        limit = m._limit
-        dsts = []
-        words = []
-        for k in range(n):
-            region, i, word = route(vals[k])
-            d = region.base + i
-            if not (0 <= i < region.len and 0 <= d < limit):
-                raise MachineFault(f"route_run destination {i} outside region of length {region.len}")
-            dsts.append(d)
-            words.append(word)
-            if k < d - a0 < n:
-                vals[d - a0] = word  # a later read of this piece sees it
-        dst_blocks = [d // B for d in dsts]
-        touched = dict.fromkeys([src_block, *dst_blocks])
-        if (m._trace is not None or len(touched) > m._cache_blocks
-                or self._clashes(touched, dsts)):
-            for a, d, word in zip(range(a0, a1), dsts, words):
-                self.read(a)
-                self.write(d, word)
-            return
-        for block in touched:
-            self._touch_block(block)
-        # Last touches, oldest first: other destination blocks, then the
-        # source block (read just before the final write), then the block
-        # of the final write.
-        latest = list(dict.fromkeys(reversed(dst_blocks)))
-        cache = self._cache
-        for block in reversed(latest):
-            cache.move_to_end(block)
-        cache.move_to_end(src_block)
-        cache.move_to_end(latest[0])
-        m._round_readers.setdefault(src_block, set()).add(idx)
-        writers = m._round_writers
-        for block in latest:
-            writers.setdefault(block, set()).add(idx)
-        self.ops += 2 * n
-        m._round_addr_writer.update(dict.fromkeys(dsts, idx))
-        self._wbuf.update(zip(dsts, words))
 
     def tick(self, n: int = 1) -> None:
         """Charge ``n`` compute operations with no memory traffic."""
@@ -583,11 +652,13 @@ class Machine:
         writers_by_block = self._round_writers
         # Commit buffered writes in core-id order: on a same-address race the
         # highest core id lands last, matching the writer arrival order.
+        # A plain loop: CPython's list store beats mapping ``__setitem__``.
         for core in self.cores:
-            if core._wbuf:
-                for addr, value in core._wbuf.items():
+            wbuf = core._wbuf
+            if wbuf:
+                for addr, value in wbuf.items():
                     mem[addr] = value
-                core._wbuf.clear()
+                wbuf.clear()
         if self._round_atomics:
             for addr, value in self._round_atomics.items():
                 writer = self._round_addr_writer.get(addr)
@@ -606,15 +677,22 @@ class Machine:
             self._round_adders.clear()
         if writers_by_block:
             trace = self._trace
-            for block in sorted(writers_by_block):
+            readers_by_block = self._round_readers
+            holders_by_block = self._holders
+            # Only the trace rows depend on the order of the blocks.
+            for block in writers_by_block if trace is None else sorted(writers_by_block):
                 writer_set = writers_by_block[block]
+                readers = readers_by_block.get(block)
+                holders = holders_by_block[block]
+                if (len(writer_set) == 1 and holders <= writer_set
+                        and (not readers or readers <= writer_set)):
+                    continue  # one writer, and no other core read or holds it
                 writers = sorted(writer_set)
                 for order, idx in enumerate(writers):
                     if order:
                         self.cores[idx].block_misses += order
                         if trace is not None:
                             trace.append((self._round, idx, "migrate", block * self._B, "block_miss"))
-                readers = self._round_readers.get(block)
                 if readers:
                     for idx in sorted(readers - writer_set):
                         self.cores[idx].block_misses += 1
@@ -622,7 +700,6 @@ class Machine:
                             trace.append((self._round, idx, "reread", block * self._B, "block_miss"))
                 # Invalidate everywhere but the last writer's cache.
                 keeper = writers[-1]
-                holders = self._holders.get(block)
                 if holders:
                     for idx in sorted(holders):
                         if idx != keeper:

@@ -16,7 +16,7 @@ from functools import partial
 from itertools import accumulate
 
 from pemlab.machine import MachineFault, MemRegion
-from pemlab.primitives import KeySeq, _copy_words, prefix_sum, transpose
+from pemlab.primitives import KeySeq, prefix_sum, transpose
 
 __all__ = ["BucketedRun", "merge_bucketed", "plan_cuts"]
 
@@ -134,8 +134,8 @@ def merge_bucketed(machine, runs, cores, dest: MemRegion | None = None, stride: 
             core.read(ends_seq.addr(k))
             j, i = divmod(k, x)
             base = row_starts[i][j]
-            _copy_words(machine, core, runs[i].seq.region, (base + a_lo) * stride,
-                        (base + a_hi) * stride, dst, out * stride)
+            core.copy_run(runs[i].seq.region, (base + a_lo) * stride,
+                          (base + a_hi) * stride, dst, out * stride)
             out += a_hi - a_lo
 
     machine.run_rounds({cores[ci].idx: partial(copy, ci=ci) for ci in range(p)})

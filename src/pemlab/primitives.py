@@ -144,38 +144,11 @@ def _map_pass(machine, src: KeySeq, cores, fn, tick: int = 1) -> KeySeq:
     dst = machine.alloc(src.n)
 
     def body(core, ci, lo, hi):
-        _copy_words(machine, core, src, lo, hi, dst, lo, fn)
+        core.copy_run(src, lo, hi, dst, lo, fn)
         core.tick(tick * (hi - lo))
 
     parallel_for(machine, src.n, cores, body)
     return KeySeq(dst, src.n)
-
-
-def _copy_words(machine, core, src, lo: int, hi: int, dst: MemRegion, at: int, fn=None) -> None:
-    """``dst[at + k] = fn(src[lo + k])`` for ``k < hi - lo`` on one core,
-    charged exactly as reading and writing one word at a time in order.
-
-    The copy is cut wherever either stream crosses a block boundary, and
-    each piece is one ``read_run`` and one ``write_run``: inside a piece the
-    word loop only alternates between the same two blocks.  A piece is a
-    single word when that is not the same thing: when one block fills the
-    cache (``M == B``), when the trace must list every access in order, or
-    when the two streams share a block (a read could see an earlier write).
-    ``fn`` defaults to the identity.
-    """
-    B = machine.config.B
-    src_base = getattr(src, "region", src).base
-    by_word = machine.config.M == B or machine._trace is not None
-    while lo < hi:
-        s, d = src_base + lo, dst.base + at
-        if by_word or s // B == d // B:
-            step = 1
-        else:
-            step = min(hi - lo, B - s % B, B - d % B)
-        vals = core.read_run(src, lo, lo + step)
-        core.write_run(dst, at, vals if fn is None else [fn(v) for v in vals])
-        lo += step
-        at += step
 
 
 def spaced_slots(machine, count: int) -> MemRegion:
@@ -405,8 +378,7 @@ def compact(machine, parts, cores, dest: MemRegion | None = None, stride: int = 
             off = item - starts[k]
             take = min(hi, starts[k + 1]) - item
             if take > 0:
-                _copy_words(machine, core, parts[k], off * stride, (off + take) * stride,
-                            dst, item * stride)
+                core.copy_run(parts[k], off * stride, (off + take) * stride, dst, item * stride)
                 item += take
             k += 1
 

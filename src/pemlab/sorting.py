@@ -33,7 +33,7 @@ from math import isqrt
 
 from pemlab.machine import MachineFault, MemRegion
 from pemlab.partition import PartitionTask, _distribute_columns, partition_main
-from pemlab.primitives import KeySeq, _copy_words, _subseq, parallel_for, sample_splitters
+from pemlab.primitives import KeySeq, _subseq, parallel_for, sample_splitters
 
 __all__ = ["SortPlan", "SortStats", "sample_sort"]
 
@@ -155,7 +155,7 @@ def _tag_keys(machine, a: KeySeq, cores) -> KeySeq:
 
     def body(core, ci, lo, hi):
         offsets = count(lo)
-        _copy_words(machine, core, a, lo, hi, reg, lo, lambda v: (v, next(offsets)))
+        core.copy_run(a, lo, hi, reg, lo, lambda v: (v, next(offsets)))
 
     parallel_for(machine, a.n, cores, body)
     return KeySeq(reg, a.n)

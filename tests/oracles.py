@@ -2,14 +2,22 @@
 
 Each oracle is deliberately naive — a different algorithm written
 directly from the defining property — so agreement with the library is
-evidence rather than circularity.  All arithmetic is exact rational;
-none of these functions import library geometry code.
+evidence rather than circularity.  All arithmetic is exact: rational,
+except that ``gift_wrap`` keeps ``int`` coordinates as ``int`` (integer
+products are exact too, and ``3 == Fraction(3)`` with equal hashes, so its
+result compares the same).  None of these functions import library
+geometry code.
 """
 from fractions import Fraction
 
 
 def _frac(v):
     return v if isinstance(v, Fraction) else Fraction(v)
+
+
+def _exact(v):
+    """``v`` itself when it is an ``int``, else ``v`` as a ``Fraction``."""
+    return v if isinstance(v, int) else _frac(v)
 
 
 def clip_once(poly, a, b, c):
@@ -95,7 +103,7 @@ def gift_wrap(points):
     degenerate inputs (single point, collinear set) yield their
     extremes.
     """
-    uniq = sorted({(_frac(x), _frac(y)) for x, y in points})
+    uniq = sorted({(_exact(x), _exact(y)) for x, y in points})
     if len(uniq) <= 2:
         return frozenset(uniq)
     start = uniq[0]

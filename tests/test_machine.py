@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pemlab.machine import Machine, MachineConfig, MachineFault, MemRegion
-from pemlab.primitives import _copy_words
 
 
 def scan_program(region, out=None):
@@ -230,6 +229,38 @@ class TestBlockMisses:
         m.run_rounds({0: holder, 1: writer})
         state = m.cache_state()
         assert state.holders.get(region.base // 8) == [1]
+
+    def test_lone_writer_charges_a_reader_that_no_longer_holds_the_block(self, make_machine):
+        # M == B: core 0 reads block 0, then evicts it by reading block 1,
+        # while core 1 alone writes block 0 in the same round.
+        m = make_machine(p=2, M=8, B=8)
+        region = m.alloc(16)
+
+        def reader(core):
+            core.read(region.addr(0))
+            core.read(region.addr(8))
+
+        def writer(core):
+            core.write(region.addr(1), 5)
+
+        m.run_rounds({0: reader, 1: writer})
+        assert m.ledger().per_core_block_misses == (1, 0)
+        assert m.cache_state().holders == {0: [1], 1: [0]}
+
+    def test_settle_trace_rows_follow_block_order(self):
+        # Both cores write block 1 before block 0; the barrier's rows still
+        # list block 0 first.
+        m = Machine(MachineConfig(p=2, M=64, B=8), trace=True)
+        region = m.alloc(16)
+
+        def prog(core):
+            core.write(region.addr(8 + core.idx), 1)
+            core.write(region.addr(core.idx), 1)
+
+        m.run_rounds([prog, prog])
+        migrations = [row for row in m._trace if row[2] == "migrate"]
+        assert migrations == [(0, 1, "migrate", 0, "block_miss"),
+                              (0, 1, "migrate", 8, "block_miss")]
 
     def test_same_round_writes_of_one_address_flag_diagnostic(self, make_machine):
         m = make_machine(p=2, B=8)
@@ -558,6 +589,18 @@ def _route_for(regions, dests, log):
     return route
 
 
+def _fn_for(mapped, log):
+    """``None`` (the identity) or a map that logs every word it is given."""
+    if not mapped:
+        return None
+
+    def fn(v):
+        log.append(("fn", v))
+        return v * 2 + 1
+
+    return fn
+
+
 def _run_op(machine, core, regions, op, log):
     kind = op[0]
     if kind == "read":
@@ -576,8 +619,7 @@ def _run_op(machine, core, regions, op, log):
         core.route_run(regions[op[1]], op[2], op[3], _route_for(regions, op[4], log))
     else:
         _, r, lo, hi, d, at, mapped = op
-        fn = (lambda v: v * 2 + 1) if mapped else None
-        _copy_words(machine, core, regions[r], lo, hi, regions[d], at, fn)
+        core.copy_run(regions[r], lo, hi, regions[d], at, _fn_for(mapped, log))
 
 
 def _word_op(machine, core, regions, op, log):
@@ -598,9 +640,10 @@ def _word_op(machine, core, regions, op, log):
             core.write(dst.addr(j), word)
     elif kind == "copy":
         _, r, lo, hi, d, at, mapped = op
+        fn = _fn_for(mapped, log) or (lambda v: v)
         for k in range(hi - lo):
             v = core.read(regions[r].addr(lo + k))
-            core.write(regions[d].addr(at + k), v * 2 + 1 if mapped else v)
+            core.write(regions[d].addr(at + k), fn(v))
     else:
         _run_op(machine, core, regions, op, log)
 
@@ -719,6 +762,35 @@ class TestRuns:
                        ("copy", 0, 0, 4, 1, 8, False)]]}]
         _assert_runs_match_words((2, 16, 4), [4, 12], steps)
 
+    def test_word_replayed_piece_and_batched_piece_write_one_address(self):
+        # M/B = 2, B = 4: a piece routing to three blocks is replayed word by
+        # word; the other piece of the run is batched.  Both write region 1
+        # word 0, and the later word in program order must win.
+        spread = [(1, 0), (1, 4), (1, 8), (1, 12)]
+        steps = [{0: [[("route_run", 0, 0, 8, spread + [(1, 0)] * 4)],
+                      [("route_run", 0, 0, 8, [(1, 0)] * 4 + spread)]]}]
+        _assert_runs_match_words((1, 8, 4), [8, 16], steps)
+
+    def test_route_into_a_later_block_of_its_own_source(self):
+        # Word 1 lands in the second source block, which a later piece reads
+        # and routes.
+        steps = [{0: [[("route_run", 0, 0, 8, [(1, 0), (0, 6), (1, 1), (1, 2),
+                                               (1, 3), (1, 4), (1, 5), (0, 7)])]]}]
+        _assert_runs_match_words((1, 16, 4), [8, 8], steps)
+
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_copy_whose_streams_share_a_block(self, mapped):
+        # An in-place shift right by one reads every word it just wrote.
+        steps = [{0: [[("copy", 0, 0, 9, 0, 1, mapped)], [("copy", 0, 2, 10, 0, 1, mapped)]]}]
+        _assert_runs_match_words((1, 16, 4), [10], steps)
+
+    def test_copy_calls_fn_once_per_word_in_order(self):
+        steps = [{0: [[("copy", 0, 1, 7, 1, 3, True), ("copy", 1, 0, 9, 0, 0, True)]]}]
+        _assert_runs_match_words((1, 16, 4), [9, 12], steps)
+        log = _execute((1, 16, 4), [9, 12], steps, _run_op, False)[-1]
+        assert log[:6] == [("fn", v) for v in range(1, 7)]
+        assert len(log) == 6 + 9
+
     def test_runs_past_their_region_fault(self, make_machine):
         m = make_machine(B=4)
         a = m.alloc(6)
@@ -731,7 +803,7 @@ class TestRuns:
             lambda c: c.route_run(a, 5, 7, lambda v: (b, 0, v)),
             lambda c: c.route_run(a, 0, 2, lambda v: (b, 6, v)),
             lambda c: c.read_run(outside, 0, 1),
-            lambda c: _copy_words(m, c, a, 0, 6, b, 1),
+            lambda c: c.copy_run(a, 0, 6, b, 1),
         ]
         for call in calls:
             with pytest.raises(MachineFault):
@@ -739,3 +811,35 @@ class TestRuns:
         # The word loop would fault too, at its first word past the end.
         with pytest.raises(MachineFault):
             a.addr(6)
+
+    def test_copy_past_its_destination_charges_nothing(self, make_machine):
+        m = make_machine(B=4)
+        a = m.alloc(6)
+        b = m.alloc(6)
+        with pytest.raises(MachineFault):
+            m.run_rounds([lambda c: c.copy_run(a, 0, 6, b, 1)])
+        assert m.ledger().per_core_ops == (0,)
+        assert m.ledger().per_core_cache_misses == (0,)
+        assert m.cache_state().resident == ((),)
+
+    @pytest.mark.parametrize("bad", ["raises", "outside"])
+    def test_failed_route_leaves_its_run_uncharged(self, make_machine, bad):
+        # The fault is at word 5, in the second source block: the whole run
+        # stays uncharged, the first block's piece included.
+        m = make_machine(B=4)
+        a = m.alloc(8)
+        b = m.alloc(8)
+
+        def route(v):
+            if v == 5:
+                if bad == "raises":
+                    raise ValueError(v)
+                return b, 8, v
+            return b, v, v
+
+        m.load(a, range(8))
+        with pytest.raises(ValueError if bad == "raises" else MachineFault):
+            m.run_rounds([lambda c: c.route_run(a, 0, 8, route)])
+        assert m.ledger().per_core_ops == (0,)
+        assert m.ledger().per_core_cache_misses == (0,)
+        assert m.cache_state().resident == ((),)
