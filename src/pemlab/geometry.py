@@ -37,15 +37,11 @@ __all__ = [
     "canonical_chain",
     "clip_chain",
     "coeff",
-    "convex_hull_points",
     "cross",
-    "feasible",
     "frac",
     "halfplane",
-    "intersect_halfplanes",
     "intersect_halfplanes_ordered",
-    "line_intersect",
-    "point2",
+    "plane_word",
     "unbounded_directions",
 ]
 
@@ -89,15 +85,17 @@ class HalfPlane(NamedTuple):
     c: int | Fraction
 
 
-def point2(x, y) -> Point2:
-    return Point2(frac(x), frac(y))
+def plane_word(w) -> tuple:
+    """The first three entries of ``w`` as exact coefficients ``(a, b, c)``
+    in a plain tuple (the form a plane takes in machine memory)."""
+    a, b, c = coeff(w[0]), coeff(w[1]), coeff(w[2])
+    if a == 0 and b == 0:
+        raise GeometryError("half-plane normal must be nonzero")
+    return (a, b, c)
 
 
 def halfplane(a, b, c) -> HalfPlane:
-    a, b, c = coeff(a), coeff(b), coeff(c)
-    if a == 0 and b == 0:
-        raise GeometryError("half-plane normal must be nonzero")
-    return HalfPlane(a, b, c)
+    return HalfPlane._make(plane_word((a, b, c)))
 
 
 def _vertex_form(p) -> tuple:
@@ -127,27 +125,9 @@ def _point(v) -> Point2:
     return Point2(Fraction(v[0], v[2]), Fraction(v[1], v[2]))
 
 
-def _admits(planes, v, strict: bool = False) -> bool:
-    """Does the vertex form ``v`` satisfy every plane (strictly, if asked)?"""
-    X, Y, D = v
-    if strict:
-        return all(h.a * X + h.b * Y < h.c * D for h in planes)
-    return all(h.a * X + h.b * Y <= h.c * D for h in planes)
-
-
 def cross(o: Point2, p: Point2, q: Point2) -> Fraction:
     """Signed area of the turn o->p->q; positive means counterclockwise."""
     return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
-
-
-def line_intersect(h: HalfPlane, g: HalfPlane) -> Point2 | None:
-    """Intersection point of the two boundary lines, or None if parallel."""
-    v = _meet(h, g)
-    return None if v is None else _point(v)
-
-
-def feasible(pt, planes, strict: bool = False) -> bool:
-    return _admits(planes, _vertex_form(pt), strict)
 
 
 def angle_key(v) -> tuple:
@@ -242,58 +222,6 @@ def clip_chain(vertices, h: HalfPlane) -> list:
     return out
 
 
-def convex_hull_points(pts) -> tuple:
-    """Strictly convex ccw hull of a point set (monotone chain, exact).
-
-    Collinear boundary points are dropped; the chain starts at the
-    lexicographically smallest vertex.  Degenerate inputs yield chains of
-    one or two vertices.
-    """
-    uniq = sorted(set(Point2(frac(p[0]), frac(p[1])) for p in pts))
-    if len(uniq) <= 2:
-        return tuple(uniq)
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(uniq)
-    upper = half(reversed(uniq))
-    if len(lower) == 2 and len(upper) == 2:
-        return tuple(lower)  # all points collinear
-    return tuple(lower[:-1] + upper[:-1])
-
-
-def intersect_halfplanes(planes) -> tuple:
-    """Vertices (ccw, strictly convex) of a bounded half-plane intersection.
-
-    Clips by brute force: every pairwise boundary intersection that
-    satisfies all constraints is a candidate, and the region is the convex
-    hull of the candidates.  Raises when the region is unbounded, empty, or
-    has no interior (fewer than three hull vertices).
-    """
-    planes = [halfplane(*h) for h in planes]
-    if unbounded_directions(planes):
-        raise GeometryError("half-plane intersection is unbounded")
-    cand = set()
-    m = len(planes)
-    for i in range(m):
-        for j in range(i + 1, m):
-            v = _meet(planes[i], planes[j])
-            if v is not None and _admits(planes, v):
-                cand.add(_point(v))
-    if not cand:
-        raise GeometryError("half-plane intersection is empty")
-    chain = convex_hull_points(cand)
-    if len(chain) < 3:
-        raise GeometryError("half-plane intersection has no interior")
-    return chain
-
-
 def _tighter(h: HalfPlane, g: HalfPlane) -> bool:
     """For same-direction constraints: is ``h`` at least as restrictive?
 
@@ -316,6 +244,25 @@ def _violates(h1: HalfPlane, h2: HalfPlane, h: HalfPlane) -> bool:
     return h.a * X + h.b * Y > h.c * D
 
 
+def _reach(planes) -> int:
+    """A bound on ``|x|`` and ``|y|`` where any two boundary lines meet.
+
+    With each plane scaled to integers, Cramer's rule gives a coordinate of
+    a meet as a 2x2 minor of the coefficients over ``|det| >= 1``, so
+    ``2 * max|c| * max(|a|, |b|)`` bounds both.
+    """
+    top_ab = top_c = 1
+    for h in planes:
+        a, b, c = h
+        if type(a) is not int or type(b) is not int or type(c) is not int:
+            s = math.lcm(frac(a).denominator, frac(b).denominator,
+                         frac(c).denominator)
+            a, b, c = int(a * s), int(b * s), int(c * s)
+        top_ab = max(top_ab, abs(a), abs(b))
+        top_c = max(top_c, abs(c))
+    return 2 * top_ab * top_c
+
+
 def intersect_halfplanes_ordered(planes) -> tuple:
     """Deque half-plane intersection: ccw vertices in O(m log m).
 
@@ -325,8 +272,10 @@ def intersect_halfplanes_ordered(planes) -> tuple:
     (an axis direction always separates a direction from its antipode),
     which guarantees every needed vertex exists.  If a box constraint
     survives to the final envelope the box was too small and the sweep
-    repeats with the width squared; the loop terminates because the region
-    is bounded.  Raises when the region is unbounded or has no interior.
+    repeats with the width squared.  Once the width exceeds :func:`_reach`,
+    every vertex of a nonempty bounded region lies strictly inside the box,
+    so a box constraint that still survives means the region is empty.
+    Raises when the region is unbounded, empty or has no interior.
     """
     planes = [halfplane(*h) for h in planes]
     if unbounded_directions(planes):
@@ -361,6 +310,8 @@ def intersect_halfplanes_ordered(planes) -> tuple:
             raise GeometryError("half-plane intersection has no interior")
         boxset = set(box) - set(planes)
         if any(h in boxset for h in dq):
+            if width > _reach(planes):
+                raise GeometryError("half-plane intersection is empty")
             width = width * width
             continue
         verts = [_point(_vertex(dq[i - 1], dq[i])) for i in range(len(dq))]
@@ -393,6 +344,3 @@ class HullChain:
         if m < 3:
             return m > 0
         return all(cross(v[i - 1], v[i], v[(i + 1) % m]) > 0 for i in range(m))
-
-    def canonical(self) -> "HullChain":
-        return HullChain(canonical_chain(self.vertices))

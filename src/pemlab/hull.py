@@ -2,7 +2,7 @@
 
 The driver :func:`hull_main` intersects ``m`` half-planes whose common
 interior contains a known point.  After translating that point to the
-origin, each round samples a few planes, brute-forces their intersection
+origin, each round samples a few planes, computes their intersection
 into a small polygon, polls random planes to estimate how the rest spread
 over the polygon's angular sectors, and accepts a sample whose estimated
 spread is balanced.  Every plane is then routed to the sectors whose
@@ -56,8 +56,8 @@ from pemlab.geometry import (
     coeff,
     cross,
     frac,
-    intersect_halfplanes,
     intersect_halfplanes_ordered,
+    plane_word,
     unbounded_directions,
 )
 from pemlab.machine import MachineFault
@@ -87,7 +87,6 @@ __all__ = [
     "expand_by_sector",
     "filter_sector",
     "find_sectors",
-    "halfplane_brute",
     "hull_main",
     "locate_points",
     "maxima_par",
@@ -194,36 +193,17 @@ def _make_ctx(machine, m, cores, plan, stats, stream) -> _Ctx:
                 base_stream=stream)
 
 
-def _plane_word(w) -> tuple:
-    a, b, c = coeff(w[0]), coeff(w[1]), coeff(w[2])
-    if a == 0 and b == 0:
-        raise GeometryError("half-plane normal must be nonzero")
-    return (a, b, c)
-
-
 # --------------------------------------------------------------------------
 # sequential building blocks
 
 
-def halfplane_brute(machine, planes: KeySeq, core) -> HullChain:
-    """Intersect a small plane set by checking all boundary pairs.
-
-    One core reads the ``m`` planes and is charged ``m**2`` comparison work;
-    the chain comes from the exact pairwise-candidate clipper.  Raises
-    :class:`GeometryError` when the intersection is unbounded or has no
-    interior.
-    """
-    words = _scan_words(machine, planes, core, tick=max(1, planes.n))
-    verts = intersect_halfplanes([_plane_word(w) for w in words])
-    return HullChain(verts)
-
-
-def _hull_base(machine, planes: KeySeq, core) -> HullChain:
-    """Sequential base case: one core clips all planes in sorted order."""
-    m = planes.n
-    words = _scan_words(machine, planes, core, tick=max(1, m.bit_length()))
-    verts = intersect_halfplanes_ordered([_plane_word(w) for w in words])
-    return HullChain(verts)
+def _hull_base(machine, planes: KeySeq, core, tick: int) -> HullChain:
+    """Sequential base case: one core reads the planes, is charged ``tick``
+    per plane, and clips them all in sorted order.  Raises
+    :class:`GeometryError` when the intersection is unbounded, empty or has
+    no interior."""
+    words = _scan_words(machine, planes, core, tick=tick)
+    return HullChain(intersect_halfplanes_ordered(words))
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +235,7 @@ def _poll_intervals(machine, polled: KeySeq, chain: HullChain, core) -> list:
     """Sector interval span of each polled plane against the sample chain."""
     words = _scan_words(machine, polled, core,
                         tick=max(1, len(chain.vertices)))
-    return [_sector_interval(_plane_word(w), chain.int_vertices)
+    return [_sector_interval(plane_word(w), chain.int_vertices)
             for w in words]
 
 
@@ -298,8 +278,9 @@ def polling_sample(machine, planes: KeySeq, cores, plan: HullPlan | None = None,
 
     Draws ``candidate_count`` random plane samples (each augmented with the
     four dual-extreme planes so the sample has a chance of being bounded),
-    brute-forces each, and polls random planes to estimate both the total
-    number of sector copies and the largest sector group.  A candidate is
+    clips each with :func:`_hull_base` at the ``m**2`` cost of a brute-force
+    clip, and polls random planes to estimate both the total number of
+    sector copies and the largest sector group.  A candidate is
     accepted when it is bounded, its estimated largest group respects
     ``group_bound``, and its estimated copies stay within the expansion
     budget; the best accepted candidate (fewest estimated copies) wins.
@@ -315,7 +296,7 @@ def polling_sample(machine, planes: KeySeq, cores, plan: HullPlan | None = None,
     for w in machine.snapshot_memory(planes.region)[:planes.n]:
         if not all(isinstance(x, (int, Fraction)) for x in w[:3]):
             raise GeometryError("plane coefficients must be int or Fraction")
-        if _plane_word(w)[2] <= 0:
+        if plane_word(w)[2] <= 0:
             raise GeometryError("polling needs the origin strictly interior "
                                 "(c > 0)")
     ctx = _make_ctx(machine, planes.n, cores, plan, stats, stream)
@@ -328,7 +309,7 @@ def _polling_sample(ctx: _Ctx, planes: KeySeq, cores):
     s = plan.sample_size(m)
     k = plan.candidate_count(m)
     q = plan.poll_count(m)
-    extremes = [_plane_word(w) for w in _dual_extremes(machine, planes, cores)]
+    extremes = [plane_word(w) for w in _dual_extremes(machine, planes, cores)]
 
     candidates = []
     for i in range(k):
@@ -337,12 +318,13 @@ def _polling_sample(ctx: _Ctx, planes: KeySeq, cores):
                                   stream=ctx.next_stream())
         drawn_words = _scan_words(machine, drawn, core)
         sample_words = []
-        for w in [_plane_word(v) for v in drawn_words] + extremes:
+        for w in [plane_word(v) for v in drawn_words] + extremes:
             if w not in sample_words:
                 sample_words.append(w)
         sample_seq = _write_words(machine, sample_words, core)
         try:
-            chain = halfplane_brute(machine, sample_seq, core)
+            chain = _hull_base(machine, sample_seq, core,
+                               max(1, sample_seq.n))
         except GeometryError:
             continue
         candidates.append((chain, sample_words))
@@ -388,7 +370,7 @@ def dualize(machine, planes: KeySeq, cores) -> KeySeq:
     the original coefficients, so later passes never chase references."""
 
     def to_dual(w):
-        a, b, c = _plane_word(w)
+        a, b, c = plane_word(w)
         if c <= 0:
             raise GeometryError("dualization needs the origin strictly "
                                 "interior (c > 0)")
@@ -792,7 +774,7 @@ def _staircase(vals, tail, rule) -> list:
 def _score(v1, v2, w) -> tuple:
     """The plane word ``w`` as ``(u . P1, u . P2, a, b, c)`` for the sector
     vertices ``P1``, ``P2`` given in vertex form."""
-    a, b, c = _plane_word(w)
+    a, b, c = plane_word(w)
     (X1, Y1, D1), (X2, Y2, D2) = v1, v2
     return (Fraction(a * X1 + b * Y1, c * D1),
             Fraction(a * X2 + b * Y2, c * D2), a, b, c)
@@ -855,14 +837,15 @@ def _sector_bands(sizes, cores) -> list:
 def _hull_rec(ctx: _Ctx, planes: KeySeq, cores, depth: int) -> HullChain:
     machine, plan = ctx.machine, ctx.plan
     m = planes.n
+    tick = max(1, m.bit_length())
     if len(cores) == 1 or m <= ctx.grain:
-        return _hull_base(machine, planes, cores[0])
+        return _hull_base(machine, planes, cores[0], tick)
     if depth >= plan.depth_cap:
         machine.diagnostics.append(
             f"hull: depth cap {plan.depth_cap} reached at m={m}; "
             "finishing sequentially")
         ctx.stats.fallbacks += 1
-        return _hull_base(machine, planes, cores[0])
+        return _hull_base(machine, planes, cores[0], tick)
 
     picked = _polling_sample(ctx, planes, cores)
     if picked is None:
@@ -870,7 +853,7 @@ def _hull_rec(ctx: _Ctx, planes: KeySeq, cores, depth: int) -> HullChain:
             f"hull: no polling candidate accepted at m={m}; "
             "finishing sequentially")
         ctx.stats.fallbacks += 1
-        return _hull_base(machine, planes, cores[0])
+        return _hull_base(machine, planes, cores[0], tick)
     chain, sample_words = picked
     t = len(chain.vertices)
 
@@ -959,12 +942,12 @@ def hull_main(machine, planes: KeySeq, cores, plan: HullPlan | None = None,
                                               coeff(interior[1]))
 
     def shift(w):
-        a, b, c = _plane_word(w)
+        a, b, c = plane_word(w)
         return (a, b, coeff(c - a * ix - b * iy))
 
     moved = ix != 0 or iy != 0
     normalized = _map_pass(machine, planes, cores,
-                           shift if moved else _plane_word, tick=3)
+                           shift if moved else plane_word, tick=3)
     host = machine.snapshot_memory(normalized.region)[:m]
     if any(w[2] <= 0 for w in host):
         raise GeometryError("the interior point must satisfy every "

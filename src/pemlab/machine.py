@@ -114,7 +114,6 @@ class MachineConfig:
     B: int
     miss_latency: int = 1
     seed: int = 0
-    tall_cache: bool = False
 
     def __post_init__(self) -> None:
         if self.p < 1:
@@ -127,30 +126,6 @@ class MachineConfig:
             raise MachineFault("M must be a multiple of B")
         if self.miss_latency < 0:
             raise MachineFault("miss_latency must be >= 0")
-        if self.tall_cache and self.M < self.B * self.B:
-            raise MachineFault("tall_cache requires M >= B*B")
-
-    @classmethod
-    def from_text(cls, text: str) -> "MachineConfig":
-        """Parse a ``key = value`` scenario config (p, M, B, seed, miss_latency)."""
-        fields = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise MachineFault(f"bad config line: {raw!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            fields[key] = val
-        kwargs = {}
-        for key in ("p", "M", "B", "seed", "miss_latency"):
-            if key in fields:
-                kwargs[key] = int(fields.pop(key))
-        if "tall_cache" in fields:
-            kwargs["tall_cache"] = fields.pop("tall_cache").lower() in ("1", "true", "yes")
-        if fields:
-            raise MachineFault(f"unknown config keys: {sorted(fields)}")
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -601,7 +576,7 @@ class Machine:
 
     # -- execution ---------------------------------------------------------
 
-    def run_rounds(self, programs) -> CostLedger:
+    def run_rounds(self, programs) -> None:
         """Run per-core programs to completion in lockstep rounds.
 
         ``programs`` maps core ids to functions of one argument (the
@@ -609,8 +584,8 @@ class Machine:
         program is called at its turn in round 0, in core-id order.  A call
         that returns a generator continues at every following round until
         the generator is exhausted, so each ``yield`` is a global barrier;
-        any other return value completes a one-round program.  Returns the
-        cumulative ledger.
+        any other return value completes a one-round program.  Returns
+        ``None``; :meth:`ledger` gives the cumulative costs.
         """
         if not isinstance(programs, dict):
             programs = dict(enumerate(programs))
@@ -619,7 +594,7 @@ class Machine:
             if not 0 <= idx < self.config.p:
                 raise MachineFault(f"no core {idx} on a {self.config.p}-core machine")
         if not order:
-            return self.ledger()
+            return
         self._round = self._rounds
         alive = []
         for idx in order:
@@ -635,7 +610,7 @@ class Machine:
             self._settle_round()
             self._rounds += 1
             if not alive:
-                return self.ledger()
+                return
             self._round = self._rounds
             survivors = []
             for idx, gen in alive:

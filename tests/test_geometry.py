@@ -22,18 +22,15 @@ from pemlab.geometry import (
     GeometryError,
     HullChain,
     Point2,
+    _meet,
+    _point,
     angle_key,
     canonical_chain,
     clip_chain,
-    convex_hull_points,
     cross,
-    feasible,
     frac,
     halfplane,
-    intersect_halfplanes,
     intersect_halfplanes_ordered,
-    line_intersect,
-    point2,
     unbounded_directions,
 )
 
@@ -53,6 +50,22 @@ def rand_planes(rng, m, n=64):
     for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         planes.append((a, b, rng.randrange(n, 2 * n)))
     return planes
+
+
+def wrapped_chain(pts):
+    """The gift-wrap oracle's vertices as a ccw cycle from the smallest.
+
+    Ordered by angle around the vertex centroid, which is strictly inside
+    once there are three or more vertices.
+    """
+    verts = sorted(gift_wrap(pts))
+    if len(verts) >= 3:
+        cx = F(sum(v[0] for v in verts), len(verts))
+        cy = F(sum(v[1] for v in verts), len(verts))
+        verts.sort(key=lambda v: angle_key((v[0] - cx, v[1] - cy)))
+        k = verts.index(min(verts))
+        verts = verts[k:] + verts[:k]
+    return tuple(Point2(frac(x), frac(y)) for x, y in verts)
 
 
 # ---------------------------------------------------------------- oracles
@@ -101,9 +114,9 @@ def test_oracle_strip_collinear():
 
 
 def test_cross_and_dominates():
-    assert cross(point2(0, 0), point2(1, 0), point2(0, 1)) == 1
-    assert cross(point2(0, 0), point2(0, 1), point2(1, 0)) == -1
-    assert cross(point2(0, 0), point2(2, 2), point2(3, 3)) == 0
+    assert cross((0, 0), (1, 0), (0, 1)) == 1
+    assert cross((0, 0), (0, 1), (1, 0)) == -1
+    assert cross((0, 0), (2, 2), (3, 3)) == 0
 
 
 def test_halfplane_rejects_zero_normal():
@@ -111,21 +124,15 @@ def test_halfplane_rejects_zero_normal():
         halfplane(0, 0, 1)
 
 
-def test_line_intersect():
+def test_meet_point():
     h = halfplane(1, 0, 2)
     g = halfplane(0, 1, 3)
-    assert line_intersect(h, g) == Point2(F(2), F(3))
-    assert line_intersect(h, halfplane(2, 0, 5)) is None
-    assert line_intersect(halfplane(1, 1, 4), halfplane(1, -1, 0)) == \
+    got = _point(_meet(h, g))
+    assert got == Point2(F(2), F(3))
+    assert type(got.x) is F and type(got.y) is F
+    assert _meet(h, halfplane(2, 0, 5)) is None
+    assert _point(_meet(halfplane(1, 1, 4), halfplane(1, -1, 0))) == \
         Point2(F(2), F(2))
-
-
-def test_feasible_strict_and_weak():
-    planes = [halfplane(1, 0, 1), halfplane(0, 1, 1)]
-    assert feasible((1, 0), planes)
-    assert not feasible((1, 0), planes, strict=True)
-    assert feasible((0, 0), planes, strict=True)
-    assert not feasible((2, 0), planes)
 
 
 # -------------------------------------------------------------- angle_key
@@ -175,8 +182,8 @@ def test_canonical_chain_idempotent_random():
     for _ in range(25):
         pts = [(rng.randrange(-40, 40), rng.randrange(-40, 40))
                for _ in range(rng.randrange(3, 30))]
-        chain = convex_hull_points(pts)
-        assert canonical_chain(chain) == tuple(chain)
+        chain = wrapped_chain(pts)
+        assert canonical_chain(chain) == chain
 
 
 @settings(max_examples=120, deadline=None)
@@ -187,7 +194,7 @@ def test_canonical_chain_idempotent_random():
               st.integers(-60, 60)).filter(lambda h: (h[0], h[1]) != (0, 0)),
 )
 def test_clip_chain_matches_oracle(pts, h):
-    chain = convex_hull_points(pts)
+    chain = wrapped_chain(pts)
     if len(chain) < 3:
         return
     got = clip_chain(chain, halfplane(*h))
@@ -203,37 +210,6 @@ def test_clip_chain_pinned():
     kept = clip_chain(sq, halfplane(1, 1, 4))
     assert canonical_chain(kept) == (
         Point2(F(0), F(0)), Point2(F(4), F(0)), Point2(F(0), F(4)))
-
-
-# ------------------------------------------------------------ point hulls
-
-
-def test_convex_hull_points_vs_gift_wrap():
-    rng = random.Random(23)
-    for t in range(60):
-        kind = t % 3
-        if kind == 0:
-            pts = [(rng.randrange(-50, 50), rng.randrange(-50, 50))
-                   for _ in range(rng.randrange(1, 40))]
-        elif kind == 1:  # small grid: many collinear and duplicate points
-            pts = [(rng.randrange(0, 4), rng.randrange(0, 4))
-                   for _ in range(rng.randrange(1, 25))]
-        else:  # clustered with repeats
-            base = [(rng.randrange(-9, 9), rng.randrange(-9, 9))
-                    for _ in range(rng.randrange(1, 8))]
-            pts = [rng.choice(base) for _ in range(rng.randrange(1, 20))]
-        chain = convex_hull_points(pts)
-        assert set(chain) == gift_wrap(pts)
-        if len(chain) >= 3:
-            assert HullChain(chain).is_convex_ccw()
-        if chain:
-            assert chain[0] == min(chain)
-
-
-def test_convex_hull_points_degenerate():
-    assert convex_hull_points([(3, 1), (3, 1)]) == (Point2(F(3), F(1)),)
-    assert convex_hull_points([(0, 0), (2, 2), (1, 1)]) == (
-        Point2(F(0), F(0)), Point2(F(2), F(2)))
 
 
 # --------------------------------------------------- half-plane envelopes
@@ -254,20 +230,21 @@ def test_intersect_halfplanes_square():
     box = [(1, 0, 2), (-1, 0, 0), (0, 1, 3), (0, -1, 0)]
     want = (Point2(F(0), F(0)), Point2(F(2), F(0)),
             Point2(F(2), F(3)), Point2(F(0), F(3)))
-    assert intersect_halfplanes(box) == want
     assert intersect_halfplanes_ordered(box) == want
 
 
 def test_intersect_halfplanes_errors():
-    with pytest.raises(GeometryError):
-        intersect_halfplanes([(1, 0, 1), (0, 1, 1)])  # unbounded
-    with pytest.raises(GeometryError):
-        intersect_halfplanes_ordered([(1, 0, 1), (0, 1, 1)])
-    empty = [(1, 0, 0), (-1, 0, -1), (0, 1, 1), (0, -1, 1)]
-    with pytest.raises(GeometryError):
-        intersect_halfplanes(empty)
-    with pytest.raises(GeometryError):
-        intersect_halfplanes_ordered(empty)
+    for planes in (
+        [(1, 0, 1), (0, 1, 1)],                            # unbounded
+        [(1, 0, 0), (-1, 0, -1), (0, 1, 1), (0, -1, 1)],   # empty
+        # empty, and the box stays on the envelope at every width
+        [(1, -4, 2), (-2, 2, 0), (2, -4, -2), (0, 4, -4)],
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -1, 1)],    # a segment
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)],    # a point
+        [(1, 1, 0), (-1, 1, 0), (0, -1, 0)],               # three through a point
+    ):
+        with pytest.raises(GeometryError):
+            intersect_halfplanes_ordered(planes)
 
 
 def test_intersect_halfplanes_beyond_starting_box():
@@ -275,7 +252,6 @@ def test_intersect_halfplanes_beyond_starting_box():
     planes = [(1, 0, big), (0, 1, big), (-1, -1, 0)]
     want = hull_vertices_by_clipping(planes)
     assert set(intersect_halfplanes_ordered(planes)) == want
-    assert set(intersect_halfplanes(planes)) == want
 
 
 def test_intersect_halfplanes_random_agreement():
@@ -283,10 +259,9 @@ def test_intersect_halfplanes_random_agreement():
     for t in range(40):
         planes = rand_planes(rng, rng.randrange(1, 25))
         want = hull_vertices_by_clipping(planes)
-        got_brute = intersect_halfplanes(planes)
-        got_ordered = intersect_halfplanes_ordered(planes)
-        assert tuple(got_brute) == tuple(got_ordered)
-        assert set(got_brute) == want
+        got = intersect_halfplanes_ordered(planes)
+        assert set(got) == want
+        assert HullChain(got).is_convex_ccw() and got[0] == min(got)
 
 
 def test_hull_chain_validation():

@@ -17,16 +17,16 @@ from pemlab.geometry import (
     HullChain,
     Point2,
     halfplane,
-    intersect_halfplanes,
+    intersect_halfplanes_ordered,
 )
 from pemlab.hull import (
     HullPlan,
     HullStats,
+    _hull_base,
     convex_hull_2d,
     expand_by_sector,
     filter_sector,
     find_sectors,
-    halfplane_brute,
     hull_main,
     maxima_par,
     maxima_seq,
@@ -204,10 +204,11 @@ class TestHullMain:
 
 class TestHalfplaneBrute:
     def test_matches_oracle(self):
+        # The polling sample's clip, charged as a brute-force m**2 pass.
         rng = random.Random(2)
         planes = bounded_instance(rng, 15)
         m = make(p=1)
-        chain = halfplane_brute(m, load_seq(m, planes), m.cores[0])
+        chain = _hull_base(m, load_seq(m, planes), m.cores[0], len(planes))
         assert chain_vertex_set(chain) == hull_vertices_by_clipping(planes)
         assert m.ledger().ops >= 15 * 15  # quadratic work is charged
 
@@ -242,7 +243,7 @@ SAMPLE_PLANES = [(1, 0, 4), (-1, 0, 4), (0, 1, 4), (0, -1, 4), (1, 1, 6)]
 
 class TestSectorRouting:
     def test_intervals_match_flag_arcs(self):
-        chain = HullChain(intersect_halfplanes(SAMPLE_PLANES))
+        chain = HullChain(intersect_halfplanes_ordered(SAMPLE_PLANES))
         t = len(chain.vertices)
         rng = random.Random(13)
         planes = bounded_instance(rng, 120, n=16)
@@ -274,7 +275,7 @@ class TestSectorRouting:
             assert sorted(got[key], key=repr) == sorted(want[key], key=repr)
 
     def test_expand_by_sector_buckets(self):
-        chain = HullChain(intersect_halfplanes(SAMPLE_PLANES))
+        chain = HullChain(intersect_halfplanes_ordered(SAMPLE_PLANES))
         t = len(chain.vertices)
         rng = random.Random(29)
         planes = [pl for pl in bounded_instance(rng, 60, n=16)]
@@ -314,7 +315,7 @@ class TestSectorRouting:
 
 class TestFilterSector:
     def test_region_within_wedge_is_preserved(self):
-        chain = HullChain(intersect_halfplanes(SAMPLE_PLANES))
+        chain = HullChain(intersect_halfplanes_ordered(SAMPLE_PLANES))
         t = len(chain.vertices)
         rng = random.Random(17)
         planes = bounded_instance(rng, 80, n=16)
@@ -350,7 +351,7 @@ class TestFilterSector:
         assert checked >= 3
 
     def test_empty_sector(self):
-        chain = HullChain(intersect_halfplanes(SAMPLE_PLANES))
+        chain = HullChain(intersect_halfplanes_ordered(SAMPLE_PLANES))
         m = make()
         seq = KeySeq(m.alloc(0), 0)
         survivors, host = filter_sector(m, seq, 0, chain, m.cores)
