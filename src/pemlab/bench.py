@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from pemlab.hull import HullStats, hull_main
 from pemlab.machine import Machine, MachineConfig, MachineFault
@@ -41,9 +41,6 @@ __all__ = [
     "run_sweep",
 ]
 
-CSV_HEADER = ("algo,n,p,M,B,seed,status,ops,crit_path,cache_misses,"
-              "block_misses,rounds,retries,bound,ratio")
-
 # Acceptance-suite policy constants, not asymptotic claims: miss-ratio
 # series may spread by 4x, critical-path series by 2.5x.
 DEFAULT_MISS_BAND = 4.0
@@ -54,6 +51,10 @@ BOUND_FORMULAS = {
     "hull": "(n/B) * log_M n",
     "prefix": "n/B",
 }
+
+# Smallest generated instance of each algorithm: a hull instance holds four
+# box planes plus at least one random plane.
+_SIZE_FLOOR = {"sort": 1, "hull": 5, "prefix": 1}
 
 
 @dataclass(frozen=True)
@@ -90,11 +91,21 @@ class ScenarioRow:
             return "" if v is None else (repr(v) if isinstance(v, float)
                                          else str(v))
 
-        return ",".join(cell(v) for v in (
-            self.algo, self.n, self.p, self.M, self.B, self.seed,
-            self.status, self.ops, self.crit_path, self.cache_misses,
-            self.block_misses, self.rounds, self.retries, self.bound,
-            self.ratio))
+        return ",".join(cell(getattr(self, f.name)) for f in _COLUMNS)
+
+
+# The CSV columns are the fields of ScenarioRow, in order.
+_COLUMNS = fields(ScenarioRow)
+CSV_HEADER = ",".join(f.name for f in _COLUMNS)
+_CASTS = {"str": str, "int": int, "float": float}
+
+
+def _parse_cell(column, text: str):
+    """A CSV cell as its column's type; empty means ``None`` where the
+    column defaults to ``None``."""
+    if not text and column.default is None:
+        return None
+    return _CASTS[column.type.removesuffix(" | None")](text)
 
 
 def _log_base_m(n: int, M: int) -> float:
@@ -110,6 +121,12 @@ def _miss_bound(algo: str, n: int, M: int, B: int) -> tuple:
             return None, "bound degenerate: log_M n needs n >= 2"
         return (n / B) * _log_base_m(n, M), None
     return max(1.0, n / B), None
+
+
+def _below_floor(algo: str, n: int) -> str | None:
+    """Why ``algo`` cannot generate an instance of size ``n``, or ``None``."""
+    floor = _SIZE_FLOOR[algo]
+    return f"{algo} needs n >= {floor}" if n < floor else None
 
 
 def _sort_instance(n: int, seed: int) -> list:
@@ -143,15 +160,32 @@ def _load(machine: Machine, vals: list) -> KeySeq:
     return KeySeq(region, len(vals))
 
 
+def _measured(row: ScenarioRow, machine: Machine, retries: int,
+              bound: float | None) -> ScenarioRow:
+    """``row`` filled with ``machine``'s ledger, the bound and the ratio."""
+    led = machine.ledger()
+    return replace(
+        row,
+        ops=led.ops,
+        crit_path=led.critical_path,
+        cache_misses=led.cache_misses,
+        block_misses=led.block_misses,
+        rounds=led.rounds,
+        retries=retries,
+        bound=bound,
+        ratio=None if bound is None else led.cache_misses / bound,
+    )
+
+
 def run_scenario(algo: str, n: int, p: int, M: int, B: int,
                  seed: int) -> ScenarioRow:
     """Run one sweep point on a private simulator and measure it."""
     row = ScenarioRow(algo=algo, n=n, p=p, M=M, B=B, seed=seed)
     if algo not in BOUND_FORMULAS:
         raise MachineFault(f"unknown algorithm {algo!r}")
-    floor = {"sort": 1, "hull": 5, "prefix": 1}[algo]
-    if n < floor:
-        return replace(row, status=f"skipped({algo} needs n >= {floor})")
+    reason = _below_floor(algo, n)
+    if reason is not None:
+        return replace(row, status=f"skipped({reason})")
     bound, reason = _miss_bound(algo, n, M, B)
     if bound is None:
         return replace(row, status=f"skipped({reason})")
@@ -173,18 +207,7 @@ def run_scenario(algo: str, n: int, p: int, M: int, B: int,
     else:
         prefix_sum(machine, _load(machine, _prefix_instance(n, seed)),
                    machine.cores)
-    led = machine.ledger()
-    return replace(
-        row,
-        ops=led.ops,
-        crit_path=led.critical_path,
-        cache_misses=led.cache_misses,
-        block_misses=led.block_misses,
-        rounds=led.rounds,
-        retries=retries,
-        bound=bound,
-        ratio=led.cache_misses / bound,
-    )
+    return _measured(row, machine, retries, bound)
 
 
 # ------------------------------------------------------------------ sweeps
@@ -239,11 +262,17 @@ def run_sweep(config_text: str, env=None) -> list:
     """
     env = os.environ if env is None else env
     override = env.get("PEMLAB_SEED")
+    if override is not None:
+        try:
+            override = int(override)
+        except ValueError:
+            raise MachineFault(
+                f"PEMLAB_SEED must be an integer; got {override!r}") from None
     rows = []
     for algo, keys in parse_sweep_config(config_text):
         grids = {k: list(keys.get(k, _SWEEP_DEFAULTS.get(k, []))) for k in _SWEEP_KEYS}
         if override is not None:
-            grids["seed"] = [int(override)]
+            grids["seed"] = [override]
         for n in grids["n"]:
             for p in grids["p"]:
                 for M in grids["M"]:
@@ -266,18 +295,10 @@ def parse_csv(text: str) -> list:
     rows = []
     for ln in lines[1:]:
         cells = ln.split(",")
-        if len(cells) != 15:
+        if len(cells) != len(_COLUMNS):
             raise MachineFault(f"malformed CSV row: {ln!r}")
-
-        def num(i, cast):
-            return cast(cells[i]) if cells[i] else None
-
-        rows.append(ScenarioRow(
-            algo=cells[0], n=int(cells[1]), p=int(cells[2]), M=int(cells[3]),
-            B=int(cells[4]), seed=int(cells[5]), status=cells[6],
-            ops=num(7, int), crit_path=num(8, int), cache_misses=num(9, int),
-            block_misses=num(10, int), rounds=num(11, int),
-            retries=num(12, int), bound=num(13, float), ratio=num(14, float)))
+        rows.append(ScenarioRow(*(_parse_cell(column, text)
+                                  for column, text in zip(_COLUMNS, cells))))
     return rows
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import random
 import sys
 from pathlib import Path
 
@@ -18,9 +17,13 @@ from pemlab import fileio
 from pemlab.bench import (
     CSV_HEADER,
     ScenarioRow,
+    _below_floor,
     _hull_instance,
     _load,
+    _measured,
     _miss_bound,
+    _prefix_instance,
+    _sort_instance,
     check_bands,
     parse_csv,
     rows_to_csv,
@@ -51,16 +54,21 @@ def _machine_args(sub):
     sub.add_argument("--seed", type=int, default=0)
 
 
-def _emit_row(args, algo, machine, retries, bound):
-    led = machine.ledger()
-    ratio = led.cache_misses / bound if bound else None
-    row = ScenarioRow(
-        algo=algo, n=args.n, p=args.p, M=args.M, B=args.B, seed=args.seed,
-        ops=led.ops, crit_path=led.critical_path,
-        cache_misses=led.cache_misses, block_misses=led.block_misses,
-        rounds=led.rounds, retries=retries, bound=bound, ratio=ratio)
+def _generated(algo, args, instance):
+    """The sweep's seeded instance of size ``--n``; refuses sizes the sweep
+    would skip."""
+    reason = _below_floor(algo, args.n)
+    if reason is not None:
+        raise MachineFault(reason)
+    return instance(args.n, args.seed)
+
+
+def _emit_row(args, algo, machine, retries):
+    bound, _ = _miss_bound(algo, args.n, args.M, args.B)
+    row = ScenarioRow(algo=algo, n=args.n, p=args.p, M=args.M, B=args.B,
+                      seed=args.seed)
     print(CSV_HEADER)
-    print(row.to_csv())
+    print(_measured(row, machine, retries, bound).to_csv())
 
 
 def _cmd_sweep(args) -> int:
@@ -79,16 +87,14 @@ def _cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def _read_keys_or_generate(args, gen):
+def _read_keys_or_generate(algo, args, instance):
     if args.keys:
         return fileio.read_keys(args.keys, binary=args.binary)
-    rng = random.Random(args.seed)
-    return [gen(rng) for _ in range(args.n)]
+    return _generated(algo, args, instance)
 
 
 def _cmd_sort(args) -> int:
-    vals = _read_keys_or_generate(
-        args, lambda rng: rng.randrange(max(1, 4 * args.n)))
+    vals = _read_keys_or_generate("sort", args, _sort_instance)
     args.n = len(vals)
     machine = Machine(MachineConfig(p=args.p, M=args.M, B=args.B,
                                     seed=args.seed))
@@ -98,8 +104,7 @@ def _cmd_sort(args) -> int:
                       plan=plan, stats=stats, stream=args.seed)
     result = machine.snapshot_memory(out.region)[: out.n]
     print(f"sorted {len(result)} keys, digest {_digest(result)}")
-    bound, _ = _miss_bound("sort", args.n, args.M, args.B)
-    _emit_row(args, "sort", machine, stats.resamples, bound)
+    _emit_row(args, "sort", machine, stats.resamples)
     return 0
 
 
@@ -108,7 +113,7 @@ def _cmd_hull(args) -> int:
         planes = fileio.read_planes(args.planes)
         args.n = len(planes)
     else:
-        planes = _hull_instance(args.n, args.seed)
+        planes = _generated("hull", args, _hull_instance)
     machine = Machine(MachineConfig(p=args.p, M=args.M, B=args.B,
                                     seed=args.seed))
     stats = HullStats()
@@ -123,13 +128,12 @@ def _cmd_hull(args) -> int:
             print(f"{v.x} {v.y}")
         print(f"hull: {len(chain.vertices)} vertices, "
               f"digest {_digest(chain.vertices)}")
-    bound, _ = _miss_bound("hull", args.n, args.M, args.B)
-    _emit_row(args, "hull", machine, stats.repolls, bound)
+    _emit_row(args, "hull", machine, stats.repolls)
     return 0
 
 
 def _cmd_prefix(args) -> int:
-    vals = _read_keys_or_generate(args, lambda rng: rng.randrange(-100, 100))
+    vals = _read_keys_or_generate("prefix", args, _prefix_instance)
     args.n = len(vals)
     machine = Machine(MachineConfig(p=args.p, M=args.M, B=args.B,
                                     seed=args.seed))
@@ -138,8 +142,7 @@ def _cmd_prefix(args) -> int:
     tail = result[-1] if result else 0
     print(f"prefix over {len(result)} keys, total {tail}, "
           f"digest {_digest(result)}")
-    bound, _ = _miss_bound("prefix", args.n, args.M, args.B)
-    _emit_row(args, "prefix", machine, 0, bound)
+    _emit_row(args, "prefix", machine, 0)
     return 0
 
 

@@ -116,7 +116,6 @@ class HullPlan:
 
     eps_inv: int = 32
     expansion: int = 4
-    candidates: int | None = None
     poll_floor: int = 16
     repolls: int = 1
     base_floor: int = 32
@@ -133,8 +132,6 @@ class HullPlan:
         return max(1, math.ceil(m ** (1.0 / self.eps_inv)))
 
     def candidate_count(self, m: int) -> int:
-        if self.candidates is not None:
-            return self.candidates
         return max(1, round(math.log2(max(2, m))))
 
     def poll_count(self, m: int) -> int:
@@ -467,11 +464,11 @@ def _partition_by(machine, seq: KeySeq, splitters, cores, ctx_n, ctx_p):
     if len(cores) == 1 or z * z > seq.n:
         return partition_seq(machine, seq, tuple(splitters), cores[0])
     task = PartitionTask(seq, tuple(splitters), N=ctx_n, P=ctx_p)
-    return partition_main(machine, task, cores, check=False)
+    return partition_main(machine, task, cores)
 
 
 def locate_points(machine, duals: KeySeq, arr: Arrangement, cores,
-                  root_n: int | None = None, root_p: int | None = None) -> list:
+                  root_n: int, root_p: int) -> list:
     """Group dual points by arrangement region; returns ``(slice, interval)``
     pairs covering all of ``duals``.
 
@@ -487,11 +484,11 @@ def locate_points(machine, duals: KeySeq, arr: Arrangement, cores,
     plane ``(a, b, c)`` that the dual point carries, not the point itself:
     with ``c > 0`` and ``D > 0`` the line ``(X, Y, D)`` lies at or below
     ``u = (a/c, b/c)`` iff ``a*X + b*Y >= c*D`` when ``Y > 0``, and iff
-    ``a*X + b*Y <= c*D`` when ``Y < 0``.
+    ``a*X + b*Y <= c*D`` when ``Y < 0``.  ``root_n`` and ``root_p`` are the
+    root problem's size and core count, which fix every partition's
+    sequential threshold (see :class:`~pemlab.partition.PartitionTask`).
     """
     n = duals.n
-    N = root_n if root_n is not None else max(1, n)
-    P = root_p if root_p is not None else max(1, len(cores))
     groups: list = []
     if n == 0:
         return groups
@@ -503,7 +500,7 @@ def locate_points(machine, duals: KeySeq, arr: Arrangement, cores,
         for x in xs:
             xsplit.append((x, float("-inf")))
             xsplit.append((x, float("inf")))
-        xrun = _partition_by(machine, duals, tuple(xsplit), cores, N, P)
+        xrun = _partition_by(machine, duals, tuple(xsplit), cores, root_n, root_p)
         starts = xrun.bucket_starts()
         buckets = [
             _subseq(xrun.seq, st, st + sz) if sz else None
@@ -532,7 +529,7 @@ def locate_points(machine, duals: KeySeq, arr: Arrangement, cores,
                            tick=1 + max(1, z.bit_length()))
         brun = _partition_by(machine, tagged,
                              tuple((k,) for k in range(1, z + 1)),
-                             cores, N, P)
+                             cores, root_n, root_p)
         bstarts = brun.bucket_starts()
         for band, (st, sz) in enumerate(zip(bstarts, brun.sizes)):
             if sz:
@@ -576,7 +573,7 @@ def _classify_direct(machine, bucket: KeySeq, arr: Arrangement, core) -> list:
 
 
 def find_sectors(machine, planes: KeySeq, chain: HullChain, cores,
-                 root_n: int | None = None, root_p: int | None = None) -> list:
+                 root_n: int, root_p: int) -> list:
     """Route every plane to its sector interval against ``chain``.
 
     Composition of :func:`dualize`, :func:`preprocess_arrangement`, and

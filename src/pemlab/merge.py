@@ -82,8 +82,8 @@ def plan_cuts(ends: list, p: int, y: int) -> list:
     return plans
 
 
-def merge_bucketed(machine, runs, cores, dest: MemRegion | None = None, stride: int = 1) -> BucketedRun:
-    """Merge ``x`` bucketed runs into one; items are ``stride`` words wide."""
+def merge_bucketed(machine, runs, cores, dest: MemRegion | None = None) -> BucketedRun:
+    """Merge ``x`` bucketed runs into one, into ``dest`` when given."""
     if not runs:
         raise MachineFault("nothing to merge")
     x = len(runs)
@@ -91,8 +91,8 @@ def merge_bucketed(machine, runs, cores, dest: MemRegion | None = None, stride: 
     if any(len(r.sizes) != t for r in runs):
         raise MachineFault("runs must share one bucket count")
     y = sum(r.seq.n for r in runs)
-    dst = dest if dest is not None else machine.alloc(y * stride)
-    if dst.len < y * stride:
+    dst = dest if dest is not None else machine.alloc(y)
+    if dst.len < y:
         raise MachineFault("destination region too small")
     col_sums = tuple(sum(r.sizes[j] for r in runs) for j in range(t))
     if y == 0:
@@ -134,8 +134,7 @@ def merge_bucketed(machine, runs, cores, dest: MemRegion | None = None, stride: 
             core.read(ends_seq.addr(k))
             j, i = divmod(k, x)
             base = row_starts[i][j]
-            core.copy_run(runs[i].seq.region, (base + a_lo) * stride,
-                          (base + a_hi) * stride, dst, out * stride)
+            core.copy_run(runs[i].seq.region, base + a_lo, base + a_hi, dst, out)
             out += a_hi - a_lo
 
     machine.run_rounds({cores[ci].idx: partial(copy, ci=ci) for ci in range(p)})

@@ -20,10 +20,14 @@ keeps the per-level work linear in ``n log z``.  Chunk jobs feeding a merge
 write in one pass into fixed-width bucket columns and hand the merge
 explicit segment starts, while the top-level sequential base packs its
 output contiguously with a counting pass first.
+
+Splitters are any sorted sequence of keys, such as the tuple that
+:func:`~pemlab.primitives.sample_splitters` returns; an unsorted one is
+rejected.  No routine here reads the cache size M or the block size B; only
+the merges they call lay out their size tables by B.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -31,7 +35,7 @@ from math import isqrt
 
 from pemlab.machine import MachineFault, MemRegion
 from pemlab.merge import BucketedRun, merge_bucketed
-from pemlab.primitives import KeySeq, SplitterSet, _subseq, brute_sort, compact, parallel_for
+from pemlab.primitives import KeySeq, _subseq, brute_sort, compact, parallel_for
 
 __all__ = [
     "PartitionTask",
@@ -43,7 +47,7 @@ __all__ = [
 
 
 def _splitter_keys(splitters) -> tuple:
-    keys = tuple(splitters.keys) if isinstance(splitters, SplitterSet) else tuple(splitters)
+    keys = tuple(splitters)
     if any(keys[i] > keys[i + 1] for i in range(len(keys) - 1)):
         raise MachineFault("splitters must be sorted")
     return keys
@@ -54,8 +58,8 @@ class PartitionTask:
     """A partition problem pinned to its root size ``N`` and core count ``P``.
 
     ``N`` and ``P`` stay fixed down the recursion so that the sequential
-    threshold ``N/P`` and the exponent ``q = 2 / (1 - log_n z)`` are
-    properties of the root problem, not of any subproblem.
+    threshold ``N/P`` is a property of the root problem, not of any
+    subproblem.
     """
 
     input: KeySeq
@@ -75,11 +79,13 @@ class PartitionTask:
     def z(self) -> int:
         return len(self.splitters)
 
-    @property
-    def q(self) -> float:
-        if self.z <= 1 or self.input.n <= 1:
-            return 2.0
-        return 2.0 / (1.0 - math.log(self.z) / math.log(self.input.n))
+
+def _core_band(cores, lo: int, hi: int, total: int):
+    """The cores serving ``[lo, hi)`` of ``total``: a proportional slice of
+    at least one core."""
+    g = len(cores)
+    band_lo = lo * g // total
+    return cores[band_lo : max(band_lo + 1, hi * g // total)]
 
 
 def _bucket_sizes_from_bounds(bounds: list, n: int) -> tuple:
@@ -89,12 +95,11 @@ def _bucket_sizes_from_bounds(bounds: list, n: int) -> tuple:
 
 
 def partition_seq(machine, a: KeySeq, splitters, core) -> BucketedRun:
-    """Sort on one core, then scan keys and splitters jointly for bounds."""
+    """Sort on one core, then scan the sorted keys against the splitters."""
     keys = _splitter_keys(splitters)
     z = len(keys)
     n = a.n
     out = machine.alloc(n)
-    region = splitters.region if isinstance(splitters, SplitterSet) else None
     if n == 0:
         return BucketedRun(KeySeq(out, 0), (0,) * (z + 1))
 
@@ -103,7 +108,7 @@ def partition_seq(machine, a: KeySeq, splitters, core) -> BucketedRun:
         vals.sort()
         c.tick(n * max(1, n.bit_length()))
         c.write_run(out, 0, vals)
-        # Scan ``out`` back, reading splitter ``j`` once the scan passes it.
+        # Scan ``out`` back, stopping at each key that passes a splitter.
         j = 0
         start = 0
         for i, v in enumerate(vals):
@@ -111,8 +116,6 @@ def partition_seq(machine, a: KeySeq, splitters, core) -> BucketedRun:
                 c.read_run(out, start, i + 1)
                 start = i + 1
                 while j < z and v > keys[j]:
-                    if region is not None:
-                        c.read(region.addr(j))
                     j += 1
         c.read_run(out, start, n)
         c.tick(n)
@@ -220,28 +223,17 @@ def partition_sqrt(machine, a: KeySeq, splitters, cores) -> BucketedRun:
     c_len = max(1, isqrt(n))
     full = max(1, n // c_len)
     ranges = [(i * c_len, (i + 1) * c_len) for i in range(full - 1)] + [((full - 1) * c_len, n)]
-    g = len(cores)
-    runs = []
-    for i, (lo, hi) in enumerate(ranges):
-        band_lo = i * g // len(ranges)
-        band_hi = max(band_lo + 1, (i + 1) * g // len(ranges))
-        runs.append(partition_quadratic(machine, _subseq(a, lo, hi), keys, cores[band_lo:band_hi]))
+    runs = [partition_quadratic(machine, _subseq(a, lo, hi), keys,
+                                _core_band(cores, i, i + 1, len(ranges)))
+            for i, (lo, hi) in enumerate(ranges)]
     return merge_bucketed(machine, runs, cores)
 
 
-def partition_main(machine, task: PartitionTask, cores, check: bool = True) -> BucketedRun:
+def partition_main(machine, task: PartitionTask, cores) -> BucketedRun:
     """Two-level recursive partition; see the module docstring for the plan."""
     a = task.input
     keys = task.splitters
     n, z = a.n, task.z
-    if check:
-        cfg = machine.config
-        p = len(cores)
-        need = max(cfg.M * p, (cfg.B ** task.q) * p)
-        if n < need:
-            machine.diagnostics.append(
-                f"partition_main: n={n} below cost precondition max(M*p, B^q*p)={need:.0f}"
-            )
     if n == 0:
         return BucketedRun(KeySeq(machine.alloc(0), 0), (0,) * (z + 1))
     if z == 0:
@@ -267,7 +259,6 @@ def partition_main(machine, task: PartitionTask, cores, check: bool = True) -> B
     interior.append(keys[prev + 1 :])
 
     dest = machine.alloc(n)
-    g = len(cores)
     starts = [0] + list(accumulate(coarse.sizes))
     sizes: list = []
     threshold = max(task.N // task.P, 64)
@@ -276,9 +267,7 @@ def partition_main(machine, task: PartitionTask, cores, check: bool = True) -> B
         if hi == lo:
             sizes.extend([0] * (len(inner) + 1))
             continue
-        band_lo = lo * g // n
-        band_hi = max(band_lo + 1, hi * g // n)
-        band = cores[band_lo:band_hi]
+        band = _core_band(cores, lo, hi, n)
         part = _subseq(coarse.seq, lo, hi)
         sub_dest = MemRegion(dest.base + lo, hi - lo)
         if not inner:
@@ -317,21 +306,18 @@ def _chunked(machine, seq: KeySeq, keys: tuple, task: PartitionTask, cores, refi
         ranges = [(i * c_len, (i + 1) * c_len) for i in range(full - 1)]
         ranges.append(((full - 1) * c_len, n))
 
-    g = len(cores)
     total = len(ranges) + (1 if short_range else 0)
     threshold = max(task.N // task.P, 64)
     runs = []
     for i, (lo, hi) in enumerate(ranges):
-        band_lo = i * g // total
-        band_hi = max(band_lo + 1, (i + 1) * g // total)
-        band = cores[band_lo:band_hi]
+        band = _core_band(cores, i, i + 1, total)
         if hi - lo <= threshold or len(band) == 1:
             runs.append(_distribute_columns(machine, _subseq(seq, lo, hi), keys, band[0]))
         else:
             sub = PartitionTask(_subseq(seq, lo, hi), keys, task.N, task.P)
-            runs.append(partition_main(machine, sub, band, check=False))
+            runs.append(partition_main(machine, sub, band))
     if short_range is not None:
         lo, hi = short_range
-        band = cores[: max(1, g // max(1, isqrt(c_len)))]
+        band = cores[: max(1, len(cores) // max(1, isqrt(c_len)))]
         runs.append(partition_sqrt(machine, _subseq(seq, lo, hi), keys, band))
     return merge_bucketed(machine, runs, cores, dest=dest)

@@ -13,9 +13,8 @@ never incur block misses.
 """
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from math import isqrt
 
@@ -23,7 +22,6 @@ from pemlab.machine import MachineFault, MemRegion
 
 __all__ = [
     "KeySeq",
-    "SplitterSet",
     "chunk_bounds",
     "parallel_for",
     "prefix_sum",
@@ -50,30 +48,6 @@ class KeySeq:
 
     def addr(self, i: int) -> int:
         return self.region.addr(i)
-
-
-@dataclass(frozen=True)
-class SplitterSet:
-    """Sorted splitters drawn from a key sequence.
-
-    ``x`` is the sampling exponent (splitter count is ``ceil(n**(1/x))``)
-    and ``t`` the oversampling ratio ``sqrt(n) / n**(1/x)``.  The failure
-    bound is the probability that some bucket induced by the splitters
-    exceeds ``(1 + t**(-1/6)) * n**(1 - 1/x)`` keys.
-    """
-
-    keys: tuple
-    x: int
-    t: float
-    region: MemRegion | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if any(self.keys[i] > self.keys[i + 1] for i in range(len(self.keys) - 1)):
-            raise MachineFault("splitters must be sorted")
-
-    def failure_bound(self) -> float:
-        root = self.t ** 0.5
-        return 1.0 / (root * 2.0 ** root)
 
 
 def chunk_bounds(n: int, p: int) -> list:
@@ -124,12 +98,10 @@ def _scan_words(machine, seq: KeySeq, core, tick: int = 1) -> list:
     return vals
 
 
-def _write_words(machine, words, core, dest: MemRegion | None = None) -> KeySeq:
-    """Write host words into a fresh (or given) region on one core."""
+def _write_words(machine, words, core) -> KeySeq:
+    """Write host words into a fresh region on one core."""
     n = len(words)
-    dst = dest if dest is not None else machine.alloc(n)
-    if dst.len < n:
-        raise MachineFault("destination region too small")
+    dst = machine.alloc(n)
 
     def prog(c):
         c.write_run(dst, 0, words)
@@ -212,8 +184,8 @@ def _reduce(machine, a: KeySeq, cores, combine):
     return _combine_slots(machine, slots, g, cores[:g], combine)
 
 
-def prefix_sum(machine, a: KeySeq, cores, op=operator.add, out: MemRegion | None = None) -> KeySeq:
-    """Inclusive prefix combine: ``R[i] = A[0] (op) ... (op) A[i]``.
+def prefix_sum(machine, a: KeySeq, cores) -> KeySeq:
+    """Inclusive prefix sum: ``R[i] = A[0] + ... + A[i]``.
 
     Phase one folds each core's block-aligned chunk bottom-up, storing every
     left-subtree value in an infix-laid tree array ``S``; a logarithmic
@@ -223,16 +195,14 @@ def prefix_sum(machine, a: KeySeq, cores, op=operator.add, out: MemRegion | None
     routine incurs no block misses once chunks hold at least one block.
     """
     n = a.n
-    if out is not None and out.len < n:
-        raise MachineFault("output region too small")
     if n == 0:
-        return KeySeq(out if out is not None else machine.alloc(0), 0)
+        return KeySeq(machine.alloc(0), 0)
     B = machine.config.B
     g = max(1, len(cores))
     chunk = -(-n // (g * B)) * B
     g = -(-n // chunk)
     sreg = machine.alloc(n)
-    rreg = out if out is not None else machine.alloc(n)
+    rreg = machine.alloc(n)
     aux = spaced_slots(machine, g)
     levels = []
     step = 1
@@ -248,13 +218,13 @@ def prefix_sum(machine, a: KeySeq, cores, op=operator.add, out: MemRegion | None
         core.write(sreg.addr(i + half), left)
         right = phase1(core, i + half, size - half)
         core.tick(1)
-        return op(left, right)
+        return left + right
 
     def phase2(core, i, size, carry):
         if size == 1:
             v = core.read(a.addr(i))
             if carry is not _NONE:
-                v = op(carry, v)
+                v = carry + v
                 core.tick(1)
             core.write(rreg.addr(i), v)
             return
@@ -264,7 +234,7 @@ def prefix_sum(machine, a: KeySeq, cores, op=operator.add, out: MemRegion | None
         if carry is _NONE:
             down = left
         else:
-            down = op(carry, left)
+            down = carry + left
             core.tick(1)
         phase2(core, i + half, size - half, down)
 
@@ -279,7 +249,7 @@ def prefix_sum(machine, a: KeySeq, cores, op=operator.add, out: MemRegion | None
             if ci % (2 * step) == 0 and ci + step < g:
                 other = core.read(_slot_addr(machine, aux, ci + step))
                 core.write(sreg.addr((ci + step) * chunk), acc)
-                acc = op(acc, other)
+                acc = acc + other
                 core.tick(1)
                 core.write(_slot_addr(machine, aux, ci), acc)
             yield
@@ -292,7 +262,7 @@ def prefix_sum(machine, a: KeySeq, cores, op=operator.add, out: MemRegion | None
                 if carry is _NONE:
                     carry = left
                 else:
-                    carry = op(carry, left)
+                    carry = carry + left
                     core.tick(1)
         phase2(core, lo, hi - lo, carry)
 
@@ -300,7 +270,7 @@ def prefix_sum(machine, a: KeySeq, cores, op=operator.add, out: MemRegion | None
     return KeySeq(rreg, n)
 
 
-def transpose(machine, a: KeySeq, m: int, n: int, cores, out: MemRegion | None = None) -> KeySeq:
+def transpose(machine, a: KeySeq, m: int, n: int, cores) -> KeySeq:
     """Transpose a row-major ``m x n`` matrix into an ``n x m`` one.
 
     Recursively halves the column range while ``n > m/4`` and the row range
@@ -311,9 +281,7 @@ def transpose(machine, a: KeySeq, m: int, n: int, cores, out: MemRegion | None =
     """
     if m * n != a.n:
         raise MachineFault("matrix shape disagrees with sequence length")
-    dst = out if out is not None else machine.alloc(m * n)
-    if dst.len < m * n:
-        raise MachineFault("output region too small")
+    dst = machine.alloc(m * n)
     if m * n == 0:
         return KeySeq(dst, 0)
 
@@ -354,16 +322,16 @@ def transpose(machine, a: KeySeq, m: int, n: int, cores, out: MemRegion | None =
     return KeySeq(dst, m * n)
 
 
-def compact(machine, parts, cores, dest: MemRegion | None = None, stride: int = 1) -> KeySeq:
-    """Concatenate item sequences; each core writes one contiguous slice.
+def compact(machine, parts, cores, dest: MemRegion | None = None) -> KeySeq:
+    """Concatenate key sequences; each core writes one contiguous slice.
 
-    ``parts`` is a list of :class:`KeySeq` whose items are ``stride`` words
-    wide.  Output slices are disjoint and in-order, so writes incur no block
-    misses once a slice spans at least one block.
+    ``parts`` is a list of :class:`KeySeq`.  Output slices are disjoint and
+    in-order, so writes incur no block misses once a slice spans at least
+    one block.
     """
     total = sum(part.n for part in parts)
-    dst = dest if dest is not None else machine.alloc(total * stride)
-    if dst.len < total * stride:
+    dst = dest if dest is not None else machine.alloc(total)
+    if dst.len < total:
         raise MachineFault("destination region too small")
     if total == 0:
         return KeySeq(dst, 0)
@@ -378,7 +346,7 @@ def compact(machine, parts, cores, dest: MemRegion | None = None, stride: int = 
             off = item - starts[k]
             take = min(hi, starts[k + 1]) - item
             if take > 0:
-                core.copy_run(parts[k], off * stride, (off + take) * stride, dst, item * stride)
+                core.copy_run(parts[k], off, off + take, dst, item)
                 item += take
             k += 1
 
@@ -386,7 +354,7 @@ def compact(machine, parts, cores, dest: MemRegion | None = None, stride: int = 
     return KeySeq(dst, total)
 
 
-def brute_sort(machine, a: KeySeq, cores, dest: MemRegion | None = None) -> KeySeq:
+def brute_sort(machine, a: KeySeq, cores) -> KeySeq:
     """Sort by all-pairs ranking: ``O(n^2/p)`` ops and no comparisons saved.
 
     Every core ranks its share of keys against the whole sequence (ties
@@ -395,9 +363,7 @@ def brute_sort(machine, a: KeySeq, cores, dest: MemRegion | None = None) -> KeyS
     gathers the ranks back into a contiguous result.
     """
     n = a.n
-    dst = dest if dest is not None else machine.alloc(n)
-    if dst.len < n:
-        raise MachineFault("destination region too small")
+    dst = machine.alloc(n)
     if n == 0:
         return KeySeq(dst, 0)
     scratch = machine.alloc(n * n)
@@ -426,22 +392,19 @@ def brute_sort(machine, a: KeySeq, cores, dest: MemRegion | None = None) -> KeyS
     return KeySeq(dst, n)
 
 
-def sample_splitters(machine, a: KeySeq, x: int, cores, stream: int = 0) -> SplitterSet:
-    """Draw ``ceil(n**(1/x))`` sorted splitters by oversampled chunk sampling.
+def sample_splitters(machine, a: KeySeq, z: int, cores, stream: int = 0) -> tuple:
+    """Draw ``z`` sorted splitters by oversampled chunk sampling.
 
-    One random key is read from each of the ``~sqrt(n)`` chunks, the sample
-    is brute-sorted, and every ``(sqrt(n) / n**(1/x))``-th element is kept.
+    One random key is read from each of ``m = max(isqrt(n), z)`` chunks, the
+    sample is brute-sorted, and every ``(m // z)``-th element is written to
+    a ``z``-word region on one core.  Returns the splitters as a sorted
+    tuple; raises unless ``1 <= z <= n``.
     """
     n = a.n
-    if x < 4:
-        raise MachineFault("sampling exponent x must be >= 4")
-    if n < 1:
-        raise MachineFault("cannot sample an empty sequence")
-    s_count = 1
-    while s_count**x < n:
-        s_count += 1
-    m_star = max(isqrt(n), s_count)
-    stride = max(1, m_star // s_count)
+    if not 1 <= z <= n:
+        raise MachineFault(f"need 1 <= z <= n splitters; got z={z} for n={n}")
+    m_star = max(isqrt(n), z)
+    step = m_star // z
     chunks = chunk_bounds(n, m_star)
     star = machine.alloc(m_star)
 
@@ -454,16 +417,14 @@ def sample_splitters(machine, a: KeySeq, x: int, cores, stream: int = 0) -> Spli
 
     parallel_for(machine, m_star, cores, body)
     sorted_star = brute_sort(machine, KeySeq(star, m_star), cores[:m_star])
-    sreg = machine.alloc(s_count)
+    sreg = machine.alloc(z)
 
     def select(core):
-        for j in range(1, s_count + 1):
-            core.write(sreg.addr(j - 1), core.read(sorted_star.addr(stride * j - 1)))
+        for j in range(1, z + 1):
+            core.write(sreg.addr(j - 1), core.read(sorted_star.addr(step * j - 1)))
 
     machine.run_rounds({cores[0].idx: select})
-    keys = tuple(machine.snapshot_memory(sreg))
-    t = m_star / s_count
-    return SplitterSet(keys=keys, x=x, t=t, region=sreg)
+    return tuple(machine.snapshot_memory(sreg))
 
 
 def sample_k_of_n_seq(machine, a: KeySeq, k: int, core, stream: int = 0) -> KeySeq:

@@ -37,31 +37,31 @@ from pemlab.primitives import KeySeq, _subseq, parallel_for, sample_splitters
 
 __all__ = ["SortPlan", "SortStats", "sample_sort"]
 
+# Smallest leaf size: a run this short is never sampled, whatever N/P is.
+_SEQ_FLOOR = 32
+
 
 @dataclass(frozen=True)
 class SortPlan:
     """Tuning knobs of the sample-sort recursion.
 
-    ``x`` is the sampling exponent: a subproblem of ``n`` keys is cut
-    around ``z = ceil(n**(1/x))`` splitters, and a round is accepted only
-    if its largest bucket is at most ``tau(n)``.  ``seq_floor`` bounds the
-    leaf size from below so tiny inputs never sample.
+    ``x`` is the sampling exponent (at least 4): a subproblem of ``n`` keys
+    is cut around ``z = ceil(n**(1/x))`` splitters, and a round is accepted
+    only if its largest bucket is at most ``tau(n)``.  ``retry_cap`` bounds
+    the redraws of one round.
     """
 
     x: int = 32
     retry_cap: int = 20
-    seq_floor: int = 32
 
     def __post_init__(self) -> None:
         if self.x < 4:
             raise MachineFault("sampling exponent x must be >= 4")
         if self.retry_cap < 1:
             raise MachineFault("retry cap must be positive")
-        if self.seq_floor < 1:
-            raise MachineFault("sequential floor must be positive")
 
     def splitter_count(self, n: int) -> int:
-        """Smallest ``z`` with ``z**x >= n``."""
+        """Smallest ``z`` with ``z**x >= n``: the splitters drawn per round."""
         z = 1
         while z**self.x < n:
             z += 1
@@ -138,7 +138,7 @@ def sample_sort(machine, a: KeySeq, cores, plan: SortPlan | None = None,
         )
     if n == 0:
         return KeySeq(out, 0)
-    cap = max(plan.seq_floor, cfg.M * cfg.M)
+    cap = max(_SEQ_FLOOR, cfg.M * cfg.M)
     ctx = _Ctx(machine=machine, plan=plan, N=n, P=len(cores), cap=cap,
                stats=stats, base_stream=stream)
     if len(cores) == 1 and n <= cap:
@@ -178,7 +178,7 @@ def _sort_rec(machine, seq: KeySeq, cores, out: MemRegion, off: int, ctx: _Ctx) 
     n = seq.n
     if n == 0:
         return
-    at_grain = len(cores) == 1 or n <= max(ctx.N // ctx.P, ctx.plan.seq_floor)
+    at_grain = len(cores) == 1 or n <= max(ctx.N // ctx.P, _SEQ_FLOOR)
     if at_grain and n <= ctx.cap:
         _leaf(machine, seq, cores[0], out, off, tagged=True)
     elif at_grain:
@@ -195,8 +195,9 @@ def _partition_round(machine, seq: KeySeq, cores, ctx: _Ctx, distribute):
     tau = plan.tau(n)
     run = None
     for attempt in range(plan.retry_cap + 1):
-        ss = sample_splitters(machine, seq, plan.x, cores, stream=ctx.next_stream())
-        run = distribute(ss)
+        keys = sample_splitters(machine, seq, plan.splitter_count(n), cores,
+                                stream=ctx.next_stream())
+        run = distribute(keys)
         stats.rounds += 1
         largest = max(run.sizes)
         if largest <= tau:
@@ -213,7 +214,7 @@ def _partition_round(machine, seq: KeySeq, cores, ctx: _Ctx, distribute):
 def _seq_branch(machine, seq: KeySeq, core, out: MemRegion, off: int, ctx: _Ctx) -> None:
     run = _partition_round(
         machine, seq, [core], ctx,
-        lambda ss: _distribute_columns(machine, seq, ss.keys, core),
+        lambda keys: _distribute_columns(machine, seq, keys, core),
     )
     starts = run.bucket_starts()
     sub_off = off
@@ -230,9 +231,9 @@ def _par_branch(machine, seq: KeySeq, cores, out: MemRegion, off: int, ctx: _Ctx
         _seq_branch(machine, seq, cores[0], out, off, ctx)
         return
 
-    def distribute(ss):
-        task = PartitionTask(seq, ss.keys, N=seq.n, P=p)
-        return partition_main(machine, task, cores, check=False)
+    def distribute(keys):
+        task = PartitionTask(seq, keys, N=seq.n, P=p)
+        return partition_main(machine, task, cores)
 
     run = _partition_round(machine, seq, cores, ctx, distribute)
     shares = _core_shares(run.sizes, p, ctx.N // ctx.P)

@@ -233,6 +233,27 @@ class TestCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_integer_seed_override_is_an_error(self, tmp_path, capsys,
+                                                   monkeypatch):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("[sort]\nn = 64\n")
+        monkeypatch.setenv("PEMLAB_SEED", "abc")
+        rc = main(["sweep", "--config", str(cfg),
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "error: PEMLAB_SEED" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_hull_below_generated_floor_is_an_error(self, capsys):
+        # Below n = 5 the generator returns only its four box planes.
+        assert main(["hull", "--n", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "error: hull needs n >= 5" in captured.err
+        assert captured.out == ""
+        assert main(["hull", "--n", "5"]) == 0
+        row = capsys.readouterr().out.splitlines()[-1]
+        assert row.startswith("hull,5,1,1024,8,0,ok,")
+
 
 class TestFileio:
     def test_keys_text_round_trip(self, tmp_path):

@@ -92,7 +92,6 @@ class TestHullPlan:
         assert plan.poll_count(2 ** 30) == 2 ** 30 // 30 ** 4
         assert plan.group_bound(1024) == pytest.approx(
             2.0 * 1024 ** (31 / 32) * 10.0)
-        assert HullPlan(candidates=7).candidate_count(999) == 7
         assert plan.candidate_count(4096) == 12
 
 
@@ -256,7 +255,8 @@ class TestSectorRouting:
         planes = [pl for pl in planes
                   if pl[2] > 0]  # dualization needs c > 0
         m = make(p=4, seed=8)
-        groups = find_sectors(m, load_seq(m, planes), chain, m.cores)
+        groups = find_sectors(m, load_seq(m, planes), chain, m.cores,
+                              len(planes), len(m.cores))
         got = {}
         covered = 0
         for sl, interval in groups:
@@ -280,7 +280,8 @@ class TestSectorRouting:
         rng = random.Random(29)
         planes = [pl for pl in bounded_instance(rng, 60, n=16)]
         m = make(p=4, seed=8)
-        groups = find_sectors(m, load_seq(m, planes), chain, m.cores)
+        groups = find_sectors(m, load_seq(m, planes), chain, m.cores,
+                              len(planes), len(m.cores))
         copies = expand_by_sector(m, groups, t, m.cores)
         exp = expected_sector_sets([(F(a), F(b), F(c)) for a, b, c in planes],
                                    chain.vertices)
@@ -320,7 +321,8 @@ class TestFilterSector:
         rng = random.Random(17)
         planes = bounded_instance(rng, 80, n=16)
         m = make(p=4, seed=4)
-        groups = find_sectors(m, load_seq(m, planes), chain, m.cores)
+        groups = find_sectors(m, load_seq(m, planes), chain, m.cores,
+                              len(planes), len(m.cores))
         copies = expand_by_sector(m, groups, t, m.cores)
         starts = copies.bucket_starts()
         words = seq_values(m, copies.seq)

@@ -9,10 +9,8 @@ from pemlab.merge import BucketedRun, merge_bucketed, plan_cuts
 from pemlab.primitives import KeySeq
 
 
-def load_run(machine, buckets, stride=1):
-    flat = [w for bucket in buckets for item in bucket for w in item] if stride > 1 else [
-        v for bucket in buckets for v in bucket
-    ]
+def load_run(machine, buckets):
+    flat = [v for bucket in buckets for v in bucket]
     reg = machine.alloc(max(1, len(flat)))
     machine.load(reg, flat)
     n = sum(len(b) for b in buckets)
@@ -28,8 +26,8 @@ def merged_oracle(all_buckets):
     return out
 
 
-def run_words(machine, run, stride=1):
-    return machine.snapshot_memory(run.seq.region)[: run.seq.n * stride]
+def run_words(machine, run):
+    return machine.snapshot_memory(run.seq.region)[: run.seq.n]
 
 
 class TestMergeBucketed:
@@ -70,13 +68,6 @@ class TestMergeBucketed:
         merged = merge_bucketed(m, [a, b, c], m.cores)
         assert run_words(m, merged) == [1, 4, 5]
         assert merged.sizes == (1, 2, 0)
-
-    def test_strided_records_move_atomically(self, make_machine):
-        m = make_machine(p=2)
-        a = load_run(m, [[(1, -1)], [(6, -6)]], stride=2)
-        b = load_run(m, [[(2, -2)], [(5, -5)]], stride=2)
-        merged = merge_bucketed(m, [a, b], m.cores, stride=2)
-        assert run_words(m, merged, stride=2) == [1, -1, 2, -2, 6, -6, 5, -5]
 
     def test_block_aligned_slices_have_no_block_misses(self, make_machine):
         # Pinned: two runs with two 64-word buckets each, p=4, B=16.

@@ -153,14 +153,6 @@ class TestPartitionMain:
         with pytest.raises(MachineFault):
             PartitionTask(load_seq(m, list(range(16))), [1, 2, 3, 4, 5], N=16, P=1)
 
-    def test_cost_precondition_logs_diagnostic_but_runs(self, make_machine):
-        m = make_machine(p=4, M=1024, B=8)
-        vals = list(range(128))
-        task = PartitionTask(load_seq(m, vals), [31, 63, 95], N=128, P=4)
-        run = partition_main(m, task, m.cores)
-        assert sum(run.sizes) == 128
-        assert any("cost precondition" in d for d in m.diagnostics)
-
     def test_two_splitters_take_single_phase(self, make_machine):
         m = make_machine(p=4, M=1024, B=8)
         rng = random.Random(21)

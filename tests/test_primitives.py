@@ -15,7 +15,6 @@ import pytest
 from pemlab import Machine, MachineConfig, MachineFault
 from pemlab.primitives import (
     KeySeq,
-    SplitterSet,
     _reduce,
     brute_sort,
     chunk_bounds,
@@ -26,6 +25,7 @@ from pemlab.primitives import (
     sample_splitters,
     transpose,
 )
+from pemlab.sorting import SortPlan
 
 
 def load_seq(machine, vals):
@@ -34,8 +34,8 @@ def load_seq(machine, vals):
     return KeySeq(reg, len(vals))
 
 
-def seq_values(machine, seq, stride=1):
-    return machine.snapshot_memory(seq.region)[: seq.n * stride]
+def seq_values(machine, seq):
+    return machine.snapshot_memory(seq.region)[: seq.n]
 
 
 class TestChunking:
@@ -135,21 +135,6 @@ class TestPrefixSum:
         res = prefix_sum(m, seq, m.cores)
         assert seq_values(m, res) == list(accumulate(vals))
 
-    def test_custom_operator_running_max(self, make_machine):
-        m = make_machine(p=4, M=512, B=8)
-        vals = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8]
-        seq = load_seq(m, vals)
-        res = prefix_sum(m, seq, m.cores, op=max)
-        assert seq_values(m, res) == list(accumulate(vals, max))
-
-    def test_writes_into_provided_region(self, make_machine):
-        m = make_machine(p=2, M=512, B=8)
-        seq = load_seq(m, [1, 2, 3, 4])
-        out = m.alloc(4)
-        res = prefix_sum(m, seq, m.cores, out=out)
-        assert res.region is out
-        assert seq_values(m, res) == [1, 3, 6, 10]
-
     def test_block_aligned_chunks_incur_no_block_misses(self, make_machine):
         # Pinned: 4096 words over 4 cores with M=256, B=16 stays block-clean.
         m = make_machine(p=4, M=256, B=16)
@@ -206,13 +191,6 @@ class TestCompact:
         res = compact(m, parts, m.cores)
         assert seq_values(m, res) == [1, 2, 3, 9, 4, 5]
 
-    def test_strided_items_move_whole_records(self, make_machine):
-        m = make_machine(p=2)
-        a = load_seq(m, [1, 10, 100, 2, 20, 200])
-        b = load_seq(m, [3, 30, 300])
-        res = compact(m, [KeySeq(a.region, 2), KeySeq(b.region, 1)], m.cores, stride=3)
-        assert seq_values(m, res, stride=3) == [1, 10, 100, 2, 20, 200, 3, 30, 300]
-
     def test_slice_per_core_writes_have_no_block_misses(self, make_machine):
         # Pinned: 4 parts of 256 words, p=4, B=16 compacts block-cleanly.
         m = make_machine(p=4, M=1024, B=16)
@@ -266,44 +244,47 @@ class TestSampleSplitters:
         # ceil(16**(1/4)) = 2 splitters from isqrt(16) = 4 chunk samples.
         m = make_machine(p=4, seed=5)
         seq = load_seq(m, [9, 4, 7, 1, 8, 2, 6, 3, 16, 12, 11, 14, 5, 10, 13, 15])
-        ss = sample_splitters(m, seq, 4, m.cores)
-        assert len(ss.keys) == 2
-        assert ss.t == pytest.approx(2.0)
+        z = SortPlan(x=4).splitter_count(16)
+        keys = sample_splitters(m, seq, z, m.cores)
+        assert z == 2
+        assert len(keys) == 2
+        assert keys == tuple(sorted(keys))
 
     def test_splitters_are_sorted_members_of_input(self, make_machine):
         m = make_machine(p=4, seed=11)
         vals = [random.Random(42).randrange(1000) for _ in range(256)]
         seq = load_seq(m, vals)
-        ss = sample_splitters(m, seq, 4, m.cores)
-        assert list(ss.keys) == sorted(ss.keys)
-        assert len(ss.keys) == 4  # ceil(256**(1/4))
-        assert ss.t == pytest.approx(4.0)
-        assert all(k in vals for k in ss.keys)
+        keys = sample_splitters(m, seq, 4, m.cores)
+        assert list(keys) == sorted(keys)
+        assert len(keys) == 4
+        assert all(k in vals for k in keys)
 
     def test_same_seed_reproduces_choice(self, make_machine):
         picks = []
         for _ in range(2):
             m = make_machine(p=4, seed=77)
             seq = load_seq(m, list(range(100)))
-            picks.append(sample_splitters(m, seq, 4, m.cores).keys)
+            picks.append(sample_splitters(m, seq, 4, m.cores))
         assert picks[0] == picks[1]
 
     def test_different_streams_vary_choice(self, make_machine):
         m = make_machine(p=4, seed=77)
         seq = load_seq(m, list(range(4096)))
-        a = sample_splitters(m, seq, 4, m.cores, stream=0).keys
-        b = sample_splitters(m, seq, 4, m.cores, stream=1).keys
+        a = sample_splitters(m, seq, 4, m.cores, stream=0)
+        b = sample_splitters(m, seq, 4, m.cores, stream=1)
         assert a != b
 
-    def test_small_exponent_rejected(self, make_machine):
+    @pytest.mark.parametrize("z", [0, 4])
+    def test_count_outside_one_to_n_rejected(self, make_machine, z):
         m = make_machine(p=1)
         seq = load_seq(m, [1, 2, 3])
         with pytest.raises(MachineFault):
-            sample_splitters(m, seq, 3, m.cores)
+            sample_splitters(m, seq, z, m.cores)
 
-    def test_failure_probability_formula(self):
-        ss = SplitterSet(keys=(1, 2), x=4, t=16.0)
-        assert ss.failure_bound() == pytest.approx(1.0 / (4.0 * 2.0**4.0))
+    def test_count_of_n_takes_every_key(self, make_machine):
+        m = make_machine(p=2)
+        seq = load_seq(m, [3, 1, 2])
+        assert sample_splitters(m, seq, 3, m.cores) == (1, 2, 3)
 
 
 class TestSampleKOfN:

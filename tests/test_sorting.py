@@ -32,8 +32,6 @@ class TestSortPlan:
     def test_rejects_bad_caps(self):
         with pytest.raises(MachineFault):
             SortPlan(retry_cap=0)
-        with pytest.raises(MachineFault):
-            SortPlan(seq_floor=0)
 
     def test_splitter_counts(self):
         assert SortPlan(x=4).splitter_count(16) == 2
