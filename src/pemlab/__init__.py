@@ -1,14 +1,7 @@
 """Simulated private-cache multicore machine and cache-oblivious parallel algorithms."""
 
 from pemlab.geometry import GeometryError, HalfPlane, HullChain, Point2
-from pemlab.hull import (
-    HullPlan,
-    HullStats,
-    convex_hull_2d,
-    hull_main,
-    maxima_par,
-    maxima_seq,
-)
+from pemlab.hull import HullStats, convex_hull_2d, hull_main, maxima_par
 from pemlab.machine import (
     CacheState,
     CostLedger,
@@ -32,7 +25,6 @@ __all__ = [
     "GeometryError",
     "HalfPlane",
     "HullChain",
-    "HullPlan",
     "HullStats",
     "IdAssignment",
     "KeySeq",
@@ -49,7 +41,6 @@ __all__ = [
     "estimate_processors",
     "hull_main",
     "maxima_par",
-    "maxima_seq",
     "merge_bucketed",
     "oblivious_prefix",
     "partition_main",

@@ -9,11 +9,18 @@ spread is balanced.  Every plane is then routed to the sectors whose
 triangle (origin, two adjacent sample vertices) it can actually cut, the
 per-sector groups are pruned by an exact dominance rule, and the sectors
 recurse independently.  The final chain is stitched per sector and is exact,
-with no epsilon anywhere.  Numbers follow the rule of :mod:`pemlab.geometry`:
-plane coefficients stay ``int`` when integral, every per-plane decision
-(dual extremes, sector flags, slab bands) is a sign test on cross-multiplied
-products against a chain's integer vertex forms, and a ``Fraction`` is built
-only for a value that is stored: a dual point, a filter score, a vertex.
+with no epsilon anywhere.
+
+There is one configuration.  The sampling exponent is fixed at ``1/32``;
+it and the other bounds of a round (poll size, copy budget, recursion
+floor and depth) are the private constants below, and the sorts use the
+default :class:`~pemlab.sorting.SortPlan`.
+
+Numbers follow the rule of :mod:`pemlab.geometry`: plane coefficients stay
+``int`` when integral, every per-plane decision (dual extremes, sector
+flags, slab bands) is a sign test on cross-multiplied products against a
+chain's integer vertex forms, and a ``Fraction`` is built only for a value
+that is stored: a dual point, a filter score, a vertex.
 
 Machine conventions: a half-plane ``a*x + b*y <= c`` is one memory word,
 stored as the tuple ``(a, b, c)``; points are ``(x, y)`` words.  Cores are
@@ -76,11 +83,10 @@ from pemlab.primitives import (
     spaced_slots,
 )
 from pemlab.primitives import _reduce as _reduce_words
-from pemlab.sorting import SortPlan, sample_sort
+from pemlab.sorting import sample_sort
 
 __all__ = [
     "Arrangement",
-    "HullPlan",
     "HullStats",
     "convex_hull_2d",
     "dualize",
@@ -90,7 +96,6 @@ __all__ = [
     "hull_main",
     "locate_points",
     "maxima_par",
-    "maxima_seq",
     "polling_sample",
     "preprocess_arrangement",
     "split_upper_lower",
@@ -98,49 +103,42 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# plans, statistics, context
+# constants, statistics, context
 
 
-@dataclass(frozen=True)
-class HullPlan:
-    """Tuning knobs for the sampling round.
+# Inverse of the sampling exponent: a candidate sample holds
+# ``ceil(m**(1/_EPS_INV))`` planes plus the four dual-extreme planes.
+_EPS_INV = 32
+# A round may write at most ``_EXPANSION * m`` plane copies.
+_EXPANSION = 4
+# Smallest poll, for sizes where ``m / log(m)**4`` collapses to nothing.
+_POLL_FLOOR = 16
+# Fresh polls after a round in which no candidate is accepted.
+_REPOLLS = 1
+# Smallest parallel sub-problem: at most ``max(N / P, _BASE_FLOOR)`` planes
+# are clipped on one core, whatever N/P is.
+_BASE_FLOOR = 32
+# Recursion depth at which a sub-problem finishes sequentially.
+_DEPTH_CAP = 12
 
-    ``eps_inv`` is the inverse of the sampling exponent: candidate samples
-    hold ``ceil(m**(1/eps_inv))`` planes plus the four dual-extreme planes,
-    and an accepted round must keep every sector group within
-    ``2 * m**(1 - 1/eps_inv) * log2(m)``.  ``expansion`` bounds the total
-    number of plane copies per round at ``expansion * m``.  ``poll_floor``
-    keeps the poll meaningful at small sizes where ``m / log(m)**4``
-    collapses to nothing.
-    """
 
-    eps_inv: int = 32
-    expansion: int = 4
-    poll_floor: int = 16
-    repolls: int = 1
-    base_floor: int = 32
-    depth_cap: int = 12
-    sort: SortPlan = field(default_factory=SortPlan)
+def _sample_size(m: int) -> int:
+    return max(1, math.ceil(m ** (1.0 / _EPS_INV)))
 
-    def __post_init__(self) -> None:
-        if self.eps_inv < 2:
-            raise MachineFault("eps_inv must be at least 2")
-        if self.expansion < 2:
-            raise MachineFault("expansion budget must be at least 2")
 
-    def sample_size(self, m: int) -> int:
-        return max(1, math.ceil(m ** (1.0 / self.eps_inv)))
+def _candidate_count(m: int) -> int:
+    return max(1, round(math.log2(max(2, m))))
 
-    def candidate_count(self, m: int) -> int:
-        return max(1, round(math.log2(max(2, m))))
 
-    def poll_count(self, m: int) -> int:
-        ilog = max(1, m.bit_length() - 1)
-        return min(m, max(self.poll_floor, m // ilog**4))
+def _poll_count(m: int) -> int:
+    ilog = max(1, m.bit_length() - 1)
+    return min(m, max(_POLL_FLOOR, m // ilog**4))
 
-    def group_bound(self, m: int) -> float:
-        eps = 1.0 / self.eps_inv
-        return 2.0 * (m ** (1.0 - eps)) * max(1.0, math.log2(max(2, m)))
+
+def _group_bound(m: int) -> float:
+    """Largest sector group an accepted round may keep."""
+    eps = 1.0 / _EPS_INV
+    return 2.0 * (m ** (1.0 - eps)) * max(1.0, math.log2(max(2, m)))
 
 
 @dataclass
@@ -168,7 +166,6 @@ class HullStats:
 @dataclass
 class _Ctx:
     machine: object
-    plan: HullPlan
     stats: HullStats
     N: int
     P: int
@@ -180,14 +177,12 @@ class _Ctx:
 
     @property
     def grain(self) -> int:
-        return max(self.N // self.P, self.plan.base_floor)
+        return max(self.N // self.P, _BASE_FLOOR)
 
 
-def _make_ctx(machine, m, cores, plan, stats, stream) -> _Ctx:
-    plan = plan if plan is not None else HullPlan()
+def _make_ctx(machine, m, cores, stats, stream) -> _Ctx:
     stats = stats if stats is not None else HullStats()
-    return _Ctx(machine, plan, stats, N=m, P=max(1, len(cores)),
-                base_stream=stream)
+    return _Ctx(machine, stats, N=m, P=max(1, len(cores)), base_stream=stream)
 
 
 # --------------------------------------------------------------------------
@@ -269,19 +264,20 @@ def _interval_sectors(interval, t: int) -> list:
     return [(lo + i) % t for i in range(min(span, t))]
 
 
-def polling_sample(machine, planes: KeySeq, cores, plan: HullPlan | None = None,
+def polling_sample(machine, planes: KeySeq, cores,
                    stats: HullStats | None = None, stream: int = 0):
     """Pick a bounded sample polygon whose sector load looks balanced.
 
-    Draws ``candidate_count`` random plane samples (each augmented with the
-    four dual-extreme planes so the sample has a chance of being bounded),
-    clips each with :func:`_hull_base` at the ``m**2`` cost of a brute-force
-    clip, and polls random planes to estimate both the total number of
-    sector copies and the largest sector group.  A candidate is
+    Draws ``_candidate_count(m)`` random plane samples (each augmented with
+    the four dual-extreme planes so the sample has a chance of being
+    bounded), clips each with :func:`_hull_base` at the ``m**2`` cost of a
+    brute-force clip, and polls random planes to estimate both the total
+    number of sector copies and the largest sector group.  A candidate is
     accepted when it is bounded, its estimated largest group respects
-    ``group_bound``, and its estimated copies stay within the expansion
-    budget; the best accepted candidate (fewest estimated copies) wins.
-    One re-poll with fresh planes follows if nothing is accepted.  Returns
+    ``_group_bound(m)``, and its estimated copies stay within
+    ``_EXPANSION * m``; the best accepted candidate (fewest estimated
+    copies) wins.  One re-poll with fresh planes follows if nothing is
+    accepted.  Returns
     ``(chain, sample_words)`` or ``None`` when every attempt fails.
 
     Raises :class:`GeometryError` unless every plane has ``int`` or
@@ -296,16 +292,16 @@ def polling_sample(machine, planes: KeySeq, cores, plan: HullPlan | None = None,
         if plane_word(w)[2] <= 0:
             raise GeometryError("polling needs the origin strictly interior "
                                 "(c > 0)")
-    ctx = _make_ctx(machine, planes.n, cores, plan, stats, stream)
+    ctx = _make_ctx(machine, planes.n, cores, stats, stream)
     return _polling_sample(ctx, planes, cores)
 
 
 def _polling_sample(ctx: _Ctx, planes: KeySeq, cores):
-    machine, plan = ctx.machine, ctx.plan
+    machine = ctx.machine
     m = planes.n
-    s = plan.sample_size(m)
-    k = plan.candidate_count(m)
-    q = plan.poll_count(m)
+    s = _sample_size(m)
+    k = _candidate_count(m)
+    q = _poll_count(m)
     extremes = [plane_word(w) for w in _dual_extremes(machine, planes, cores)]
 
     candidates = []
@@ -326,8 +322,8 @@ def _polling_sample(ctx: _Ctx, planes: KeySeq, cores):
             continue
         candidates.append((chain, sample_words))
 
-    bound = plan.group_bound(m)
-    for attempt in range(1 + max(0, plan.repolls)):
+    bound = _group_bound(m)
+    for attempt in range(1 + _REPOLLS):
         if attempt:
             ctx.stats.repolls += 1
         best = None
@@ -350,7 +346,7 @@ def _polling_sample(ctx: _Ctx, planes: KeySeq, cores):
             scale = m / q
             est_total = copies * scale
             est_group = max(per_sector) * scale if per_sector else 0.0
-            if est_group <= bound and est_total <= plan.expansion * m:
+            if est_group <= bound and est_total <= _EXPANSION * m:
                 if best is None or est_total < best[0]:
                     best = (est_total, chain, sample_words)
         if best is not None:
@@ -778,7 +774,7 @@ def _score(v1, v2, w) -> tuple:
 
 
 def filter_sector(machine, sector_planes: KeySeq, j: int, chain: HullChain,
-                  cores, plan: HullPlan | None = None, stream: int = 0):
+                  cores, stream: int = 0):
     """Drop the planes of sector ``j`` that another plane makes redundant.
 
     Each plane maps to its pair of scaled vertex products
@@ -788,14 +784,12 @@ def filter_sector(machine, sector_planes: KeySeq, j: int, chain: HullChain,
     every copy.  The pairs are sorted with the regular sorter and pruned by
     the chunked dominance sweep.  Returns ``(survivors, host_words)``.
     """
-    plan = plan if plan is not None else HullPlan()
     verts = chain.int_vertices
     score = partial(_score, verts[j], verts[(j + 1) % len(verts)])
     if sector_planes.n == 0:
         return KeySeq(machine.alloc(0), 0), []
     scored = _map_pass(machine, sector_planes, cores, score, tick=4)
-    ordered = sample_sort(machine, scored, cores, plan=plan.sort,
-                          stream=stream)
+    ordered = sample_sort(machine, scored, cores, stream=stream)
     return _sweep_survivors(machine, ordered, cores, "one_strict",
                             emit=lambda w: (w[2], w[3], w[4]))
 
@@ -832,14 +826,14 @@ def _sector_bands(sizes, cores) -> list:
 
 
 def _hull_rec(ctx: _Ctx, planes: KeySeq, cores, depth: int) -> HullChain:
-    machine, plan = ctx.machine, ctx.plan
+    machine = ctx.machine
     m = planes.n
     tick = max(1, m.bit_length())
     if len(cores) == 1 or m <= ctx.grain:
         return _hull_base(machine, planes, cores[0], tick)
-    if depth >= plan.depth_cap:
+    if depth >= _DEPTH_CAP:
         machine.diagnostics.append(
-            f"hull: depth cap {plan.depth_cap} reached at m={m}; "
+            f"hull: depth cap {_DEPTH_CAP} reached at m={m}; "
             "finishing sequentially")
         ctx.stats.fallbacks += 1
         return _hull_base(machine, planes, cores[0], tick)
@@ -857,11 +851,11 @@ def _hull_rec(ctx: _Ctx, planes: KeySeq, cores, depth: int) -> HullChain:
     groups = find_sectors(machine, planes, chain, cores, ctx.N, ctx.P)
     copies = expand_by_sector(machine, groups, t, cores)
     realized = max(copies.sizes) if copies.sizes else 0
-    ctx.stats.record_round(m, t, realized, plan.group_bound(m), copies.seq.n)
-    if copies.seq.n > plan.expansion * m:
+    ctx.stats.record_round(m, t, realized, _group_bound(m), copies.seq.n)
+    if copies.seq.n > _EXPANSION * m:
         machine.diagnostics.append(
             f"hull: {copies.seq.n} copies exceed the budget "
-            f"{plan.expansion}*{m} at m={m}")
+            f"{_EXPANSION}*{m} at m={m}")
 
     starts = copies.bucket_starts()
     bands = _sector_bands(copies.sizes, cores)
@@ -870,7 +864,7 @@ def _hull_rec(ctx: _Ctx, planes: KeySeq, cores, depth: int) -> HullChain:
         band = bands[j]
         sector = _subseq(copies.seq, starts[j], starts[j] + copies.sizes[j])
         survivors, host = filter_sector(machine, sector, j, chain, band,
-                                        plan=plan, stream=ctx.next_stream())
+                                        stream=ctx.next_stream())
         seen = set(host)
         extras = [w for w in sample_words if w not in seen]
         extras_seq = _write_words(machine, extras, band[0])
@@ -918,9 +912,8 @@ def _stitch(machine, chain: HullChain, sub_chains, core) -> HullChain:
     return result
 
 
-def hull_main(machine, planes: KeySeq, cores, plan: HullPlan | None = None,
-              stats: HullStats | None = None, interior=None,
-              stream: int = 0):
+def hull_main(machine, planes: KeySeq, cores, stats: HullStats | None = None,
+              interior=None, stream: int = 0):
     """Intersect half-planes into their exact convex chain.
 
     ``interior`` is a point strictly inside every half-plane (the origin by
@@ -934,7 +927,7 @@ def hull_main(machine, planes: KeySeq, cores, plan: HullPlan | None = None,
     m = planes.n
     if m < 3:
         raise GeometryError("at least three half-planes are required")
-    ctx = _make_ctx(machine, m, cores, plan, stats, stream)
+    ctx = _make_ctx(machine, m, cores, stats, stream)
     ix, iy = (0, 0) if interior is None else (coeff(interior[0]),
                                               coeff(interior[1]))
 
@@ -1035,8 +1028,8 @@ def _upper_hull_points(machine, pts: KeySeq, cores, ctx: _Ctx,
     ]
     extra = _write_words(machine, artificial, cores[0])
     full = compact(machine, [planes, extra], cores)
-    chain, _ = hull_main(machine, full, cores, plan=ctx.plan,
-                         stats=ctx.stats, interior=(Fraction(0), top_y + 1),
+    chain, _ = hull_main(machine, full, cores, stats=ctx.stats,
+                         interior=(Fraction(0), top_y + 1),
                          stream=ctx.next_stream())
     found = {}
     cyc = chain.vertices
@@ -1055,8 +1048,7 @@ def _upper_hull_points(machine, pts: KeySeq, cores, ctx: _Ctx,
     return pts_out
 
 
-def convex_hull_2d(machine, points: KeySeq, cores,
-                   plan: HullPlan | None = None, stream: int = 0):
+def convex_hull_2d(machine, points: KeySeq, cores, stream: int = 0):
     """Exact convex hull of a point set via two dual intersections.
 
     The points are sorted once (which also yields the extreme points and the
@@ -1070,11 +1062,10 @@ def convex_hull_2d(machine, points: KeySeq, cores,
         raise MachineFault("cannot hull an empty point set")
     if not cores:
         raise MachineFault("need at least one core")
-    ctx = _make_ctx(machine, n, cores, plan, None, stream)
+    ctx = _make_ctx(machine, n, cores, None, stream)
     norm = _map_pass(machine, points, cores,
                      lambda w: (frac(w[0]), frac(w[1])), tick=1)
-    ordered = sample_sort(machine, norm, cores, plan=ctx.plan.sort,
-                          stream=ctx.next_stream())
+    ordered = sample_sort(machine, norm, cores, stream=ctx.next_stream())
     host = [tuple(w) for w in machine.snapshot_memory(ordered.region)[:n]]
     pmin, pmax = host[0], host[-1]
     if pmin == pmax:
@@ -1107,26 +1098,13 @@ def convex_hull_2d(machine, points: KeySeq, cores,
     return final, _write_words(machine, list(final.vertices), cores[0])
 
 
-def maxima_seq(machine, points: KeySeq, core) -> KeySeq:
-    """Undominated points (both coordinates strictly larger dominates) on
-    one core: sort by ``(x, y)``, sweep right to left."""
-    n = points.n
-    if n == 0:
-        return KeySeq(machine.alloc(0), 0)
-    words = _scan_words(machine, points, core, tick=max(1, n.bit_length()))
-    vals = sorted((frac(w[0]), frac(w[1])) for w in words)
-    keep = _staircase(vals, None, "strict_both")
-    return _write_words(machine, [vals[i] for i in keep], core)
-
-
-def maxima_par(machine, points: KeySeq, cores,
-               plan: SortPlan | None = None, stream: int = 0) -> KeySeq:
+def maxima_par(machine, points: KeySeq, cores, stream: int = 0) -> KeySeq:
     """Parallel dominance maxima: regular sort, then the chunked sweep."""
     if points.n == 0:
         return KeySeq(machine.alloc(0), 0)
     norm = _map_pass(machine, points, cores,
                      lambda w: (frac(w[0]), frac(w[1])), tick=1)
-    ordered = sample_sort(machine, norm, cores, plan=plan, stream=stream)
+    ordered = sample_sort(machine, norm, cores, stream=stream)
     seq, _ = _sweep_survivors(machine, ordered, cores, "strict_both",
                               emit=lambda w: w)
     return seq

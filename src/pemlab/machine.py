@@ -107,12 +107,12 @@ class MachineFault(Exception):
 
 @dataclass(frozen=True)
 class MachineConfig:
-    """Machine shape: core count, cache words, block words, miss latency."""
+    """Machine shape (core count, cache words, block words) and the seed of
+    every random stream the machine hands out."""
 
     p: int
     M: int
     B: int
-    miss_latency: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -124,8 +124,8 @@ class MachineConfig:
             raise MachineFault("M must be >= B")
         if self.M % self.B != 0:
             raise MachineFault("M must be a multiple of B")
-        if self.miss_latency < 0:
-            raise MachineFault("miss_latency must be >= 0")
+        if self.seed < 0:
+            raise MachineFault("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -149,16 +149,15 @@ class MemRegion:
 class CostLedger:
     """Per-core cost counters plus the round count.
 
-    ``critical_path`` weights both miss kinds by ``miss_latency``;
-    ``op_critical_path`` counts operations alone.  Aggregate counters are
-    sums over cores.
+    ``critical_path`` is the largest per-core sum of operations and misses
+    of both kinds; ``op_critical_path`` counts operations alone.  Aggregate
+    counters are sums over cores.
     """
 
     per_core_ops: tuple
     per_core_cache_misses: tuple
     per_core_block_misses: tuple
     rounds: int
-    miss_latency: int = 1
 
     @property
     def ops(self) -> int:
@@ -179,7 +178,7 @@ class CostLedger:
     @property
     def critical_path(self) -> int:
         return max(
-            o + self.miss_latency * (c + b)
+            o + c + b
             for o, c, b in zip(
                 self.per_core_ops,
                 self.per_core_cache_misses,
@@ -692,7 +691,6 @@ class Machine:
             per_core_cache_misses=tuple(c.cache_misses for c in self.cores),
             per_core_block_misses=tuple(c.block_misses for c in self.cores),
             rounds=self._rounds,
-            miss_latency=self.config.miss_latency,
         )
 
     def cache_state(self) -> CacheState:

@@ -79,7 +79,7 @@ def _count_target(n: int) -> int:
     return max(2, int(n).bit_length() - 1)
 
 
-def estimate_processors(machine, n: int, cores=None,
+def estimate_processors(machine, n: int, cores,
                         stream: int = 0) -> IdAssignment:
     """Estimate the anonymous core count and assign two-part ids.
 
@@ -91,7 +91,7 @@ def estimate_processors(machine, n: int, cores=None,
     high probability, and ids are unique in every trial because slot
     collisions serialize through an atomic counter.
     """
-    cores = tuple(machine.cores if cores is None else cores)
+    cores = tuple(cores)
     p = len(cores)
     if p == 0:
         raise MachineFault("need at least one core")
@@ -238,7 +238,7 @@ def estimate_processors(machine, n: int, cores=None,
     )
 
 
-def oblivious_prefix(machine, a: KeySeq, cores=None,
+def oblivious_prefix(machine, a: KeySeq, cores,
                      stream: int = 0) -> KeySeq:
     """Inclusive prefix sums without knowing the core count in advance.
 
@@ -250,7 +250,7 @@ def oblivious_prefix(machine, a: KeySeq, cores=None,
     slots the routine falls back to a single-core prefix and logs the
     event.
     """
-    cores = tuple(machine.cores if cores is None else cores)
+    cores = tuple(cores)
     if not cores:
         raise MachineFault("need at least one core")
     n = a.n

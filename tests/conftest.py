@@ -5,7 +5,7 @@ from pemlab.machine import Machine, MachineConfig
 
 @pytest.fixture
 def make_machine():
-    def build(p=1, M=1024, B=8, miss_latency=1, seed=0, **kw):
-        return Machine(MachineConfig(p=p, M=M, B=B, miss_latency=miss_latency, seed=seed, **kw))
+    def build(p=1, M=1024, B=8, seed=0, **kw):
+        return Machine(MachineConfig(p=p, M=M, B=B, seed=seed, **kw))
 
     return build

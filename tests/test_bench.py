@@ -244,6 +244,30 @@ class TestCli:
         assert "error: PEMLAB_SEED" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["hull", "--n", "64", "--p", "2", "--seed", "-2"],
+        ["sort", "--n", "5000", "--p", "4", "--M", "64", "--seed", "-1"],
+        ["sort", "--n", "64", "--p", "1", "--seed", "-1"],
+        ["prefix", "--n", "8", "--p", "2", "--seed", "-3"],
+    ])
+    def test_negative_seed_is_an_error(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: seed must be >= 0" in captured.err
+        assert captured.out == ""
+
+    def test_negative_seed_override_skips_the_row(self, tmp_path, capsys,
+                                                  monkeypatch):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("[sort]\nn = 64\np = 2\nM = 256\n")
+        out = tmp_path / "rows.csv"
+        monkeypatch.setenv("PEMLAB_SEED", "-1")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        (row,) = parse_csv(out.read_text())
+        assert row.seed == -1
+        assert row.status == "skipped(seed must be >= 0)"
+        assert "(1 skipped)" in capsys.readouterr().out
+
     def test_hull_below_generated_floor_is_an_error(self, capsys):
         # Below n = 5 the generator returns only its four box planes.
         assert main(["hull", "--n", "3"]) == 2

@@ -16,20 +16,21 @@ from pemlab.geometry import (
     GeometryError,
     HullChain,
     Point2,
-    halfplane,
     intersect_halfplanes_ordered,
 )
 from pemlab.hull import (
-    HullPlan,
     HullStats,
+    _candidate_count,
+    _group_bound,
     _hull_base,
+    _poll_count,
+    _sample_size,
     convex_hull_2d,
     expand_by_sector,
     filter_sector,
     find_sectors,
     hull_main,
     maxima_par,
-    maxima_seq,
     polling_sample,
     split_upper_lower,
 )
@@ -74,25 +75,18 @@ def chain_vertex_set(chain: HullChain):
     return {(v.x, v.y) for v in chain.vertices}
 
 
-# ------------------------------------------------------------------ plans
+# ----------------------------------------------------- sampling arithmetic
 
 
-class TestHullPlan:
-    def test_validation(self):
-        with pytest.raises(MachineFault):
-            HullPlan(eps_inv=1)
-        with pytest.raises(MachineFault):
-            HullPlan(expansion=1)
-
+class TestSamplingArithmetic:
     def test_pinned_arithmetic(self):
-        plan = HullPlan()
-        assert plan.sample_size(4096) == 2      # ceil(4096**(1/32))
-        assert plan.sample_size(2 ** 64) == 4   # ceil(2**2)
-        assert plan.poll_count(4096) == 16      # floor wins at small m
-        assert plan.poll_count(2 ** 30) == 2 ** 30 // 30 ** 4
-        assert plan.group_bound(1024) == pytest.approx(
+        assert _sample_size(4096) == 2      # ceil(4096**(1/32))
+        assert _sample_size(2 ** 64) == 4   # ceil(2**2)
+        assert _poll_count(4096) == 16      # floor wins at small m
+        assert _poll_count(2 ** 30) == 2 ** 30 // 30 ** 4
+        assert _group_bound(1024) == pytest.approx(
             2.0 * 1024 ** (31 / 32) * 10.0)
-        assert plan.candidate_count(4096) == 12
+        assert _candidate_count(4096) == 12
 
 
 # -------------------------------------------------------------- hull_main
@@ -468,10 +462,11 @@ class TestMaxima:
     def test_pinned(self):
         pts = [(0, 3), (1, 1), (2, 2), (3, 0), (2, 2)]
         m = make(p=1)
-        got = seq_values(m, maxima_seq(m, load_seq(m, pts), m.cores[0]))
+        got = seq_values(m, maxima_par(m, load_seq(m, pts), m.cores))
         assert got == maxima_points(pts)
 
     def test_seq_equals_par_equals_oracle(self):
+        # "seq" is the same routine on a one-core machine.
         for t in range(8):
             rng = random.Random(300 + t)
             size = rng.randrange(1, 160)
@@ -480,7 +475,7 @@ class TestMaxima:
                    for _ in range(size)]
             m1 = make(p=1, seed=t)
             got_seq = seq_values(
-                m1, maxima_seq(m1, load_seq(m1, pts), m1.cores[0]))
+                m1, maxima_par(m1, load_seq(m1, pts), m1.cores, stream=t))
             m2 = make(p=4, seed=t)
             got_par = seq_values(
                 m2, maxima_par(m2, load_seq(m2, pts), m2.cores, stream=t))
@@ -490,5 +485,5 @@ class TestMaxima:
 
     def test_empty(self):
         m = make()
-        assert maxima_seq(m, KeySeq(m.alloc(0), 0), m.cores[0]).n == 0
+        assert maxima_par(m, KeySeq(m.alloc(0), 0), m.cores[:1]).n == 0
         assert maxima_par(m, KeySeq(m.alloc(0), 0), m.cores).n == 0

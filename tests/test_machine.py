@@ -30,6 +30,8 @@ class TestConfig:
             MachineConfig(p=1, M=12, B=8)
         with pytest.raises(MachineFault):
             MachineConfig(p=1, M=8, B=0)
+        with pytest.raises(MachineFault, match="seed must be >= 0"):
+            MachineConfig(p=1, M=8, B=8, seed=-1)
 
 
 
@@ -121,12 +123,12 @@ class TestCacheMisses:
         assert m.snapshot_memory(region)[:2] == [1, 2]
 
     def test_critical_path_of_single_core_scan(self, make_machine):
-        # n ops plus miss_latency per fetched block.
-        m = make_machine(B=8, M=64, miss_latency=5)
+        # n ops plus one per fetched block.
+        m = make_machine(B=8, M=64)
         region = m.alloc(20)
         m.run_rounds([scan_program(region)])
         led = m.ledger()
-        assert led.critical_path == 20 + 5 * 3
+        assert led.critical_path == 20 + 3
         assert led.op_critical_path == 20
 
 

@@ -4,7 +4,7 @@ from itertools import accumulate
 
 import pytest
 
-from pemlab import Machine, MachineConfig, MachineFault
+from pemlab import MachineFault
 from pemlab.merge import BucketedRun, merge_bucketed, plan_cuts
 from pemlab.primitives import KeySeq
 

@@ -6,11 +6,10 @@ bucket ``i`` collects keys with ``splitter[i-1] < k <= splitter[i]``.
 import math
 import random
 from bisect import bisect_left
-from itertools import accumulate
 
 import pytest
 
-from pemlab import Machine, MachineConfig, MachineFault
+from pemlab import MachineFault
 from pemlab.partition import (
     PartitionTask,
     partition_main,

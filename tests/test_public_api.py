@@ -6,9 +6,13 @@ attribute or an import; its own ``def``/``class`` line, its ``__all__``
 entry and ``pemlab/__init__.py`` do not count), or when ``README.md``
 names it.  Tests do not count as callers.
 
-In the sort stack, the same holds for every parameter with a default of a
-public function and every field of ``SortPlan``: some production call must
-pass it, by position or by keyword, or README.md must show it as ``name=``.
+In the library modules, the same holds for every parameter with a default
+of a public function and every field of a public ``*Plan`` or ``*Config``
+dataclass: some production call must pass it, by position or by keyword,
+or README.md must show it as ``name=``.
+
+Every import in ``src/pemlab``, ``demos/`` and ``tests/`` is used: the name
+it binds appears as a name in its file, or in that file's ``__all__``.
 """
 import ast
 import dataclasses
@@ -60,7 +64,8 @@ def test_public_names_have_a_caller_or_a_readme_entry(module):
     assert not orphans, f"pemlab.{module} exports {orphans} with no caller"
 
 
-SORT_STACK = ("primitives", "partition", "merge", "sorting")
+LIBRARY = ("machine", "primitives", "partition", "merge", "sorting",
+           "geometry", "hull", "procalloc")
 
 
 def _production_calls() -> dict:
@@ -79,7 +84,8 @@ def _production_calls() -> dict:
 
 
 def _optional_parameters(module) -> list:
-    """``(callee, position, parameter)`` for every parameter with a default."""
+    """``(callee, position, parameter)`` for every parameter with a default
+    and every field of a configuration dataclass."""
     mod = importlib.import_module(f"pemlab.{module}")
     found = []
     for name in mod.__all__:
@@ -88,20 +94,47 @@ def _optional_parameters(module) -> list:
             params = list(inspect.signature(obj).parameters.values())
             found += [(name, i, p.name) for i, p in enumerate(params)
                       if p.default is not inspect.Parameter.empty]
-    if module == "sorting":
-        found += [("SortPlan", i, f.name)
-                  for i, f in enumerate(dataclasses.fields(mod.SortPlan))]
+        elif dataclasses.is_dataclass(obj) and name.endswith(("Plan",
+                                                              "Config")):
+            found += [(name, i, f.name)
+                      for i, f in enumerate(dataclasses.fields(obj))]
     return found
 
 
-def test_sort_stack_parameters_have_a_production_caller():
+def test_parameters_have_a_production_caller():
     calls = _production_calls()
     unused = [
         f"{callee}.{param}"
-        for module in SORT_STACK
+        for module in LIBRARY
         for callee, pos, param in _optional_parameters(module)
         if not any(nargs > pos or param in keywords
                    for nargs, keywords in calls.get(callee, ()))
         and not re.search(rf"\b{re.escape(param)}=", README)
     ]
     assert unused == []
+
+
+def _unused_imports(path: Path) -> list:
+    tree = ast.parse(path.read_text(), str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            used |= {elt.value for elt in node.value.elts}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(f"{path.relative_to(ROOT)}: {bound}")
+    return unused
+
+
+def test_imports_are_used():
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    files += sorted((ROOT / "tests").glob("*.py"))
+    assert [name for path in files for name in _unused_imports(path)] == []
