@@ -19,8 +19,10 @@ default :class:`~pemlab.sorting.SortPlan`.
 Numbers follow the rule of :mod:`pemlab.geometry`: plane coefficients stay
 ``int`` when integral, every per-plane decision (dual extremes, sector
 flags, slab bands) is a sign test on cross-multiplied products against a
-chain's integer vertex forms, and a ``Fraction`` is built only for a value
-that is stored: a dual point, a filter score, a vertex.
+chain's integer vertex forms, the base case, the sector clips and the
+stitch build chains of those forms, and a ``Fraction`` is built only for a
+dual point, a filter score, a slab boundary or a vertex that a caller
+reads.  The point front ends keep integral coordinates as ``int``.
 
 Machine conventions: a half-plane ``a*x + b*y <= c`` is one memory word,
 stored as the tuple ``(a, b, c)``; points are ``(x, y)`` words.  Cores are
@@ -54,16 +56,15 @@ from itertools import count
 
 from pemlab.geometry import (
     GeometryError,
-    HalfPlane,
     HullChain,
-    Point2,
+    _canonical_forms,
+    _clip_forms,
+    _dedupe,
+    _intersect_forms,
+    _reduced,
     _vertex_form,
-    canonical_chain,
-    clip_chain,
     coeff,
     cross,
-    frac,
-    intersect_halfplanes_ordered,
     plane_word,
     unbounded_directions,
 )
@@ -195,7 +196,7 @@ def _hull_base(machine, planes: KeySeq, core, tick: int) -> HullChain:
     :class:`GeometryError` when the intersection is unbounded, empty or has
     no interior."""
     words = _scan_words(machine, planes, core, tick=tick)
-    return HullChain(intersect_halfplanes_ordered(words))
+    return HullChain(_intersect_forms(words))
 
 
 # --------------------------------------------------------------------------
@@ -226,7 +227,7 @@ def _dual_pick(i: int, s: int):
 def _poll_intervals(machine, polled: KeySeq, chain: HullChain, core) -> list:
     """Sector interval span of each polled plane against the sample chain."""
     words = _scan_words(machine, polled, core,
-                        tick=max(1, len(chain.vertices)))
+                        tick=max(1, len(chain.int_vertices)))
     return [_sector_interval(plane_word(w), chain.int_vertices)
             for w in words]
 
@@ -333,7 +334,7 @@ def _polling_sample(ctx: _Ctx, planes: KeySeq, cores):
                                        stream=ctx.next_stream())
             intervals = _poll_intervals(machine, polled, chain, core)
             ctx.stats.polls += 1
-            t = len(chain.vertices)
+            t = len(chain.int_vertices)
             per_sector = [0] * t
             copies = 0
             for iv in intervals:
@@ -489,7 +490,7 @@ def locate_points(machine, duals: KeySeq, arr: Arrangement, cores,
     if n == 0:
         return groups
     xs = arr.xs
-    t = len(arr.chain.vertices)
+    t = len(arr.chain.int_vertices)
 
     if xs:
         xsplit: list = []
@@ -846,7 +847,7 @@ def _hull_rec(ctx: _Ctx, planes: KeySeq, cores, depth: int) -> HullChain:
         ctx.stats.fallbacks += 1
         return _hull_base(machine, planes, cores[0], tick)
     chain, sample_words = picked
-    t = len(chain.vertices)
+    t = len(chain.int_vertices)
 
     groups = find_sectors(machine, planes, chain, cores, ctx.N, ctx.P)
     copies = expand_by_sector(machine, groups, t, cores)
@@ -880,33 +881,29 @@ def _stitch(machine, chain: HullChain, sub_chains, core) -> HullChain:
     clipping the sub-polygon to the wedge and dropping the apex leaves the
     true boundary arc between the two rays.  Consecutive arcs share their
     ray-crossing endpoints; the final cleanup merges them and removes
-    crossing points that are not real corners.
+    crossing points that are not real corners.  Everything runs on vertex
+    forms: the wedge of sector ``j`` is cut by the planes ``(Y, -X, 0)`` of
+    its two rays, scaled by ``D > 0``, and its apex is the form ``(0, 0, 1)``.
     """
-    verts = chain.vertices
+    verts = chain.int_vertices
     t = len(verts)
-    total = sum(len(sc.vertices) for sc in sub_chains)
+    total = sum(len(sc.int_vertices) for sc in sub_chains)
 
     machine.run_rounds({core.idx: lambda c: c.tick(max(1, 4 * total))})
 
-    origin = Point2(Fraction(0), Fraction(0))
+    apex = (0, 0, 1)
     out: list = []
     for j in range(t):
-        lo, hi = verts[j], verts[(j + 1) % t]
-        poly = list(sub_chains[j].vertices)
-        for h in (HalfPlane(lo.y, -lo.x, Fraction(0)),
-                  HalfPlane(-hi.y, hi.x, Fraction(0))):
-            poly = clip_chain(poly, h)
-        cleaned: list = []
-        for p in poly:
-            if not cleaned or cleaned[-1] != p:
-                cleaned.append(p)
-        if len(cleaned) > 1 and cleaned[0] == cleaned[-1]:
-            cleaned.pop()
-        if origin not in cleaned:
+        (Xl, Yl, _), (Xh, Yh, _) = verts[j], verts[(j + 1) % t]
+        poly = sub_chains[j].int_vertices
+        for h in ((Yl, -Xl, 0), (-Yh, Xh, 0)):
+            poly = _clip_forms(poly, h)
+        cleaned = _dedupe(poly)
+        if apex not in cleaned:
             raise MachineFault("sector clip lost the wedge apex")
-        k = cleaned.index(origin)
+        k = cleaned.index(apex)
         out.extend(cleaned[k + 1:] + cleaned[:k])
-    result = HullChain(canonical_chain(out))
+    result = HullChain(_canonical_forms(out))
     if not result.is_convex_ccw():
         raise MachineFault("stitched sector chains are not convex")
     return result
@@ -942,13 +939,16 @@ def hull_main(machine, planes: KeySeq, cores, stats: HullStats | None = None,
     if any(w[2] <= 0 for w in host):
         raise GeometryError("the interior point must satisfy every "
                             "half-plane strictly")
-    if unbounded_directions([HalfPlane(*w) for w in host]):
+    if unbounded_directions(host):
         raise GeometryError("half-plane intersection is unbounded")
 
     # Translation keeps a chain canonical (same turns, same smallest vertex).
     final = _hull_rec(ctx, normalized, cores, depth=0)
     if moved:
-        final = HullChain([(v.x + ix, v.y + iy) for v in final.vertices])
+        IX, IY, ID = _vertex_form((ix, iy))
+        final = HullChain(tuple(_reduced(X * ID + IX * D, Y * ID + IY * D,
+                                         D * ID)
+                                for X, Y, D in final.int_vertices))
     written = _write_words(machine, list(final.vertices), cores[0])
     return final, written
 
@@ -972,8 +972,8 @@ def split_upper_lower(machine, points: KeySeq, cores):
                          lambda u, v: u if tuple(u) >= tuple(v) else v)
     pmin = _reduce_words(machine, points, cores,
                          lambda u, v: u if tuple(u) <= tuple(v) else v)
-    pmin = (frac(pmin[0]), frac(pmin[1]))
-    pmax = (frac(pmax[0]), frac(pmax[1]))
+    pmin = (coeff(pmin[0]), coeff(pmin[1]))
+    pmax = (coeff(pmax[0]), coeff(pmax[1]))
     if pmin == pmax:
         return points, KeySeq(machine.alloc(0), 0), pmin, pmax
 
@@ -1029,7 +1029,7 @@ def _upper_hull_points(machine, pts: KeySeq, cores, ctx: _Ctx,
     extra = _write_words(machine, artificial, cores[0])
     full = compact(machine, [planes, extra], cores)
     chain, _ = hull_main(machine, full, cores, stats=ctx.stats,
-                         interior=(Fraction(0), top_y + 1),
+                         interior=(0, top_y + 1),
                          stream=ctx.next_stream())
     found = {}
     cyc = chain.vertices
@@ -1064,21 +1064,19 @@ def convex_hull_2d(machine, points: KeySeq, cores, stream: int = 0):
         raise MachineFault("need at least one core")
     ctx = _make_ctx(machine, n, cores, None, stream)
     norm = _map_pass(machine, points, cores,
-                     lambda w: (frac(w[0]), frac(w[1])), tick=1)
+                     lambda w: (coeff(w[0]), coeff(w[1])), tick=1)
     ordered = sample_sort(machine, norm, cores, stream=ctx.next_stream())
     host = [tuple(w) for w in machine.snapshot_memory(ordered.region)[:n]]
     pmin, pmax = host[0], host[-1]
-    if pmin == pmax:
-        final = HullChain((Point2(*pmin),))
-        return final, _write_words(machine, list(final.vertices), cores[0])
-    if pmin[0] == pmax[0]:
-        final = HullChain(canonical_chain([Point2(*pmin), Point2(*pmax)]))
+    if pmin == pmax or pmin[0] == pmax[0]:
+        final = HullChain(_canonical_forms([_vertex_form(pmin),
+                                            _vertex_form(pmax)]))
         return final, _write_words(machine, list(final.vertices), cores[0])
 
     xs = sorted({w[0] for w in host})
     gap = min(b - a for a, b in zip(xs, xs[1:]))
     ys = [w[1] for w in host]
-    m_big = (max(ys) - min(ys)) / gap + 1
+    m_big = Fraction(max(ys) - min(ys), gap) + 1
     c_big = m_big * max(abs(w[0]) for w in host) + max(abs(y) for y in ys) + 1
 
     upper, lower, _, _ = split_upper_lower(machine, ordered, cores)
@@ -1090,9 +1088,9 @@ def convex_hull_2d(machine, points: KeySeq, cores, stream: int = 0):
     lower_pts = _upper_hull_points(machine, lower_full, cores, ctx,
                                    m_big, c_big, negate=True)
 
-    cycle = [Point2(*q) for q in lower_pts]
-    cycle.extend(Point2(*q) for q in reversed(upper_pts))
-    final = HullChain(canonical_chain(cycle))
+    cycle = [_vertex_form(q) for q in lower_pts]
+    cycle.extend(_vertex_form(q) for q in reversed(upper_pts))
+    final = HullChain(_canonical_forms(cycle))
     if not final.is_convex_ccw():
         raise MachineFault("hull assembly produced a non-convex chain")
     return final, _write_words(machine, list(final.vertices), cores[0])
@@ -1103,7 +1101,7 @@ def maxima_par(machine, points: KeySeq, cores, stream: int = 0) -> KeySeq:
     if points.n == 0:
         return KeySeq(machine.alloc(0), 0)
     norm = _map_pass(machine, points, cores,
-                     lambda w: (frac(w[0]), frac(w[1])), tick=1)
+                     lambda w: (coeff(w[0]), coeff(w[1])), tick=1)
     ordered = sample_sort(machine, norm, cores, stream=stream)
     seq, _ = _sweep_survivors(machine, ordered, cores, "strict_both",
                               emit=lambda w: w)

@@ -3,26 +3,41 @@ replace.
 
 Each predicate in ``pemlab.geometry`` and ``pemlab.hull`` that decides a
 sign on integer products is compared here with the direct rational
-formula: divide first, then compare.  Coefficients are drawn as ``int``,
-as integral ``Fraction`` and as non-integral ``Fraction``; points are
-placed exactly on lines and vertices, where the ``<=``/``>=`` boundary
-semantics must not move.
+formula: divide first, then compare.  The integer vertex forms are checked
+the same way: the direction order against an exact angle key and atan2,
+the form clip and the form cleanup against the oracles' Fraction clip and
+collinear strip.  Coefficients are drawn as ``int``, as integral
+``Fraction`` and as non-integral ``Fraction``; points are placed exactly
+on lines and vertices, where the ``<=``/``>=`` boundary semantics must not
+move.
 """
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import clip_once, hull_vertices_by_clipping, strip_collinear
 from pemlab.geometry import (
     GeometryError,
     HullChain,
+    Point2,
+    _canonical_forms,
+    _ccw_sorted,
+    _clip_forms,
+    _direction,
+    _int_plane,
+    _intersect_forms,
     _meet,
     _point,
+    _vertex_form,
     _violates,
+    canonical_chain,
     halfplane,
     intersect_halfplanes_ordered,
+    unbounded_directions,
 )
 from pemlab.hull import (
     _band,
@@ -30,6 +45,7 @@ from pemlab.hull import (
     _score,
     _sector_interval,
     dualize,
+    hull_main,
     polling_sample,
     preprocess_arrangement,
 )
@@ -115,6 +131,33 @@ def ref_band(lines, a, b, c):
     return lo
 
 
+def ref_angle_key(v):
+    """Counterclockwise angle from ``(1, 0)`` as an exact key: angular
+    class, then ``-x/y``, which grows with the angle inside an open
+    half-plane."""
+    x, y = F(v[0]), F(v[1])
+    if y == 0:
+        return (0 if x > 0 else 2, F(0))
+    return (1 if y > 0 else 3, -x / y)
+
+
+def ref_unbounded(planes):
+    """Normals deduped and sorted by ``ref_angle_key``; unbounded iff some
+    counterclockwise gap is at least pi."""
+    seen = {}
+    for a, b, _ in planes:
+        seen.setdefault(ref_angle_key((a, b)), (F(a), F(b)))
+    vecs = [v for _, v in sorted(seen.items())]
+    m = len(vecs)
+    return m < 3 or any(
+        vecs[i][0] * vecs[(i + 1) % m][1] - vecs[i][1] * vecs[(i + 1) % m][0]
+        <= 0 for i in range(m))
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
 def outcome(fn, *args):
     try:
         return ("ok", fn(*args))
@@ -133,7 +176,7 @@ def chains(draw):
                            min_size=0, max_size=6))
     box = [(1, 0, draw(positive)), (-1, 0, draw(positive)),
            (0, 1, draw(positive)), (0, -1, draw(positive))]
-    return HullChain(intersect_halfplanes_ordered(planes + box))
+    return HullChain(_intersect_forms(planes + box))
 
 
 @st.composite
@@ -142,6 +185,44 @@ def through(draw, pt):
     a, b = draw(coef), draw(coef)
     assume(a != 0 or b != 0)
     return (a, b, a * pt[0] + b * pt[1])
+
+
+vec = st.tuples(coef, coef).filter(lambda v: v != (0, 0))
+AXES = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+
+
+@st.composite
+def direction_pairs(draw):
+    """Two nonzero vectors; the second is often the first at another
+    scale, its antipode, or an axis direction."""
+    u = draw(vec)
+    k = draw(positive)
+    kind = draw(st.sampled_from(["any", "scaled", "antiparallel", "axis"]))
+    if kind == "scaled":
+        return u, (u[0] * k, u[1] * k)
+    if kind == "antiparallel":
+        return u, (-u[0] * k, -u[1] * k)
+    if kind == "axis":
+        e = draw(st.sampled_from(AXES))
+        return u, (e[0] * k, e[1] * k)
+    return u, draw(vec)
+
+
+@st.composite
+def messy_cycles(draw):
+    """A chain's vertices with repeats and edge-interior points added,
+    rotated to start anywhere."""
+    pts = list(draw(chains()).vertices)
+    out = []
+    for i, p in enumerate(pts):
+        q = pts[(i + 1) % len(pts)]
+        out.extend([p] * draw(st.integers(1, 3)))
+        if draw(st.booleans()):
+            t = draw(st.fractions(min_value=F(1, 10), max_value=F(9, 10),
+                                  max_denominator=10))
+            out.append((p.x + t * (q.x - p.x), p.y + t * (q.y - p.y)))
+    k = draw(st.integers(0, len(out) - 1))
+    return out[k:] + out[:k]
 
 
 @st.composite
@@ -183,6 +264,121 @@ def test_halfplane_keeps_integral_coefficients_as_int():
     h = halfplane(F(6, 2), 4, F(1, 2))
     assert (type(h.a), type(h.b), type(h.c)) == (int, int, F)
     assert h == (3, 4, F(1, 2))
+
+
+# ------------------------------------------------------ vertex forms
+
+
+@settings(max_examples=400, deadline=None)
+@given(direction_pairs())
+@example(((3, 0), (F(1, 2), 0)))                # one axis, two scales
+@example(((3, 0), (-1, 0)))                     # antiparallel axes
+@example(((F(2, 3), F(-4, 3)), (-1, 2)))        # antiparallel, mixed types
+@example(((1, 1), (F(7), 7)))                   # integral Fraction
+def test_direction_order_matches_angle_reference(pair):
+    u, w = pair
+    du, dw = _direction(*u), _direction(*w)
+    assert all(type(x) is int for x in du + dw)
+    assert math.gcd(*du) == 1 and math.gcd(*dw) == 1
+    ku, kw = ref_angle_key(u), ref_angle_key(w)
+    want = (ku > kw) - (ku < kw)
+    for a, b in ((du, dw), (u, w)):
+        if want == 0:  # a tie keeps the input order
+            assert _ccw_sorted([a, b]) == [a, b]
+            assert _ccw_sorted([b, a]) == [b, a]
+        else:
+            first, second = (a, b) if want < 0 else (b, a)
+            assert _ccw_sorted([a, b]) == [first, second]
+            assert _ccw_sorted([b, a]) == [first, second]
+    assert (du == dw) == (want == 0)
+    au = math.atan2(float(u[1]), float(u[0])) % math.tau
+    aw = math.atan2(float(w[1]), float(w[0])) % math.tau
+    if abs(au - aw) > 1e-9:
+        assert want == sign(au - aw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(vec, max_size=12))
+def test_direction_sort_matches_angle_reference(vecs):
+    assert _ccw_sorted(vecs) == sorted(vecs, key=ref_angle_key)
+    dirs = [_direction(*v) for v in vecs]
+    assert _ccw_sorted(dirs) == sorted(dirs, key=ref_angle_key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(plane, min_size=1, max_size=8))
+def test_unbounded_directions_matches_angle_reference(planes):
+    assert unbounded_directions(planes) == ref_unbounded(planes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(coef, coef, positive)
+                .filter(lambda w: w[0] != 0 or w[1] != 0),
+                min_size=0, max_size=7), st.tuples(positive, positive))
+def test_intersector_matches_clipping_oracle(planes, size):
+    planes = planes + [(1, 0, size[0]), (-1, 0, size[1]),
+                       (0, 1, size[1]), (0, -1, size[0])]
+    got = intersect_halfplanes_ordered(planes)
+    assert set(got) == hull_vertices_by_clipping(planes)
+    assert _intersect_forms(planes) == tuple(_vertex_form(p) for p in got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_clip_forms_matches_oracle_clip(data):
+    chain = data.draw(chains())
+    verts = chain.vertices
+    j = data.draw(st.integers(0, len(verts) - 1))
+    h = data.draw(st.one_of(plane, through(verts[j]), through((0, 0))))
+    got = _clip_forms(chain.int_vertices, _int_plane(halfplane(*h)))
+    want = clip_once(verts, *h)
+    assert got == [_vertex_form(p) for p in want]
+    assert all(D > 0 and math.gcd(X, Y, D) == 1 for X, Y, D in got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(messy_cycles())
+def test_canonical_forms_match_oracle_strip(cycle):
+    corners = strip_collinear([(F(x), F(y)) for x, y in cycle])
+    k = corners.index(min(corners))
+    want = corners[k:] + corners[:k]
+    got = _canonical_forms([_vertex_form(p) for p in cycle])
+    assert got == tuple(_vertex_form(p) for p in want)
+    assert canonical_chain(cycle) == tuple(Point2(*p) for p in want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_int_vertices_are_vertex_forms_of_vertices(data):
+    chain = data.draw(chains())
+    assert len(chain.int_vertices) == len(chain.vertices)
+    for i, v in enumerate(chain.vertices):
+        assert chain.int_vertices[i] == _vertex_form(v)
+        assert type(v.x) is F and type(v.y) is F
+    assert chain == HullChain(tuple(_vertex_form(v) for v in chain.vertices))
+
+
+@pytest.mark.parametrize("interior", [None, (F(1, 3), F(-2, 7))])
+def test_hull_main_chain_forms_match_vertices(interior):
+    """A run that polls, routes, recurses and stitches, translated back
+    from a non-integral interior point."""
+    rng = random.Random(4)
+    ix, iy = interior or (0, 0)
+    planes = []
+    for _ in range(196):  # nearly tangent to a circle: many vertices
+        a, b = rng.randrange(-50, 51) or 1, rng.randrange(-50, 51)
+        r = math.isqrt(100 * (a * a + b * b)) + rng.randrange(3)
+        planes.append((a, b, a * ix + b * iy + r))
+    for a, b in AXES:
+        planes.append((a, b, a * ix + b * iy + 11))
+    m = Machine(MachineConfig(p=4, M=1024, B=8, seed=3))
+    chain, written = hull_main(m, load(m, planes), m.cores, interior=interior,
+                               stream=1)
+    assert set(chain.vertices) == hull_vertices_by_clipping(planes)
+    assert chain.int_vertices == tuple(_vertex_form(v)
+                                       for v in chain.vertices)
+    assert m.snapshot_memory(written.region) == list(chain.vertices)
+    assert chain.is_convex_ccw()
 
 
 # -------------------------------------------------------- hull predicates

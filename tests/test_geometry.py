@@ -2,7 +2,8 @@
 
 The oracle self-checks come first with hand-computed values; library
 routines are then compared case-by-case and across randomized inputs.
-Everything is Fraction arithmetic, so equality assertions are exact.
+Everything is exact integer or Fraction arithmetic, so equality assertions
+are exact.
 """
 import math
 import random
@@ -22,11 +23,15 @@ from pemlab.geometry import (
     GeometryError,
     HullChain,
     Point2,
+    _ccw_sorted,
+    _clip_forms,
+    _direction,
+    _int_plane,
+    _intersect_forms,
     _meet,
     _point,
-    angle_key,
+    _vertex_form,
     canonical_chain,
-    clip_chain,
     cross,
     frac,
     halfplane,
@@ -62,7 +67,8 @@ def wrapped_chain(pts):
     if len(verts) >= 3:
         cx = F(sum(v[0] for v in verts), len(verts))
         cy = F(sum(v[1] for v in verts), len(verts))
-        verts.sort(key=lambda v: angle_key((v[0] - cx, v[1] - cy)))
+        around = _ccw_sorted([(v[0] - cx, v[1] - cy) for v in verts])
+        verts = [(x + cx, y + cy) for x, y in around]
         k = verts.index(min(verts))
         verts = verts[k:] + verts[:k]
     return tuple(Point2(frac(x), frac(y)) for x, y in verts)
@@ -135,22 +141,31 @@ def test_meet_point():
         Point2(F(2), F(2))
 
 
-# -------------------------------------------------------------- angle_key
+# ------------------------------------------------------- direction order
 
 
-def test_angle_key_pinned_cycle():
+def test_ccw_order_pinned_cycle():
     ccw = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1),
            (-2, 1), (-1, 0), (-2, -1), (-1, -1), (-1, -2), (0, -1),
            (1, -2), (1, -1), (2, -1)]
-    keys = [angle_key(v) for v in ccw]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(keys)
-    assert angle_key((5, 0)) == angle_key((1, 0))  # scale invariant
+    assert _ccw_sorted(reversed(ccw)) == ccw
+    rng = random.Random(3)
+    for _ in range(20):
+        assert _ccw_sorted(rng.sample(ccw, len(ccw))) == ccw
+    for i, u in enumerate(ccw):
+        for w in ccw[i + 1:]:
+            assert _ccw_sorted([w, u]) == [u, w]
+    # same direction: a tie, in input order
+    assert _ccw_sorted([(5, 0), (1, 1), (1, 0)]) == [(5, 0), (1, 0), (1, 1)]
+    assert _ccw_sorted([(-2, -2), (-1, -1)]) == [(-2, -2), (-1, -1)]
+    # scale invariant, also across int and Fraction coefficients
+    assert _direction(5, 0) == _direction(F(1, 3), 0) == (1, 0)
+    assert _direction(F(-4, 3), F(2)) == _direction(-6, 9) == (-2, 3)
     with pytest.raises(GeometryError):
-        angle_key((0, 0))
+        _direction(0, 0)
 
 
-def test_angle_key_matches_atan2_order():
+def test_ccw_order_matches_atan2_order():
     rng = random.Random(7)
     seen = {}
     for _ in range(300):
@@ -160,7 +175,7 @@ def test_angle_key_matches_atan2_order():
         g = math.gcd(abs(x), abs(y))
         seen[(x // g, y // g)] = (x, y)
     vecs = list(seen.values())
-    by_key = sorted(vecs, key=angle_key)
+    by_key = _ccw_sorted(vecs)
     by_atan = sorted(vecs, key=lambda v: math.atan2(v[1], v[0]) % math.tau)
     assert by_key == by_atan
 
@@ -193,23 +208,28 @@ def test_canonical_chain_idempotent_random():
     st.tuples(st.integers(-9, 9), st.integers(-9, 9),
               st.integers(-60, 60)).filter(lambda h: (h[0], h[1]) != (0, 0)),
 )
-def test_clip_chain_matches_oracle(pts, h):
+def test_clip_forms_matches_oracle(pts, h):
     chain = wrapped_chain(pts)
     if len(chain) < 3:
         return
-    got = clip_chain(chain, halfplane(*h))
+    got = _clip_forms([_vertex_form(p) for p in chain], h)
     want = clip_once(chain, *h)
-    assert [(p.x, p.y) for p in got] == want
-    for p in got:  # every output point satisfies the constraint
-        assert h[0] * p.x + h[1] * p.y <= h[2]
+    assert got == [_vertex_form(p) for p in want]
+    for X, Y, D in got:  # every output point satisfies the constraint
+        assert h[0] * X + h[1] * Y <= h[2] * D
 
 
-def test_clip_chain_pinned():
-    sq = [(0, 0), (4, 0), (4, 4), (0, 4)]
-    assert clip_chain(sq, halfplane(1, 0, -1)) == []
-    kept = clip_chain(sq, halfplane(1, 1, 4))
-    assert canonical_chain(kept) == (
-        Point2(F(0), F(0)), Point2(F(4), F(0)), Point2(F(0), F(4)))
+def test_clip_forms_pinned():
+    sq = [(0, 0, 1), (4, 0, 1), (4, 4, 1), (0, 4, 1)]
+    assert _clip_forms(sq, (1, 0, -1)) == []
+    # corners on the boundary are kept once, and no crossing is added
+    assert _clip_forms(sq, (1, 1, 4)) == [(0, 0, 1), (4, 0, 1), (0, 4, 1)]
+    # crossings are gcd-reduced forms with D > 0, whichever end is inside
+    assert _clip_forms(sq, (2, 0, 3)) == [
+        (0, 0, 1), (3, 0, 2), (3, 8, 2), (0, 4, 1)]
+    assert _clip_forms(sq, (-2, 0, -3)) == [
+        (3, 0, 2), (4, 0, 1), (4, 4, 1), (3, 8, 2)]
+    assert _int_plane(halfplane(F(2, 3), F(1, 2), 1)) == (4, 3, 6)
 
 
 # --------------------------------------------------- half-plane envelopes
@@ -261,12 +281,21 @@ def test_intersect_halfplanes_random_agreement():
         want = hull_vertices_by_clipping(planes)
         got = intersect_halfplanes_ordered(planes)
         assert set(got) == want
-        assert HullChain(got).is_convex_ccw() and got[0] == min(got)
+        chain = HullChain(_intersect_forms(planes))
+        assert chain.vertices == got
+        assert chain.is_convex_ccw() and got[0] == min(got)
+
+
+def chain_of(points):
+    return HullChain(tuple(_vertex_form(p) for p in points))
 
 
 def test_hull_chain_validation():
-    assert HullChain([(0, 0), (1, 0), (0, 1)]).is_convex_ccw()
-    assert not HullChain([(0, 0), (0, 1), (1, 0)]).is_convex_ccw()  # cw
-    assert not HullChain([(0, 0), (1, 0), (2, 0)]).is_convex_ccw()
+    assert chain_of([(0, 0), (1, 0), (0, 1)]).is_convex_ccw()
+    assert not chain_of([(0, 0), (0, 1), (1, 0)]).is_convex_ccw()  # cw
+    assert not chain_of([(0, 0), (1, 0), (2, 0)]).is_convex_ccw()
+    assert chain_of([(F(1, 2), 3), (1, F(-4, 6))]) == HullChain(
+        ((1, 6, 2), (3, -2, 3)))
+    assert chain_of([(F(1, 2), 3)]).vertices == (Point2(F(1, 2), F(3)),)
     assert frac(F(1, 3)) == F(1, 3)
     assert frac(4) == F(4)

@@ -16,7 +16,7 @@ from pemlab.geometry import (
     GeometryError,
     HullChain,
     Point2,
-    intersect_halfplanes_ordered,
+    _intersect_forms,
 )
 from pemlab.hull import (
     HullStats,
@@ -236,7 +236,7 @@ SAMPLE_PLANES = [(1, 0, 4), (-1, 0, 4), (0, 1, 4), (0, -1, 4), (1, 1, 6)]
 
 class TestSectorRouting:
     def test_intervals_match_flag_arcs(self):
-        chain = HullChain(intersect_halfplanes_ordered(SAMPLE_PLANES))
+        chain = HullChain(_intersect_forms(SAMPLE_PLANES))
         t = len(chain.vertices)
         rng = random.Random(13)
         planes = bounded_instance(rng, 120, n=16)
@@ -269,7 +269,7 @@ class TestSectorRouting:
             assert sorted(got[key], key=repr) == sorted(want[key], key=repr)
 
     def test_expand_by_sector_buckets(self):
-        chain = HullChain(intersect_halfplanes_ordered(SAMPLE_PLANES))
+        chain = HullChain(_intersect_forms(SAMPLE_PLANES))
         t = len(chain.vertices)
         rng = random.Random(29)
         planes = [pl for pl in bounded_instance(rng, 60, n=16)]
@@ -310,7 +310,7 @@ class TestSectorRouting:
 
 class TestFilterSector:
     def test_region_within_wedge_is_preserved(self):
-        chain = HullChain(intersect_halfplanes_ordered(SAMPLE_PLANES))
+        chain = HullChain(_intersect_forms(SAMPLE_PLANES))
         t = len(chain.vertices)
         rng = random.Random(17)
         planes = bounded_instance(rng, 80, n=16)
@@ -347,7 +347,7 @@ class TestFilterSector:
         assert checked >= 3
 
     def test_empty_sector(self):
-        chain = HullChain(intersect_halfplanes_ordered(SAMPLE_PLANES))
+        chain = HullChain(_intersect_forms(SAMPLE_PLANES))
         m = make()
         seq = KeySeq(m.alloc(0), 0)
         survivors, host = filter_sector(m, seq, 0, chain, m.cores)

@@ -9,7 +9,8 @@ names it.  Tests do not count as callers.
 In the library modules, the same holds for every parameter with a default
 of a public function and every field of a public ``*Plan`` or ``*Config``
 dataclass: some production call must pass it, by position or by keyword,
-or README.md must show it as ``name=``.
+or a README.md line that shows the call as ``callee(`` must show the
+parameter as ``name=``.
 
 Every import in ``src/pemlab``, ``demos/`` and ``tests/`` is used: the name
 it binds appears as a name in its file, or in that file's ``__all__``.
@@ -101,6 +102,14 @@ def _optional_parameters(module) -> list:
     return found
 
 
+def _readme_shows(callee: str, param: str) -> bool:
+    """Does one README.md line show ``callee(`` and ``param=``?"""
+    call = re.compile(rf"\b{re.escape(callee)}\(")
+    keyword = re.compile(rf"\b{re.escape(param)}=")
+    return any(call.search(line) and keyword.search(line)
+               for line in README.splitlines())
+
+
 def test_parameters_have_a_production_caller():
     calls = _production_calls()
     unused = [
@@ -109,7 +118,7 @@ def test_parameters_have_a_production_caller():
         for callee, pos, param in _optional_parameters(module)
         if not any(nargs > pos or param in keywords
                    for nargs, keywords in calls.get(callee, ()))
-        and not re.search(rf"\b{re.escape(param)}=", README)
+        and not _readme_shows(callee, param)
     ]
     assert unused == []
 
