@@ -1,15 +1,17 @@
 """Parallel 2-D half-plane intersection and convex hulls on the cache machine.
 
 The driver :func:`hull_main` intersects ``m`` half-planes whose common
-interior contains a known point.  After translating that point to the
-origin, each round samples a few planes, computes their intersection
-into a small polygon, polls random planes to estimate how the rest spread
-over the polygon's angular sectors, and accepts a sample whose estimated
-spread is balanced.  Every plane is then routed to the sectors whose
-triangle (origin, two adjacent sample vertices) it can actually cut, the
-per-sector groups are pruned by an exact dominance rule, and the sectors
-recurse independently.  The final chain is stitched per sector and is exact,
-with no epsilon anywhere.
+interior contains the origin.  Each round samples a few planes, computes
+their intersection into a small polygon, polls random planes to estimate how
+the rest spread over the polygon's angular sectors, and accepts a sample
+whose estimated spread is balanced.  Every plane is then routed to the
+sectors whose triangle (origin, two adjacent sample vertices) it can
+actually cut, the per-sector groups are pruned by an exact dominance rule,
+and the sectors recurse independently.  The final chain is stitched per
+sector and is exact, with no epsilon anywhere.  :func:`convex_hull_2d`
+reaches the same driver by polar duality: it maps the points to half-planes
+about an interior point, runs one intersection and reads the hull's vertices
+off the chain's edges.
 
 There is one configuration.  The sampling exponent is fixed at ``1/32``;
 it and the other bounds of a round (poll size, copy budget, recursion
@@ -69,7 +71,7 @@ from pemlab.geometry import (
     unbounded_directions,
 )
 from pemlab.machine import MachineFault
-from pemlab.merge import BucketedRun, merge_bucketed
+from pemlab.merge import BucketedRun
 from pemlab.partition import PartitionTask, partition_main, partition_seq
 from pemlab.primitives import (
     KeySeq,
@@ -99,7 +101,6 @@ __all__ = [
     "maxima_par",
     "polling_sample",
     "preprocess_arrangement",
-    "split_upper_lower",
 ]
 
 
@@ -910,14 +911,15 @@ def _stitch(machine, chain: HullChain, sub_chains, core) -> HullChain:
 
 
 def hull_main(machine, planes: KeySeq, cores, stats: HullStats | None = None,
-              interior=None, stream: int = 0):
+              stream: int = 0):
     """Intersect half-planes into their exact convex chain.
 
-    ``interior`` is a point strictly inside every half-plane (the origin by
-    default); the computation translates it to the origin and back.  One
-    normalization pass validates strict feasibility and boundedness, the
-    recursive sampling driver produces the chain, and the vertices are
-    written back to machine memory.  Returns ``(HullChain, KeySeq)``.
+    The origin must lie strictly inside every half-plane (``c > 0``).  One
+    normalization pass writes the planes as exact coefficients; an uncharged
+    host snapshot of them checks ``c > 0`` and boundedness
+    (:func:`~pemlab.geometry.unbounded_directions`); the recursive sampling
+    driver produces the chain, and the vertices are written back to machine
+    memory.  Returns ``(HullChain, KeySeq)``.
     """
     if not cores:
         raise MachineFault("need at least one core")
@@ -925,30 +927,15 @@ def hull_main(machine, planes: KeySeq, cores, stats: HullStats | None = None,
     if m < 3:
         raise GeometryError("at least three half-planes are required")
     ctx = _make_ctx(machine, m, cores, stats, stream)
-    ix, iy = (0, 0) if interior is None else (coeff(interior[0]),
-                                              coeff(interior[1]))
-
-    def shift(w):
-        a, b, c = plane_word(w)
-        return (a, b, coeff(c - a * ix - b * iy))
-
-    moved = ix != 0 or iy != 0
-    normalized = _map_pass(machine, planes, cores,
-                           shift if moved else plane_word, tick=3)
+    normalized = _map_pass(machine, planes, cores, plane_word, tick=3)
     host = machine.snapshot_memory(normalized.region)[:m]
     if any(w[2] <= 0 for w in host):
-        raise GeometryError("the interior point must satisfy every "
-                            "half-plane strictly")
+        raise GeometryError("the origin must satisfy every half-plane "
+                            "strictly (c > 0)")
     if unbounded_directions(host):
         raise GeometryError("half-plane intersection is unbounded")
 
-    # Translation keeps a chain canonical (same turns, same smallest vertex).
     final = _hull_rec(ctx, normalized, cores, depth=0)
-    if moved:
-        IX, IY, ID = _vertex_form((ix, iy))
-        final = HullChain(tuple(_reduced(X * ID + IX * D, Y * ID + IY * D,
-                                         D * ID)
-                                for X, Y, D in final.int_vertices))
     written = _write_words(machine, list(final.vertices), cores[0])
     return final, written
 
@@ -957,143 +944,79 @@ def hull_main(machine, planes: KeySeq, cores, stats: HullStats | None = None,
 # point sets: hulls by duality and dominance maxima
 
 
-def split_upper_lower(machine, points: KeySeq, cores):
-    """Split points by the chord between the two lexicographic extremes.
-
-    Two reductions find the extreme points, one classification pass writes
-    each core's points into an upper/lower column pair, and a bucketed merge
-    packs the two sides.  Points exactly on the chord count as upper.
-    Returns ``(upper, lower, pmin, pmax)``.
-    """
-    n = points.n
-    if n == 0:
-        raise MachineFault("cannot split an empty point set")
-    pmax = _reduce_words(machine, points, cores,
-                         lambda u, v: u if tuple(u) >= tuple(v) else v)
-    pmin = _reduce_words(machine, points, cores,
-                         lambda u, v: u if tuple(u) <= tuple(v) else v)
-    pmin = (coeff(pmin[0]), coeff(pmin[1]))
-    pmax = (coeff(pmax[0]), coeff(pmax[1]))
-    if pmin == pmax:
-        return points, KeySeq(machine.alloc(0), 0), pmin, pmax
-
-    runs: list = [None] * min(len(cores), n)
-
-    def body(core, ci, lo, hi):
-        size = hi - lo
-        region = machine.alloc(2 * size)
-        counts = [0, 0]
-        for i in range(lo, hi):
-            w = core.read(points.addr(i))
-            side = 0 if cross(pmin, pmax, w) >= 0 else 1
-            core.tick(1)
-            core.write(region.addr(side * size + counts[side]), w)
-            counts[side] += 1
-        runs[ci] = BucketedRun(KeySeq(region, size), tuple(counts),
-                               starts=(0, size))
-
-    parallel_for(machine, n, cores, body)
-    merged = merge_bucketed(machine, runs, cores)
-    u, low = merged.sizes
-    upper = _subseq(merged.seq, 0, u)
-    lower = _subseq(merged.seq, u, u + low)
-    return upper, lower, pmin, pmax
-
-
-def _upper_hull_points(machine, pts: KeySeq, cores, ctx: _Ctx,
-                       m_big, c_big, negate: bool) -> list:
-    """Recover the upper hull of ``pts`` through half-plane duality.
-
-    A point ``q`` maps to the constraint ``-q.x * m - c <= -q.y`` over
-    slope/intercept pairs ``(m, c)``; the feasible set is every line lying
-    on or above all points, closed off by two slope bounds and one
-    intercept bound that provably clear all true vertices.  Edges of the
-    resulting chain decode back to points: an edge on the line
-    ``c = s * m + i`` came from the input point ``(-s, i)`` when that point
-    exists; other edges are the artificial bounds and are skipped.
-    """
-    sign = -1 if negate else 1
-
-    def to_plane(w):
-        return (coeff(-sign * w[0]), -1, coeff(-sign * w[1]))
-
-    planes = _map_pass(machine, pts, cores, to_plane, tick=1)
-    host = [tuple(w) for w in machine.snapshot_memory(planes.region)[:pts.n]]
-    point_of = {(w[0], -w[2]): (-w[0], -w[2]) for w in host}
-    top_y = max(-w[2] for w in host)
-    artificial = [
-        (1, 0, coeff(m_big)),
-        (-1, 0, coeff(m_big)),
-        (0, 1, coeff(c_big)),
-    ]
-    extra = _write_words(machine, artificial, cores[0])
-    full = compact(machine, [planes, extra], cores)
-    chain, _ = hull_main(machine, full, cores, stats=ctx.stats,
-                         interior=(0, top_y + 1),
-                         stream=ctx.next_stream())
-    found = {}
-    cyc = chain.vertices
-    for i in range(len(cyc)):
-        v1, v2 = cyc[i], cyc[(i + 1) % len(cyc)]
-        dm = v2.x - v1.x
-        if dm == 0:
-            continue
-        slope = (v2.y - v1.y) / dm
-        intercept = v1.y - slope * v1.x
-        q = point_of.get((slope, intercept))
-        if q is not None:
-            found[q] = True
-    pts_out = [(sign * q[0], sign * q[1]) for q in found]
-    pts_out.sort()
-    return pts_out
-
-
 def convex_hull_2d(machine, points: KeySeq, cores, stream: int = 0):
-    """Exact convex hull of a point set via two dual intersections.
+    """Exact convex hull of a point set via one polar intersection.
 
-    The points are sorted once (which also yields the extreme points and the
-    slope bound for the dual boxes), split by the extreme chord, and each
-    side's hull is recovered from a bounded half-plane intersection in
-    slope/intercept space.  Returns ``(HullChain, KeySeq)`` with the chain
-    counterclockwise from its lexicographically smallest vertex.
+    Three reductions find the lexicographic extremes ``pmin``, ``pmax`` and
+    the apex farthest from their chord.  If the apex is on the chord every
+    point is, and the hull is the segment ``pmin``-``pmax`` (one vertex when
+    they coincide).  Otherwise ``o = S/3``, ``S = pmin + pmax + apex``, is
+    strictly inside the hull, and each point ``q`` maps to the plane
+    ``(3q - S) . u <= 3`` (a point equal to ``o`` is interior and takes
+    ``pmin``'s plane).  Their intersection is the hull's polar about ``o``:
+    each chain edge lies on the line of one hull vertex, in the same
+    counterclockwise order, and the edge ``a*x + b*y = 3`` decodes back to
+    ``((a + Sx)/3, (b + Sy)/3)``.  Returns ``(HullChain, KeySeq)`` with the
+    chain counterclockwise from its lexicographically smallest vertex.
     """
     n = points.n
     if n == 0:
         raise MachineFault("cannot hull an empty point set")
     if not cores:
         raise MachineFault("need at least one core")
-    ctx = _make_ctx(machine, n, cores, None, stream)
     norm = _map_pass(machine, points, cores,
                      lambda w: (coeff(w[0]), coeff(w[1])), tick=1)
-    ordered = sample_sort(machine, norm, cores, stream=ctx.next_stream())
-    host = [tuple(w) for w in machine.snapshot_memory(ordered.region)[:n]]
-    pmin, pmax = host[0], host[-1]
-    if pmin == pmax or pmin[0] == pmax[0]:
-        final = HullChain(_canonical_forms([_vertex_form(pmin),
-                                            _vertex_form(pmax)]))
-        return final, _write_words(machine, list(final.vertices), cores[0])
+    pmin = _reduce_words(machine, norm, cores,
+                         lambda u, v: u if u <= v else v)
+    pmax = _reduce_words(machine, norm, cores,
+                         lambda u, v: u if u >= v else v)
 
-    xs = sorted({w[0] for w in host})
-    gap = min(b - a for a, b in zip(xs, xs[1:]))
-    ys = [w[1] for w in host]
-    m_big = Fraction(max(ys) - min(ys), gap) + 1
-    c_big = m_big * max(abs(w[0]) for w in host) + max(abs(y) for y in ys) + 1
+    def far(u, v):
+        du, dv = abs(cross(pmin, pmax, u)), abs(cross(pmin, pmax, v))
+        return u if du >= dv else v
 
-    upper, lower, _, _ = split_upper_lower(machine, ordered, cores)
-    ends = _write_words(machine, [pmin, pmax], cores[0])
-    lower_full = compact(machine, [lower, ends], cores)
+    apex = _reduce_words(machine, norm, cores, far)
+    if cross(pmin, pmax, apex) == 0:
+        forms = [_vertex_form(pmin), _vertex_form(pmax)]
+    else:
+        sx, sy = pmin[0] + pmax[0] + apex[0], pmin[1] + pmax[1] + apex[1]
+        fallback = (3 * pmin[0] - sx, 3 * pmin[1] - sy)
 
-    upper_pts = _upper_hull_points(machine, upper, cores, ctx,
-                                   m_big, c_big, negate=False)
-    lower_pts = _upper_hull_points(machine, lower_full, cores, ctx,
-                                   m_big, c_big, negate=True)
+        def to_plane(w):
+            a, b = 3 * w[0] - sx, 3 * w[1] - sy
+            if a == 0 and b == 0:
+                a, b = fallback
+            return (coeff(a), coeff(b), 3)
 
-    cycle = [_vertex_form(q) for q in lower_pts]
-    cycle.extend(_vertex_form(q) for q in reversed(upper_pts))
-    final = HullChain(_canonical_forms(cycle))
+        planes = _map_pass(machine, norm, cores, to_plane, tick=1)
+        polar, _ = hull_main(machine, planes, cores, stream=stream)
+        forms = _decode_polar(polar.int_vertices, _vertex_form((sx, sy)))
+    final = HullChain(_canonical_forms(forms))
     if not final.is_convex_ccw():
         raise MachineFault("hull assembly produced a non-convex chain")
     return final, _write_words(machine, list(final.vertices), cores[0])
+
+
+def _decode_polar(verts, s) -> list:
+    """The point of each edge of the polar chain ``verts``, as vertex forms.
+
+    The edge from ``(X1, Y1, D1)`` to ``(X2, Y2, D2)`` lies on the line
+    ``l1*x + l2*y + l3 = 0`` with ``(l1, l2, l3)`` their cross product, so
+    ``a = -3*l1/l3`` and ``b = -3*l2/l3``; with ``S = (SX/SD, SY/SD)`` its
+    point is ``(SX*l3 - 3*SD*l1, SY*l3 - 3*SD*l2) / (3*SD*l3)``.  The
+    charged ``hull_main`` passes have already paid for the chain; this is an
+    ``O(h)`` host loop over its ``h`` vertices.
+    """
+    SX, SY, SD = s
+    out = []
+    for i in range(len(verts)):
+        X1, Y1, D1 = verts[i]
+        X2, Y2, D2 = verts[(i + 1) % len(verts)]
+        l1, l2, l3 = Y1 * D2 - D1 * Y2, D1 * X2 - X1 * D2, X1 * Y2 - Y1 * X2
+        k = 1 if l3 > 0 else -1
+        out.append(_reduced(k * (SX * l3 - 3 * SD * l1),
+                            k * (SY * l3 - 3 * SD * l2), k * 3 * SD * l3))
+    return out
 
 
 def maxima_par(machine, points: KeySeq, cores, stream: int = 0) -> KeySeq:

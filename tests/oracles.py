@@ -2,11 +2,12 @@
 
 Each oracle is deliberately naive — a different algorithm written
 directly from the defining property — so agreement with the library is
-evidence rather than circularity.  All arithmetic is exact: rational,
-except that ``gift_wrap`` keeps ``int`` coordinates as ``int`` (integer
-products are exact too, and ``3 == Fraction(3)`` with equal hashes, so its
-result compares the same).  None of these functions import library
-geometry code.
+evidence rather than circularity.  All arithmetic is exact: the clipping
+oracle and ``gift_wrap`` keep ``int`` values as ``int`` (integer products
+are exact too, and ``3 == Fraction(3)`` with equal hashes, so their results
+compare the same) and build a ``Fraction`` only for a non-integral input or
+a clip's crossing point.  None of these functions import library geometry
+code.
 """
 from fractions import Fraction
 
@@ -28,8 +29,8 @@ def clip_once(poly, a, b, c):
     possibly with duplicate or collinear points, empty when nothing
     survives.
     """
-    a, b, c = _frac(a), _frac(b), _frac(c)
-    pts = [(_frac(x), _frac(y)) for x, y in poly]
+    a, b, c = _exact(a), _exact(b), _exact(c)
+    pts = [(_exact(x), _exact(y)) for x, y in poly]
     out = []
     k = len(pts)
     for i in range(k):
@@ -39,7 +40,7 @@ def clip_once(poly, a, b, c):
         if fp <= 0:
             out.append((px, py))
         if (fp < 0 < fq) or (fq < 0 < fp):
-            t = fp / (fp - fq)
+            t = Fraction(fp, fp - fq)
             out.append((px + t * (qx - px), py + t * (qy - py)))
     return out
 
@@ -80,7 +81,7 @@ def hull_vertices_by_clipping(planes):
     intersection is empty.  The caller must ensure the intersection is
     bounded.
     """
-    width = Fraction(2) ** 20
+    width = 2 ** 20
     while True:
         poly = [(-width, -width), (width, -width), (width, width),
                 (-width, width)]

@@ -358,22 +358,18 @@ def test_int_vertices_are_vertex_forms_of_vertices(data):
     assert chain == HullChain(tuple(_vertex_form(v) for v in chain.vertices))
 
 
-@pytest.mark.parametrize("interior", [None, (F(1, 3), F(-2, 7))])
-def test_hull_main_chain_forms_match_vertices(interior):
-    """A run that polls, routes, recurses and stitches, translated back
-    from a non-integral interior point."""
+def test_hull_main_chain_forms_match_vertices():
+    """A run that polls, routes, recurses and stitches."""
     rng = random.Random(4)
-    ix, iy = interior or (0, 0)
     planes = []
     for _ in range(196):  # nearly tangent to a circle: many vertices
         a, b = rng.randrange(-50, 51) or 1, rng.randrange(-50, 51)
         r = math.isqrt(100 * (a * a + b * b)) + rng.randrange(3)
-        planes.append((a, b, a * ix + b * iy + r))
+        planes.append((a, b, r))
     for a, b in AXES:
-        planes.append((a, b, a * ix + b * iy + 11))
+        planes.append((a, b, 11))
     m = Machine(MachineConfig(p=4, M=1024, B=8, seed=3))
-    chain, written = hull_main(m, load(m, planes), m.cores, interior=interior,
-                               stream=1)
+    chain, written = hull_main(m, load(m, planes), m.cores, stream=1)
     assert set(chain.vertices) == hull_vertices_by_clipping(planes)
     assert chain.int_vertices == tuple(_vertex_form(v)
                                        for v in chain.vertices)

@@ -32,7 +32,6 @@ from pemlab.hull import (
     hull_main,
     maxima_par,
     polling_sample,
-    split_upper_lower,
 )
 from pemlab.machine import Machine, MachineConfig, MachineFault
 from pemlab.primitives import KeySeq
@@ -138,20 +137,6 @@ class TestHullMain:
         m = make(p=1)
         chain, _ = hull_main(m, load_seq(m, planes), m.cores)
         assert chain_vertex_set(chain) == hull_vertices_by_clipping(planes)
-
-    def test_interior_point_translation(self):
-        rng = random.Random(9)
-        base = bounded_instance(rng, 30)
-        ix, iy = 5, 7
-        shifted = [(a, b, c + a * ix + b * iy) for a, b, c in base]
-        m = make(p=4, seed=1)
-        # the origin is now outside, so the default interior must fail
-        with pytest.raises(GeometryError):
-            hull_main(m, load_seq(m, shifted), m.cores)
-        m = make(p=4, seed=1)
-        chain, _ = hull_main(m, load_seq(m, shifted), m.cores,
-                             interior=(ix, iy))
-        assert chain_vertex_set(chain) == hull_vertices_by_clipping(shifted)
 
     def test_rejects_unbounded(self):
         m = make()
@@ -370,6 +355,8 @@ class TestConvexHull2d:
 
     def test_matches_gift_wrap_random(self):
         shapes = [(2, 256, 8), (4, 1024, 8), (8, 512, 16)]
+        one_core = (1, 256, 8)
+        cases = []  # (points, machine shape)
         for t in range(14):
             rng = random.Random(2000 + t)
             kind = t % 4
@@ -386,13 +373,41 @@ class TestConvexHull2d:
                 pts = [rng.choice(base) for _ in range(size)]
             else:  # points on a parabola: every point extreme
                 pts = [(x, x * x) for x in range(-size // 2, size // 2)]
-            p, M, B = shapes[t % len(shapes)]
+            cases.append((pts, shapes[t % len(shapes)]))
+        rng = random.Random(2014)
+        for t in range(4):  # non-integral coordinates
+            pts = [(F(rng.randrange(-300, 300), rng.randrange(1, 12)),
+                    F(rng.randrange(-300, 300), rng.randrange(1, 12)))
+                   for _ in range(rng.randrange(6, 120))]
+            cases.append((pts, one_core if t % 2 else shapes[t % 3]))
+        for t in range(3):  # collinear and not vertical, with repeats
+            xs = [rng.randrange(-60, 60) for _ in range(rng.randrange(2, 40))]
+            pts = [(F(x, 3), F(-2 * x, 3) + 5) for x in xs] if t else \
+                [(x, 3 * x - 7) for x in xs + xs[:3]]
+            cases.append((pts, one_core if t == 1 else shapes[t]))
+        # o = (pmin + pmax + apex) / 3 = (1, 1) is itself an input point
+        for shape in (shapes[1], one_core):
+            cases.append(([(0, 0), (3, 0), (0, 3), (1, 1), (1, 1)], shape))
+        for t, (pts, (p, M, B)) in enumerate(cases):
             m = make(p=p, M=M, B=B, seed=t)
             chain, _ = convex_hull_2d(m, load_seq(m, pts), m.cores, stream=t)
-            assert chain_vertex_set(chain) == gift_wrap(pts), (t, kind)
+            assert chain_vertex_set(chain) == gift_wrap(pts), t
             if len(chain.vertices) >= 3:
                 assert chain.is_convex_ccw()
             assert chain.vertices[0] == min(chain.vertices)
+
+    def test_pinned_cost_of_demo_instance(self):
+        # demos/hull_walkthrough.py's point front end; a change of these
+        # counts is a change of the algorithm, not of its speed
+        rng = random.Random(11)
+        pts = [(rng.randrange(-5000, 5000), rng.randrange(-5000, 5000))
+               for _ in range(600)]
+        m = make(p=4, M=1024, B=16, seed=11)
+        chain, _ = convex_hull_2d(m, load_seq(m, pts), m.cores, stream=11)
+        led = m.ledger()
+        assert len(chain.vertices) == 23
+        assert (led.ops, led.cache_misses, led.block_misses, led.rounds) == \
+            (70073, 1839, 80, 446)
 
     def test_degenerate_inputs(self):
         m = make()
@@ -424,35 +439,6 @@ class TestConvexHull2d:
             runs.append((chain.vertices, led.ops, led.cache_misses,
                          led.block_misses))
         assert runs[0] == runs[1]
-
-
-class TestSplitUpperLower:
-    def test_partition_is_exact(self):
-        rng = random.Random(21)
-        pts = [(rng.randrange(-40, 40), rng.randrange(-40, 40))
-               for _ in range(90)]
-        m = make(p=4, seed=2)
-        norm = load_seq(m, [(F(x), F(y)) for x, y in pts])
-        upper, lower, pmin, pmax = split_upper_lower(m, norm, m.cores)
-        ups = seq_values(m, upper)
-        los = seq_values(m, lower)
-        assert sorted(ups + los) == sorted((F(x), F(y)) for x, y in pts)
-        assert pmin == min((F(x), F(y)) for x, y in pts)
-        assert pmax == max((F(x), F(y)) for x, y in pts)
-
-        def side(pt):
-            return ((pmax[0] - pmin[0]) * (pt[1] - pmin[1])
-                    - (pmax[1] - pmin[1]) * (pt[0] - pmin[0]))
-
-        assert all(side(w) >= 0 for w in ups)
-        assert all(side(w) < 0 for w in los)
-
-    def test_all_equal_points(self):
-        m = make()
-        norm = load_seq(m, [(F(2), F(2))] * 6)
-        upper, lower, pmin, pmax = split_upper_lower(m, norm, m.cores)
-        assert pmin == pmax == (F(2), F(2))
-        assert lower.n == 0 and upper.n == 6
 
 
 # ---------------------------------------------------------------- maxima

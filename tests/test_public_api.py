@@ -10,7 +10,8 @@ In the library modules, the same holds for every parameter with a default
 of a public function and every field of a public ``*Plan`` or ``*Config``
 dataclass: some production call must pass it, by position or by keyword,
 or a README.md line that shows the call as ``callee(`` must show the
-parameter as ``name=``.
+parameter as ``name=``.  Conversely, every ``name=`` on a README.md line
+that shows a public ``callee(`` must name a parameter of such a callee.
 
 Every import in ``src/pemlab``, ``demos/`` and ``tests/`` is used: the name
 it binds appears as a name in its file, or in that file's ``__all__``.
@@ -121,6 +122,31 @@ def test_parameters_have_a_production_caller():
         and not _readme_shows(callee, param)
     ]
     assert unused == []
+
+
+def _public_parameters() -> dict:
+    """Public function or dataclass name -> the names of its parameters."""
+    params: dict = {}
+    for module in MODULES:
+        mod = importlib.import_module(f"pemlab.{module}")
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if inspect.isfunction(obj) or dataclasses.is_dataclass(obj):
+                params[name] = set(inspect.signature(obj).parameters)
+    return params
+
+
+def test_readme_keywords_are_parameters():
+    """The converse: a ``name=`` on a README.md line that shows a public
+    ``callee(`` is a parameter of some callee on that line."""
+    params = _public_parameters()
+    wrong = []
+    for line in README.splitlines():
+        callees = [c for c in re.findall(r"\b(\w+)\(", line) if c in params]
+        wrong += [f"{kw}= in {line.strip()!r}"
+                  for kw in re.findall(r"\b(\w+)=(?!=)", line)
+                  if callees and not any(kw in params[c] for c in callees)]
+    assert wrong == []
 
 
 def _unused_imports(path: Path) -> list:
