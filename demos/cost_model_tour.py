@@ -19,7 +19,7 @@ def cold_scan():
 
     def scan(core):  # a plain function is a one-round program
         for i in range(10_000):
-            core.read(region.addr(i))
+            core.read(region, i)
 
     machine.run_rounds({0: scan})
     ledger = machine.ledger()
@@ -33,7 +33,7 @@ def write_contention():
     region = machine.alloc(64)
 
     def writer(core):
-        core.write(region.addr(core.idx), core.idx)
+        core.write(region, core.idx, core.idx)
 
     machine.run_rounds({i: writer for i in range(4)})
     print(f"4 cores wrote 4 words of one block in one round -> "
@@ -46,14 +46,14 @@ def invalidation():
     region = machine.alloc(8)
 
     def writer(core):  # two rounds: a generator, yield is the barrier
-        core.write(region.addr(0), 7)
+        core.write(region, 0, 7)
         yield
-        core.read(region.addr(0))  # still resident: this core wrote last
+        core.read(region, 0)  # still resident: this core wrote last
 
     def reader(core):
-        core.read(region.addr(0))  # same-round read of a written block
+        core.read(region, 0)  # same-round read of a written block
         yield
-        core.read(region.addr(0))  # re-read: the copy was invalidated
+        core.read(region, 0)  # re-read: the copy was invalidated
 
     machine.run_rounds({0: writer, 1: reader})
     ledger = machine.ledger()
@@ -72,7 +72,7 @@ def atomic_counter():
     ranks = {}
 
     def claim(core):
-        ranks[core.idx] = core.fetch_add(region.addr(0), 1)
+        ranks[core.idx] = core.fetch_add(region, 0, 1)
 
     machine.run_rounds({i: claim for i in range(4)})
     total = machine.snapshot_memory(region)[0]

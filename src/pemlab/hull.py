@@ -54,7 +54,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import count
 
 from pemlab.geometry import (
     GeometryError,
@@ -77,7 +76,8 @@ from pemlab.primitives import (
     KeySeq,
     _map_pass,
     _scan_words,
-    _slot_addr,
+    _slot,
+    _streams,
     _subseq,
     _write_words,
     compact,
@@ -171,11 +171,7 @@ class _Ctx:
     stats: HullStats
     N: int
     P: int
-    base_stream: int
-    counter: count = field(default_factory=count)
-
-    def next_stream(self) -> int:
-        return (self.base_stream << 20) | next(self.counter)
+    next_stream: object
 
     @property
     def grain(self) -> int:
@@ -184,7 +180,7 @@ class _Ctx:
 
 def _make_ctx(machine, m, cores, stats, stream) -> _Ctx:
     stats = stats if stats is not None else HullStats()
-    return _Ctx(machine, stats, N=m, P=max(1, len(cores)), base_stream=stream)
+    return _Ctx(machine, stats, N=m, P=max(1, len(cores)), next_stream=_streams(stream))
 
 
 # --------------------------------------------------------------------------
@@ -619,10 +615,9 @@ def expand_by_sector(machine, groups, sector_count: int, cores) -> BucketedRun:
         for dpos, sq in slots:
             if dpos + sq.n <= lo or dpos >= hi:
                 continue
-            for i in range(max(lo, dpos), min(hi, dpos + sq.n)):
-                w = core.read(sq.addr(i - dpos))
-                core.write(dst.addr(i), (w[-3], w[-2], w[-1]))
-                core.tick(1)
+            i0, i1 = max(lo, dpos), min(hi, dpos + sq.n)
+            core.copy_run(sq, i0 - dpos, i1 - dpos, dst, i0, lambda w: w[-3:])
+            core.tick(i1 - i0)
 
     parallel_for(machine, total, cores, body)
     return BucketedRun(KeySeq(dst, total), tuple(sizes))
@@ -647,28 +642,26 @@ def _sweep_survivors(machine, seq: KeySeq, cores, rule: str, emit) -> tuple:
     chunks: list = [None] * g
 
     def read(core, ci, lo, hi):
-        vals = []
-        for i in range(lo, hi):
-            vals.append(core.read(seq.addr(i)))
-            core.tick(1)
+        vals = core.read_run(seq, lo, hi)
+        core.tick(hi - lo)
         chunks[ci] = vals
         first = vals[0][0]
         eqm = max(v[1] for v in vals if v[0] == first)
         above = [v[1] for v in vals if v[0] > first]
         sm = max(above) if above else None
-        core.write(_slot_addr(machine, slots, ci), (first, eqm, sm))
+        core.write(slots, _slot(machine, ci), (first, eqm, sm))
 
     parallel_for(machine, n, cores, read)
 
     carries: list = [None] * g
 
     def fold(core):
-        summaries = [core.read(_slot_addr(machine, slots, ci)) for ci in range(g)]
+        summaries = [core.read(slots, _slot(machine, ci)) for ci in range(g)]
         core.tick(g)
         tail = None
         for ci in range(g - 1, -1, -1):
             carries[ci] = tail
-            core.write(_slot_addr(machine, slots, g + ci), tail)
+            core.write(slots, _slot(machine, g + ci), tail)
             first, eqm, sm = summaries[ci]
             if tail is None:
                 tail = (first, eqm, sm)
@@ -699,13 +692,13 @@ def _sweep_survivors(machine, seq: KeySeq, cores, rule: str, emit) -> tuple:
 
     def write(core, ci, lo, hi):
         keep_idx = set(survivors_per_chunk[ci])
-        core.read(_slot_addr(machine, slots, g + ci))
+        core.read(slots, _slot(machine, g + ci))
         out = offs[ci]
         for i in range(lo, hi):
-            v = core.read(seq.addr(i))
+            v = core.read(seq, i)
             core.tick(1)
             if i - lo in keep_idx:
-                core.write(dst.addr(out), emit(v))
+                core.write(dst, out, emit(v))
                 out += 1
 
     parallel_for(machine, n, cores, write)

@@ -7,17 +7,23 @@ A plain function is a one-round program; a program that needs several
 rounds is a generator, and each ``yield`` is a global barrier::
 
     def fill(core):                      # one round
-        core.write(region.addr(core.idx), core.idx)
+        core.write(region, core.idx, core.idx)
 
     def pass_right(core):                # two rounds
-        core.write(region.addr(core.idx), core.idx)
+        core.write(region, core.idx, core.idx)
         yield
-        core.read(region.addr(1 - core.idx))
+        core.read(region, 1 - core.idx)
 
     machine.run_rounds({0: fill, 1: pass_right})
 
 Most steps cut their input into one chunk per core;
 :func:`pemlab.primitives.parallel_for` writes that step.
+
+Every access names a region (or a key sequence, through its region) and
+word indices within it, words and runs alike.  An index outside its region,
+or a region outside the allocation, raises :class:`MachineFault` before the
+access charges anything.  Trace rows and diagnostics give absolute
+addresses.
 
 Cost rules
 ----------
@@ -139,11 +145,6 @@ class MemRegion:
     def end(self) -> int:
         return self.base + self.len
 
-    def addr(self, i: int) -> int:
-        if not 0 <= i < self.len:
-            raise MachineFault(f"index {i} outside region of length {self.len}")
-        return self.base + i
-
 
 @dataclass(frozen=True)
 class CostLedger:
@@ -241,11 +242,14 @@ class Core:
             m._holders[evicted].discard(self.idx)
         return True
 
-    def read(self, addr: int):
-        """Read one word.  Charges one op, plus a cache miss if non-resident."""
+    def read(self, src, i: int):
+        """Read word ``i`` of a region (or key sequence).  Charges one op,
+        plus a cache miss if non-resident."""
         m = self._m
-        if not 0 <= addr < m._limit:
-            raise MachineFault(f"read of unallocated address {addr}")
+        region = src if type(src) is MemRegion else src.region
+        addr = region.base + i
+        if not (0 <= i < region.len and 0 <= addr < m._limit):
+            raise MachineFault(f"read of word {i} of region [{region.base}, {region.end}) out of bounds")
         self.ops += 1
         block = addr // m._B
         missed = self._touch_block(block)
@@ -260,11 +264,14 @@ class Core:
             return self._wbuf[addr]
         return m._mem[addr]
 
-    def write(self, addr: int, value) -> None:
-        """Write one word, visible to other cores after the barrier."""
+    def write(self, dst, i: int, value) -> None:
+        """Write word ``i`` of a region (or key sequence), visible to other
+        cores after the barrier."""
         m = self._m
-        if not 0 <= addr < m._limit:
-            raise MachineFault(f"write to unallocated address {addr}")
+        region = dst if type(dst) is MemRegion else dst.region
+        addr = region.base + i
+        if not (0 <= i < region.len and 0 <= addr < m._limit):
+            raise MachineFault(f"write to word {i} of region [{region.base}, {region.end}) out of bounds")
         self.ops += 1
         block = addr // m._B
         missed = self._touch_block(block)
@@ -284,15 +291,18 @@ class Core:
         if m._trace is not None:
             m._trace.append((m._round, self.idx, "write", addr, "cache_miss" if missed else "hit"))
 
-    def fetch_add(self, addr: int, delta=1):
-        """Atomically add ``delta`` to a word; returns the prior value.
+    def fetch_add(self, dst, i: int, delta=1):
+        """Atomically add ``delta`` to word ``i`` of a region (or key
+        sequence); returns the prior value.
 
         Serialises in core-id order within the round, so concurrent counter
         updates are well defined (and still pay same-block write charges).
         """
         m = self._m
-        if not 0 <= addr < m._limit:
-            raise MachineFault(f"fetch_add on unallocated address {addr}")
+        region = dst if type(dst) is MemRegion else dst.region
+        addr = region.base + i
+        if not (0 <= i < region.len and 0 <= addr < m._limit):
+            raise MachineFault(f"fetch_add on word {i} of region [{region.base}, {region.end}) out of bounds")
         self.ops += 1
         block = addr // m._B
         missed = self._touch_block(block)
@@ -322,12 +332,12 @@ class Core:
         """Read words ``[lo, hi)`` of a region (or key sequence) in order.
 
         Returns and charges exactly what
-        ``[self.read(region.addr(i)) for i in range(lo, hi)]`` would.
+        ``[self.read(src, i) for i in range(lo, hi)]`` would.
         """
         a0, a1 = self._span(src, lo, hi, "read_run")
         m = self._m
         if m._trace is not None:
-            return [self.read(a) for a in range(a0, a1)]
+            return [self.read(src, i) for i in range(lo, hi)]
         if a0 == a1:
             return []
         idx = self.idx
@@ -341,7 +351,7 @@ class Core:
     def write_run(self, region, lo: int, values) -> None:
         """Write ``values`` to words ``lo, lo + 1, ...`` of a region in order.
 
-        Charges exactly what ``self.write(region.addr(lo + k), v)`` for each
+        Charges exactly what ``self.write(region, lo + k, v)`` for each
         ``(k, v)`` would.
         """
         a0, a1 = self._span(region, lo, lo + len(values), "write_run")
@@ -351,8 +361,8 @@ class Core:
         addrs = range(a0, a1)
         blocks = range(a0 // m._B, (a1 - 1) // m._B + 1)
         if m._trace is not None or self._clashes(blocks, addrs):
-            for a, v in zip(addrs, values):
-                self.write(a, v)
+            for i, v in enumerate(values, lo):
+                self.write(region, i, v)
             return
         idx = self.idx
         writers = m._round_writers
@@ -367,8 +377,8 @@ class Core:
         """Copy words ``[lo, hi)`` of a region (or key sequence) to words
         ``at, at + 1, ...`` of ``dst``, one word at a time in order.
 
-        Charges exactly what ``self.write(dst.addr(at + k),
-        fn(self.read(src.addr(lo + k))))`` for each ``k`` would.  ``fn``
+        Charges exactly what ``self.write(dst, at + k, fn(self.read(src,
+        lo + k)))`` for each ``k`` would.  ``fn``
         defaults to the identity; it is called once per word, in order, and
         must not touch the machine.
         """
@@ -384,9 +394,9 @@ class Core:
         if (m._trace is not None or m._cache_blocks == 1
                 or (src_blocks[0] <= dst_blocks[-1] and dst_blocks[0] <= src_blocks[-1])
                 or self._clashes(dst_blocks, dst_addrs)):
-            for a, d in zip(range(s0, s1), dst_addrs):
-                v = self.read(a)
-                self.write(d, v if fn is None else fn(v))
+            for k in range(hi - lo):
+                v = self.read(src, lo + k)
+                self.write(dst, at + k, v if fn is None else fn(v))
             return
         vals = self._values(s0, s1)
         words = vals if fn is None else list(map(fn, vals))
@@ -415,8 +425,8 @@ class Core:
         """Move words ``[lo, hi)`` of a region (or key sequence) one by one.
 
         For each word ``v`` in order: read it, take ``(dst_region,
-        dst_index, word) = route(v)`` and write ``word`` at
-        ``dst_region.addr(dst_index)``.  Charges exactly what that word loop
+        dst_index, word) = route(v)`` and write ``word`` at word
+        ``dst_index`` of ``dst_region``.  Charges exactly what that word loop
         would.  ``route`` is called once per word, in order; it must not
         touch the machine.
 
@@ -447,9 +457,11 @@ class Core:
                 vals[d - a0] = word  # a later read of this run sees it
         dst_blocks = [d // B for d in dsts]
         if m._trace is not None or self._clashes(set(dst_blocks), dsts):
-            for a, d, word in zip(range(a0, a1), dsts, words):
-                self.read(a)
-                self.write(d, word)
+            # The routed destinations are absolute and already checked.
+            whole = MemRegion(0, limit)
+            for i, d, word in zip(range(lo, hi), dsts, words):
+                self.read(src, i)
+                self.write(whole, d, word)
             return
         idx = self.idx
         cache = self._cache
@@ -487,8 +499,9 @@ class Core:
 
     def _span(self, src, lo: int, hi: int, what: str) -> tuple:
         """Addresses ``[a0, a1)`` of words ``[lo, hi)`` of ``src``'s region,
-        checked against the region once, as ``region.addr`` checks a word."""
-        region = getattr(src, "region", src)
+        checked once against the region and the allocation, as a word
+        access checks its word."""
+        region = src if type(src) is MemRegion else src.region
         if not 0 <= lo <= hi <= region.len:
             raise MachineFault(f"{what} [{lo}, {hi}) outside region of length {region.len}")
         a0, a1 = region.base + lo, region.base + hi

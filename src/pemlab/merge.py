@@ -106,8 +106,7 @@ def merge_bucketed(machine, runs, cores, dest: MemRegion | None = None) -> Bucke
     def write_sizes(core, ci):
         lo = ci * B
         hi = min(entries, lo + B) if ci < writers - 1 else entries
-        for k in range(lo, hi):
-            core.write(mat.addr(k), runs[k // t].sizes[k % t])
+        core.write_run(mat, lo, [runs[k // t].sizes[k % t] for k in range(lo, hi)])
 
     machine.run_rounds({cores[ci].idx: partial(write_sizes, ci=ci) for ci in range(writers)})
     mat_t = transpose(machine, KeySeq(mat, entries), x, t, cores[:writers])
@@ -123,7 +122,7 @@ def merge_bucketed(machine, runs, cores, dest: MemRegion | None = None) -> Bucke
         lo_i, hi_i = 0, entries
         while lo_i < hi_i:
             mid = (lo_i + hi_i) // 2
-            v = core.read(ends_seq.addr(mid))
+            v = core.read(ends_seq, mid)
             core.tick(1)
             if v > out_lo:
                 hi_i = mid
@@ -131,7 +130,7 @@ def merge_bucketed(machine, runs, cores, dest: MemRegion | None = None) -> Bucke
                 lo_i = mid + 1
         out = out_lo
         for k, a_lo, a_hi in plans[ci]:
-            core.read(ends_seq.addr(k))
+            core.read(ends_seq, k)
             j, i = divmod(k, x)
             base = row_starts[i][j]
             core.copy_run(runs[i].seq.region, base + a_lo, base + a_hi, dst, out)

@@ -201,7 +201,7 @@ def partition_quadratic(machine, a: KeySeq, splitters, cores) -> BucketedRun:
             left, right = 0, n
             while left < right:
                 mid = (left + right) // 2
-                v = core.read(srt.addr(mid))
+                v = core.read(srt, mid)
                 core.tick(1)
                 if v <= keys[j]:
                     left = mid + 1

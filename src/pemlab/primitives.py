@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from itertools import count
 from math import isqrt
 
 from pemlab.machine import MachineFault, MemRegion
@@ -45,9 +46,6 @@ class KeySeq:
     def __post_init__(self) -> None:
         if self.n < 0 or self.n > self.region.len:
             raise MachineFault("KeySeq length exceeds its region")
-
-    def addr(self, i: int) -> int:
-        return self.region.addr(i)
 
 
 def chunk_bounds(n: int, p: int) -> list:
@@ -79,6 +77,12 @@ def parallel_for(machine, n: int, cores, body) -> None:
         cores[ci].idx: lambda core, ci=ci, lo=lo, hi=hi: body(core, ci, lo, hi)
         for ci, (lo, hi) in enumerate(chunk_bounds(n, g))
     })
+
+
+def _streams(base: int):
+    """A recursion's stream counter: its ``k``-th call returns stream
+    ``(base << 20) | k``."""
+    return ((base << 20) | k for k in count()).__next__
 
 
 def _subseq(seq: KeySeq, lo: int, hi: int) -> KeySeq:
@@ -128,8 +132,9 @@ def spaced_slots(machine, count: int) -> MemRegion:
     return machine.alloc(count * machine.config.B)
 
 
-def _slot_addr(machine, slots: MemRegion, i: int) -> int:
-    return slots.addr(i * machine.config.B)
+def _slot(machine, i: int) -> int:
+    """Index of slot ``i`` of a :func:`spaced_slots` region."""
+    return i * machine.config.B
 
 
 def _combine_slots(machine, slots: MemRegion, count: int, cores, combine):
@@ -147,17 +152,17 @@ def _combine_slots(machine, slots: MemRegion, count: int, cores, combine):
     def body(core, ci, lo, hi):
         acc = _NONE
         for k in range(lo, hi):
-            v = core.read(_slot_addr(machine, slots, k))
+            v = core.read(slots, _slot(machine, k))
             acc = v if acc is _NONE else combine(acc, v)
             core.tick(1)
-        core.write(_slot_addr(machine, slots, ci), acc)
+        core.write(slots, _slot(machine, ci), acc)
         yield
         for step in levels:
             if ci % (2 * step) == 0 and ci + step < g:
-                other = core.read(_slot_addr(machine, slots, ci + step))
+                other = core.read(slots, _slot(machine, ci + step))
                 acc = combine(acc, other)
                 core.tick(1)
-                core.write(_slot_addr(machine, slots, ci), acc)
+                core.write(slots, _slot(machine, ci), acc)
             yield
 
     parallel_for(machine, count, cores, body)
@@ -173,12 +178,9 @@ def _reduce(machine, a: KeySeq, cores, combine):
     slots = spaced_slots(machine, g)
 
     def body(core, ci, lo, hi):
-        acc = _NONE
-        for i in range(lo, hi):
-            v = core.read(a.addr(i))
-            acc = v if acc is _NONE else combine(acc, v)
-            core.tick(1)
-        core.write(_slot_addr(machine, slots, ci), acc)
+        acc = reduce(combine, core.read_run(a, lo, hi))
+        core.tick(hi - lo)
+        core.write(slots, _slot(machine, ci), acc)
 
     parallel_for(machine, a.n, cores, body)
     return _combine_slots(machine, slots, g, cores[:g], combine)
@@ -212,24 +214,24 @@ def prefix_sum(machine, a: KeySeq, cores) -> KeySeq:
 
     def phase1(core, i, size):
         if size == 1:
-            return core.read(a.addr(i))
+            return core.read(a, i)
         half = size // 2
         left = phase1(core, i, half)
-        core.write(sreg.addr(i + half), left)
+        core.write(sreg, i + half, left)
         right = phase1(core, i + half, size - half)
         core.tick(1)
         return left + right
 
     def phase2(core, i, size, carry):
         if size == 1:
-            v = core.read(a.addr(i))
+            v = core.read(a, i)
             if carry is not _NONE:
                 v = carry + v
                 core.tick(1)
-            core.write(rreg.addr(i), v)
+            core.write(rreg, i, v)
             return
         half = size // 2
-        left = core.read(sreg.addr(i + half))
+        left = core.read(sreg, i + half)
         phase2(core, i, half, carry)
         if carry is _NONE:
             down = left
@@ -242,23 +244,23 @@ def prefix_sum(machine, a: KeySeq, cores) -> KeySeq:
         lo = ci * chunk
         hi = min(n, lo + chunk)
         total = phase1(core, lo, hi - lo)
-        core.write(_slot_addr(machine, aux, ci), total)
+        core.write(aux, _slot(machine, ci), total)
         yield
         acc = total
         for step in levels:
             if ci % (2 * step) == 0 and ci + step < g:
-                other = core.read(_slot_addr(machine, aux, ci + step))
-                core.write(sreg.addr((ci + step) * chunk), acc)
+                other = core.read(aux, _slot(machine, ci + step))
+                core.write(sreg, (ci + step) * chunk, acc)
                 acc = acc + other
                 core.tick(1)
-                core.write(_slot_addr(machine, aux, ci), acc)
+                core.write(aux, _slot(machine, ci), acc)
             yield
         carry = _NONE
         for step in reversed(levels):
             group = (ci // (2 * step)) * (2 * step)
             mid = group + step
             if mid <= ci:
-                left = core.read(sreg.addr(mid * chunk))
+                left = core.read(sreg, mid * chunk)
                 if carry is _NONE:
                     carry = left
                 else:
@@ -304,8 +306,8 @@ def transpose(machine, a: KeySeq, m: int, n: int, cores) -> KeySeq:
         if rows * cols <= 32:
             for i in range(i0, i1):
                 for j in range(j0, j1):
-                    v = core.read(a.addr(i * n + j))
-                    core.write(dst.addr(j * m + i), v)
+                    v = core.read(a, i * n + j)
+                    core.write(dst, j * m + i, v)
             return
         if 4 * cols > rows:
             jm = j0 + cols // 2
@@ -372,7 +374,7 @@ def brute_sort(machine, a: KeySeq, cores) -> KeySeq:
     def body(core, ci, lo, hi):
         mine = []
         for i in range(lo, hi):
-            ki = core.read(a.addr(i))
+            ki = core.read(a, i)
             row = core.read_run(a, 0, n)
             # Ties break by position.
             r = sum(kj < ki for kj in row) + row[:i].count(ki)
@@ -382,11 +384,11 @@ def brute_sort(machine, a: KeySeq, cores) -> KeySeq:
         for phase in range(phases):
             for r, ki in mine:
                 if r % phases == phase:
-                    core.write(scratch.addr(n * r), ki)
+                    core.write(scratch, n * r, ki)
             yield
         if ci == 0:
             for r in range(n):
-                core.write(dst.addr(r), core.read(scratch.addr(n * r)))
+                core.write(dst, r, core.read(scratch, n * r))
 
     parallel_for(machine, n, cores, body)
     return KeySeq(dst, n)
@@ -413,7 +415,7 @@ def sample_splitters(machine, a: KeySeq, z: int, cores, stream: int = 0) -> tupl
         for k in range(lo, hi):
             clo, chi = chunks[k]
             off = int(rng.integers(chi - clo))
-            core.write(star.addr(k), core.read(a.addr(clo + off)))
+            core.write(star, k, core.read(a, clo + off))
 
     parallel_for(machine, m_star, cores, body)
     sorted_star = brute_sort(machine, KeySeq(star, m_star), cores[:m_star])
@@ -421,7 +423,7 @@ def sample_splitters(machine, a: KeySeq, z: int, cores, stream: int = 0) -> tupl
 
     def select(core):
         for j in range(1, z + 1):
-            core.write(sreg.addr(j - 1), core.read(sorted_star.addr(step * j - 1)))
+            core.write(sreg, j - 1, core.read(sorted_star, step * j - 1))
 
     machine.run_rounds({cores[0].idx: select})
     return tuple(machine.snapshot_memory(sreg))
@@ -441,24 +443,21 @@ def sample_k_of_n_seq(machine, a: KeySeq, k: int, core, stream: int = 0) -> KeyS
     out = machine.alloc(k)
 
     def prog(c):
-        ranks = [int(v) for v in rng.integers(0, n, size=k)]
-        for i, r in enumerate(ranks):
-            c.write(ranks_reg.addr(i), r)
+        c.write_run(ranks_reg, 0, [int(v) for v in rng.integers(0, n, size=k)])
         yield
-        ranks = [c.read(ranks_reg.addr(i)) for i in range(k)]
+        ranks = c.read_run(ranks_reg, 0, k)
         ranks.sort()
         c.tick(k * max(1, k.bit_length()))
-        for i, r in enumerate(ranks):
-            c.write(ranks_reg.addr(i), r)
+        c.write_run(ranks_reg, 0, ranks)
         yield
         write_at = 0
         pos = 0
         for i in range(k):
-            r = c.read(ranks_reg.addr(i))
+            r = c.read(ranks_reg, i)
             while pos <= r:
-                value = c.read(a.addr(pos))
+                value = c.read(a, pos)
                 pos += 1
-            c.write(out.addr(write_at), value)
+            c.write(out, write_at, value)
             write_at += 1
 
     machine.run_rounds({core.idx: prog})

@@ -116,24 +116,24 @@ def estimate_processors(machine, n: int, cores,
         rng = machine.rng(17, stream, core.idx)
         s = int(rng.integers(0, slots_n))
         my_slot[ci] = s
-        my_rank[ci] = core.fetch_add(slots.addr(s), 1)
+        my_rank[ci] = core.fetch_add(slots, s, 1)
 
     machine.run_rounds({cores[ci].idx: partial(register, ci=ci) for ci in range(p)})
     write_misses = machine.ledger().block_misses - misses_before
 
-    leader: list = []
-
-    def left_walk(core, ci):
+    def walk(core, ci, floor, won):
+        """Election walk: read one slot per round leftward from ``ci``'s
+        slot down to ``floor``; ``ci`` joins ``won`` if all are empty."""
         pos = my_slot[ci] - 1
-        while pos >= 0:
-            v = core.read(slots.addr(pos))
-            if v:
+        while pos >= floor:
+            if core.read(slots, pos):
                 return
             pos -= 1
             yield
-        leader.append(ci)
+        won.append(ci)
 
-    machine.run_rounds({cores[ci].idx: partial(left_walk, ci=ci)
+    leader: list = []
+    machine.run_rounds({cores[ci].idx: partial(walk, ci=ci, floor=0, won=leader)
                         for ci in range(p) if my_rank[ci] == 0})
     if len(leader) != 1:
         raise MachineFault("leftward election did not produce one leader")
@@ -145,7 +145,7 @@ def estimate_processors(machine, n: int, cores,
         beta = slots_n
         i = 0
         while i < slots_n:
-            total += core.read(slots.addr(i))
+            total += core.read(slots, i)
             if total >= target:
                 beta = i + 1
                 break
@@ -158,7 +158,7 @@ def estimate_processors(machine, n: int, cores,
             p_hat = max(1, (target * slots_n + beta // 2) // beta)
         block = max(1, min(slots_n, (target * slots_n) // p_hat))
         est.update(saturated=saturated, p_hat=p_hat, block=block, beta=beta)
-        core.write(header.addr(0), (p_hat, beta, block))
+        core.write(header, 0, (p_hat, beta, block))
         core.tick(4)
 
     machine.run_rounds({cores[leader[0]].idx: count_prog})
@@ -167,19 +167,11 @@ def estimate_processors(machine, n: int, cores,
     nblocks = -(-slots_n // b)
     summaries = machine.alloc(nblocks)
     gsum = machine.alloc(nblocks)
-    block_leader = [False] * p
+    block_leaders: list = []
 
     def block_walk(core, ci):
-        start = (my_slot[ci] // b) * b
-        core.read(header.addr(0))
-        pos = my_slot[ci] - 1
-        while pos >= start:
-            v = core.read(slots.addr(pos))
-            if v:
-                return
-            pos -= 1
-            yield
-        block_leader[ci] = True
+        core.read(header, 0)
+        return walk(core, ci, (my_slot[ci] // b) * b, block_leaders)
 
     machine.run_rounds({cores[ci].idx: partial(block_walk, ci=ci)
                         for ci in range(p) if my_rank[ci] == 0})
@@ -188,22 +180,22 @@ def estimate_processors(machine, n: int, cores,
         mb = my_slot[ci] // b
         running = 0
         for pos in range(mb * b, min((mb + 1) * b, slots_n)):
-            v = core.read(slots.addr(pos))
+            v = core.read(slots, pos)
             if v:
-                core.write(offs.addr(pos), running)
+                core.write(offs, pos, running)
                 running += v
-        core.write(summaries.addr(mb), running)
+        core.write(summaries, mb, running)
 
     machine.run_rounds({cores[ci].idx: partial(block_scan, ci=ci)
-                        for ci in range(p) if block_leader[ci]})
+                        for ci in block_leaders})
 
     grand = {}
 
     def gsum_prog(core):
         running = 0
         for k in range(nblocks):
-            v = core.read(summaries.addr(k))
-            core.write(gsum.addr(k), running)
+            v = core.read(summaries, k)
+            core.write(gsum, k, running)
             running += v
         grand["total"] = running
 
@@ -215,10 +207,10 @@ def estimate_processors(machine, n: int, cores,
     dense = [None] * p
 
     def derive(core, ci):
-        hv = core.read(header.addr(0))
+        hv = core.read(header, 0)
         mb = my_slot[ci] // hv[2]
-        slot_off = core.read(offs.addr(my_slot[ci]))
-        block_off = core.read(gsum.addr(mb))
+        slot_off = core.read(offs, my_slot[ci])
+        block_off = core.read(gsum, mb)
         rank = slot_off + my_rank[ci]
         ids[ci] = (mb, rank)
         dense[ci] = block_off + rank
@@ -270,21 +262,20 @@ def oblivious_prefix(machine, a: KeySeq, cores,
     out = machine.alloc(n)
 
     def chunk_sum(core, k):
-        acc = 0
-        for i in range(*owners[k]):
-            acc += core.read(a.addr(i))
-            core.tick(1)
-        core.write(partials.addr(k), acc)
+        lo, hi = owners[k]
+        acc = sum(core.read_run(a, lo, hi))
+        core.tick(hi - lo)
+        core.write(partials, k, acc)
 
     machine.run_rounds({core.idx: partial(chunk_sum, k=k)
                         for core, k in zip(cores, est.dense_ids)})
     pref = prefix_sum(machine, KeySeq(partials, est.total), cores)
 
     def emit(core, k):
-        acc = core.read(pref.addr(k - 1)) if k else 0
+        acc = core.read(pref, k - 1) if k else 0
         for i in range(*owners[k]):
-            acc += core.read(a.addr(i))
-            core.write(out.addr(i), acc)
+            acc += core.read(a, i)
+            core.write(out, i, acc)
             core.tick(1)
 
     machine.run_rounds({core.idx: partial(emit, k=k)

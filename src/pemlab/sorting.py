@@ -1,13 +1,14 @@
 """Randomized parallel sample sort on the simulated machine.
 
-The recursion has three regimes.  A subproblem that fits a constant factor
-of one cache (``n <= M**2``) is read, host-sorted, and written back by a
-single core in one sweep.  A subproblem at or below the per-core grain
-``N/P`` — or holding only one core — samples splitters and distributes its
-keys in one pass into bucket columns, then recurses bucket by bucket.
-Anything larger samples splitters with all of its cores, partitions through
-the chunked parallel partitioner, and recurses with cores reassigned to
-buckets in proportion to bucket size.
+The recursion has three regimes.  A subproblem of at most ``M**2`` keys,
+which may be up to ``M`` caches' worth, is a modelled leaf: a single core
+reads it, host-sorts it and writes it back, charged one read sweep, one
+write sweep and ``n log n`` ticks however many caches it spans.  A
+subproblem at or below the per-core grain ``N/P`` — or holding only one
+core — samples splitters and distributes its keys in one pass into bucket
+columns, then recurses bucket by bucket.  Anything larger samples splitters
+with all of its cores, partitions through the chunked parallel partitioner,
+and recurses with cores reassigned to buckets in proportion to bucket size.
 
 Two details keep the measured costs aligned with the intended shape:
 
@@ -27,13 +28,13 @@ cap records a diagnostic and keeps the final round rather than failing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from math import isqrt
 
 from pemlab.machine import MachineFault, MemRegion
 from pemlab.partition import PartitionTask, _distribute_columns, partition_main
-from pemlab.primitives import KeySeq, _subseq, parallel_for, sample_splitters
+from pemlab.primitives import KeySeq, _streams, _subseq, parallel_for, sample_splitters
 
 __all__ = ["SortPlan", "SortStats", "sample_sort"]
 
@@ -109,11 +110,7 @@ class _Ctx:
     P: int
     cap: int
     stats: SortStats
-    base_stream: int
-    counter: count = field(default_factory=count)
-
-    def next_stream(self) -> int:
-        return (self.base_stream << 20) | next(self.counter)
+    next_stream: object
 
 
 def sample_sort(machine, a: KeySeq, cores, plan: SortPlan | None = None,
@@ -140,7 +137,7 @@ def sample_sort(machine, a: KeySeq, cores, plan: SortPlan | None = None,
         return KeySeq(out, 0)
     cap = max(_SEQ_FLOOR, cfg.M * cfg.M)
     ctx = _Ctx(machine=machine, plan=plan, N=n, P=len(cores), cap=cap,
-               stats=stats, base_stream=stream)
+               stats=stats, next_stream=_streams(stream))
     if len(cores) == 1 and n <= cap:
         _leaf(machine, a, cores[0], out, 0, tagged=False)
         return KeySeq(out, n)

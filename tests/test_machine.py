@@ -11,7 +11,7 @@ def scan_program(region, out=None):
     def prog(core):
         total = 0
         for i in range(region.len):
-            total += core.read(region.addr(i))
+            total += core.read(region, i)
         if out is not None:
             out.append(total)
         return
@@ -49,17 +49,25 @@ class TestMemory:
         assert b.base % 8 == 0
         assert b.base >= a.end
 
-    def test_out_of_bounds_access_faults(self, make_machine):
-        m = make_machine()
-        m.alloc(8)
-
-        def prog(core):
-            core.read(10**9)
-            return
-            yield
-
+    @pytest.mark.parametrize("op", ["read", "write", "fetch_add"])
+    @pytest.mark.parametrize("where", ["past_its_region", "negative", "past_the_allocation"])
+    def test_word_access_outside_its_region_faults_uncharged(self, make_machine, op, where):
+        # At B=8, word 9 of r1 and word -1 of r2 are allocated addresses
+        # (r2[1] and r1's padding), so only a region check catches them.
+        m = make_machine(B=8)
+        r1 = m.alloc(3)
+        r2 = m.alloc(8)
+        m.load(r2, range(8))
+        region, i = {"past_its_region": (r1, 9), "negative": (r2, -1),
+                     "past_the_allocation": (MemRegion(r2.end, 4), 0)}[where]
+        args = () if op == "read" else (77,)
         with pytest.raises(MachineFault):
-            m.run_rounds([prog])
+            m.run_rounds([lambda core: getattr(core, op)(region, i, *args)])
+        led = m.ledger()
+        assert led.ops == 0 and led.cache_misses == 0 and led.block_misses == 0
+        assert m.cache_state().resident == ((),)
+        assert m.snapshot_memory(r1) == [0] * 3
+        assert m.snapshot_memory(r2) == list(range(8))
 
     def test_load_and_snapshot_are_free(self, make_machine):
         m = make_machine()
@@ -98,8 +106,8 @@ class TestCacheMisses:
         region = m.alloc(24)
 
         def prog(core):
-            for addr in (0, 8, 16, 0):
-                core.read(region.addr(addr))
+            for i in (0, 8, 16, 0):
+                core.read(region, i)
             return
             yield
 
@@ -111,8 +119,8 @@ class TestCacheMisses:
         region = m.alloc(8)
 
         def prog(core):
-            core.write(region.addr(0), 1)
-            core.write(region.addr(1), 2)
+            core.write(region, 0, 1)
+            core.write(region, 1, 2)
             return
             yield
 
@@ -139,7 +147,7 @@ class TestBlockMisses:
 
         def prog_for(i):
             def prog(core):
-                core.write(region.addr(i), i)
+                core.write(region, i, i)
                 return
                 yield
 
@@ -155,12 +163,12 @@ class TestBlockMisses:
         region = m.alloc(8)
 
         def reader(core):
-            core.read(region.addr(0))
+            core.read(region, 0)
             return
             yield
 
         def writer(core):
-            core.write(region.addr(1), 9)
+            core.write(region, 1, 9)
             return
             yield
 
@@ -175,7 +183,7 @@ class TestBlockMisses:
 
         def prog_for(i):
             def prog(core):
-                core.write(region.addr(8 * i), i)
+                core.write(region, 8 * i, i)
                 return
                 yield
 
@@ -189,14 +197,14 @@ class TestBlockMisses:
         region = m.alloc(8)
 
         def holder(core):
-            core.read(region.addr(0))
+            core.read(region, 0)
             yield
             yield
-            core.read(region.addr(0))
+            core.read(region, 0)
 
         def writer(core):
             yield
-            core.write(region.addr(0), 3)
+            core.write(region, 0, 3)
             yield
 
         m.run_rounds({0: holder, 1: writer})
@@ -209,12 +217,12 @@ class TestBlockMisses:
         region = m.alloc(8)
 
         def holder(core):
-            core.read(region.addr(0))
+            core.read(region, 0)
             yield
 
         def writer(core):
             yield
-            core.write(region.addr(0), 3)
+            core.write(region, 0, 3)
 
         m.run_rounds({0: holder, 1: writer})
         state = m.cache_state()
@@ -227,11 +235,11 @@ class TestBlockMisses:
         region = m.alloc(16)
 
         def reader(core):
-            core.read(region.addr(0))
-            core.read(region.addr(8))
+            core.read(region, 0)
+            core.read(region, 8)
 
         def writer(core):
-            core.write(region.addr(1), 5)
+            core.write(region, 1, 5)
 
         m.run_rounds({0: reader, 1: writer})
         assert m.ledger().per_core_block_misses == (1, 0)
@@ -244,8 +252,8 @@ class TestBlockMisses:
         region = m.alloc(16)
 
         def prog(core):
-            core.write(region.addr(8 + core.idx), 1)
-            core.write(region.addr(core.idx), 1)
+            core.write(region, 8 + core.idx, 1)
+            core.write(region, core.idx, 1)
 
         m.run_rounds([prog, prog])
         migrations = [row for row in m._trace if row[2] == "migrate"]
@@ -257,7 +265,7 @@ class TestBlockMisses:
         region = m.alloc(8)
 
         def prog(core):
-            core.write(region.addr(0), core.idx)
+            core.write(region, 0, core.idx)
             return
             yield
 
@@ -275,13 +283,13 @@ class TestRoundSemantics:
         seen = []
 
         def writer(core):
-            core.write(region.addr(0), 99)
+            core.write(region, 0, 99)
             yield
 
         def reader(core):
-            seen.append(core.read(region.addr(0)))
+            seen.append(core.read(region, 0))
             yield
-            seen.append(core.read(region.addr(0)))
+            seen.append(core.read(region, 0))
 
         m.run_rounds({0: writer, 1: reader})
         assert seen == [10, 99]
@@ -292,8 +300,8 @@ class TestRoundSemantics:
         seen = []
 
         def prog(core):
-            core.write(region.addr(0), 42)
-            seen.append(core.read(region.addr(0)))
+            core.write(region, 0, 42)
+            seen.append(core.read(region, 0))
             return
             yield
 
@@ -306,7 +314,7 @@ class TestRoundSemantics:
         priors = {}
 
         def prog(core):
-            priors[core.idx] = core.fetch_add(region.addr(0), 1)
+            priors[core.idx] = core.fetch_add(region, 0, 1)
             return
             yield
 
@@ -323,8 +331,8 @@ class TestRoundSemantics:
         seen = {}
 
         def prog(core):
-            core.fetch_add(region.addr(0), 5)
-            seen[core.idx] = core.read(region.addr(0))
+            core.fetch_add(region, 0, 5)
+            seen[core.idx] = core.read(region, 0)
             yield
 
         m.run_rounds({0: prog})
@@ -339,13 +347,13 @@ class TestRoundSemantics:
         seen = []
 
         def adder(core):
-            core.fetch_add(region.addr(0), 5)
+            core.fetch_add(region, 0, 5)
             yield
 
         def reader(core):
-            seen.append(core.read(region.addr(0)))
+            seen.append(core.read(region, 0))
             yield
-            seen.append(core.read(region.addr(0)))
+            seen.append(core.read(region, 0))
 
         m.run_rounds({0: adder, 1: reader})
         assert seen == [0, 5]
@@ -356,11 +364,11 @@ class TestRoundSemantics:
         region = m.alloc(8)
 
         def writer(core):
-            core.write(region.addr(0), 100)
+            core.write(region, 0, 100)
             yield
 
         def adder(core):
-            core.fetch_add(region.addr(0), 5)
+            core.fetch_add(region, 0, 5)
             yield
 
         m.run_rounds({writer_core: writer, 1 - writer_core: adder})
@@ -374,8 +382,8 @@ class TestRoundSemantics:
         region = m.alloc(8)
 
         def prog(core):
-            core.fetch_add(region.addr(core.idx), 1)
-            core.write(region.addr(core.idx), 7)
+            core.fetch_add(region, core.idx, 1)
+            core.write(region, core.idx, 7)
             yield
 
         m.run_rounds([prog, prog])
@@ -395,9 +403,9 @@ class TestRoundSemantics:
         region = m.alloc(8)
 
         def prog(core):
-            core.write(region.addr(core.idx), 1)
+            core.write(region, core.idx, 1)
             yield
-            core.read(region.addr(core.idx))
+            core.read(region, core.idx)
             yield
 
         m.run_rounds([prog, prog])
@@ -410,7 +418,7 @@ class TestRoundSemantics:
         region = m.alloc(8)
 
         def prog(core):
-            core.write(region.addr(core.idx), 1)
+            core.write(region, core.idx, 1)
             return
             yield
 
@@ -423,46 +431,46 @@ class TestRoundSemantics:
         assert any("block_miss" in line for line in lines[1:])
 
 
-def _apply(core, ops, log):
-    for op, addr, val in ops:
+def _apply(core, region, ops, log):
+    for op, i, val in ops:
         if op == "read":
-            log.append((core.idx, core.read(addr)))
+            log.append((core.idx, core.read(region, i)))
         elif op == "write":
-            core.write(addr, val)
+            core.write(region, i, val)
         elif op == "fetch_add":
-            log.append((core.idx, core.fetch_add(addr, val)))
+            log.append((core.idx, core.fetch_add(region, i, val)))
         else:
             core.tick(val)
 
 
-def _plain_form(rounds, log):
+def _plain_form(region, rounds, log):
     """A one-round program as a plain function, else a generator."""
     if len(rounds) == 1:
         def prog(core):
-            _apply(core, rounds[0], log)
+            _apply(core, region, rounds[0], log)
 
         return prog
-    return _generator_form(rounds, log)
+    return _generator_form(region, rounds, log)
 
 
-def _tail_form(rounds, log):
+def _tail_form(region, rounds, log):
     """The same program with a generator for every round count."""
     if len(rounds) == 1:
         def prog(core):
-            _apply(core, rounds[0], log)
+            _apply(core, region, rounds[0], log)
             return
             yield
 
         return prog
-    return _generator_form(rounds, log)
+    return _generator_form(region, rounds, log)
 
 
-def _generator_form(rounds, log):
+def _generator_form(region, rounds, log):
     def prog(core):
         for k, ops in enumerate(rounds):
             if k:
                 yield
-            _apply(core, ops, log)
+            _apply(core, region, ops, log)
 
     return prog
 
@@ -487,7 +495,7 @@ class TestPlainPrograms:
         region = m.alloc(8)
 
         def prog(core):
-            core.write(region.addr(0), 42)
+            core.write(region, 0, 42)
 
         m.run_rounds([prog])
         led = m.ledger()
@@ -532,7 +540,7 @@ class TestPlainPrograms:
             m.load(region, range(words))
             log = []
             for mix in mixes:
-                m.run_rounds({idx: form(rounds, log) for idx, rounds in mix.items()})
+                m.run_rounds({idx: form(region, rounds, log) for idx, rounds in mix.items()})
             results.append((m.ledger(), m.cache_state(), m.snapshot_memory(region),
                             list(m.diagnostics), list(m._trace), log))
         assert results[0] == results[1]
@@ -545,8 +553,8 @@ class TestFetchAddProgramOrder:
         priors = []
 
         def prog(core):
-            core.write(region.addr(0), 100)
-            priors.append(core.fetch_add(region.addr(0), 5))
+            core.write(region, 0, 100)
+            priors.append(core.fetch_add(region, 0, 5))
 
         m.run_rounds([prog])
         assert priors == [100]
@@ -558,8 +566,8 @@ class TestFetchAddProgramOrder:
         region = m.alloc(8)
 
         def prog(core):
-            core.fetch_add(region.addr(0), 1)
-            core.write(region.addr(0), 7)
+            core.fetch_add(region, 0, 1)
+            core.write(region, 0, 7)
 
         m.run_rounds([prog])
         assert m.snapshot_memory(region)[0] == 7
@@ -596,11 +604,11 @@ def _fn_for(mapped, log):
 def _run_op(machine, core, regions, op, log):
     kind = op[0]
     if kind == "read":
-        log.append((core.idx, core.read(regions[op[1]].addr(op[2]))))
+        log.append((core.idx, core.read(regions[op[1]], op[2])))
     elif kind == "write":
-        core.write(regions[op[1]].addr(op[2]), op[3])
+        core.write(regions[op[1]], op[2], op[3])
     elif kind == "fetch_add":
-        log.append((core.idx, core.fetch_add(regions[op[1]].addr(op[2]), op[3])))
+        log.append((core.idx, core.fetch_add(regions[op[1]], op[2], op[3])))
     elif kind == "tick":
         core.tick(op[1])
     elif kind == "read_run":
@@ -619,23 +627,23 @@ def _word_op(machine, core, regions, op, log):
     kind = op[0]
     if kind == "read_run":
         region = regions[op[1]]
-        log.append((core.idx, [core.read(region.addr(i)) for i in range(op[2], op[3])]))
+        log.append((core.idx, [core.read(region, i) for i in range(op[2], op[3])]))
     elif kind == "write_run":
         region = regions[op[1]]
         for k, v in enumerate(op[3]):
-            core.write(region.addr(op[2] + k), v)
+            core.write(region, op[2] + k, v)
     elif kind == "route_run":
         src = regions[op[1]]
         route = _route_for(regions, op[4], log)
         for i in range(op[2], op[3]):
-            dst, j, word = route(core.read(src.addr(i)))
-            core.write(dst.addr(j), word)
+            dst, j, word = route(core.read(src, i))
+            core.write(dst, j, word)
     elif kind == "copy":
         _, r, lo, hi, d, at, mapped = op
         fn = _fn_for(mapped, log) or (lambda v: v)
         for k in range(hi - lo):
-            v = core.read(regions[r].addr(lo + k))
-            core.write(regions[d].addr(at + k), fn(v))
+            v = core.read(regions[r], lo + k)
+            core.write(regions[d], at + k, fn(v))
     else:
         _run_op(machine, core, regions, op, log)
 
@@ -802,7 +810,7 @@ class TestRuns:
                 m.run_rounds([call])
         # The word loop would fault too, at its first word past the end.
         with pytest.raises(MachineFault):
-            a.addr(6)
+            m.run_rounds([lambda c: c.read(a, 6)])
 
     def test_copy_past_its_destination_charges_nothing(self, make_machine):
         m = make_machine(B=4)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from pemlab.machine import Machine, MachineConfig, MachineFault
-from pemlab.primitives import KeySeq
+from pemlab.primitives import KeySeq, _streams
 from pemlab.sorting import SortPlan, SortStats, _Ctx, _partition_round, sample_sort
 from pemlab.merge import BucketedRun
 
@@ -161,7 +161,7 @@ class TestCorrectness:
 class TestQualityGate:
     def _ctx(self, m, plan):
         return _Ctx(machine=m, plan=plan, N=1 << 12, P=1, cap=32,
-                    stats=SortStats(), base_stream=0)
+                    stats=SortStats(), next_stream=_streams(0))
 
     def _run(self, m, sizes_per_attempt, plan):
         """Drive the accept/retry loop with rigged bucket sizes."""
