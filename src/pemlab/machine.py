@@ -200,6 +200,9 @@ class CacheState:
     holders: dict
 
 
+_END = object()  # what ``next`` returns for an ended program
+
+
 class Core:
     """Handle through which a program touches memory and charges ops."""
 
@@ -222,12 +225,10 @@ class Core:
         self._cache: OrderedDict = OrderedDict()
         self._wbuf: dict = {}
 
-    def _touch_block(self, block: int) -> bool:
-        """Make ``block`` resident; return True when it was a miss."""
+    def _miss(self, block: int) -> None:
+        """Charge a cache miss and make non-resident ``block`` resident.  A
+        hit makes no call: each access moves a cached block to MRU itself."""
         cache = self._cache
-        if block in cache:
-            cache.move_to_end(block)
-            return False
         self.cache_misses += 1
         cache[block] = None
         m = self._m
@@ -240,7 +241,6 @@ class Core:
         if len(cache) > m._cache_blocks:
             evicted, _ = cache.popitem(last=False)
             m._holders[evicted].discard(self.idx)
-        return True
 
     def read(self, src, i: int):
         """Read word ``i`` of a region (or key sequence).  Charges one op,
@@ -252,17 +252,20 @@ class Core:
             raise MachineFault(f"read of word {i} of region [{region.base}, {region.end}) out of bounds")
         self.ops += 1
         block = addr // m._B
-        missed = self._touch_block(block)
+        cache = self._cache
+        hit = block in cache
+        if hit:
+            cache.move_to_end(block)
+        else:
+            self._miss(block)
         readers = m._round_readers.get(block)
         if readers is None:
             m._round_readers[block] = {self.idx}
         else:
             readers.add(self.idx)
         if m._trace is not None:
-            m._trace.append((m._round, self.idx, "read", addr, "cache_miss" if missed else "hit"))
-        if addr in self._wbuf:
-            return self._wbuf[addr]
-        return m._mem[addr]
+            m._trace.append((m._round, self.idx, "read", addr, "hit" if hit else "cache_miss"))
+        return self._wbuf.get(addr, m._mem[addr])
 
     def write(self, dst, i: int, value) -> None:
         """Write word ``i`` of a region (or key sequence), visible to other
@@ -274,22 +277,25 @@ class Core:
             raise MachineFault(f"write to word {i} of region [{region.base}, {region.end}) out of bounds")
         self.ops += 1
         block = addr // m._B
-        missed = self._touch_block(block)
+        cache = self._cache
+        hit = block in cache
+        if hit:
+            cache.move_to_end(block)
+        else:
+            self._miss(block)
         writers = m._round_writers.get(block)
         if writers is None:
             m._round_writers[block] = {self.idx}
         else:
             writers.add(self.idx)
-        first = m._round_addr_writer.get(addr)
-        if first is None:
-            m._round_addr_writer[addr] = self.idx
-        elif first != self.idx:
+        first = m._round_addr_writer.setdefault(addr, self.idx)
+        if first != self.idx:
             m.diagnostics.append(
                 f"data race: cores {first} and {self.idx} wrote address {addr} in round {m._round}"
             )
         self._wbuf[addr] = value
         if m._trace is not None:
-            m._trace.append((m._round, self.idx, "write", addr, "cache_miss" if missed else "hit"))
+            m._trace.append((m._round, self.idx, "write", addr, "hit" if hit else "cache_miss"))
 
     def fetch_add(self, dst, i: int, delta=1):
         """Atomically add ``delta`` to word ``i`` of a region (or key
@@ -305,17 +311,14 @@ class Core:
             raise MachineFault(f"fetch_add on word {i} of region [{region.base}, {region.end}) out of bounds")
         self.ops += 1
         block = addr // m._B
-        missed = self._touch_block(block)
-        writers = m._round_writers.get(block)
-        if writers is None:
-            m._round_writers[block] = {self.idx}
+        cache = self._cache
+        hit = block in cache
+        if hit:
+            cache.move_to_end(block)
         else:
-            writers.add(self.idx)
-        adders = m._round_adders.get(addr)
-        if adders is None:
-            m._round_adders[addr] = {self.idx}
-        else:
-            adders.add(self.idx)
+            self._miss(block)
+        m._round_writers.setdefault(block, set()).add(self.idx)
+        m._round_adders.setdefault(addr, set()).add(self.idx)
         atomics = m._round_atomics
         wbuf = self._wbuf
         # The core's own earlier write or sum to this address comes first
@@ -323,7 +326,7 @@ class Core:
         prior = wbuf[addr] if addr in wbuf else atomics.get(addr, m._mem[addr])
         atomics[addr] = wbuf[addr] = prior + delta
         if m._trace is not None:
-            m._trace.append((m._round, self.idx, "fetch_add", addr, "cache_miss" if missed else "hit"))
+            m._trace.append((m._round, self.idx, "fetch_add", addr, "hit" if hit else "cache_miss"))
         return prior
 
     # -- runs of words: the word loops above, charged once per block -------
@@ -341,9 +344,13 @@ class Core:
         if a0 == a1:
             return []
         idx = self.idx
+        cache = self._cache
         readers = m._round_readers
         for block in range(a0 // m._B, (a1 - 1) // m._B + 1):
-            self._touch_block(block)
+            if block in cache:
+                cache.move_to_end(block)
+            else:
+                self._miss(block)
             readers.setdefault(block, set()).add(idx)
         self.ops += a1 - a0
         return self._values(a0, a1)
@@ -365,9 +372,13 @@ class Core:
                 self.write(region, i, v)
             return
         idx = self.idx
+        cache = self._cache
         writers = m._round_writers
         for block in blocks:
-            self._touch_block(block)
+            if block in cache:
+                cache.move_to_end(block)
+            else:
+                self._miss(block)
             writers.setdefault(block, set()).add(idx)
         self.ops += a1 - a0
         m._round_addr_writer.update(dict.fromkeys(addrs, idx))
@@ -402,11 +413,14 @@ class Core:
         words = vals if fn is None else list(map(fn, vals))
         # A piece ends where either stream crosses a block boundary; inside
         # it the loop alternates between its source and destination block.
-        touch = self._touch_block
+        cache = self._cache
         s, d = s0, d0
         while s < s1:
-            touch(s // B)
-            touch(d // B)
+            for block in (s // B, d // B):
+                if block in cache:
+                    cache.move_to_end(block)
+                else:
+                    self._miss(block)
             step = min(B - s % B, B - d % B)
             s += step
             d += step
@@ -465,7 +479,7 @@ class Core:
             return
         idx = self.idx
         cache = self._cache
-        touch = self._touch_block
+        miss = self._miss
         readers = m._round_readers
         cap = m._cache_blocks
         k = 0
@@ -477,11 +491,17 @@ class Core:
             touched = dict.fromkeys([src_block, *piece])
             if len(touched) > cap:
                 for block in piece:
-                    touch(src_block)
-                    touch(block)
+                    for b in (src_block, block):
+                        if b in cache:
+                            cache.move_to_end(b)
+                        else:
+                            miss(b)
                 continue
             for block in touched:
-                touch(block)
+                if block in cache:
+                    cache.move_to_end(block)
+                else:
+                    miss(block)
             # Last touches, oldest first: other destination blocks, then the
             # source block (read just before the piece's final write), then
             # the block of that final write.
@@ -574,17 +594,23 @@ class Machine:
         return MemRegion(base, length)
 
     def load(self, region: MemRegion, values) -> None:
-        """Install input data into a region without charging any cost."""
+        """Install input data into a region's first words without charging
+        any cost.  Bounds-checked: more values than the region holds, or a
+        region outside the allocation, raises :class:`MachineFault`."""
         values = list(values)
         if len(values) > region.len:
             raise MachineFault("load exceeds region length")
+        if not (0 <= region.base and region.end <= self._limit):
+            raise MachineFault("load outside allocated memory")
         self._mem[region.base : region.base + len(values)] = values
 
     def snapshot_memory(self, region: MemRegion) -> list:
-        """Return a copy of a region's words without charging any cost."""
-        if region.end > self._limit:
+        """Return a copy of a region's words without charging any cost.
+        Bounds-checked: a region outside the allocation raises
+        :class:`MachineFault`."""
+        if not (0 <= region.base and region.end <= self._limit):
             raise MachineFault("snapshot outside allocated memory")
-        return list(self._mem[region.base : region.end])
+        return self._mem[region.base : region.end]
 
     # -- execution ---------------------------------------------------------
 
@@ -612,31 +638,33 @@ class Machine:
         for idx in order:
             gen = programs[idx](self.cores[idx])
             if isinstance(gen, GeneratorType):
-                try:
-                    next(gen)
-                except StopIteration:
-                    pass
-                else:
-                    alive.append((idx, gen))
+                alive.append(gen)
+                next(gen, None)
+        finished = True  # round 0 may have ended some or all of them
         while True:
             self._settle_round()
             self._rounds += 1
-            if not alive:
-                return
+            if finished:
+                # Only a round in which a generator ended rebuilds the list;
+                # an ended generator has no frame.  Core-id order is kept.
+                alive = [gen for gen in alive if gen.gi_frame is not None]
+                if not alive:
+                    return
             self._round = self._rounds
-            survivors = []
-            for idx, gen in alive:
-                try:
-                    next(gen)
-                except StopIteration:
-                    pass
-                else:
-                    survivors.append((idx, gen))
-            alive = survivors
+            finished = False
+            for gen in alive:
+                if next(gen, _END) is _END:
+                    finished = True
 
     def _settle_round(self) -> None:
-        mem = self._mem
         writers_by_block = self._round_writers
+        if not writers_by_block:
+            # Every write, fetch_add and writing run adds its block here
+            # before it buffers anything.  So no core wrote or added this
+            # round: no buffer to commit, no race, no block to invalidate.
+            self._round_readers.clear()
+            return
+        mem = self._mem
         # Commit buffered writes in core-id order: on a same-address race the
         # highest core id lands last, matching the writer arrival order.
         # A plain loop: CPython's list store beats mapping ``__setitem__``.
@@ -662,36 +690,35 @@ class Machine:
                     )
             self._round_atomics.clear()
             self._round_adders.clear()
-        if writers_by_block:
-            trace = self._trace
-            readers_by_block = self._round_readers
-            holders_by_block = self._holders
-            # Only the trace rows depend on the order of the blocks.
-            for block in writers_by_block if trace is None else sorted(writers_by_block):
-                writer_set = writers_by_block[block]
-                readers = readers_by_block.get(block)
-                holders = holders_by_block[block]
-                if (len(writer_set) == 1 and holders <= writer_set
-                        and (not readers or readers <= writer_set)):
-                    continue  # one writer, and no other core read or holds it
-                writers = sorted(writer_set)
-                for order, idx in enumerate(writers):
-                    if order:
-                        self.cores[idx].block_misses += order
-                        if trace is not None:
-                            trace.append((self._round, idx, "migrate", block * self._B, "block_miss"))
-                if readers:
-                    for idx in sorted(readers - writer_set):
-                        self.cores[idx].block_misses += 1
-                        if trace is not None:
-                            trace.append((self._round, idx, "reread", block * self._B, "block_miss"))
-                # Invalidate everywhere but the last writer's cache.
-                keeper = writers[-1]
-                if holders:
-                    for idx in sorted(holders):
-                        if idx != keeper:
-                            self.cores[idx]._cache.pop(block, None)
-                    holders.intersection_update({keeper})
+        trace = self._trace
+        readers_by_block = self._round_readers
+        holders_by_block = self._holders
+        # Only the trace rows depend on the order of the blocks.
+        for block in writers_by_block if trace is None else sorted(writers_by_block):
+            writer_set = writers_by_block[block]
+            readers = readers_by_block.get(block)
+            holders = holders_by_block[block]
+            if (len(writer_set) == 1 and holders <= writer_set
+                    and (not readers or readers <= writer_set)):
+                continue  # one writer, and no other core read or holds it
+            writers = sorted(writer_set)
+            for order, idx in enumerate(writers):
+                if order:
+                    self.cores[idx].block_misses += order
+                    if trace is not None:
+                        trace.append((self._round, idx, "migrate", block * self._B, "block_miss"))
+            if readers:
+                for idx in sorted(readers - writer_set):
+                    self.cores[idx].block_misses += 1
+                    if trace is not None:
+                        trace.append((self._round, idx, "reread", block * self._B, "block_miss"))
+            # Invalidate everywhere but the last writer's cache.
+            keeper = writers[-1]
+            if holders:
+                for idx in sorted(holders):
+                    if idx != keeper:
+                        self.cores[idx]._cache.pop(block, None)
+                holders.intersection_update({keeper})
         self._round_readers.clear()
         self._round_writers.clear()
         self._round_addr_writer.clear()

@@ -77,6 +77,19 @@ class TestMemory:
         led = m.ledger()
         assert led.ops == 0 and led.cache_misses == 0 and led.block_misses == 0
 
+    @pytest.mark.parametrize("region", [MemRegion(100, 3), MemRegion(-2, 3), MemRegion(0, 9)],
+                             ids=["past_the_allocation", "negative_base", "straddling_the_limit"])
+    def test_load_and_snapshot_outside_the_allocation_fault(self, make_machine, region):
+        m = make_machine(B=8)
+        own = m.alloc(4)
+        with pytest.raises(MachineFault, match="load outside allocated memory"):
+            m.load(region, [7, 8, 9])
+        with pytest.raises(MachineFault, match="snapshot outside allocated memory"):
+            m.snapshot_memory(region)
+        assert m.snapshot_memory(own) == [0] * 4
+        # The refused words never reach memory, so a fresh region is zeroed.
+        assert m.snapshot_memory(m.alloc(4)) == [0] * 4
+
 
 class TestCacheMisses:
     def test_cold_block_read_then_free_hits(self, make_machine):
@@ -244,6 +257,27 @@ class TestBlockMisses:
         m.run_rounds({0: reader, 1: writer})
         assert m.ledger().per_core_block_misses == (1, 0)
         assert m.cache_state().holders == {0: [1], 1: [0]}
+
+    def test_write_free_round_clears_its_readers(self, make_machine):
+        # Round 0 only reads, so its barrier has nothing to commit; it must
+        # still forget core 0's read, or core 1's write of the same block in
+        # round 1 would charge core 0 a block miss.
+        m = make_machine(p=2, M=8, B=2)
+        region = m.alloc(2)
+
+        def reader(core):
+            core.read(region, 0)
+            yield
+
+        def writer(core):
+            yield
+            core.write(region, 1, 5)
+
+        m.run_rounds({0: reader, 1: writer})
+        led = m.ledger()
+        assert led.per_core_block_misses == (0, 0)
+        assert led.per_core_cache_misses == (1, 1)
+        assert m.cache_state().holders == {0: [1]}
 
     def test_settle_trace_rows_follow_block_order(self):
         # Both cores write block 1 before block 0; the barrier's rows still
@@ -519,6 +553,31 @@ class TestPlainPrograms:
         m.run_rounds({0: gen, 1: plain})
         assert order == [("gen", 0), ("plain", 0), ("gen", 1)]
         assert m.ledger().rounds == 2
+
+    @pytest.mark.parametrize("middle", ["plain", "two_rounds"])
+    def test_early_finisher_keeps_core_order(self, make_machine, middle):
+        # Core 1 ends before the others; cores 0 and 2 still run in core-id
+        # order in round 2, so core 0 writes first and core 2 lands last.
+        m = make_machine(p=3, B=8)
+        region = m.alloc(8)
+
+        def three_rounds(core):
+            yield
+            yield
+            core.write(region, 0, 10 + core.idx)
+
+        def plain(core):
+            core.read(region, 1)
+
+        def two_rounds(core):
+            core.read(region, 1)
+            yield
+
+        m.run_rounds({0: three_rounds, 1: {"plain": plain, "two_rounds": two_rounds}[middle],
+                      2: three_rounds})
+        assert m.snapshot_memory(region)[0] == 12
+        assert m.diagnostics == ["data race: cores 0 and 2 wrote address 0 in round 2"]
+        assert m.ledger().rounds == 3
 
     def test_unknown_core_rejected_before_any_program_runs(self, make_machine):
         m = make_machine(p=2)

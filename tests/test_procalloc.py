@@ -111,6 +111,56 @@ class TestEstimateProcessors:
 
         assert run() == run()
 
+    def test_census_trial_cache_state_pinned(self):
+        # One trial at the benchmark census's shape (p=32, M=1024, B=16) on a
+        # smaller n.  The ledger, LRU order, holders and diagnostics were
+        # recorded before the word path inlined its cache hits; any
+        # machine speed-up must reproduce them exactly.
+        m = make(p=32, M=1024, B=16, seed=3)
+        est = estimate_processors(m, 1 << 12, m.cores, stream=3)
+        assert (est.estimated_p, est.total) == (38, 32)
+        led = m.ledger()
+        assert led.per_core_ops == (
+            9, 159, 67, 49, 25, 57, 256, 9, 9, 17, 133, 9, 6, 53, 23, 62,
+            9, 83, 23, 9, 45, 23, 43, 33, 25, 6, 17, 27, 15, 23, 35, 9)
+        assert led.per_core_cache_misses == (
+            5, 17, 5, 6, 5, 7, 17, 5, 5, 5, 18, 5, 4, 6, 5, 8,
+            5, 7, 4, 5, 6, 4, 5, 5, 6, 4, 5, 5, 4, 4, 5, 4)
+        assert led.per_core_block_misses == (
+            0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 4, 1, 1, 0, 0, 3,
+            2, 2, 1, 1, 0, 3, 0, 0, 0, 2, 0, 1, 2, 1, 1, 1)
+        assert led.rounds == 187
+        assert m.diagnostics == []
+        state = m.cache_state()
+        assert state.resident == (
+            (12, 44, 34, 46),
+            (13, 14, 15, 38, 16, 39, 17, 18, 40, 41, 19, 20, 44, 36, 46),
+            (18, 17, 44, 40, 46), (6, 5, 44, 28, 46), (17, 16, 44, 39, 46),
+            (16, 15, 14, 44, 38, 46),
+            (0, 23, 1, 2, 24, 25, 3, 4, 27, 5, 6, 45, 44, 22, 46),
+            (8, 44, 30, 46), (12, 44, 34, 46), (3, 44, 25, 46),
+            (6, 29, 7, 30, 8, 31, 9, 10, 11, 34, 12, 35, 13, 44, 28, 46),
+            (3, 44, 25, 46), (16, 44, 38, 46), (1, 0, 44, 23, 46),
+            (19, 18, 44, 41, 46), (19, 20, 21, 45, 44, 42, 46), (2, 44, 25, 46),
+            (12, 11, 10, 9, 44, 34, 46), (14, 44, 36, 46), (1, 44, 23, 46),
+            (5, 4, 3, 44, 27, 46), (3, 44, 25, 46), (2, 1, 44, 24, 46),
+            (13, 12, 44, 35, 46), (9, 8, 44, 31, 46), (1, 44, 23, 46),
+            (7, 44, 29, 46), (7, 6, 44, 29, 46), (6, 44, 28, 46), (9, 44, 31, 46),
+            (8, 7, 44, 30, 46), (20, 44, 42, 46))
+        every = list(range(32))
+        assert state.holders == {
+            0: [6, 13], 1: [6, 13, 19, 22, 25], 2: [6, 16, 22],
+            3: [6, 9, 11, 20, 21], 4: [6, 20], 5: [3, 6, 20], 6: [3, 6, 10, 27, 28],
+            7: [10, 26, 27, 30], 8: [7, 10, 24, 30], 9: [10, 17, 24, 29],
+            10: [10, 17], 11: [10, 17], 12: [0, 8, 10, 17, 23], 13: [1, 10, 23],
+            14: [1, 5, 18], 15: [1, 5], 16: [1, 4, 5, 12], 17: [1, 2, 4],
+            18: [1, 2, 14], 19: [1, 14, 15], 20: [1, 15, 31], 21: [15], 22: [6],
+            23: [6, 13, 19, 25], 24: [6, 22], 25: [6, 9, 11, 16, 21], 27: [6, 20],
+            28: [3, 10, 28], 29: [10, 26, 27], 30: [7, 10, 30], 31: [10, 24, 29],
+            34: [0, 8, 10, 17], 35: [10, 23], 36: [1, 18], 38: [1, 5, 12],
+            39: [1, 4], 40: [1, 2], 41: [1, 14], 42: [15, 31], 44: every,
+            45: [6, 15], 46: every}
+
 
 class TestObliviousPrefix:
     def test_matches_accumulate_hidden_p(self):
