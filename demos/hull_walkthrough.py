@@ -8,34 +8,15 @@ maxima of a point cloud).
 """
 import random
 
+from pemlab.bench import instance
 from pemlab.hull import HullStats, convex_hull_2d, hull_main, maxima_par
 from pemlab.machine import Machine, MachineConfig
-from pemlab.primitives import KeySeq
-
-
-def load_seq(machine, vals):
-    region = machine.alloc(max(1, len(vals)))
-    machine.load(region, list(vals))
-    return KeySeq(region, len(vals))
-
-
-def random_planes(n, seed):
-    rng = random.Random(seed)
-    planes = []
-    for _ in range(n - 4):
-        a = rng.randrange(-2000, 2001)
-        b = rng.randrange(-2000, 2001)
-        if a == 0 and b == 0:
-            a = 1
-        planes.append((a, b, rng.randrange(1, 4 * n)))
-    for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1)):  # keep it bounded
-        planes.append((a, b, rng.randrange(n, 2 * n)))
-    return planes
+from pemlab.primitives import load_seq
 
 
 def intersection_demo():
     n = 1 << 11
-    planes = random_planes(n, seed=3)
+    planes = instance("hull", n, 3)
     machine = Machine(MachineConfig(p=4, M=4096, B=64, seed=3))
     stats = HullStats()
     chain, _ = hull_main(machine, load_seq(machine, planes), machine.cores,
@@ -70,7 +51,7 @@ def point_front_end():
     machine = Machine(MachineConfig(p=4, M=1024, B=16, seed=12))
     out = maxima_par(machine, load_seq(machine, pts), machine.cores,
                      stream=12)
-    front = machine.snapshot_memory(out.region)[: out.n]
+    front = machine.snapshot_memory(out)
     print(f"maxima (undominated points): {out.n} of 600, rightmost "
           f"({front[-1][0]}, {front[-1][1]})")
 

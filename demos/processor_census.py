@@ -10,7 +10,7 @@ import random
 import statistics
 
 from pemlab.machine import Machine, MachineConfig
-from pemlab.primitives import KeySeq
+from pemlab.primitives import load_seq
 from pemlab.procalloc import estimate_processors, oblivious_prefix
 
 
@@ -39,11 +39,9 @@ def oblivious_prefix_demo():
     vals = [rng.randrange(-50, 50) for _ in range(5000)]
     for p in (3, 12, 24):
         machine = Machine(MachineConfig(p=p, M=512, B=8, seed=p))
-        region = machine.alloc(len(vals))
-        machine.load(region, vals)
-        out = oblivious_prefix(machine, KeySeq(region, len(vals)),
+        out = oblivious_prefix(machine, load_seq(machine, vals),
                                machine.cores, stream=p)
-        got = machine.snapshot_memory(out.region)[: out.n]
+        got = machine.snapshot_memory(out)
         total = got[-1]
         ok = "ok" if total == sum(vals) else "WRONG"
         ledger = machine.ledger()

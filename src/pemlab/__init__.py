@@ -1,6 +1,6 @@
 """Simulated private-cache multicore machine and cache-oblivious parallel algorithms."""
 
-from pemlab.geometry import GeometryError, HalfPlane, HullChain, Point2
+from pemlab.geometry import GeometryError, HullChain, Point2
 from pemlab.hull import HullStats, convex_hull_2d, hull_main, maxima_par
 from pemlab.machine import (
     CacheState,
@@ -23,7 +23,6 @@ __all__ = [
     "CacheState",
     "CostLedger",
     "GeometryError",
-    "HalfPlane",
     "HullChain",
     "HullStats",
     "IdAssignment",

@@ -1,5 +1,11 @@
 """Parameter sweeps over (algorithm, n, p, M, B, seed) with band checks.
 
+This module is the one path from input words to a ledger row:
+:func:`instance` generates the seeded input of one algorithm and size, and
+:func:`measure` loads words onto a machine, runs the algorithm and fills a
+:class:`ScenarioRow`.  :func:`run_scenario` (one sweep point), the
+``pemlab sort|hull|prefix`` commands and the demos all go through them.
+
 A sweep config is flat text: ``[algo]`` section headers followed by
 ``key = v1 v2 ...`` lines whose values multiply out to one scenario row
 per combination.  Each row owns a private simulator, so rows are
@@ -24,8 +30,8 @@ from dataclasses import dataclass, fields, replace
 
 from pemlab.hull import HullStats, hull_main
 from pemlab.machine import Machine, MachineConfig, MachineFault
-from pemlab.primitives import KeySeq, prefix_sum
-from pemlab.sorting import SortStats, sample_sort
+from pemlab.primitives import load_seq, prefix_sum
+from pemlab.sorting import SortPlan, SortStats, sample_sort
 
 __all__ = [
     "BandReport",
@@ -34,6 +40,8 @@ __all__ = [
     "DEFAULT_MISS_BAND",
     "ScenarioRow",
     "check_bands",
+    "instance",
+    "measure",
     "parse_csv",
     "parse_sweep_config",
     "rows_to_csv",
@@ -123,12 +131,6 @@ def _miss_bound(algo: str, n: int, M: int, B: int) -> tuple:
     return max(1.0, n / B), None
 
 
-def _below_floor(algo: str, n: int) -> str | None:
-    """Why ``algo`` cannot generate an instance of size ``n``, or ``None``."""
-    floor = _SIZE_FLOOR[algo]
-    return f"{algo} needs n >= {floor}" if n < floor else None
-
-
 def _sort_instance(n: int, seed: int) -> list:
     rng = random.Random(seed)
     return [rng.randrange(max(1, 4 * n)) for _ in range(n)]
@@ -154,18 +156,58 @@ def _prefix_instance(n: int, seed: int) -> list:
     return [rng.randrange(-100, 100) for _ in range(n)]
 
 
-def _load(machine: Machine, vals: list) -> KeySeq:
-    region = machine.alloc(max(1, len(vals)))
-    machine.load(region, vals)
-    return KeySeq(region, len(vals))
+_INSTANCES = {"sort": _sort_instance, "hull": _hull_instance,
+              "prefix": _prefix_instance}
 
 
-def _measured(row: ScenarioRow, machine: Machine, retries: int,
-              bound: float | None) -> ScenarioRow:
-    """``row`` filled with ``machine``'s ledger, the bound and the ratio."""
+def _check_algo(algo: str) -> None:
+    if algo not in BOUND_FORMULAS:
+        raise MachineFault(f"unknown algorithm {algo!r}")
+
+
+def instance(algo: str, n: int, seed: int) -> list:
+    """The input words of the seeded ``algo`` instance of size ``n``.
+
+    Raises :class:`MachineFault` for an unknown algorithm or a size below
+    the algorithm's floor.
+    """
+    _check_algo(algo)
+    floor = _SIZE_FLOOR[algo]
+    if n < floor:
+        raise MachineFault(f"{algo} needs n >= {floor}")
+    return _INSTANCES[algo](n, seed)
+
+
+def measure(algo: str, machine: Machine, words: list, seed: int,
+            plan: SortPlan | None = None) -> tuple:
+    """Load ``words``, run ``algo`` on every core of ``machine`` and measure it.
+
+    ``seed`` is the algorithm's random stream and the row's seed; ``plan``
+    configures the sort.  Returns ``(row, result)``: the measured
+    :class:`ScenarioRow` of ``len(words)`` words, whose ``bound`` and
+    ``ratio`` are ``None`` where the bound degenerates, and what the
+    algorithm returned.
+    """
+    _check_algo(algo)
+    seq = load_seq(machine, words)
+    retries = 0
+    if algo == "sort":
+        stats = SortStats()
+        result = sample_sort(machine, seq, machine.cores, plan=plan,
+                             stats=stats, stream=seed)
+        retries = stats.resamples
+    elif algo == "hull":
+        stats = HullStats()
+        result = hull_main(machine, seq, machine.cores, stats=stats,
+                           stream=seed)
+        retries = stats.repolls
+    else:
+        result = prefix_sum(machine, seq, machine.cores)
+    cfg = machine.config
+    bound, _ = _miss_bound(algo, seq.n, cfg.M, cfg.B)
     led = machine.ledger()
-    return replace(
-        row,
+    row = ScenarioRow(
+        algo=algo, n=seq.n, p=cfg.p, M=cfg.M, B=cfg.B, seed=seed,
         ops=led.ops,
         crit_path=led.critical_path,
         cache_misses=led.cache_misses,
@@ -175,17 +217,18 @@ def _measured(row: ScenarioRow, machine: Machine, retries: int,
         bound=bound,
         ratio=None if bound is None else led.cache_misses / bound,
     )
+    return row, result
 
 
 def run_scenario(algo: str, n: int, p: int, M: int, B: int,
                  seed: int) -> ScenarioRow:
     """Run one sweep point on a private simulator and measure it."""
+    _check_algo(algo)
     row = ScenarioRow(algo=algo, n=n, p=p, M=M, B=B, seed=seed)
-    if algo not in BOUND_FORMULAS:
-        raise MachineFault(f"unknown algorithm {algo!r}")
-    reason = _below_floor(algo, n)
-    if reason is not None:
-        return replace(row, status=f"skipped({reason})")
+    try:
+        words = instance(algo, n, seed)
+    except MachineFault as exc:
+        return replace(row, status=f"skipped({exc})")
     bound, reason = _miss_bound(algo, n, M, B)
     if bound is None:
         return replace(row, status=f"skipped({reason})")
@@ -193,21 +236,7 @@ def run_scenario(algo: str, n: int, p: int, M: int, B: int,
         machine = Machine(MachineConfig(p=p, M=M, B=B, seed=seed))
     except MachineFault as exc:
         return replace(row, status=f"skipped({exc})".replace(",", ";"))
-    retries = 0
-    if algo == "sort":
-        stats = SortStats()
-        sample_sort(machine, _load(machine, _sort_instance(n, seed)),
-                    machine.cores, stats=stats, stream=seed)
-        retries = stats.resamples
-    elif algo == "hull":
-        stats = HullStats()
-        hull_main(machine, _load(machine, _hull_instance(n, seed)),
-                  machine.cores, stats=stats, stream=seed)
-        retries = stats.repolls
-    else:
-        prefix_sum(machine, _load(machine, _prefix_instance(n, seed)),
-                   machine.cores)
-    return _measured(row, machine, retries, bound)
+    return measure(algo, machine, words, seed)[0]
 
 
 # ------------------------------------------------------------------ sweeps

@@ -4,7 +4,10 @@
 ``pemlab check --csv FILE --band F`` evaluates ratio bands and exits 0
 only when every series passes; ``pemlab sort|hull|prefix`` run a single
 scenario, print a digest of the result plus its ledger CSV row, and can
-read inputs from key/plane files instead of generating them.
+read inputs from key/plane files instead of generating them.  A one-shot
+run takes the sweep's path: its words come from the file or from
+:func:`pemlab.bench.instance`, and :func:`pemlab.bench.measure` runs them
+and fills the row, so a generated run prints the row ``sweep`` would write.
 """
 from __future__ import annotations
 
@@ -16,24 +19,16 @@ from pathlib import Path
 from pemlab import fileio
 from pemlab.bench import (
     CSV_HEADER,
-    ScenarioRow,
-    _below_floor,
-    _hull_instance,
-    _load,
-    _measured,
-    _miss_bound,
-    _prefix_instance,
-    _sort_instance,
     check_bands,
+    instance,
+    measure,
     parse_csv,
     rows_to_csv,
     run_sweep,
 )
 from pemlab.geometry import GeometryError
-from pemlab.hull import HullStats, hull_main
 from pemlab.machine import Machine, MachineConfig, MachineFault
-from pemlab.primitives import prefix_sum
-from pemlab.sorting import SortPlan, SortStats, sample_sort
+from pemlab.sorting import SortPlan
 
 __all__ = ["main"]
 
@@ -54,23 +49,6 @@ def _machine_args(sub):
     sub.add_argument("--seed", type=int, default=0)
 
 
-def _generated(algo, args, instance):
-    """The sweep's seeded instance of size ``--n``; refuses sizes the sweep
-    would skip."""
-    reason = _below_floor(algo, args.n)
-    if reason is not None:
-        raise MachineFault(reason)
-    return instance(args.n, args.seed)
-
-
-def _emit_row(args, algo, machine, retries):
-    bound, _ = _miss_bound(algo, args.n, args.M, args.B)
-    row = ScenarioRow(algo=algo, n=args.n, p=args.p, M=args.M, B=args.B,
-                      seed=args.seed)
-    print(CSV_HEADER)
-    print(_measured(row, machine, retries, bound).to_csv())
-
-
 def _cmd_sweep(args) -> int:
     text = Path(args.config).read_text()
     rows = run_sweep(text)
@@ -87,62 +65,51 @@ def _cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def _read_keys_or_generate(algo, args, instance):
-    if args.keys:
-        return fileio.read_keys(args.keys, binary=args.binary)
-    return _generated(algo, args, instance)
+def _input_words(args) -> list:
+    """The words of ``--planes`` or ``--keys``, else the sweep's seeded
+    instance of size ``--n`` (a size the sweep would skip is an error)."""
+    path = args.planes if args.command == "hull" else args.keys
+    if not path:
+        return instance(args.command, args.n, args.seed)
+    if args.command == "hull":
+        return fileio.read_planes(path)
+    return fileio.read_keys(path, binary=args.binary)
 
 
-def _cmd_sort(args) -> int:
-    vals = _read_keys_or_generate("sort", args, _sort_instance)
-    args.n = len(vals)
-    machine = Machine(MachineConfig(p=args.p, M=args.M, B=args.B,
-                                    seed=args.seed))
-    stats = SortStats()
-    plan = SortPlan(x=args.x, retry_cap=args.retry_cap)
-    out = sample_sort(machine, _load(machine, vals), machine.cores,
-                      plan=plan, stats=stats, stream=args.seed)
-    result = machine.snapshot_memory(out.region)[: out.n]
-    print(f"sorted {len(result)} keys, digest {_digest(result)}")
-    _emit_row(args, "sort", machine, stats.resamples)
-    return 0
-
-
-def _cmd_hull(args) -> int:
-    if args.planes:
-        planes = fileio.read_planes(args.planes)
-        args.n = len(planes)
+def _print_result(args, machine, result) -> None:
+    if args.command == "sort":
+        keys = machine.snapshot_memory(result)
+        print(f"sorted {len(keys)} keys, digest {_digest(keys)}")
+    elif args.command == "prefix":
+        sums = machine.snapshot_memory(result)
+        tail = sums[-1] if sums else 0
+        print(f"prefix over {len(sums)} keys, total {tail}, "
+              f"digest {_digest(sums)}")
     else:
-        planes = _generated("hull", args, _hull_instance)
-    machine = Machine(MachineConfig(p=args.p, M=args.M, B=args.B,
-                                    seed=args.seed))
-    stats = HullStats()
-    chain, _ = hull_main(machine, _load(machine, planes), machine.cores,
-                         stats=stats, stream=args.seed)
-    if args.out:
-        fileio.write_hull(args.out, chain)
-        print(f"hull: {len(chain.vertices)} vertices -> {args.out}, "
-              f"digest {_digest(chain.vertices)}")
-    else:
-        for v in chain.vertices:
-            print(f"{v.x} {v.y}")
-        print(f"hull: {len(chain.vertices)} vertices, "
-              f"digest {_digest(chain.vertices)}")
-    _emit_row(args, "hull", machine, stats.repolls)
-    return 0
+        chain, _ = result
+        vertices = chain.vertices
+        if args.out:
+            fileio.write_hull(args.out, chain)
+            print(f"hull: {len(vertices)} vertices -> {args.out}, "
+                  f"digest {_digest(vertices)}")
+        else:
+            for v in vertices:
+                print(f"{v.x} {v.y}")
+            print(f"hull: {len(vertices)} vertices, "
+                  f"digest {_digest(vertices)}")
 
 
-def _cmd_prefix(args) -> int:
-    vals = _read_keys_or_generate("prefix", args, _prefix_instance)
-    args.n = len(vals)
+def _cmd_run(args) -> int:
+    """One-shot ``sort``, ``hull`` or ``prefix``: a digest, then the row."""
+    words = _input_words(args)
     machine = Machine(MachineConfig(p=args.p, M=args.M, B=args.B,
                                     seed=args.seed))
-    out = prefix_sum(machine, _load(machine, vals), machine.cores)
-    result = machine.snapshot_memory(out.region)[: out.n]
-    tail = result[-1] if result else 0
-    print(f"prefix over {len(result)} keys, total {tail}, "
-          f"digest {_digest(result)}")
-    _emit_row(args, "prefix", machine, 0)
+    plan = (SortPlan(x=args.x, retry_cap=args.retry_cap)
+            if args.command == "sort" else None)
+    row, result = measure(args.command, machine, words, args.seed, plan)
+    _print_result(args, machine, result)
+    print(CSV_HEADER)
+    print(row.to_csv())
     return 0
 
 
@@ -171,20 +138,20 @@ def build_parser() -> argparse.ArgumentParser:
     sort.add_argument("--keys", help="key file instead of generated input")
     sort.add_argument("--binary", action="store_true",
                       help="key file is little-endian int64 words")
-    sort.set_defaults(func=_cmd_sort)
+    sort.set_defaults(func=_cmd_run)
 
     hull = subs.add_parser("hull", help="intersect half-planes")
     _machine_args(hull)
     hull.add_argument("--planes", help='file of "a b c" lines')
     hull.add_argument("--out", help="write hull vertices here")
-    hull.set_defaults(func=_cmd_hull)
+    hull.set_defaults(func=_cmd_run)
 
     prefix = subs.add_parser("prefix", help="prefix-sum one instance")
     _machine_args(prefix)
     prefix.add_argument("--keys", help="key file instead of generated input")
     prefix.add_argument("--binary", action="store_true",
                         help="key file is little-endian int64 words")
-    prefix.set_defaults(func=_cmd_prefix)
+    prefix.set_defaults(func=_cmd_run)
     return parser
 
 

@@ -35,14 +35,12 @@ from pemlab.machine import MachineFault
 
 __all__ = [
     "GeometryError",
-    "HalfPlane",
     "HullChain",
     "Point2",
     "canonical_chain",
     "coeff",
     "cross",
     "frac",
-    "halfplane",
     "intersect_halfplanes_ordered",
     "plane_word",
     "unbounded_directions",
@@ -77,17 +75,6 @@ class Point2(NamedTuple):
     y: Fraction
 
 
-class HalfPlane(NamedTuple):
-    """The constraint ``a*x + b*y <= c`` with ``(a, b) != (0, 0)``.
-
-    Each coefficient is an ``int`` when integral, else a ``Fraction``.
-    """
-
-    a: int | Fraction
-    b: int | Fraction
-    c: int | Fraction
-
-
 def plane_word(w) -> tuple:
     """The first three entries of ``w`` as exact coefficients ``(a, b, c)``
     in a plain tuple (the form a plane takes in machine memory)."""
@@ -95,10 +82,6 @@ def plane_word(w) -> tuple:
     if a == 0 and b == 0:
         raise GeometryError("half-plane normal must be nonzero")
     return (a, b, c)
-
-
-def halfplane(a, b, c) -> HalfPlane:
-    return HalfPlane._make(plane_word((a, b, c)))
 
 
 def _int_plane(h) -> tuple:
@@ -376,7 +359,7 @@ def _intersect_forms(planes) -> tuple:
     canonical chain (see :func:`_canonical_forms`); raises when the region
     is unbounded, empty or has no interior.
     """
-    planes = [_int_plane(halfplane(*h)) for h in planes]
+    planes = [_int_plane(plane_word(h)) for h in planes]
     if unbounded_directions(planes):
         raise GeometryError("half-plane intersection is unbounded")
     width = 2 ** 20

@@ -284,7 +284,7 @@ def polling_sample(machine, planes: KeySeq, cores,
     origin strictly interior).  The check reads the words on the host and
     charges nothing.
     """
-    for w in machine.snapshot_memory(planes.region)[:planes.n]:
+    for w in machine.snapshot_memory(planes):
         if not all(isinstance(x, (int, Fraction)) for x in w[:3]):
             raise GeometryError("plane coefficients must be int or Fraction")
         if plane_word(w)[2] <= 0:
@@ -668,8 +668,7 @@ def _sweep_survivors(machine, seq: KeySeq, cores, rule: str, emit) -> tuple:
             else:
                 tf, teq, tsm = tail
                 neq = eqm if tf != first else max(eqm, teq)
-                extra = tsm if tf == first else max(
-                    teq if tsm is None else max(teq, tsm), teq)
+                extra = tsm if tf == first else _max_none(teq, tsm)
                 nsm = extra if sm is None else (
                     sm if extra is None else max(sm, extra))
                 tail = (first, neq, nsm)
@@ -721,41 +720,28 @@ def _staircase(vals, tail, rule) -> list:
     """Local indices of sweep survivors within one sorted chunk.
 
     ``tail`` summarizes everything to the right as ``(first_x, eq_max,
-    strict_max)`` or None.  Equal first components form consecutive blocks;
-    a block's members see the same strictly-greater maximum, and under
-    ``one_strict`` only members matching the global block maximum survive.
+    strict_max)`` or None.  One right-to-left pass keeps the largest ``y``
+    at the current ``x`` and the largest at greater ``x``, both seeded from
+    the tail.  Within equal ``x`` the chunk is sorted by ``y``, so under
+    ``one_strict`` a word matches its block's maximum exactly when it is at
+    least every ``y`` already seen at its ``x``.
     """
-    blocks: list = []
-    for i, w in enumerate(vals):
-        if blocks and blocks[-1][0] == w[0]:
-            blocks[-1][1].append(i)
-        else:
-            blocks.append((w[0], [i]))
-    tf, teq, tsm = tail if tail is not None else (None, None, None)
+    x_now, at_x, above = tail if tail is not None else (None, None, None)
     keep: list = []
-    running = None
-    for x, idxs in reversed(blocks):
-        if tail is None:
-            t_strict = None
-            t_eq = None
-        elif x == tf:
-            t_strict = tsm
-            t_eq = teq
+    for i in range(len(vals) - 1, -1, -1):
+        x, y = vals[i][0], vals[i][1]
+        if x != x_now:
+            x_now, at_x, above = x, None, _max_none(at_x, above)
+        if rule == "strict_both":
+            ok = above is None or y >= above
         else:
-            t_strict = _max_none(teq, tsm)
-            t_eq = None
-        hi_strict = _max_none(running, t_strict)
-        block_max = _max_none(max(vals[i][1] for i in idxs), t_eq)
-        for i in idxs:
-            y = vals[i][1]
-            if rule == "strict_both":
-                ok = hi_strict is None or y >= hi_strict
-            else:
-                ok = (y >= block_max) and (hi_strict is None or y > hi_strict)
-            if ok:
-                keep.append(i)
-        running = _max_none(running, max(vals[i][1] for i in idxs))
-    keep.sort()
+            ok = ((at_x is None or y >= at_x)
+                  and (above is None or y > above))
+        if ok:
+            keep.append(i)
+        if at_x is None or y > at_x:
+            at_x = y
+    keep.reverse()
     return keep
 
 
@@ -921,7 +907,7 @@ def hull_main(machine, planes: KeySeq, cores, stats: HullStats | None = None,
         raise GeometryError("at least three half-planes are required")
     ctx = _make_ctx(machine, m, cores, stats, stream)
     normalized = _map_pass(machine, planes, cores, plane_word, tick=3)
-    host = machine.snapshot_memory(normalized.region)[:m]
+    host = machine.snapshot_memory(normalized)
     if any(w[2] <= 0 for w in host):
         raise GeometryError("the origin must satisfy every half-plane "
                             "strictly (c > 0)")

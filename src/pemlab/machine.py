@@ -114,7 +114,8 @@ class MachineFault(Exception):
 @dataclass(frozen=True)
 class MachineConfig:
     """Machine shape (core count, cache words, block words) and the seed of
-    every random stream the machine hands out."""
+    every random stream the machine hands out; each is an ``int``, never a
+    ``bool``."""
 
     p: int
     M: int
@@ -122,6 +123,10 @@ class MachineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("p", "M", "B", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise MachineFault(f"{name} must be an int; got {value!r}")
         if self.p < 1:
             raise MachineFault("p must be >= 1")
         if self.B < 1:
@@ -604,13 +609,17 @@ class Machine:
             raise MachineFault("load outside allocated memory")
         self._mem[region.base : region.base + len(values)] = values
 
-    def snapshot_memory(self, region: MemRegion) -> list:
-        """Return a copy of a region's words without charging any cost.
-        Bounds-checked: a region outside the allocation raises
-        :class:`MachineFault`."""
+    def snapshot_memory(self, src) -> list:
+        """Return a copy of a region's words, or of a key sequence's ``n``
+        words, without charging any cost.  Bounds-checked: a region outside
+        the allocation raises :class:`MachineFault`."""
+        if type(src) is MemRegion:
+            region, n = src, src.len
+        else:
+            region, n = src.region, src.n
         if not (0 <= region.base and region.end <= self._limit):
             raise MachineFault("snapshot outside allocated memory")
-        return self._mem[region.base : region.end]
+        return self._mem[region.base : region.base + n]
 
     # -- execution ---------------------------------------------------------
 

@@ -111,7 +111,7 @@ def merge_bucketed(machine, runs, cores, dest: MemRegion | None = None) -> Bucke
     machine.run_rounds({cores[ci].idx: partial(write_sizes, ci=ci) for ci in range(writers)})
     mat_t = transpose(machine, KeySeq(mat, entries), x, t, cores[:writers])
     ends_seq = prefix_sum(machine, mat_t, cores)
-    ends = [int(v) for v in machine.snapshot_memory(ends_seq.region)[:entries]]
+    ends = [int(v) for v in machine.snapshot_memory(ends_seq)]
 
     p = min(len(cores), y)
     plans = plan_cuts(ends, p, y)

@@ -108,22 +108,15 @@ def partition_seq(machine, a: KeySeq, splitters, core) -> BucketedRun:
         vals.sort()
         c.tick(n * max(1, n.bit_length()))
         c.write_run(out, 0, vals)
-        # Scan ``out`` back, stopping at each key that passes a splitter.
-        j = 0
-        start = 0
-        for i, v in enumerate(vals):
-            if j < z and v > keys[j]:
-                c.read_run(out, start, i + 1)
-                start = i + 1
-                while j < z and v > keys[j]:
-                    j += 1
-        c.read_run(out, start, n)
+        # Scan ``out`` back against the splitters; the host bisects below.
+        c.read_run(out, 0, n)
         c.tick(n)
 
     machine.run_rounds({core.idx: prog})
-    host = machine.snapshot_memory(out)[:n]
+    seq = KeySeq(out, n)
+    host = machine.snapshot_memory(seq)
     bounds = [bisect_right(host, s) for s in keys]
-    return BucketedRun(KeySeq(out, n), _bucket_sizes_from_bounds(bounds, n))
+    return BucketedRun(seq, _bucket_sizes_from_bounds(bounds, n))
 
 
 def _distribute_seq(machine, a: KeySeq, keys: tuple, core, dest: MemRegion | None = None) -> BucketedRun:
@@ -209,7 +202,7 @@ def partition_quadratic(machine, a: KeySeq, splitters, cores) -> BucketedRun:
                     right = mid
 
     parallel_for(machine, z, cores, search)
-    host = machine.snapshot_memory(srt.region)[:n]
+    host = machine.snapshot_memory(srt)
     bounds = [bisect_right(host, s) for s in keys]
     return BucketedRun(srt, _bucket_sizes_from_bounds(bounds, n))
 

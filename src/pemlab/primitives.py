@@ -23,6 +23,7 @@ from pemlab.machine import MachineFault, MemRegion
 
 __all__ = [
     "KeySeq",
+    "load_seq",
     "chunk_bounds",
     "parallel_for",
     "prefix_sum",
@@ -46,6 +47,14 @@ class KeySeq:
     def __post_init__(self) -> None:
         if self.n < 0 or self.n > self.region.len:
             raise MachineFault("KeySeq length exceeds its region")
+
+
+def load_seq(machine, words) -> KeySeq:
+    """Install ``words`` in a fresh region of ``max(1, len(words))`` words
+    without charging any cost, as a key sequence of ``len(words)``."""
+    region = machine.alloc(max(1, len(words)))
+    machine.load(region, words)
+    return KeySeq(region, len(words))
 
 
 def chunk_bounds(n: int, p: int) -> list:

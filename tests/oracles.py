@@ -139,3 +139,12 @@ def maxima_points(points):
     pts = [(_frac(x), _frac(y)) for x, y in points]
     return sorted(p for p in pts
                   if not any(q[0] > p[0] and q[1] > p[1] for q in pts))
+
+
+def maxima_one_strict(points):
+    """Sorted multiset of points that no point dominates with both
+    components at least as large and one strictly larger (ties survive)."""
+    pts = [(_frac(x), _frac(y)) for x, y in points]
+    return sorted(p for p in pts
+                  if not any(q[0] >= p[0] and q[1] >= p[1] and q != p
+                             for q in pts))

@@ -15,19 +15,9 @@ from oracles import gift_wrap, hull_vertices_by_clipping
 from pemlab.bench import _hull_instance, rows_to_csv, run_scenario, run_sweep
 from pemlab.hull import HullStats, convex_hull_2d, hull_main
 from pemlab.machine import Machine, MachineConfig
-from pemlab.primitives import KeySeq, compact, prefix_sum
+from pemlab.primitives import compact, load_seq, prefix_sum
 from pemlab.procalloc import estimate_processors
 from pemlab.sorting import SortPlan, SortStats, sample_sort
-
-
-def load_seq(machine, vals):
-    region = machine.alloc(max(1, len(vals)))
-    machine.load(region, list(vals))
-    return KeySeq(region, len(vals))
-
-
-def seq_values(machine, seq):
-    return list(machine.snapshot_memory(seq.region)[: seq.n])
 
 
 # criterion 5 series, measured at p=4, M=2^12, B=64, machine seed 9,
@@ -71,7 +61,7 @@ def test_criterion_01_sorting_matches_oracle():
         machine = Machine(MachineConfig(p=p, M=M, B=B, seed=k))
         out = sample_sort(machine, load_seq(machine, vals), machine.cores,
                           stream=k)
-        assert seq_values(machine, out) == sorted(vals), (k, n, p, M, B)
+        assert machine.snapshot_memory(out) == sorted(vals), (k, n, p, M, B)
     print("criterion 1: PASS — sample_sort matched the reference sort on "
           "200 instances")
 
@@ -246,7 +236,7 @@ def test_criterion_07_companion_binding_threshold():
         stats = SortStats()
         out = sample_sort(machine, load_seq(machine, vals), machine.cores,
                           plan=plan, stats=stats, stream=seed)
-        assert seq_values(machine, out) == sorted(vals)
+        assert machine.snapshot_memory(out) == sorted(vals)
         rounds += stats.rounds
         resamples += stats.resamples
     assert 0 < resamples <= 0.3 * rounds, (resamples, rounds)

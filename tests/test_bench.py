@@ -11,6 +11,8 @@ from pemlab.bench import (
     DEFAULT_MISS_BAND,
     ScenarioRow,
     check_bands,
+    instance,
+    measure,
     parse_csv,
     parse_sweep_config,
     rows_to_csv,
@@ -18,7 +20,7 @@ from pemlab.bench import (
     run_sweep,
 )
 from pemlab.cli import main
-from pemlab.machine import MachineFault
+from pemlab.machine import Machine, MachineConfig, MachineFault
 
 F = Fraction
 
@@ -267,6 +269,27 @@ class TestCli:
         assert row.seed == -1
         assert row.status == "skipped(seed must be >= 0)"
         assert "(1 skipped)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("algo, n, p", [
+        ("sort", 3000, 4), ("hull", 300, 3), ("prefix", 500, 2)])
+    def test_generated_one_shot_prints_the_sweep_row(self, algo, n, p,
+                                                     capsys):
+        assert main([algo, "--n", str(n), "--p", str(p), "--seed", "1"]) == 0
+        row = capsys.readouterr().out.splitlines()[-1]
+        assert row == run_scenario(algo, n, p, 1024, 8, 1).to_csv()
+
+    def test_sort_keys_file_prints_the_runners_row(self, tmp_path, capsys):
+        words = instance("sort", 700, 2)
+        keys = tmp_path / "keys.txt"
+        fileio.write_keys(keys, words)
+        assert main(["sort", "--n", "1", "--p", "2", "--M", "256",
+                     "--seed", "5", "--keys", str(keys)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        machine = Machine(MachineConfig(p=2, M=256, B=8, seed=5))
+        row, out = measure("sort", machine, words, 5)
+        assert lines[-1] == row.to_csv()
+        assert lines[0].startswith("sorted 700 keys, digest ")
+        assert machine.snapshot_memory(out) == sorted(words)
 
     def test_hull_below_generated_floor_is_an_error(self, capsys):
         # Below n = 5 the generator returns only its four box planes.

@@ -35,8 +35,8 @@ from pemlab.geometry import (
     _vertex_form,
     _violates,
     canonical_chain,
-    halfplane,
     intersect_halfplanes_ordered,
+    plane_word,
     unbounded_directions,
 )
 from pemlab.hull import (
@@ -50,7 +50,7 @@ from pemlab.hull import (
     preprocess_arrangement,
 )
 from pemlab.machine import Machine, MachineConfig, MachineFault
-from pemlab.primitives import KeySeq
+from pemlab.primitives import load_seq
 
 F = Fraction
 
@@ -68,12 +68,6 @@ positive = st.one_of(
 
 def machine(p=2):
     return Machine(MachineConfig(p=p, M=256, B=8, seed=0))
-
-
-def load(m, words):
-    region = m.alloc(max(1, len(words)))
-    m.load(region, list(words))
-    return KeySeq(region, len(words))
 
 
 # ------------------------------------------------- the Fraction formulas
@@ -245,7 +239,7 @@ def vertex_and_plane(draw):
 @example(((F(1, 2), 0, 1), (0, F(-1, 3), 1), (F(2, 3), F(-1, 2), F(5, 2))))
 def test_violates_and_meet_match_fraction_formula(case):
     h1, h2, h = case
-    H1, H2, H = halfplane(*h1), halfplane(*h2), halfplane(*h)
+    H1, H2, H = plane_word(h1), plane_word(h2), plane_word(h)
     pt = ref_point(h1, h2)
     assert _violates(H1, H2, H) == (ref_side(h, pt) > 0)
     got = _point(_meet(H1, H2))
@@ -254,15 +248,15 @@ def test_violates_and_meet_match_fraction_formula(case):
 
 
 def test_parallel_lines_have_no_vertex():
-    h, g = halfplane(1, 2, 3), halfplane(F(2), 4, 1)
+    h, g = plane_word((1, 2, 3)), plane_word((F(2), 4, 1))
     assert _meet(h, g) is None
     with pytest.raises(GeometryError):
-        _violates(h, g, halfplane(1, 0, 1))
+        _violates(h, g, plane_word((1, 0, 1)))
 
 
 def test_halfplane_keeps_integral_coefficients_as_int():
-    h = halfplane(F(6, 2), 4, F(1, 2))
-    assert (type(h.a), type(h.b), type(h.c)) == (int, int, F)
+    h = plane_word((F(6, 2), 4, F(1, 2)))
+    assert tuple(map(type, h)) == (int, int, F)
     assert h == (3, 4, F(1, 2))
 
 
@@ -330,7 +324,7 @@ def test_clip_forms_matches_oracle_clip(data):
     verts = chain.vertices
     j = data.draw(st.integers(0, len(verts) - 1))
     h = data.draw(st.one_of(plane, through(verts[j]), through((0, 0))))
-    got = _clip_forms(chain.int_vertices, _int_plane(halfplane(*h)))
+    got = _clip_forms(chain.int_vertices, _int_plane(plane_word(h)))
     want = clip_once(verts, *h)
     assert got == [_vertex_form(p) for p in want]
     assert all(D > 0 and math.gcd(X, Y, D) == 1 for X, Y, D in got)
@@ -369,7 +363,7 @@ def test_hull_main_chain_forms_match_vertices():
     for a, b in AXES:
         planes.append((a, b, 11))
     m = Machine(MachineConfig(p=4, M=1024, B=8, seed=3))
-    chain, written = hull_main(m, load(m, planes), m.cores, stream=1)
+    chain, written = hull_main(m, load_seq(m, planes), m.cores, stream=1)
     assert set(chain.vertices) == hull_vertices_by_clipping(planes)
     assert chain.int_vertices == tuple(_vertex_form(v)
                                        for v in chain.vertices)
@@ -442,7 +436,7 @@ def test_slab_band_matches_fraction_formula(data):
     # positive factor that may leave it non-integral.
     c = F(math.lcm(ux.denominator, uy.denominator)) * data.draw(positive)
     a, b = ux * c, uy * c
-    a, b, c = halfplane(a, b, c)
+    a, b, c = plane_word((a, b, c))
     assert _band(lines, a, b, c) == ref_band(lines, a, b, c)
     for line in lines:
         assert _band([line], a, b, c) == ref_band([line], a, b, c)
@@ -454,8 +448,8 @@ def test_slab_band_matches_fraction_formula(data):
                 min_size=1, max_size=12))
 def test_dualize_matches_fraction_formula(words):
     m = machine()
-    out = dualize(m, load(m, words), m.cores)
-    got = m.snapshot_memory(out.region)[:out.n]
+    out = dualize(m, load_seq(m, words), m.cores)
+    got = m.snapshot_memory(out)
     want = [(F(a) / F(c), F(b) / F(c), a, b, c) for a, b, c in words]
     assert got == want
     assert all(type(w[0]) is F and type(w[1]) is F for w in got)
@@ -465,7 +459,7 @@ def test_dualize_matches_fraction_formula(words):
 def test_dualize_rejects_nonpositive_c(c):
     m = machine()
     with pytest.raises(GeometryError):
-        dualize(m, load(m, [(1, 1, 5), (3, 4, c)]), m.cores)
+        dualize(m, load_seq(m, [(1, 1, 5), (3, 4, c)]), m.cores)
 
 
 # ------------------------------------------------ polling_sample inputs
@@ -484,7 +478,7 @@ def good_planes(count):
 @pytest.mark.parametrize("bad", [(3, 4, -7), (3, 4, 0)])
 def test_polling_sample_rejects_nonpositive_c_without_charge(bad):
     m = Machine(MachineConfig(p=4, M=1024, B=8, seed=0))
-    seq = load(m, good_planes(204) + [bad])
+    seq = load_seq(m, good_planes(204) + [bad])
     with pytest.raises(GeometryError):
         polling_sample(m, seq, m.cores, stream=1)
     assert m.ledger().ops == 0 and m.ledger().rounds == 0
@@ -492,6 +486,6 @@ def test_polling_sample_rejects_nonpositive_c_without_charge(bad):
 
 def test_polling_sample_rejects_inexact_coefficients():
     m = Machine(MachineConfig(p=4, M=1024, B=8, seed=0))
-    seq = load(m, good_planes(40) + [(0.5, 1, 3)])
+    seq = load_seq(m, good_planes(40) + [(0.5, 1, 3)])
     with pytest.raises(GeometryError):
         polling_sample(m, seq, m.cores, stream=1)

@@ -34,8 +34,8 @@ from pemlab.geometry import (
     canonical_chain,
     cross,
     frac,
-    halfplane,
     intersect_halfplanes_ordered,
+    plane_word,
     unbounded_directions,
 )
 
@@ -127,17 +127,17 @@ def test_cross_and_dominates():
 
 def test_halfplane_rejects_zero_normal():
     with pytest.raises(GeometryError):
-        halfplane(0, 0, 1)
+        plane_word((0, 0, 1))
 
 
 def test_meet_point():
-    h = halfplane(1, 0, 2)
-    g = halfplane(0, 1, 3)
+    h = plane_word((1, 0, 2))
+    g = plane_word((0, 1, 3))
     got = _point(_meet(h, g))
     assert got == Point2(F(2), F(3))
     assert type(got.x) is F and type(got.y) is F
-    assert _meet(h, halfplane(2, 0, 5)) is None
-    assert _point(_meet(halfplane(1, 1, 4), halfplane(1, -1, 0))) == \
+    assert _meet(h, plane_word((2, 0, 5))) is None
+    assert _point(_meet(plane_word((1, 1, 4)), plane_word((1, -1, 0)))) == \
         Point2(F(2), F(2))
 
 
@@ -229,20 +229,20 @@ def test_clip_forms_pinned():
         (0, 0, 1), (3, 0, 2), (3, 8, 2), (0, 4, 1)]
     assert _clip_forms(sq, (-2, 0, -3)) == [
         (3, 0, 2), (4, 0, 1), (4, 4, 1), (3, 8, 2)]
-    assert _int_plane(halfplane(F(2, 3), F(1, 2), 1)) == (4, 3, 6)
+    assert _int_plane(plane_word((F(2, 3), F(1, 2), 1))) == (4, 3, 6)
 
 
 # --------------------------------------------------- half-plane envelopes
 
 
 def test_unbounded_directions_pinned():
-    tri = [halfplane(1, 0, 1), halfplane(0, 1, 1), halfplane(-1, -1, 1)]
+    tri = [plane_word(w) for w in ((1, 0, 1), (0, 1, 1), (-1, -1, 1))]
     assert not unbounded_directions(tri)
     assert unbounded_directions(tri[:2])
-    strip = [halfplane(1, 0, 1), halfplane(-1, 0, 1), halfplane(0, 1, 1)]
+    strip = [plane_word(w) for w in ((1, 0, 1), (-1, 0, 1), (0, 1, 1))]
     assert unbounded_directions(strip)  # a gap of exactly pi
-    box = [halfplane(1, 0, 1), halfplane(-1, 0, 1),
-           halfplane(0, 1, 1), halfplane(0, -1, 1)]
+    box = [plane_word(w)
+           for w in ((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1))]
     assert not unbounded_directions(box)
 
 

@@ -11,7 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import gift_wrap, hull_vertices_by_clipping, maxima_points
+from oracles import (
+    gift_wrap,
+    hull_vertices_by_clipping,
+    maxima_one_strict,
+    maxima_points,
+)
 from pemlab.geometry import (
     GeometryError,
     HullChain,
@@ -25,6 +30,7 @@ from pemlab.hull import (
     _hull_base,
     _poll_count,
     _sample_size,
+    _sweep_survivors,
     convex_hull_2d,
     expand_by_sector,
     filter_sector,
@@ -34,23 +40,13 @@ from pemlab.hull import (
     polling_sample,
 )
 from pemlab.machine import Machine, MachineConfig, MachineFault
-from pemlab.primitives import KeySeq
+from pemlab.primitives import KeySeq, load_seq
 
 F = Fraction
 
 
 def make(p=4, M=1024, B=8, seed=0):
     return Machine(MachineConfig(p=p, M=M, B=B, seed=seed))
-
-
-def load_seq(m, vals):
-    reg = m.alloc(max(1, len(vals)))
-    m.load(reg, list(vals))
-    return KeySeq(reg, len(vals))
-
-
-def seq_values(m, seq):
-    return list(m.snapshot_memory(seq.region)[: seq.n])
 
 
 def bounded_instance(rng, m, n=None):
@@ -99,7 +95,7 @@ class TestHullMain:
         assert chain.vertices == (
             Point2(F(-2), F(-1)), Point2(F(2), F(-1)),
             Point2(F(2), F(3)), Point2(F(-2), F(3)))
-        assert seq_values(m, written) == [(-2, -1), (2, -1), (2, 3), (-2, 3)]
+        assert m.snapshot_memory(written) == [(-2, -1), (2, -1), (2, 3), (-2, 3)]
         assert chain.is_convex_ccw()
 
     def test_pinned_triangle_with_redundant(self):
@@ -240,7 +236,7 @@ class TestSectorRouting:
         covered = 0
         for sl, interval in groups:
             covered += sl.n
-            for w in seq_values(m, sl):
+            for w in m.snapshot_memory(sl):
                 key = (w[-3], w[-2], w[-1])
                 got.setdefault(key, []).append(interval_to_set(interval, t))
         assert covered == len(planes)
@@ -269,7 +265,7 @@ class TestSectorRouting:
             for j in secs or ():
                 want_buckets[j].append((F(pl[0]), F(pl[1]), F(pl[2])))
         starts = copies.bucket_starts()
-        words = seq_values(m, copies.seq)
+        words = m.snapshot_memory(copies.seq)
         assert sum(copies.sizes) == sum(len(bk) for bk in want_buckets)
         for j in range(t):
             got = sorted(words[starts[j]:starts[j] + copies.sizes[j]])
@@ -304,7 +300,7 @@ class TestFilterSector:
                               len(planes), len(m.cores))
         copies = expand_by_sector(m, groups, t, m.cores)
         starts = copies.bucket_starts()
-        words = seq_values(m, copies.seq)
+        words = m.snapshot_memory(copies.seq)
         checked = 0
         for j in range(t):
             bucket = words[starts[j]:starts[j] + copies.sizes[j]]
@@ -313,7 +309,7 @@ class TestFilterSector:
             seq = load_seq(m, bucket)
             survivors, host = filter_sector(m, seq, j, chain, m.cores,
                                             stream=j)
-            got = seq_values(m, survivors)
+            got = m.snapshot_memory(survivors)
             assert got == list(host)
             assert len(got) <= len(bucket)
             inset = {tuple(w) for w in bucket}
@@ -351,7 +347,7 @@ class TestConvexHull2d:
         assert chain.vertices == (
             Point2(F(0), F(0)), Point2(F(4), F(0)),
             Point2(F(4), F(4)), Point2(F(0), F(4)))
-        assert seq_values(m, written) == [(0, 0), (4, 0), (4, 4), (0, 4)]
+        assert m.snapshot_memory(written) == [(0, 0), (4, 0), (4, 4), (0, 4)]
 
     def test_matches_gift_wrap_random(self):
         shapes = [(2, 256, 8), (4, 1024, 8), (8, 512, 16)]
@@ -448,7 +444,7 @@ class TestMaxima:
     def test_pinned(self):
         pts = [(0, 3), (1, 1), (2, 2), (3, 0), (2, 2)]
         m = make(p=1)
-        got = seq_values(m, maxima_par(m, load_seq(m, pts), m.cores))
+        got = m.snapshot_memory(maxima_par(m, load_seq(m, pts), m.cores))
         assert got == maxima_points(pts)
 
     def test_seq_equals_par_equals_oracle(self):
@@ -460,14 +456,26 @@ class TestMaxima:
             pts = [(rng.randrange(-span, span), rng.randrange(-span, span))
                    for _ in range(size)]
             m1 = make(p=1, seed=t)
-            got_seq = seq_values(
-                m1, maxima_par(m1, load_seq(m1, pts), m1.cores, stream=t))
+            got_seq = m1.snapshot_memory(maxima_par(m1, load_seq(m1, pts), m1.cores, stream=t))
             m2 = make(p=4, seed=t)
-            got_par = seq_values(
-                m2, maxima_par(m2, load_seq(m2, pts), m2.cores, stream=t))
+            got_par = m2.snapshot_memory(maxima_par(m2, load_seq(m2, pts), m2.cores, stream=t))
             want = maxima_points(pts)
             assert got_seq == want, t
             assert got_par == want, t
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rule, oracle", [
+        ("one_strict", maxima_one_strict), ("strict_both", maxima_points)])
+    def test_sweep_survivors_match_oracle(self, p, rule, oracle):
+        # Few distinct x, so chunk boundaries split blocks of equal x.
+        for t in range(10):
+            rng = random.Random(500 + t)
+            pts = sorted((rng.randrange(6), rng.randrange(6))
+                         for _ in range(rng.randrange(1, 40)))
+            m = make(p=p, seed=t)
+            seq, host = _sweep_survivors(m, load_seq(m, pts), m.cores, rule,
+                                         emit=lambda w: w)
+            assert m.snapshot_memory(seq) == host == oracle(pts), t
 
     def test_empty(self):
         m = make()

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pemlab.machine import Machine, MachineConfig, MachineFault, MemRegion
+from pemlab.primitives import KeySeq
 
 
 def scan_program(region, out=None):
@@ -33,6 +34,14 @@ class TestConfig:
         with pytest.raises(MachineFault, match="seed must be >= 0"):
             MachineConfig(p=1, M=8, B=8, seed=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("p", True), ("M", 64.0), ("B", 8.0), ("seed", 1.5)])
+    def test_rejects_non_integers(self, field, value):
+        shape = dict(p=1, M=64, B=8, seed=0)
+        shape[field] = value
+        with pytest.raises(MachineFault, match=f"{field} must be an int"):
+            MachineConfig(**shape)
+
 
 
 class TestMemory:
@@ -40,6 +49,15 @@ class TestMemory:
         m = make_machine(B=8)
         region = m.alloc(16)
         assert m.snapshot_memory(region) == [0] * 16
+
+    def test_snapshot_of_a_key_sequence_is_its_words(self, make_machine):
+        m = make_machine(B=8)
+        region = m.alloc(8)
+        m.load(region, range(8))
+        assert m.snapshot_memory(KeySeq(region, 3)) == [0, 1, 2]
+        assert m.snapshot_memory(KeySeq(region, 0)) == []
+        with pytest.raises(MachineFault):
+            m.snapshot_memory(KeySeq(MemRegion(8, 4), 2))
 
     def test_regions_are_block_aligned(self, make_machine):
         m = make_machine(B=8)

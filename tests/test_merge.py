@@ -6,15 +6,12 @@ import pytest
 
 from pemlab import MachineFault
 from pemlab.merge import BucketedRun, merge_bucketed, plan_cuts
-from pemlab.primitives import KeySeq
+from pemlab.primitives import KeySeq, load_seq
 
 
 def load_run(machine, buckets):
     flat = [v for bucket in buckets for v in bucket]
-    reg = machine.alloc(max(1, len(flat)))
-    machine.load(reg, flat)
-    n = sum(len(b) for b in buckets)
-    return BucketedRun(KeySeq(reg, n), tuple(len(b) for b in buckets))
+    return BucketedRun(load_seq(machine, flat), tuple(len(b) for b in buckets))
 
 
 def merged_oracle(all_buckets):
@@ -27,7 +24,7 @@ def merged_oracle(all_buckets):
 
 
 def run_words(machine, run):
-    return machine.snapshot_memory(run.seq.region)[: run.seq.n]
+    return machine.snapshot_memory(run.seq)
 
 
 class TestMergeBucketed:

@@ -17,13 +17,7 @@ from pemlab.partition import (
     partition_seq,
     partition_sqrt,
 )
-from pemlab.primitives import KeySeq
-
-
-def load_seq(machine, vals):
-    reg = machine.alloc(max(1, len(vals)))
-    machine.load(reg, list(vals))
-    return KeySeq(reg, len(vals))
+from pemlab.primitives import load_seq
 
 
 def oracle_buckets(vals, splitters):
@@ -34,7 +28,7 @@ def oracle_buckets(vals, splitters):
 
 
 def run_buckets(machine, run):
-    words = machine.snapshot_memory(run.seq.region)[: run.seq.n]
+    words = machine.snapshot_memory(run.seq)
     out, at = [], 0
     for s in run.sizes:
         out.append(words[at : at + s])
@@ -77,6 +71,22 @@ class TestPartitionSeq:
         m = make_machine(p=1)
         run = partition_seq(m, load_seq(m, []), [3], m.cores[0])
         assert run.sizes == (0, 0)
+
+    def test_ledger_and_cache_pinned(self, make_machine):
+        # One read, sort, write and scan-back on an 8-block cache, so the
+        # scan's misses and LRU order depend on how it reads ``out``.
+        m = make_machine(p=1, M=32, B=4)
+        rng = random.Random(5)
+        vals = [rng.randrange(100) for _ in range(50)]
+        run = partition_seq(m, load_seq(m, vals), [10, 40, 70], m.cores[0])
+        assert run.sizes == (6, 20, 10, 14)
+        led = m.ledger()
+        assert (led.per_core_ops, led.per_core_cache_misses,
+                led.per_core_block_misses, led.rounds) == ((500,), (39,),
+                                                           (0,), 1)
+        state = m.cache_state()
+        assert state.resident == (tuple(range(18, 26)),)
+        assert state.holders == {b: [0] for b in range(18, 26)}
 
 
 class TestPartitionQuadratic:

@@ -19,6 +19,7 @@ from pemlab.primitives import (
     brute_sort,
     chunk_bounds,
     compact,
+    load_seq,
     parallel_for,
     prefix_sum,
     sample_k_of_n_seq,
@@ -28,21 +29,20 @@ from pemlab.primitives import (
 from pemlab.sorting import SortPlan
 
 
-def load_seq(machine, vals):
-    reg = machine.alloc(max(1, len(vals)))
-    machine.load(reg, list(vals))
-    return KeySeq(reg, len(vals))
-
-
-def seq_values(machine, seq):
-    return machine.snapshot_memory(seq.region)[: seq.n]
-
-
 class TestChunking:
     def test_chunks_cover_input_with_remainder_last(self):
         assert chunk_bounds(10, 4) == [(0, 2), (2, 4), (4, 6), (6, 10)]
         assert chunk_bounds(3, 3) == [(0, 1), (1, 2), (2, 3)]
         assert chunk_bounds(2, 4) == [(0, 0), (0, 0), (0, 0), (0, 2)]
+
+    def test_load_seq_installs_words_free(self, make_machine):
+        m = make_machine()
+        seq = load_seq(m, [4, 5, 6])
+        assert (seq.n, seq.region.len) == (3, 3)
+        assert m.snapshot_memory(seq) == [4, 5, 6]
+        empty = load_seq(m, [])
+        assert (empty.n, empty.region.len) == (0, 1)
+        assert m.ledger().ops == 0
 
     def test_keyseq_rejects_overlong_length(self):
         m = Machine(MachineConfig(p=1, M=64, B=8))
@@ -133,7 +133,7 @@ class TestPrefixSum:
         vals = [random.Random(n * 13 + p).randrange(-9, 10) for _ in range(n)]
         seq = load_seq(m, vals)
         res = prefix_sum(m, seq, m.cores)
-        assert seq_values(m, res) == list(accumulate(vals))
+        assert m.snapshot_memory(res) == list(accumulate(vals))
 
     def test_block_aligned_chunks_incur_no_block_misses(self, make_machine):
         # Pinned: 4096 words over 4 cores with M=256, B=16 stays block-clean.
@@ -142,7 +142,7 @@ class TestPrefixSum:
         seq = load_seq(m, vals)
         res = prefix_sum(m, seq, m.cores)
         assert m.ledger().block_misses == 0
-        assert seq_values(m, res) == list(accumulate(vals))
+        assert m.snapshot_memory(res) == list(accumulate(vals))
 
     def test_empty_input(self, make_machine):
         m = make_machine(p=2)
@@ -162,7 +162,7 @@ class TestTranspose:
         for i in range(m_rows):
             for j in range(n_cols):
                 expect[j * m_rows + i] = vals[i * n_cols + j]
-        assert seq_values(mach, res) == expect
+        assert mach.snapshot_memory(res) == expect
 
     def test_two_row_band_split_has_no_block_misses(self, make_machine):
         # Pinned: m=2, n=2B, p=2 assigns column bands with block-disjoint output.
@@ -189,7 +189,7 @@ class TestCompact:
         m = make_machine(p=4)
         parts = [load_seq(m, [1, 2, 3]), load_seq(m, []), load_seq(m, [9]), load_seq(m, [4, 5])]
         res = compact(m, parts, m.cores)
-        assert seq_values(m, res) == [1, 2, 3, 9, 4, 5]
+        assert m.snapshot_memory(res) == [1, 2, 3, 9, 4, 5]
 
     def test_slice_per_core_writes_have_no_block_misses(self, make_machine):
         # Pinned: 4 parts of 256 words, p=4, B=16 compacts block-cleanly.
@@ -198,7 +198,7 @@ class TestCompact:
         res = compact(m, parts, m.cores)
         assert res.n == 1024
         assert m.ledger().block_misses == 0
-        assert seq_values(m, res) == list(range(1024))
+        assert m.snapshot_memory(res) == list(range(1024))
 
     def test_destination_region_is_respected(self, make_machine):
         m = make_machine(p=1)
@@ -215,14 +215,14 @@ class TestBruteSort:
         vals = [random.Random(n * 7 + p).randrange(10) for _ in range(n)]
         seq = load_seq(m, vals)
         res = brute_sort(m, seq, m.cores)
-        assert seq_values(m, res) == sorted(vals)
+        assert m.snapshot_memory(res) == sorted(vals)
 
     def test_tuple_items_sort_stably_by_position(self, make_machine):
         m = make_machine(p=2, M=2048, B=8)
         vals = [(3, 0), (1, 1), (3, 2), (1, 3), (2, 4)]
         seq = load_seq(m, vals)
         res = brute_sort(m, seq, m.cores)
-        assert seq_values(m, res) == sorted(vals)
+        assert m.snapshot_memory(res) == sorted(vals)
 
     def test_wide_scatter_slots_avoid_block_misses(self, make_machine):
         m = make_machine(p=4, M=2048, B=8)
@@ -300,14 +300,14 @@ class TestSampleKOfN:
         probe = Machine(MachineConfig(p=2, M=1024, B=8, seed=3))
         expect = self._expected(probe, vals, 7, m.cores[1].idx)
         res = sample_k_of_n_seq(m, seq, 7, m.cores[1])
-        assert seq_values(m, res) == expect
+        assert m.snapshot_memory(res) == expect
 
     def test_draws_with_replacement_beyond_n(self, make_machine):
         m = make_machine(p=1, seed=9)
         vals = [4, 8, 15]
         seq = load_seq(m, vals)
         res = sample_k_of_n_seq(m, seq, 10, m.cores[0])
-        got = seq_values(m, res)
+        got = m.snapshot_memory(res)
         assert len(got) == 10
         assert set(got) <= set(vals)
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from pemlab.machine import Machine, MachineConfig, MachineFault
-from pemlab.primitives import KeySeq
+from pemlab.primitives import KeySeq, load_seq
 from pemlab.procalloc import (
     IdAssignment,
     estimate_processors,
@@ -15,12 +15,6 @@ from pemlab.procalloc import (
 
 def make(p=4, M=1024, B=16, seed=0):
     return Machine(MachineConfig(p=p, M=M, B=B, seed=seed))
-
-
-def load_seq(m, vals):
-    reg = m.alloc(max(1, len(vals)))
-    m.load(reg, list(vals))
-    return KeySeq(reg, len(vals))
 
 
 class TestIdAssignment:

@@ -5,19 +5,9 @@ import random
 import pytest
 
 from pemlab.machine import Machine, MachineConfig, MachineFault
-from pemlab.primitives import KeySeq, _streams
+from pemlab.primitives import KeySeq, _streams, load_seq
 from pemlab.sorting import SortPlan, SortStats, _Ctx, _partition_round, sample_sort
 from pemlab.merge import BucketedRun
-
-
-def load_seq(m, vals):
-    reg = m.alloc(max(1, len(vals)))
-    m.load(reg, list(vals))
-    return KeySeq(reg, len(vals))
-
-
-def seq_values(m, seq):
-    return list(m.snapshot_memory(seq.region)[: seq.n])
 
 
 def make(p=4, M=256, B=8, seed=0):
@@ -58,12 +48,12 @@ class TestPinnedExamples:
     def test_empty(self):
         m = make()
         out = sample_sort(m, load_seq(m, []), m.cores)
-        assert seq_values(m, out) == []
+        assert m.snapshot_memory(out) == []
 
     def test_all_equal(self):
         m = make()
         out = sample_sort(m, load_seq(m, [7, 7, 7, 7]), m.cores)
-        assert seq_values(m, out) == [7, 7, 7, 7]
+        assert m.snapshot_memory(out) == [7, 7, 7, 7]
 
     def test_permutation_matches_oracle(self):
         n = 1 << 14
@@ -72,7 +62,7 @@ class TestPinnedExamples:
         rng.shuffle(vals)
         m = make(p=4, M=256, B=8, seed=11)
         out = sample_sort(m, load_seq(m, vals), m.cores)
-        assert seq_values(m, out) == sorted(vals)
+        assert m.snapshot_memory(out) == sorted(vals)
 
     def test_permutation_rarely_resamples(self):
         n = 1 << 14
@@ -92,13 +82,13 @@ class TestPinnedExamples:
     def test_seq_sort_example(self):
         m = make(p=1)
         out = sample_sort(m, load_seq(m, [2, 1, 3]), m.cores[:1])
-        assert seq_values(m, out) == [1, 2, 3]
+        assert m.snapshot_memory(out) == [1, 2, 3]
 
     def test_seq_sort_sorted_input_unchanged(self):
         m = make(p=1)
         vals = list(range(500))
         out = sample_sort(m, load_seq(m, vals), m.cores[:1])
-        assert seq_values(m, out) == vals
+        assert m.snapshot_memory(out) == vals
 
     def test_seq_sort_miss_ratio(self):
         # n=2^12 on one core with M=2^10, B=32: total misses stay within
@@ -108,7 +98,7 @@ class TestPinnedExamples:
         vals = [rng.randrange(n * 8) for _ in range(n)]
         m = Machine(MachineConfig(p=1, M=1024, B=32, seed=2))
         out = sample_sort(m, load_seq(m, vals), m.cores[:1])
-        assert seq_values(m, out) == sorted(vals)
+        assert m.snapshot_memory(out) == sorted(vals)
         led = m.ledger()
         bound = (n / 32) * (math.log(n) / math.log(1024))
         assert led.misses <= 4 * bound
@@ -123,19 +113,19 @@ class TestCorrectness:
             vals = [rng.randrange(-50, 50) for _ in range(n)]
             m = make(p=max(p, 1), M=128, B=8, seed=trial)
             out = sample_sort(m, load_seq(m, vals), m.cores[:p])
-            assert seq_values(m, out) == sorted(vals)
+            assert m.snapshot_memory(out) == sorted(vals)
 
     def test_single_key(self):
         m = make()
         out = sample_sort(m, load_seq(m, [42]), m.cores)
-        assert seq_values(m, out) == [42]
+        assert m.snapshot_memory(out) == [42]
 
     def test_custom_exponent(self):
         rng = random.Random(5)
         vals = [rng.randrange(1000) for _ in range(2000)]
         m = make(p=4, M=64, B=8)
         out = sample_sort(m, load_seq(m, vals), m.cores, plan=SortPlan(x=4))
-        assert seq_values(m, out) == sorted(vals)
+        assert m.snapshot_memory(out) == sorted(vals)
 
     def test_no_cores_raises(self):
         m = make()
@@ -221,7 +211,7 @@ class TestCostShape:
         for p in (1, 4):
             m = Machine(MachineConfig(p=p, M=64, B=8, seed=5))
             out = sample_sort(m, load_seq(m, vals), m.cores)
-            assert seq_values(m, out) == sorted(vals)
+            assert m.snapshot_memory(out) == sorted(vals)
             paths[p] = m.ledger().op_critical_path
         assert paths[1] / paths[4] >= 2.0
 
@@ -235,7 +225,7 @@ class TestCostShape:
             vals = [rng.randrange(n * 4) for _ in range(n)]
             m = Machine(MachineConfig(p=4, M=1024, B=32, seed=7))
             out = sample_sort(m, load_seq(m, vals), m.cores)
-            assert seq_values(m, out) == sorted(vals)
+            assert m.snapshot_memory(out) == sorted(vals)
             bound = (n / 32) * (math.log(n) / math.log(1024))
             ratios.append(m.ledger().cache_misses / bound)
         assert max(ratios) / min(ratios) <= 4.0
@@ -245,5 +235,5 @@ class TestCostShape:
         st = SortStats()
         vals = [5, 3, 9, 1]
         out = sample_sort(m, load_seq(m, vals), m.cores[:1], stats=st)
-        assert seq_values(m, out) == [1, 3, 5, 9]
+        assert m.snapshot_memory(out) == [1, 3, 5, 9]
         assert st.rounds == 0 and st.resamples == 0
