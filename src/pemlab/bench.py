@@ -178,36 +178,36 @@ def instance(algo: str, n: int, seed: int) -> list:
     return _INSTANCES[algo](n, seed)
 
 
-def measure(algo: str, machine: Machine, words: list, seed: int,
+def measure(algo: str, machine: Machine, words: list,
             plan: SortPlan | None = None) -> tuple:
-    """Load ``words``, run ``algo`` on every core of ``machine`` and measure it.
+    """Load ``words``, run ``algo`` on all cores of ``machine``, measure it.
 
-    ``seed`` is the algorithm's random stream and the row's seed; ``plan``
-    configures the sort.  Returns ``(row, result)``: the measured
+    The machine's seed is the algorithm's random stream and the row's seed;
+    ``plan`` configures the sort.  Returns ``(row, result)``: the measured
     :class:`ScenarioRow` of ``len(words)`` words, whose ``bound`` and
     ``ratio`` are ``None`` where the bound degenerates, and what the
     algorithm returned.
     """
     _check_algo(algo)
+    cfg = machine.config
     seq = load_seq(machine, words)
     retries = 0
     if algo == "sort":
         stats = SortStats()
         result = sample_sort(machine, seq, machine.cores, plan=plan,
-                             stats=stats, stream=seed)
+                             stats=stats, stream=cfg.seed)
         retries = stats.resamples
     elif algo == "hull":
         stats = HullStats()
         result = hull_main(machine, seq, machine.cores, stats=stats,
-                           stream=seed)
+                           stream=cfg.seed)
         retries = stats.repolls
     else:
         result = prefix_sum(machine, seq, machine.cores)
-    cfg = machine.config
     bound, _ = _miss_bound(algo, seq.n, cfg.M, cfg.B)
     led = machine.ledger()
     row = ScenarioRow(
-        algo=algo, n=seq.n, p=cfg.p, M=cfg.M, B=cfg.B, seed=seed,
+        algo=algo, n=seq.n, p=cfg.p, M=cfg.M, B=cfg.B, seed=cfg.seed,
         ops=led.ops,
         crit_path=led.critical_path,
         cache_misses=led.cache_misses,
@@ -236,7 +236,7 @@ def run_scenario(algo: str, n: int, p: int, M: int, B: int,
         machine = Machine(MachineConfig(p=p, M=M, B=B, seed=seed))
     except MachineFault as exc:
         return replace(row, status=f"skipped({exc})".replace(",", ";"))
-    return measure(algo, machine, words, seed)[0]
+    return measure(algo, machine, words)[0]
 
 
 # ------------------------------------------------------------------ sweeps

@@ -65,51 +65,62 @@ def _cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def _input_words(args) -> list:
-    """The words of ``--planes`` or ``--keys``, else the sweep's seeded
-    instance of size ``--n`` (a size the sweep would skip is an error)."""
-    path = args.planes if args.command == "hull" else args.keys
-    if not path:
-        return instance(args.command, args.n, args.seed)
-    if args.command == "hull":
-        return fileio.read_planes(path)
-    return fileio.read_keys(path, binary=args.binary)
+def _keys(algo, args) -> list:
+    """The words of ``--keys``, else the sweep's seeded instance of size
+    ``--n`` (a size the sweep would skip is an error)."""
+    if args.keys:
+        return fileio.read_keys(args.keys, binary=args.binary)
+    return instance(algo, args.n, args.seed)
 
 
-def _print_result(args, machine, result) -> None:
-    if args.command == "sort":
-        keys = machine.snapshot_memory(result)
-        print(f"sorted {len(keys)} keys, digest {_digest(keys)}")
-    elif args.command == "prefix":
-        sums = machine.snapshot_memory(result)
-        tail = sums[-1] if sums else 0
-        print(f"prefix over {len(sums)} keys, total {tail}, "
-              f"digest {_digest(sums)}")
-    else:
-        chain, _ = result
-        vertices = chain.vertices
-        if args.out:
-            fileio.write_hull(args.out, chain)
-            print(f"hull: {len(vertices)} vertices -> {args.out}, "
-                  f"digest {_digest(vertices)}")
-        else:
-            for v in vertices:
-                print(f"{v.x} {v.y}")
-            print(f"hull: {len(vertices)} vertices, "
-                  f"digest {_digest(vertices)}")
-
-
-def _cmd_run(args) -> int:
-    """One-shot ``sort``, ``hull`` or ``prefix``: a digest, then the row."""
-    words = _input_words(args)
+def _run(algo, args, words, plan=None):
+    """Measure ``algo`` on ``words`` on the machine the flags describe."""
     machine = Machine(MachineConfig(p=args.p, M=args.M, B=args.B,
                                     seed=args.seed))
-    plan = (SortPlan(x=args.x, retry_cap=args.retry_cap)
-            if args.command == "sort" else None)
-    row, result = measure(args.command, machine, words, args.seed, plan)
-    _print_result(args, machine, result)
+    row, result = measure(algo, machine, words, plan)
+    return machine, row, result
+
+
+def _print_row(row) -> None:
     print(CSV_HEADER)
     print(row.to_csv())
+
+
+def _cmd_sort(args) -> int:
+    plan = SortPlan(x=args.x, retry_cap=args.retry_cap)
+    machine, row, out = _run("sort", args, _keys("sort", args), plan)
+    keys = machine.snapshot_memory(out)
+    print(f"sorted {len(keys)} keys, digest {_digest(keys)}")
+    _print_row(row)
+    return 0
+
+
+def _cmd_hull(args) -> int:
+    if args.planes:
+        planes = fileio.read_planes(args.planes)
+    else:
+        planes = instance("hull", args.n, args.seed)
+    _, row, (chain, _) = _run("hull", args, planes)
+    vertices = chain.vertices
+    if args.out:
+        fileio.write_hull(args.out, chain)
+        print(f"hull: {len(vertices)} vertices -> {args.out}, "
+              f"digest {_digest(vertices)}")
+    else:
+        for v in vertices:
+            print(f"{v.x} {v.y}")
+        print(f"hull: {len(vertices)} vertices, digest {_digest(vertices)}")
+    _print_row(row)
+    return 0
+
+
+def _cmd_prefix(args) -> int:
+    machine, row, out = _run("prefix", args, _keys("prefix", args))
+    sums = machine.snapshot_memory(out)
+    tail = sums[-1] if sums else 0
+    print(f"prefix over {len(sums)} keys, total {tail}, "
+          f"digest {_digest(sums)}")
+    _print_row(row)
     return 0
 
 
@@ -138,20 +149,20 @@ def build_parser() -> argparse.ArgumentParser:
     sort.add_argument("--keys", help="key file instead of generated input")
     sort.add_argument("--binary", action="store_true",
                       help="key file is little-endian int64 words")
-    sort.set_defaults(func=_cmd_run)
+    sort.set_defaults(func=_cmd_sort)
 
     hull = subs.add_parser("hull", help="intersect half-planes")
     _machine_args(hull)
     hull.add_argument("--planes", help='file of "a b c" lines')
     hull.add_argument("--out", help="write hull vertices here")
-    hull.set_defaults(func=_cmd_run)
+    hull.set_defaults(func=_cmd_hull)
 
     prefix = subs.add_parser("prefix", help="prefix-sum one instance")
     _machine_args(prefix)
     prefix.add_argument("--keys", help="key file instead of generated input")
     prefix.add_argument("--binary", action="store_true",
                         help="key file is little-endian int64 words")
-    prefix.set_defaults(func=_cmd_run)
+    prefix.set_defaults(func=_cmd_prefix)
     return parser
 
 

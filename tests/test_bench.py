@@ -286,7 +286,7 @@ class TestCli:
                      "--seed", "5", "--keys", str(keys)]) == 0
         lines = capsys.readouterr().out.splitlines()
         machine = Machine(MachineConfig(p=2, M=256, B=8, seed=5))
-        row, out = measure("sort", machine, words, 5)
+        row, out = measure("sort", machine, words)
         assert lines[-1] == row.to_csv()
         assert lines[0].startswith("sorted 700 keys, digest ")
         assert machine.snapshot_memory(out) == sorted(words)
