@@ -42,7 +42,8 @@ def _digest(values) -> str:
 
 
 def _machine_args(sub):
-    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--n", type=int,
+                     help="size of the generated input; needed without a file")
     sub.add_argument("--p", type=int, default=1)
     sub.add_argument("--M", type=int, default=1024)
     sub.add_argument("--B", type=int, default=8)
@@ -65,12 +66,19 @@ def _cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
+def _generated(algo, args, source) -> list:
+    """The sweep's seeded instance of size ``--n``; a missing ``--n``, or a
+    size the sweep would skip, is an error."""
+    if args.n is None:
+        raise MachineFault(f"{algo} needs --n or {source}")
+    return instance(algo, args.n, args.seed)
+
+
 def _keys(algo, args) -> list:
-    """The words of ``--keys``, else the sweep's seeded instance of size
-    ``--n`` (a size the sweep would skip is an error)."""
+    """The words of ``--keys``, else the generated instance."""
     if args.keys:
         return fileio.read_keys(args.keys, binary=args.binary)
-    return instance(algo, args.n, args.seed)
+    return _generated(algo, args, "--keys")
 
 
 def _run(algo, args, words, plan=None):
@@ -99,7 +107,7 @@ def _cmd_hull(args) -> int:
     if args.planes:
         planes = fileio.read_planes(args.planes)
     else:
-        planes = instance("hull", args.n, args.seed)
+        planes = _generated("hull", args, "--planes")
     _, row, (chain, _) = _run("hull", args, planes)
     vertices = chain.vertices
     if args.out:

@@ -92,9 +92,8 @@ from __future__ import annotations
 import csv
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from types import GeneratorType
-
-import numpy as np
 
 __all__ = [
     "MachineFault",
@@ -747,10 +746,20 @@ class Machine:
         holders = {b: sorted(h) for b, h in self._holders.items() if h}
         return CacheState(resident=resident, holders=holders)
 
-    def rng(self, *stream: int) -> np.random.Generator:
-        """Counter-based Philox generator for a named integer stream."""
-        seq = np.random.SeedSequence(entropy=self.config.seed, spawn_key=tuple(stream))
-        return np.random.Generator(np.random.Philox(seed=seq))
+    def rng(self, *stream: int) -> _Philox:
+        """Counter-based Philox stream for a key of non-negative ints.
+
+        Its ``integers(high, size=None)`` draws are those of numpy's
+        ``Generator(Philox(SeedSequence(entropy=seed, spawn_key=stream)))
+        .integers(0, high, size)``, bit for bit, as Python ints.  Any other
+        key part, or a ``high`` outside ``1..2**63``, raises
+        :class:`MachineFault`.
+        """
+        for part in stream:
+            if not isinstance(part, int) or isinstance(part, bool) or part < 0:
+                raise MachineFault(
+                    f"stream key parts must be non-negative ints; got {stream!r}")
+        return _Philox(_philox_key(self.config.seed, stream))
 
     def export_trace(self, path) -> None:
         """Write the access trace as CSV (round, core, op, addr, miss_kind)."""
@@ -760,3 +769,161 @@ class Machine:
             writer = csv.writer(fh)
             writer.writerow(["round", "core", "op", "addr", "miss_kind"])
             writer.writerows(self._trace)
+
+
+# -- random streams ----------------------------------------------------------
+#
+# A private re-implementation of numpy's SeedSequence (pool of four 32-bit
+# words), Philox4x64-10 (Salmon et al., SC 2011) and Lemire's bounded draw
+# (TOMACS 2019), so that the machine needs only the standard library and its
+# streams stay those numpy would give.
+
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# SeedSequence's hash constants run through fixed sequences: the entropy
+# mix's constant starts at _HASH_INIT and is multiplied by _HASH_MULT at each
+# hash, and the state words take _STATE_HASH in turn.
+_HASH_INIT, _HASH_MULT = 0x43B0D7E5, 0x931E8875
+_STATE_HASH = tuple(0x8B51F9DD * pow(0x58F38DED, k, 1 << 32) & _M32
+                    for k in range(5))
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_INT64_LIMIT = 1 << 63
+
+
+def _words32(n: int) -> list:
+    """Little-endian 32-bit words of ``n >= 0``; ``[0]`` for zero."""
+    words = [n & _M32]
+    n >>= 32
+    while n:
+        words.append(n & _M32)
+        n >>= 32
+    return words
+
+
+def _hashmix(value: int, h: int) -> tuple:
+    """SeedSequence's hash of a 32-bit word under hash constant ``h``;
+    returns the hash and the next constant."""
+    h_next = h * _HASH_MULT & _M32
+    value = (value ^ h) * h_next & _M32
+    return value ^ value >> 16, h_next
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _absorb(pool: list, words, h: int) -> int:
+    """Mix each word into every pool word, from hash constant ``h`` on;
+    returns the next constant."""
+    for w in words:
+        for dst in range(4):
+            v, h = _hashmix(w, h)
+            pool[dst] = _mix(pool[dst], v)
+    return h
+
+
+@lru_cache(maxsize=64)
+def _seed_pool(seed: int) -> tuple:
+    """SeedSequence's pool after the seed's words, zero-padded to four, and
+    the next hash constant.  numpy pads only before a spawn key, but
+    without one it fills the pool with the same hashes of zero."""
+    words = _words32(seed)
+    words += [0] * (4 - len(words))
+    h = _HASH_INIT
+    pool = []
+    for w in words[:4]:
+        v, h = _hashmix(w, h)
+        pool.append(v)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], v)
+    h = _absorb(pool, words[4:], h)
+    return tuple(pool), h
+
+
+def _philox_key(seed: int, stream) -> tuple:
+    """The two 64-bit words of ``SeedSequence(seed, spawn_key=stream)
+    .generate_state(2, uint64)``, numpy's Philox key."""
+    pool, h = _seed_pool(seed)
+    pool = list(pool)
+    _absorb(pool, [w for part in stream for w in _words32(part)], h)
+    state = []
+    for k in range(4):
+        v = (pool[k] ^ _STATE_HASH[k]) * _STATE_HASH[k + 1] & _M32
+        state.append(v ^ v >> 16)
+    return state[0] | state[1] << 32, state[2] | state[3] << 32
+
+
+class _Philox:
+    """A Philox4x64-10 stream: 64-bit draws from a four-word block buffer,
+    the counter bumped before each block, and 32-bit draws taking the low
+    half of a 64-bit draw, then its high half."""
+
+    __slots__ = ("_key", "_ctr", "_buf", "_pos", "_half")
+
+    def __init__(self, key: tuple) -> None:
+        self._key = key
+        self._ctr = 0
+        self._buf = ()
+        self._pos = 4
+        self._half = None
+
+    def _next64(self) -> int:
+        if self._pos == 4:
+            # The counter's upper three words stay zero for any stream
+            # shorter than 2**64 blocks.
+            self._ctr += 1
+            c0, c1, c2, c3 = self._ctr, 0, 0, 0
+            k0, k1 = self._key
+            for _ in range(10):
+                p0 = _PHILOX_M0 * c0
+                p1 = _PHILOX_M1 * c2
+                c0, c1, c2, c3 = (p1 >> 64 ^ c1 ^ k0, p1 & _M64,
+                                  p0 >> 64 ^ c3 ^ k1, p0 & _M64)
+                k0 = (k0 + _PHILOX_W0) & _M64
+                k1 = (k1 + _PHILOX_W1) & _M64
+            self._buf = (c0, c1, c2, c3)
+            self._pos = 0
+        self._pos += 1
+        return self._buf[self._pos - 1]
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._next64()
+        self._half = word >> 32
+        return word & _M32
+
+    def integers(self, high: int, size=None):
+        """One draw from ``range(high)``, or a list of ``size`` draws."""
+        if not 0 < high <= _INT64_LIMIT:
+            raise MachineFault(f"need 1 <= high <= 2**63; got {high!r}")
+        if size is None:
+            return self._bounded(high)
+        return [self._bounded(high) for _ in range(size)]
+
+    def _bounded(self, n: int) -> int:
+        """Lemire's draw from ``range(n)``: 32-bit words below ``2**32``,
+        a raw word at ``2**32``, 64-bit words above; no draw for ``n == 1``."""
+        if n == 1:
+            return 0
+        if n < 1 << 32:
+            draw, bits = self._next32, 32
+        elif n == 1 << 32:
+            return self._next32()
+        else:
+            draw, bits = self._next64, 64
+        mask = (1 << bits) - 1
+        m = draw() * n
+        if m & mask < n:
+            threshold = (mask + 1) % n
+            while m & mask < threshold:
+                m = draw() * n
+        return m >> bits

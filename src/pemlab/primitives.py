@@ -423,7 +423,7 @@ def sample_splitters(machine, a: KeySeq, z: int, cores, stream: int = 0) -> tupl
         rng = machine.rng(11, stream, ci)
         for k in range(lo, hi):
             clo, chi = chunks[k]
-            off = int(rng.integers(chi - clo))
+            off = rng.integers(chi - clo)
             core.write(star, k, core.read(a, clo + off))
 
     parallel_for(machine, m_star, cores, body)
@@ -452,7 +452,7 @@ def sample_k_of_n_seq(machine, a: KeySeq, k: int, core, stream: int = 0) -> KeyS
     out = machine.alloc(k)
 
     def prog(c):
-        c.write_run(ranks_reg, 0, [int(v) for v in rng.integers(0, n, size=k)])
+        c.write_run(ranks_reg, 0, rng.integers(n, size=k))
         yield
         ranks = c.read_run(ranks_reg, 0, k)
         ranks.sort()

@@ -114,7 +114,7 @@ def estimate_processors(machine, n: int, cores,
 
     def register(core, ci):
         rng = machine.rng(17, stream, core.idx)
-        s = int(rng.integers(0, slots_n))
+        s = rng.integers(slots_n)
         my_slot[ci] = s
         my_rank[ci] = core.fetch_add(slots, s, 1)
 

@@ -301,6 +301,26 @@ class TestCli:
         row = capsys.readouterr().out.splitlines()[-1]
         assert row.startswith("hull,5,1,1024,8,0,ok,")
 
+    def test_input_file_needs_no_size(self, tmp_path, capsys):
+        keys = tmp_path / "keys.txt"
+        fileio.write_keys(keys, [5, 3, 9, 1])
+        planes = tmp_path / "planes.txt"
+        fileio.write_planes(planes, [(1, 0, 1), (-1, 0, 1), (0, 1, 1),
+                                     (0, -1, 1), (1, 1, 1)])
+        for argv, prefix in ((["sort", "--keys", str(keys)], "sort,4,"),
+                             (["prefix", "--keys", str(keys)], "prefix,4,"),
+                             (["hull", "--planes", str(planes)], "hull,5,")):
+            assert main(argv + ["--p", "2", "--M", "256"]) == 0
+            assert capsys.readouterr().out.splitlines()[-1].startswith(prefix)
+
+    @pytest.mark.parametrize("algo, source", [
+        ("sort", "--keys"), ("prefix", "--keys"), ("hull", "--planes")])
+    def test_neither_size_nor_file_is_an_error(self, algo, source, capsys):
+        assert main([algo, "--p", "2"]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {algo} needs --n or {source}" in captured.err
+        assert captured.out == ""
+
 
 class TestFileio:
     def test_keys_text_round_trip(self, tmp_path):

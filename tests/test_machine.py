@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from pemlab.machine import Machine, MachineConfig, MachineFault, MemRegion
 from pemlab.primitives import KeySeq
+from pemlab.procalloc import estimate_processors
 
 
 def scan_program(region, out=None):
@@ -41,6 +42,73 @@ class TestConfig:
         shape[field] = value
         with pytest.raises(MachineFault, match=f"{field} must be an int"):
             MachineConfig(**shape)
+
+
+class TestRandomStreams:
+    """``Machine.rng`` draws what numpy's
+    ``Generator(Philox(SeedSequence(seed, spawn_key=key))).integers(0, high,
+    size)`` draws, as Python ints."""
+
+    def test_pinned_draws_of_the_production_call_shapes(self, make_machine):
+        m = make_machine(seed=7)
+        # procalloc.register: one slot per stream.
+        assert m.rng(17, 3, 5).integers(1000) == 635
+        # sample_splitters: one offset per chunk from a core's stream.
+        rng = m.rng(11, 0, 2)
+        assert [rng.integers(h) for h in (100, 100, 101, 99, 100)] == [
+            97, 77, 14, 57, 16]
+        # sample_k_of_n_seq: k ranks in one call.
+        assert m.rng(12, 1, 0).integers(50, size=8) == [
+            24, 7, 15, 41, 26, 41, 10, 48]
+
+    def test_pinned_draws_of_wide_ranges(self, make_machine):
+        rng = make_machine(seed=2**40 + 3).rng(9)
+        assert [rng.integers(h) for h in (2**32, 2**40, 2**32 - 1, 2**63)] == [
+            4044720622, 953691912275, 3075543777, 5921733473174349298]
+
+    def test_a_range_of_one_draws_nothing(self, make_machine):
+        m = make_machine(seed=7)
+        rng = m.rng(12, 1, 0)
+        assert rng.integers(1) == 0
+        assert rng.integers(1, size=3) == [0, 0, 0]
+        assert rng.integers(50, size=8) == m.rng(12, 1, 0).integers(50, size=8)
+
+    @pytest.mark.parametrize("stream", [-1, 2.5, True, None])
+    def test_bad_key_parts_rejected(self, make_machine, stream):
+        m = make_machine(p=2)
+        with pytest.raises(MachineFault, match="non-negative ints"):
+            m.rng(11, stream, 0)
+        with pytest.raises(MachineFault, match="non-negative ints"):
+            estimate_processors(m, 1024, m.cores, stream=stream)
+
+    @pytest.mark.parametrize("high", [0, -3, 2**63 + 1])
+    def test_empty_or_too_wide_range_rejected(self, make_machine, high):
+        rng = make_machine().rng(0)
+        with pytest.raises(MachineFault, match="1 <= high <= 2\\*\\*63"):
+            rng.integers(high)
+        with pytest.raises(MachineFault):
+            rng.integers(high, size=2)
+
+    @pytest.fixture(scope="class")
+    def np_random(self):
+        return pytest.importorskip("numpy").random
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**160),
+           key=st.lists(st.integers(0, 2**64), max_size=4),
+           draws=st.lists(st.tuples(
+               st.one_of(st.sampled_from([1, 2, 2**32 - 1, 2**32, 2**32 + 1,
+                                          2**63]),
+                         st.integers(1, 2**63)),
+               st.one_of(st.none(), st.integers(0, 40))),
+               min_size=1, max_size=4))
+    def test_matches_numpy(self, np_random, seed, key, draws):
+        ours = Machine(MachineConfig(p=1, M=8, B=8, seed=seed)).rng(*key)
+        seq = np_random.SeedSequence(seed, spawn_key=tuple(key))
+        theirs = np_random.Generator(np_random.Philox(seq))
+        for high, size in draws:
+            assert ours.integers(high, size) == theirs.integers(
+                0, high, size=size).tolist()
 
 
 

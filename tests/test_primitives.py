@@ -290,7 +290,7 @@ class TestSampleSplitters:
 class TestSampleKOfN:
     def _expected(self, machine, vals, k, core_idx, stream=0):
         rng = machine.rng(12, stream, core_idx)
-        ranks = sorted(int(v) for v in rng.integers(0, len(vals), size=k))
+        ranks = sorted(rng.integers(len(vals), size=k))
         return [vals[r] for r in ranks]
 
     def test_matches_replayed_stream(self, make_machine):

@@ -15,12 +15,17 @@ that shows a public ``callee(`` must name a parameter of such a callee.
 
 Every import in ``src/pemlab``, ``demos/`` and ``tests/`` is used: the name
 it binds appears as a name in its file, or in that file's ``__all__``.
+
+``pemlab`` and ``pemlab.cli`` import nothing outside the standard library.
 """
 import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -173,3 +178,23 @@ def test_imports_are_used():
     files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     files += sorted((ROOT / "tests").glob("*.py"))
     assert [name for path in files for name in _unused_imports(path)] == []
+
+
+def test_import_needs_only_the_standard_library():
+    """A fresh interpreter imports ``pemlab`` and ``pemlab.cli``; every
+    top-level package this adds to ``sys.modules`` is ``pemlab`` or in the
+    standard library.  Modules the interpreter loaded at start-up (``site``
+    hooks) are not the package's imports."""
+    code = ("import sys; before = set(sys.modules); import pemlab, pemlab.cli; "
+            "print(*sorted({m.partition('.')[0] "
+            "for m in set(sys.modules) - before}))")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = proc.stdout.split()
+    assert "pemlab" in imported
+    assert [m for m in imported
+            if m != "pemlab" and m not in sys.stdlib_module_names] == []
