@@ -26,6 +26,14 @@ stitch build chains of those forms, and a ``Fraction`` is built only for a
 dual point, a filter score, a slab boundary or a vertex that a caller
 reads.  The point front ends keep integral coordinates as ``int``.
 
+Every ``Fraction`` that words are sorted or partitioned by is stored as the
+filtered pair ``(float(q), q)`` (:func:`_filtered`).  ``float`` of a
+``Fraction`` is its correctly rounded ``int / int`` quotient, and rounding
+is monotone, so a strict float order is the rational order and only float
+ties reach the ``Fraction``: the pairs order exactly as the rationals do
+(the exact-arithmetic filter of Brönnimann, Burnikel and Pion, and of
+Shewchuk).
+
 Machine conventions: a half-plane ``a*x + b*y <= c`` is one memory word,
 stored as the tuple ``(a, b, c)``; points are ``(x, y)`` words.  Cores are
 charged for every pass over plane or point data; the small per-round
@@ -356,16 +364,27 @@ def _polling_sample(ctx: _Ctx, planes: KeySeq, cores):
 # sector location: dual arrangement of the sample chain
 
 
+def _filtered(q: Fraction) -> tuple:
+    """``q`` as the sort key ``(float(q), q)``; a quotient past the float
+    range saturates to an infinity of its sign."""
+    try:
+        return (q.numerator / q.denominator, q)
+    except OverflowError:
+        return (math.inf if q > 0 else -math.inf, q)
+
+
 def dualize(machine, planes: KeySeq, cores) -> KeySeq:
-    """Map each plane word to ``(a/c, b/c, a, b, c)``: its dual point plus
-    the original coefficients, so later passes never chase references."""
+    """Map each plane word to ``(x, y, a, b, c)``: its dual point ``(a/c,
+    b/c)`` plus the original coefficients, so later passes never chase
+    references.  Each coordinate is the filtered pair ``(float(q), q)``
+    of its exact ``Fraction`` ``q``."""
 
     def to_dual(w):
         a, b, c = plane_word(w)
         if c <= 0:
             raise GeometryError("dualization needs the origin strictly "
                                 "interior (c > 0)")
-        return (Fraction(a, c), Fraction(b, c), a, b, c)
+        return (_filtered(Fraction(a, c)), _filtered(Fraction(b, c)), a, b, c)
 
     return _map_pass(machine, planes, cores, to_dual, tick=2)
 
@@ -490,11 +509,7 @@ def locate_points(machine, duals: KeySeq, arr: Arrangement, cores,
     t = len(arr.chain.int_vertices)
 
     if xs:
-        xsplit: list = []
-        for x in xs:
-            xsplit.append((x, float("-inf")))
-            xsplit.append((x, float("inf")))
-        xrun = _partition_by(machine, duals, tuple(xsplit), cores, root_n, root_p)
+        xrun = _partition_by(machine, duals, _slab_splitters(xs), cores, root_n, root_p)
         starts = xrun.bucket_starts()
         buckets = [
             _subseq(xrun.seq, st, st + sz) if sz else None
@@ -530,6 +545,18 @@ def locate_points(machine, duals: KeySeq, arr: Arrangement, cores,
                 groups.append((_subseq(brun.seq, st, st + sz),
                                arr.regions[(s, band)]))
     return groups
+
+
+def _slab_splitters(xs) -> tuple:
+    """The splitters ``(x, -inf)``, ``(x, +inf)`` of each slab boundary
+    ``x``, keyed like dual words: ``x`` as its filtered pair and each
+    infinity as a pair too, so it still compares with a dual ``y`` pair
+    that has saturated to an infinity."""
+    out: list = []
+    for x in map(_filtered, xs):
+        out.append((x, (-math.inf, -math.inf)))
+        out.append((x, (math.inf, math.inf)))
+    return tuple(out)
 
 
 def _band(lines, a, b, c) -> int:
@@ -747,11 +774,12 @@ def _staircase(vals, tail, rule) -> list:
 
 def _score(v1, v2, w) -> tuple:
     """The plane word ``w`` as ``(u . P1, u . P2, a, b, c)`` for the sector
-    vertices ``P1``, ``P2`` given in vertex form."""
+    vertices ``P1``, ``P2`` given in vertex form; each product is the
+    filtered pair ``(float(q), q)`` of its exact ``Fraction`` ``q``."""
     a, b, c = plane_word(w)
     (X1, Y1, D1), (X2, Y2, D2) = v1, v2
-    return (Fraction(a * X1 + b * Y1, c * D1),
-            Fraction(a * X2 + b * Y2, c * D2), a, b, c)
+    return (_filtered(Fraction(a * X1 + b * Y1, c * D1)),
+            _filtered(Fraction(a * X2 + b * Y2, c * D2)), a, b, c)
 
 
 def filter_sector(machine, sector_planes: KeySeq, j: int, chain: HullChain,

@@ -441,8 +441,10 @@ def sample_splitters(machine, a: KeySeq, z: int, cores, stream: int = 0) -> tupl
 def sample_k_of_n_seq(machine, a: KeySeq, k: int, core, stream: int = 0) -> KeySeq:
     """Draw ``k`` keys with replacement on one core via sorted random ranks.
 
-    The ranks are saved, sorted, and consumed by a single joint scan of the
-    input, so the pass costs ``O(n + k log k)`` ops.
+    Three rounds: the ranks are drawn and saved, sorted, and consumed by
+    one joint scan of the input up to the largest rank
+    (:meth:`~pemlab.machine.Core.select_run`), so the pass costs
+    ``O(n + k log k)`` ops.
     """
     n = a.n
     if n == 0 or k == 0:
@@ -459,15 +461,7 @@ def sample_k_of_n_seq(machine, a: KeySeq, k: int, core, stream: int = 0) -> KeyS
         c.tick(k * max(1, k.bit_length()))
         c.write_run(ranks_reg, 0, ranks)
         yield
-        write_at = 0
-        pos = 0
-        for i in range(k):
-            r = c.read(ranks_reg, i)
-            while pos <= r:
-                value = c.read(a, pos)
-                pos += 1
-            c.write(out, write_at, value)
-            write_at += 1
+        c.select_run(ranks_reg, 0, k, a, out, 0)
 
     machine.run_rounds({core.idx: prog})
     return KeySeq(out, k)

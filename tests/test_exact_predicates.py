@@ -13,6 +13,8 @@ move.
 """
 import math
 import random
+import sys
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -42,8 +44,10 @@ from pemlab.geometry import (
 from pemlab.hull import (
     _band,
     _dual_pick,
+    _filtered,
     _score,
     _sector_interval,
+    _slab_splitters,
     dualize,
     hull_main,
     polling_sample,
@@ -146,6 +150,18 @@ def ref_unbounded(planes):
     return m < 3 or any(
         vecs[i][0] * vecs[(i + 1) % m][1] - vecs[i][1] * vecs[(i + 1) % m][0]
         <= 0 for i in range(m))
+
+
+# Half an ulp past the largest finite float: from here on a quotient
+# rounds to an infinity.
+FLOAT_EDGE = F(sys.float_info.max) + F(2) ** 970
+
+
+def ref_float(q):
+    """The float nearest ``q``, saturated to an infinity past the range."""
+    if abs(q) >= FLOAT_EDGE:
+        return math.inf if q > 0 else -math.inf
+    return float(q)
 
 
 def sign(x):
@@ -402,9 +418,9 @@ def test_sector_interval_and_score_match_fraction_formula(data):
     got = _score(ints[j], ints[(j + 1) % len(ints)], word)
     p1, p2 = verts[j], verts[(j + 1) % len(verts)]
     a, b, c = map(F, word)
-    assert got == ((a * p1.x + b * p1.y) / c, (a * p2.x + b * p2.y) / c,
-                   a, b, c)
-    assert type(got[0]) is F and type(got[1]) is F
+    exact = ((a * p1.x + b * p1.y) / c, (a * p2.x + b * p2.y) / c)
+    assert tuple(q for _, q in got[:2]) + got[2:] == exact + (a, b, c)
+    assert all(type(q) is F and f == ref_float(q) for f, q in got[:2])
 
 
 @settings(max_examples=150, deadline=None)
@@ -451,8 +467,9 @@ def test_dualize_matches_fraction_formula(words):
     out = dualize(m, load_seq(m, words), m.cores)
     got = m.snapshot_memory(out)
     want = [(F(a) / F(c), F(b) / F(c), a, b, c) for a, b, c in words]
-    assert got == want
-    assert all(type(w[0]) is F and type(w[1]) is F for w in got)
+    assert [(w[0][1], w[1][1], *w[2:]) for w in got] == want
+    assert all(type(q) is F and f == ref_float(q)
+               for w in got for f, q in w[:2])
 
 
 @pytest.mark.parametrize("c", [0, -7, F(-1, 2)])
@@ -460,6 +477,65 @@ def test_dualize_rejects_nonpositive_c(c):
     m = machine()
     with pytest.raises(GeometryError):
         dualize(m, load_seq(m, [(1, 1, 5), (3, 4, c)]), m.cores)
+
+
+# ------------------------------------------------- filtered sort keys
+
+
+@st.composite
+def key_pool(draw):
+    """Fractions rich in float ties: small ones, ones nudged by ``2**-60``,
+    quotients past the float range and at its edge, and underflowing ones."""
+    base = draw(st.lists(st.one_of(
+        st.fractions(min_value=-50, max_value=50, max_denominator=50),
+        st.builds(F, st.integers(-10**400, 10**400), st.integers(1, 10**6)),
+        st.builds(F, st.integers(-10**6, 10**6), st.integers(10**330, 10**400)),
+        st.sampled_from([FLOAT_EDGE, -FLOAT_EDGE, FLOAT_EDGE - F(1, 2**60),
+                         F(sys.float_info.max)]),
+    ), min_size=1, max_size=6))
+    nudge = st.sampled_from([0, F(1, 2**60), -F(1, 2**60)])
+    return base + [q + draw(nudge) for q in base]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_filtered_keys_order_as_the_exact_keys(data):
+    """Sorting and ``bisect_left`` over dual-shaped words and slab
+    splitters give the same permutation and positions with each
+    ``Fraction`` ``q`` as ``(float(q), q)`` as with ``q`` alone."""
+    pool = data.draw(key_pool())
+    assert all(_filtered(q) == (ref_float(q), q) for q in pool)
+    q = st.sampled_from(pool)
+    words = data.draw(st.lists(st.tuples(q, q, st.integers(-2, 2)),
+                               min_size=1, max_size=12))
+    keyed = [(_filtered(x), _filtered(y), k) for x, y, k in words]
+    order = sorted(range(len(words)), key=words.__getitem__)
+    assert sorted(range(len(words)), key=keyed.__getitem__) == order
+    # Splitters drawn from the words, as a sample sort draws them.
+    picks = sorted(data.draw(st.lists(st.sampled_from(order), max_size=4)),
+                   key=words.__getitem__)
+    assert ([bisect_left([keyed[i] for i in picks], w) for w in keyed]
+            == [bisect_left([words[i] for i in picks], w) for w in words])
+    # The slab splitters of locate_points.
+    xs = sorted(set(data.draw(st.lists(q, max_size=4))))
+    slabs = [(x, inf) for x in xs for inf in (-math.inf, math.inf)]
+    keyed_slabs = _slab_splitters(xs)
+    assert list(keyed_slabs) == sorted(keyed_slabs)
+    assert ([bisect_left(keyed_slabs, w) for w in keyed]
+            == [bisect_left(slabs, w) for w in words])
+
+
+def test_hull_main_saturates_quotients_past_the_float_range():
+    """Dual points and scores of these planes overflow a float; their keys
+    saturate and the chain stays exact."""
+    big = 10**400
+    planes = good_planes(120) + [
+        (big, 1, 1), (-big, 7, 3), (1, big, 2), (3, -big, 5),
+        (1, 1, big), (big + 1, 0, big), (2, 5, 3 * big), (-big, -big, 1)]
+    m = Machine(MachineConfig(p=4, M=1024, B=8, seed=0))
+    chain, _ = hull_main(m, load_seq(m, planes), m.cores, stream=1)
+    assert chain.vertices == canonical_chain(
+        intersect_halfplanes_ordered(planes))
 
 
 # ------------------------------------------------ polling_sample inputs

@@ -12,7 +12,7 @@ from itertools import accumulate
 
 import pytest
 
-from pemlab import Machine, MachineConfig, MachineFault
+from pemlab import Machine, MachineConfig, MachineFault, MemRegion
 from pemlab.primitives import (
     KeySeq,
     _reduce,
@@ -315,3 +315,28 @@ class TestSampleKOfN:
         m = make_machine(p=1)
         res = sample_k_of_n_seq(m, load_seq(m, [1, 2]), 0, m.cores[0])
         assert res.n == 0
+
+    def test_thrashing_scan_cache_state_pinned(self):
+        # A 4-block cache scanning a 13-block input, with duplicate ranks
+        # (28, 28) and ranks in one block (45, 46).  Core 0 first holds the
+        # input's upper blocks.  The ledger, LRU order, holders and output
+        # were recorded from the word-by-word scan; the block-granular scan
+        # must reproduce them exactly.
+        m = Machine(MachineConfig(p=2, M=16, B=4, seed=2))
+        seq = load_seq(m, [v * 7 % 53 for v in range(50)])
+        m.run_rounds({0: lambda c: c.read_run(seq, 20, 50)})
+        assert sorted(m.rng(12, 0, 1).integers(50, size=9)) == [
+            2, 9, 17, 28, 28, 37, 45, 46, 49]
+        res = sample_k_of_n_seq(m, seq, 9, m.cores[1])
+        assert res.region == MemRegion(64, 9)
+        assert m.snapshot_memory(res) == [14, 10, 13, 37, 37, 47, 50, 4, 25]
+        led = m.ledger()
+        assert led.per_core_ops == (30, 131)
+        assert led.per_core_cache_misses == (8, 30)
+        assert led.per_core_block_misses == (0, 0)
+        assert led.rounds == 4
+        assert m.diagnostics == []
+        state = m.cache_state()
+        assert state.resident == ((9, 10, 11, 12), (15, 11, 12, 18))
+        assert state.holders == {9: [0], 10: [0], 11: [0, 1], 12: [0, 1],
+                                 15: [1], 18: [1]}
