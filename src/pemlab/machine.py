@@ -42,11 +42,12 @@ core sees its own writes and ``fetch_add`` results from the current round.
 Writes commit at the barrier in core-id order.  Two cores writing the same
 address in one round, or one core writing an address another core
 ``fetch_add``s, is a data race: it is recorded as a diagnostic, never
-resolved silently.  ``fetch_add`` is the sanctioned read-modify-write for
-shared counters; it serialises in core-id order within the round, commits
-after the plain writes, and pays the same block-miss charges as a write.
-Within one core, plain writes and ``fetch_add`` on one address take effect
-in program order.
+resolved silently.  The barrier records each race once per address and
+core.  ``fetch_add`` is the sanctioned read-modify-write for shared
+counters; it serialises in core-id order within the round, commits after
+the plain writes, and pays the same block-miss charges as a write.  Within
+one core, plain writes and ``fetch_add`` on one address take effect in
+program order.
 
 Runs of words
 -------------
@@ -63,13 +64,12 @@ the same values, at a cost per block rather than per word.
 Once per run, not once per word or block: the bounds of each stream are
 checked against its region and the allocation, every route is taken and
 every destination checked, every rank is checked against its source, the
-run checks whether another core already wrote one of its destination words
-this round, the core's own pending writes are read, and ``ops``, the
-round's address owners and the write buffer are updated.  A run that faults
-therefore raises before it charges anything: a span past its region's end,
-a route that raises, a routed destination outside its region, or a rank
-outside its source leaves the whole run uncharged, where the word loop
-would have charged the words before the fault.
+core's own pending writes are read, and ``ops`` and the write buffer are
+updated.  A run that faults therefore raises before it charges anything: a
+span past its region's end, a route that raises, a routed destination
+outside its region, or a rank outside its source leaves the whole run
+uncharged, where the word loop would have charged the words before the
+fault.
 
 Per piece, a stretch of the loop in which no stream crosses a block
 boundary, a run touches the piece's blocks and adds them to the round's
@@ -87,14 +87,13 @@ collapse: a block just touched is resident and MRU, so touching it again
 changes nothing.
 
 A whole run falls back to its own word loop, with the same results, when
-the machine keeps a trace (so the rows stay the same) or when another core
-has already written one of its destination words this round (so every word
-reports its own race).  A copy also falls back when one block fills the
-cache (``M == B``) or when its two spans share a block, and a select when
-its output shares a block with its ranks or its source (a read could see
-an earlier write of the run).  Reads see the core's pending writes,
-including those of the same run; ``fn`` and ``route`` are called once per
-word, in order, and must not touch the machine.
+the machine keeps a trace (so the rows stay the same).  A copy also falls
+back when one block fills the cache (``M == B``) or when its two spans
+share a block, and a select when its output shares a block with its ranks
+or its source (a read could see an earlier write of the run).  Reads see
+the core's pending writes, including those of the same run; ``fn`` and
+``route`` are called once per word, in order, and must not touch the
+machine.
 """
 from __future__ import annotations
 
@@ -301,11 +300,8 @@ class Core:
             m._round_writers[block] = {self.idx}
         else:
             writers.add(self.idx)
-        first = m._round_addr_writer.setdefault(addr, self.idx)
-        if first != self.idx:
-            m.diagnostics.append(
-                f"data race: cores {first} and {self.idx} wrote address {addr} in round {m._round}"
-            )
+        if m._round_adders and self.idx in m._round_adders.get(addr, ()):
+            m._round_adder_writes.add((addr, self.idx))
         self._wbuf[addr] = value
         if m._trace is not None:
             m._trace.append((m._round, self.idx, "write", addr, "hit" if hit else "cache_miss"))
@@ -331,9 +327,12 @@ class Core:
         else:
             self._miss(block)
         m._round_writers.setdefault(block, set()).add(self.idx)
-        m._round_adders.setdefault(addr, set()).add(self.idx)
+        adders = m._round_adders.setdefault(addr, set())
         atomics = m._round_atomics
         wbuf = self._wbuf
+        if addr in wbuf and self.idx not in adders:
+            m._round_adder_writes.add((addr, self.idx))  # a plain write came first
+        adders.add(self.idx)
         # The core's own earlier write or sum to this address comes first
         # in program order; its reads see the new sum.
         prior = wbuf[addr] if addr in wbuf else atomics.get(addr, m._mem[addr])
@@ -380,7 +379,7 @@ class Core:
         m = self._m
         addrs = range(a0, a1)
         blocks = range(a0 // m._B, (a1 - 1) // m._B + 1)
-        if m._trace is not None or self._clashes(blocks, addrs):
+        if m._trace is not None:
             for i, v in enumerate(values, lo):
                 self.write(region, i, v)
             return
@@ -394,8 +393,7 @@ class Core:
                 self._miss(block)
             writers.setdefault(block, set()).add(idx)
         self.ops += a1 - a0
-        m._round_addr_writer.update(dict.fromkeys(addrs, idx))
-        self._wbuf.update(zip(addrs, values))
+        self._buffer(addrs, values)
 
     def copy_run(self, src, lo: int, hi: int, dst, at: int, fn=None) -> None:
         """Copy words ``[lo, hi)`` of a region (or key sequence) to words
@@ -414,10 +412,8 @@ class Core:
         B = m._B
         src_blocks = range(s0 // B, (s1 - 1) // B + 1)
         dst_blocks = range(d0 // B, (d1 - 1) // B + 1)
-        dst_addrs = range(d0, d1)
         if (m._trace is not None or m._cache_blocks == 1
-                or (src_blocks[0] <= dst_blocks[-1] and dst_blocks[0] <= src_blocks[-1])
-                or self._clashes(dst_blocks, dst_addrs)):
+                or (src_blocks[0] <= dst_blocks[-1] and dst_blocks[0] <= src_blocks[-1])):
             for k in range(hi - lo):
                 v = self.read(src, lo + k)
                 self.write(dst, at + k, v if fn is None else fn(v))
@@ -445,8 +441,7 @@ class Core:
         for block in dst_blocks:
             writers.setdefault(block, set()).add(idx)
         self.ops += 2 * (s1 - s0)
-        m._round_addr_writer.update(dict.fromkeys(dst_addrs, idx))
-        self._wbuf.update(zip(dst_addrs, words))
+        self._buffer(range(d0, d1), words)
 
     def route_run(self, src, lo: int, hi: int, route) -> None:
         """Move words ``[lo, hi)`` of a region (or key sequence) one by one.
@@ -483,7 +478,7 @@ class Core:
             if k < d - a0 < n:
                 vals[d - a0] = word  # a later read of this run sees it
         dst_blocks = [d // B for d in dsts]
-        if m._trace is not None or self._clashes(set(dst_blocks), dsts):
+        if m._trace is not None:
             # The routed destinations are absolute and already checked.
             whole = MemRegion(0, limit)
             for i, d, word in zip(range(lo, hi), dsts, words):
@@ -527,8 +522,7 @@ class Core:
         for block in set(dst_blocks):
             writers.setdefault(block, set()).add(idx)
         self.ops += 2 * n
-        m._round_addr_writer.update(dict.fromkeys(dsts, idx))
-        self._wbuf.update(zip(dsts, words))
+        self._buffer(dsts, words)
 
     def select_run(self, ranks, lo: int, hi: int, src, dst, at: int) -> None:
         """Pick words of ``src`` by the ranks in words ``[lo, hi)`` of
@@ -566,11 +560,9 @@ class Core:
         rank_blocks = range(r0 // B, (r1 - 1) // B + 1)
         src_blocks = range(s0 // B, (s1 - 1) // B + 1)
         dst_blocks = range(d0 // B, (d1 - 1) // B + 1)
-        dst_addrs = range(d0, d1)
         if (m._trace is not None
                 or (rank_blocks[0] <= dst_blocks[-1] and dst_blocks[0] <= rank_blocks[-1])
-                or (src_blocks[0] <= dst_blocks[-1] and dst_blocks[0] <= src_blocks[-1])
-                or self._clashes(dst_blocks, dst_addrs)):
+                or (src_blocks[0] <= dst_blocks[-1] and dst_blocks[0] <= src_blocks[-1])):
             pos = 0
             for k in range(hi - lo):
                 r = self.read(ranks, lo + k)
@@ -608,8 +600,7 @@ class Core:
         for block in dst_blocks:
             writers.setdefault(block, set()).add(idx)
         self.ops += 2 * (r1 - r0) + s1 - s0
-        m._round_addr_writer.update(dict.fromkeys(dst_addrs, idx))
-        self._wbuf.update(zip(dst_addrs, words))
+        self._buffer(range(d0, d1), words)
 
     def _span(self, src, lo: int, hi: int, what: str) -> tuple:
         """Addresses ``[a0, a1)`` of words ``[lo, hi)`` of ``src``'s region,
@@ -636,17 +627,14 @@ class Core:
                 vals = list(map(wbuf.get, range(a0, a1), vals))
         return vals
 
-    def _clashes(self, blocks, addrs) -> bool:
-        """Whether another core wrote one of ``addrs`` this round, so that
-        every word must report its own race."""
-        idx = self.idx
-        writers = self._m._round_writers
-        for block in blocks:
-            seen = writers.get(block)
-            if seen and (len(seen) > 1 or idx not in seen):
-                owner = self._m._round_addr_writer
-                return any(owner.get(a, idx) != idx for a in addrs)
-        return False
+    def _buffer(self, addrs, words) -> None:
+        """Buffer a run's writes, noting those to addresses this core added
+        to this round, as ``write`` does."""
+        m = self._m
+        if m._round_adders:
+            m._round_adder_writes.update(
+                (a, self.idx) for a in addrs if self.idx in m._round_adders.get(a, ()))
+        self._wbuf.update(zip(addrs, words))
 
     def tick(self, n: int = 1) -> None:
         """Charge ``n`` compute operations with no memory traffic."""
@@ -669,8 +657,8 @@ class Machine:
         self._round = 0
         self._round_readers: dict = {}
         self._round_writers: dict = {}
-        self._round_addr_writer: dict = {}
         self._round_adders: dict = {}
+        self._round_adder_writes: set = set()  # (address, core) plain writes by an adder
         self._round_atomics: dict = {}
         self._trace = [] if trace else None
 
@@ -732,27 +720,37 @@ class Machine:
         if not order:
             return
         self._round = self._rounds
-        alive = []
-        for idx in order:
-            gen = programs[idx](self.cores[idx])
-            if isinstance(gen, GeneratorType):
-                alive.append(gen)
-                next(gen, None)
-        finished = True  # round 0 may have ended some or all of them
-        while True:
-            self._settle_round()
-            self._rounds += 1
-            if finished:
-                # Only a round in which a generator ended rebuilds the list;
-                # an ended generator has no frame.  Core-id order is kept.
-                alive = [gen for gen in alive if gen.gi_frame is not None]
-                if not alive:
-                    return
-            self._round = self._rounds
-            finished = False
-            for gen in alive:
-                if next(gen, _END) is _END:
-                    finished = True
+        try:
+            alive = []
+            for idx in order:
+                gen = programs[idx](self.cores[idx])
+                if isinstance(gen, GeneratorType):
+                    alive.append(gen)
+                    next(gen, None)
+            finished = True  # round 0 may have ended some or all of them
+            while True:
+                self._settle_round()
+                self._rounds += 1
+                if finished:
+                    # Only a round in which a generator ended rebuilds the
+                    # list; an ended generator has no frame.  Order is kept.
+                    alive = [gen for gen in alive if gen.gi_frame is not None]
+                    if not alive:
+                        return
+                self._round = self._rounds
+                finished = False
+                for gen in alive:
+                    if next(gen, _END) is _END:
+                        finished = True
+        except BaseException:
+            # A program raised: its round commits nothing and is not
+            # counted, and the charges already made stay.
+            for core in self.cores:
+                core._wbuf.clear()
+            for pending in (self._round_readers, self._round_writers, self._round_adders,
+                            self._round_atomics, self._round_adder_writes):
+                pending.clear()
+            raise
 
     def _settle_round(self) -> None:
         writers_by_block = self._round_writers
@@ -762,35 +760,15 @@ class Machine:
             # round: no buffer to commit, no race, no block to invalidate.
             self._round_readers.clear()
             return
-        mem = self._mem
-        # Commit buffered writes in core-id order: on a same-address race the
-        # highest core id lands last, matching the writer arrival order.
-        # A plain loop: CPython's list store beats mapping ``__setitem__``.
-        for core in self.cores:
-            wbuf = core._wbuf
-            if wbuf:
-                for addr, value in wbuf.items():
-                    mem[addr] = value
-                wbuf.clear()
-        if self._round_atomics:
-            for addr, value in self._round_atomics.items():
-                writer = self._round_addr_writer.get(addr)
-                if writer is not None and self._round_adders[addr] == {writer}:
-                    # One core wrote and added: its buffer, committed above,
-                    # holds whichever of the two came last.
-                    continue
-                # The sum overwrites a plain write from any other core.
-                mem[addr] = value
-                if writer is not None:
-                    self.diagnostics.append(
-                        f"data race: core {writer} wrote address {addr} that cores "
-                        f"{sorted(self._round_adders[addr])} fetch_added in round {self._round}"
-                    )
-            self._round_atomics.clear()
-            self._round_adders.clear()
         trace = self._trace
         readers_by_block = self._round_readers
         holders_by_block = self._holders
+        adders = self._round_adders
+        noted = self._round_adder_writes
+        # A race needs a block two cores wrote.  An address's first writer is
+        # the lowest-id core that plain-wrote it, as programs run in core-id
+        # order; a core that added to it plain-wrote it only if noted.
+        first, races = {}, []
         # Only the trace rows depend on the order of the blocks.
         for block in writers_by_block if trace is None else sorted(writers_by_block):
             writer_set = writers_by_block[block]
@@ -805,6 +783,14 @@ class Machine:
                     self.cores[idx].block_misses += order
                     if trace is not None:
                         trace.append((self._round, idx, "migrate", block * self._B, "block_miss"))
+            if len(writers) > 1:
+                span = range(block * self._B, (block + 1) * self._B)
+                for idx in writers:
+                    for addr in self.cores[idx]._wbuf.keys() & span:
+                        if not adders or idx not in adders.get(addr, ()) or (addr, idx) in noted:
+                            owner = first.setdefault(addr, idx)
+                            if owner != idx:
+                                races.append((idx, addr, owner))
             if readers:
                 for idx in sorted(readers - writer_set):
                     self.cores[idx].block_misses += 1
@@ -817,9 +803,40 @@ class Machine:
                     if idx != keeper:
                         self.cores[idx]._cache.pop(block, None)
                 holders.intersection_update({keeper})
-        self._round_readers.clear()
-        self._round_writers.clear()
-        self._round_addr_writer.clear()
+        self.diagnostics.extend(
+            f"data race: cores {owner} and {idx} wrote address {addr} in round {self._round}"
+            for idx, addr, owner in sorted(races))
+        mem = self._mem
+        # Commit buffered writes in core-id order: on a same-address race the
+        # highest core id lands last, matching the writer arrival order.
+        # A plain loop: CPython's list store beats mapping ``__setitem__``.
+        for core in self.cores:
+            wbuf = core._wbuf
+            if wbuf:
+                for addr, value in wbuf.items():
+                    mem[addr] = value
+                wbuf.clear()
+        if adders:
+            for addr, idx in noted:
+                first.setdefault(addr, idx)  # a block with one writer was not scanned
+            for addr, value in self._round_atomics.items():
+                writer = first.get(addr)
+                if writer is not None and adders[addr] == {writer}:
+                    # One core wrote and added: its buffer, committed above,
+                    # holds whichever of the two came last.
+                    continue
+                # The sum overwrites a plain write from any other core.
+                mem[addr] = value
+                if writer is not None:
+                    self.diagnostics.append(
+                        f"data race: core {writer} wrote address {addr} that cores "
+                        f"{sorted(adders[addr])} fetch_added in round {self._round}"
+                    )
+            self._round_atomics.clear()
+            adders.clear()
+            noted.clear()
+        readers_by_block.clear()
+        writers_by_block.clear()
 
     # -- inspection --------------------------------------------------------
 

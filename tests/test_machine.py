@@ -390,9 +390,38 @@ class TestBlockMisses:
             yield
 
         m.run_rounds([prog, prog])
-        assert m.diagnostics
+        assert m.diagnostics == ["data race: cores 0 and 1 wrote address 0 in round 0"]
         # Commit order is core-id order, so the higher id lands last.
         assert m.snapshot_memory(region)[0] == 1
+
+    def test_a_race_is_reported_once_per_address_and_core(self, make_machine):
+        m = make_machine(p=2, B=8)
+        region = m.alloc(8)
+
+        def prog(core):
+            core.write(region, 0, 1)
+            core.write(region, 0, 2)
+
+        m.run_rounds([prog, prog])
+        assert m.diagnostics == ["data race: cores 0 and 1 wrote address 0 in round 0"]
+        assert m.snapshot_memory(region)[0] == 2
+
+    def test_races_are_reported_by_core_then_address(self, make_machine):
+        # Block 2 is written first, but its race comes last.
+        m = make_machine(p=3, B=4)
+        region = m.alloc(12)
+
+        def writes(*addrs):
+            def prog(core):
+                for a in addrs:
+                    core.write(region, a, core.idx)
+
+            return prog
+
+        m.run_rounds({0: writes(8), 1: writes(4, 5), 2: writes(5, 4, 8)})
+        assert m.diagnostics == ["data race: cores 1 and 2 wrote address 4 in round 0",
+                                 "data race: cores 1 and 2 wrote address 5 in round 0",
+                                 "data race: cores 0 and 2 wrote address 8 in round 0"]
 
 
 class TestRoundSemantics:
@@ -497,6 +526,39 @@ class TestRoundSemantics:
         assert len(m.diagnostics) == 1
         assert m.diagnostics[0].startswith("data race")
 
+    def test_a_write_before_an_add_races_the_other_adder(self, make_machine):
+        m = make_machine(p=2, B=8)
+        region = m.alloc(8)
+
+        def wrote_then_added(core):
+            core.write(region, 0, 100)
+            core.fetch_add(region, 0, 5)
+
+        def added(core):
+            core.fetch_add(region, 0, 1)
+
+        m.run_rounds({0: wrote_then_added, 1: added})
+        assert m.diagnostics == [
+            "data race: core 0 wrote address 0 that cores [0, 1] fetch_added in round 0"]
+        assert m.snapshot_memory(region)[0] == 106
+
+    def test_a_write_after_an_add_races_the_other_adder(self, make_machine):
+        m = make_machine(p=2, B=8)
+        region = m.alloc(8)
+
+        def added(core):
+            core.fetch_add(region, 0, 5)
+
+        def added_then_wrote(core):
+            core.fetch_add(region, 0, 1)
+            core.write(region, 0, 7)
+
+        m.run_rounds({0: added, 1: added_then_wrote})
+        assert m.diagnostics == [
+            "data race: core 1 wrote address 0 that cores [0, 1] fetch_added in round 0"]
+        # The sum lands after the plain writes.
+        assert m.snapshot_memory(region)[0] == 6
+
     def test_one_core_writing_and_adding_is_no_race(self, make_machine):
         m = make_machine(p=2, B=8)
         region = m.alloc(8)
@@ -532,6 +594,24 @@ class TestRoundSemantics:
         first = m.ledger().rounds
         m.run_rounds([prog, prog])
         assert m.ledger().rounds == 2 * first
+
+    def test_a_program_that_raises_leaves_no_pending_round(self, make_machine):
+        m = make_machine(p=2, M=16, B=4)
+        region = m.alloc(2)
+
+        def faults(core):
+            core.write(region, 99, 1)
+
+        with pytest.raises(MachineFault):
+            m.run_rounds({0: lambda core: core.write(region, 0, 5), 1: faults})
+        assert not any(core._wbuf for core in m.cores)
+        m.run_rounds({1: lambda core: core.write(region, 0, 7)})
+        assert m.snapshot_memory(region) == [7, 0]
+        assert m.diagnostics == []
+        assert m.ledger().per_core_block_misses == (0, 0)
+        # The charges of the aborted round stay; the round is not counted.
+        assert m.ledger().per_core_ops == (1, 1)
+        assert m.ledger().rounds == 1
 
     def test_trace_export(self, make_machine, tmp_path):
         m = Machine(MachineConfig(p=2, M=64, B=8), trace=True)
@@ -827,6 +907,9 @@ def _execute(shape, lengths, steps, apply, trace):
 
     for step in steps:
         m.run_rounds({idx: program(rounds) for idx, rounds in step.items()})
+        # The barrier leaves no write buffered and no per-round record.
+        assert not any(core._wbuf for core in m.cores)
+        assert not any(v for k, v in vars(m).items() if k.startswith("_round_"))
     return (m.ledger(), m.cache_state(), [m.snapshot_memory(r) for r in regions],
             list(m.diagnostics), m._trace, log)
 
