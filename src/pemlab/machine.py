@@ -94,6 +94,14 @@ or its source (a read could see an earlier write of the run).  Reads see
 the core's pending writes, including those of the same run; ``fn`` and
 ``route`` are called once per word, in order, and must not touch the
 machine.
+
+Host memory
+-----------
+The memory image only grows: ``alloc`` never frees and reuses no address.
+The rest follows the live state: a block has a holder set only while some
+core caches it, and the barrier clears the round's records.  No core refers
+back to its machine, so a dropped machine is freed at once, by reference
+counting.
 """
 from __future__ import annotations
 
@@ -101,6 +109,7 @@ import csv
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from types import GeneratorType
 
 __all__ = [
@@ -206,7 +215,8 @@ class CostLedger:
 
 @dataclass(frozen=True)
 class CacheState:
-    """Resident blocks per core (LRU -> MRU) and holder cores per block."""
+    """Resident blocks per core (LRU -> MRU) and, for exactly the blocks
+    some core caches, the sorted ids of the cores that cache each."""
 
     resident: tuple
     holders: dict
@@ -215,12 +225,33 @@ class CacheState:
 _END = object()  # what ``next`` returns for an ended program
 
 
+class _Shared:
+    """What a machine's cores share: shape, memory, holder sets, the round's
+    records and the trace; never the machine itself, so no cycle holds it."""
+
+    __slots__ = ("_B", "_cache_blocks", "_mem", "_limit", "_holders", "_round", "_round_readers",
+                 "_round_writers", "_round_adders", "_round_adder_writes", "_round_atomics", "_trace")
+
+    def __init__(self, config: MachineConfig, trace: bool) -> None:
+        self._B, self._cache_blocks = config.B, config.M // config.B
+        self._mem: list = []
+        self._limit = 0
+        self._holders: dict = {}  # block -> cores caching it, resident blocks only
+        self._round = 0
+        self._round_readers: dict = {}
+        self._round_writers: dict = {}
+        self._round_adders: dict = {}
+        self._round_adder_writes: set = set()  # (address, core) plain writes by an adder
+        self._round_atomics: dict = {}
+        self._trace = [] if trace else None
+
+
 class Core:
     """Handle through which a program touches memory and charges ops."""
 
     __slots__ = (
         "idx",
-        "_m",
+        "_sh",
         "ops",
         "cache_misses",
         "block_misses",
@@ -228,9 +259,9 @@ class Core:
         "_wbuf",
     )
 
-    def __init__(self, idx: int, machine: "Machine") -> None:
+    def __init__(self, idx: int, shared: "_Shared") -> None:
         self.idx = idx
-        self._m = machine
+        self._sh = shared
         self.ops = 0
         self.cache_misses = 0
         self.block_misses = 0
@@ -239,72 +270,76 @@ class Core:
 
     def _miss(self, block: int) -> None:
         """Charge a cache miss and make non-resident ``block`` resident.  A
-        hit makes no call: each access moves a cached block to MRU itself."""
+        hit makes no call: each access moves a cached block to MRU itself.
+        A block's holder set names the cores caching it, and goes with the last."""
         cache = self._cache
         self.cache_misses += 1
         cache[block] = None
-        m = self._m
-        holders = m._holders
+        sh = self._sh
+        holders = sh._holders
         held = holders.get(block)
         if held is None:
             holders[block] = {self.idx}
         else:
             held.add(self.idx)
-        if len(cache) > m._cache_blocks:
+        if len(cache) > sh._cache_blocks:
             evicted, _ = cache.popitem(last=False)
-            m._holders[evicted].discard(self.idx)
+            held = holders[evicted]
+            held.discard(self.idx)
+            if not held:
+                del holders[evicted]
 
     def read(self, src, i: int):
         """Read word ``i`` of a region (or key sequence).  Charges one op,
         plus a cache miss if non-resident."""
-        m = self._m
+        sh = self._sh
         region = src if type(src) is MemRegion else src.region
         addr = region.base + i
-        if not (0 <= i < region.len and 0 <= addr < m._limit):
+        if not (0 <= i < region.len and 0 <= addr < sh._limit):
             raise MachineFault(f"read of word {i} of region [{region.base}, {region.end}) out of bounds")
         self.ops += 1
-        block = addr // m._B
+        block = addr // sh._B
         cache = self._cache
         hit = block in cache
         if hit:
             cache.move_to_end(block)
         else:
             self._miss(block)
-        readers = m._round_readers.get(block)
+        readers = sh._round_readers.get(block)
         if readers is None:
-            m._round_readers[block] = {self.idx}
+            sh._round_readers[block] = {self.idx}
         else:
             readers.add(self.idx)
-        if m._trace is not None:
-            m._trace.append((m._round, self.idx, "read", addr, "hit" if hit else "cache_miss"))
-        return self._wbuf.get(addr, m._mem[addr])
+        if sh._trace is not None:
+            sh._trace.append((sh._round, self.idx, "read", addr, "hit" if hit else "cache_miss"))
+        return self._wbuf.get(addr, sh._mem[addr])
 
     def write(self, dst, i: int, value) -> None:
         """Write word ``i`` of a region (or key sequence), visible to other
         cores after the barrier."""
-        m = self._m
+        sh = self._sh
         region = dst if type(dst) is MemRegion else dst.region
         addr = region.base + i
-        if not (0 <= i < region.len and 0 <= addr < m._limit):
+        if not (0 <= i < region.len and 0 <= addr < sh._limit):
             raise MachineFault(f"write to word {i} of region [{region.base}, {region.end}) out of bounds")
         self.ops += 1
-        block = addr // m._B
+        block = addr // sh._B
         cache = self._cache
         hit = block in cache
         if hit:
             cache.move_to_end(block)
         else:
             self._miss(block)
-        writers = m._round_writers.get(block)
+        writers = sh._round_writers.get(block)
         if writers is None:
-            m._round_writers[block] = {self.idx}
+            sh._round_writers[block] = {self.idx}
         else:
             writers.add(self.idx)
-        if m._round_adders and self.idx in m._round_adders.get(addr, ()):
-            m._round_adder_writes.add((addr, self.idx))
+        if sh._round_adders and self.idx in sh._round_adders.get(addr, ()):
+            sh._round_adder_writes.add((addr, self.idx))
         self._wbuf[addr] = value
-        if m._trace is not None:
-            m._trace.append((m._round, self.idx, "write", addr, "hit" if hit else "cache_miss"))
+        if sh._trace is not None:
+            sh._trace.append((sh._round, self.idx, "write", addr, "hit" if hit else "cache_miss"))
 
     def fetch_add(self, dst, i: int, delta=1):
         """Atomically add ``delta`` to word ``i`` of a region (or key
@@ -313,32 +348,32 @@ class Core:
         Serialises in core-id order within the round, so concurrent counter
         updates are well defined (and still pay same-block write charges).
         """
-        m = self._m
+        sh = self._sh
         region = dst if type(dst) is MemRegion else dst.region
         addr = region.base + i
-        if not (0 <= i < region.len and 0 <= addr < m._limit):
+        if not (0 <= i < region.len and 0 <= addr < sh._limit):
             raise MachineFault(f"fetch_add on word {i} of region [{region.base}, {region.end}) out of bounds")
         self.ops += 1
-        block = addr // m._B
+        block = addr // sh._B
         cache = self._cache
         hit = block in cache
         if hit:
             cache.move_to_end(block)
         else:
             self._miss(block)
-        m._round_writers.setdefault(block, set()).add(self.idx)
-        adders = m._round_adders.setdefault(addr, set())
-        atomics = m._round_atomics
+        sh._round_writers.setdefault(block, set()).add(self.idx)
+        adders = sh._round_adders.setdefault(addr, set())
+        atomics = sh._round_atomics
         wbuf = self._wbuf
         if addr in wbuf and self.idx not in adders:
-            m._round_adder_writes.add((addr, self.idx))  # a plain write came first
+            sh._round_adder_writes.add((addr, self.idx))  # a plain write came first
         adders.add(self.idx)
         # The core's own earlier write or sum to this address comes first
         # in program order; its reads see the new sum.
-        prior = wbuf[addr] if addr in wbuf else atomics.get(addr, m._mem[addr])
+        prior = wbuf[addr] if addr in wbuf else atomics.get(addr, sh._mem[addr])
         atomics[addr] = wbuf[addr] = prior + delta
-        if m._trace is not None:
-            m._trace.append((m._round, self.idx, "fetch_add", addr, "hit" if hit else "cache_miss"))
+        if sh._trace is not None:
+            sh._trace.append((sh._round, self.idx, "fetch_add", addr, "hit" if hit else "cache_miss"))
         return prior
 
     # -- runs of words: the word loops above, charged once per block -------
@@ -350,15 +385,15 @@ class Core:
         ``[self.read(src, i) for i in range(lo, hi)]`` would.
         """
         a0, a1 = self._span(src, lo, hi, "read_run")
-        m = self._m
-        if m._trace is not None:
+        sh = self._sh
+        if sh._trace is not None:
             return [self.read(src, i) for i in range(lo, hi)]
         if a0 == a1:
             return []
         idx = self.idx
         cache = self._cache
-        readers = m._round_readers
-        for block in range(a0 // m._B, (a1 - 1) // m._B + 1):
+        readers = sh._round_readers
+        for block in range(a0 // sh._B, (a1 - 1) // sh._B + 1):
             if block in cache:
                 cache.move_to_end(block)
             else:
@@ -376,16 +411,16 @@ class Core:
         a0, a1 = self._span(region, lo, lo + len(values), "write_run")
         if a0 == a1:
             return
-        m = self._m
+        sh = self._sh
         addrs = range(a0, a1)
-        blocks = range(a0 // m._B, (a1 - 1) // m._B + 1)
-        if m._trace is not None:
+        blocks = range(a0 // sh._B, (a1 - 1) // sh._B + 1)
+        if sh._trace is not None:
             for i, v in enumerate(values, lo):
                 self.write(region, i, v)
             return
         idx = self.idx
         cache = self._cache
-        writers = m._round_writers
+        writers = sh._round_writers
         for block in blocks:
             if block in cache:
                 cache.move_to_end(block)
@@ -408,11 +443,11 @@ class Core:
         d0, d1 = self._span(dst, at, at + hi - lo, "copy_run")
         if s0 == s1:
             return
-        m = self._m
-        B = m._B
+        sh = self._sh
+        B = sh._B
         src_blocks = range(s0 // B, (s1 - 1) // B + 1)
         dst_blocks = range(d0 // B, (d1 - 1) // B + 1)
-        if (m._trace is not None or m._cache_blocks == 1
+        if (sh._trace is not None or sh._cache_blocks == 1
                 or (src_blocks[0] <= dst_blocks[-1] and dst_blocks[0] <= src_blocks[-1])):
             for k in range(hi - lo):
                 v = self.read(src, lo + k)
@@ -434,10 +469,10 @@ class Core:
             s += step
             d += step
         idx = self.idx
-        readers = m._round_readers
+        readers = sh._round_readers
         for block in src_blocks:
             readers.setdefault(block, set()).add(idx)
-        writers = m._round_writers
+        writers = sh._round_writers
         for block in dst_blocks:
             writers.setdefault(block, set()).add(idx)
         self.ops += 2 * (s1 - s0)
@@ -461,11 +496,11 @@ class Core:
         a0, a1 = self._span(src, lo, hi, "route_run")
         if a0 == a1:
             return
-        m = self._m
-        B = m._B
+        sh = self._sh
+        B = sh._B
         n = a1 - a0
         vals = self._values(a0, a1)
-        limit = m._limit
+        limit = sh._limit
         dsts = []
         words = []
         for k in range(n):
@@ -478,7 +513,7 @@ class Core:
             if k < d - a0 < n:
                 vals[d - a0] = word  # a later read of this run sees it
         dst_blocks = [d // B for d in dsts]
-        if m._trace is not None:
+        if sh._trace is not None:
             # The routed destinations are absolute and already checked.
             whole = MemRegion(0, limit)
             for i, d, word in zip(range(lo, hi), dsts, words):
@@ -488,8 +523,8 @@ class Core:
         idx = self.idx
         cache = self._cache
         miss = self._miss
-        readers = m._round_readers
-        cap = m._cache_blocks
+        readers = sh._round_readers
+        cap = sh._cache_blocks
         k = 0
         for src_block in range(a0 // B, (a1 - 1) // B + 1):
             stop = min(n, (src_block + 1) * B - a0)
@@ -518,7 +553,7 @@ class Core:
                 cache.move_to_end(block)
             cache.move_to_end(src_block)
             cache.move_to_end(latest[0])
-        writers = m._round_writers
+        writers = sh._round_writers
         for block in set(dst_blocks):
             writers.setdefault(block, set()).add(idx)
         self.ops += 2 * n
@@ -550,8 +585,8 @@ class Core:
         d0, d1 = self._span(dst, at, at + hi - lo, "select_run")
         if r0 == r1:
             return
-        m = self._m
-        B = m._B
+        sh = self._sh
+        B = sh._B
         rvals = self._values(r0, r1)
         if min(rvals) < 0:
             raise MachineFault(f"select_run rank {min(rvals)} is negative")
@@ -560,7 +595,7 @@ class Core:
         rank_blocks = range(r0 // B, (r1 - 1) // B + 1)
         src_blocks = range(s0 // B, (s1 - 1) // B + 1)
         dst_blocks = range(d0 // B, (d1 - 1) // B + 1)
-        if (m._trace is not None
+        if (sh._trace is not None
                 or (rank_blocks[0] <= dst_blocks[-1] and dst_blocks[0] <= rank_blocks[-1])
                 or (src_blocks[0] <= dst_blocks[-1] and dst_blocks[0] <= src_blocks[-1])):
             pos = 0
@@ -593,10 +628,10 @@ class Core:
                     last = block
             words.append(vals[pos - 1])
         idx = self.idx
-        readers = m._round_readers
+        readers = sh._round_readers
         for block in (*rank_blocks, *src_blocks):
             readers.setdefault(block, set()).add(idx)
-        writers = m._round_writers
+        writers = sh._round_writers
         for block in dst_blocks:
             writers.setdefault(block, set()).add(idx)
         self.ops += 2 * (r1 - r0) + s1 - s0
@@ -610,30 +645,30 @@ class Core:
         if not 0 <= lo <= hi <= region.len:
             raise MachineFault(f"{what} [{lo}, {hi}) outside region of length {region.len}")
         a0, a1 = region.base + lo, region.base + hi
-        if lo < hi and not (0 <= a0 and a1 <= self._m._limit):
+        if lo < hi and not (0 <= a0 and a1 <= self._sh._limit):
             raise MachineFault(f"{what} of unallocated addresses [{a0}, {a1})")
         return a0, a1
 
     def _values(self, a0: int, a1: int) -> list:
         """Words ``[a0, a1)`` (``a0 < a1``) as this core reads them now: the
         memory of the round's start under the core's own pending writes."""
-        m = self._m
-        vals = m._mem[a0:a1]
+        sh = self._sh
+        vals = sh._mem[a0:a1]
         wbuf = self._wbuf
         if wbuf:
             idx = self.idx
-            writers = m._round_writers
-            if any(idx in writers.get(b, ()) for b in range(a0 // m._B, (a1 - 1) // m._B + 1)):
+            writers = sh._round_writers
+            if any(idx in writers.get(b, ()) for b in range(a0 // sh._B, (a1 - 1) // sh._B + 1)):
                 vals = list(map(wbuf.get, range(a0, a1), vals))
         return vals
 
     def _buffer(self, addrs, words) -> None:
         """Buffer a run's writes, noting those to addresses this core added
         to this round, as ``write`` does."""
-        m = self._m
-        if m._round_adders:
-            m._round_adder_writes.update(
-                (a, self.idx) for a in addrs if self.idx in m._round_adders.get(a, ()))
+        sh = self._sh
+        if sh._round_adders:
+            sh._round_adder_writes.update(
+                (a, self.idx) for a in addrs if self.idx in sh._round_adders.get(a, ()))
         self._wbuf.update(zip(addrs, words))
 
     def tick(self, n: int = 1) -> None:
@@ -646,21 +681,10 @@ class Machine:
 
     def __init__(self, config: MachineConfig, trace: bool = False) -> None:
         self.config = config
-        self.cores = tuple(Core(i, self) for i in range(config.p))
+        self._sh = _Shared(config, trace)
+        self.cores = tuple(Core(i, self._sh) for i in range(config.p))
         self.diagnostics: list = []
-        self._B = config.B
-        self._cache_blocks = config.M // config.B
-        self._mem: list = []
-        self._limit = 0
-        self._holders: dict = {}
         self._rounds = 0
-        self._round = 0
-        self._round_readers: dict = {}
-        self._round_writers: dict = {}
-        self._round_adders: dict = {}
-        self._round_adder_writes: set = set()  # (address, core) plain writes by an adder
-        self._round_atomics: dict = {}
-        self._trace = [] if trace else None
 
     # -- memory management -------------------------------------------------
 
@@ -668,11 +692,11 @@ class Machine:
         """Allocate a zeroed, block-aligned region of ``length`` words."""
         if length < 0:
             raise MachineFault("allocation length must be >= 0")
-        B = self._B
-        base = -(-self._limit // B) * B
+        sh = self._sh
+        base = -(-sh._limit // sh._B) * sh._B
         new_limit = base + length
-        self._mem.extend([0] * (new_limit - len(self._mem)))
-        self._limit = new_limit
+        sh._mem.extend(repeat(0, new_limit - len(sh._mem)))
+        sh._limit = new_limit
         return MemRegion(base, length)
 
     def load(self, region: MemRegion, values) -> None:
@@ -682,9 +706,9 @@ class Machine:
         values = list(values)
         if len(values) > region.len:
             raise MachineFault("load exceeds region length")
-        if not (0 <= region.base and region.end <= self._limit):
+        if not (0 <= region.base and region.end <= self._sh._limit):
             raise MachineFault("load outside allocated memory")
-        self._mem[region.base : region.base + len(values)] = values
+        self._sh._mem[region.base : region.base + len(values)] = values
 
     def snapshot_memory(self, src) -> list:
         """Return a copy of a region's words, or of a key sequence's ``n``
@@ -694,9 +718,9 @@ class Machine:
             region, n = src, src.len
         else:
             region, n = src.region, src.n
-        if not (0 <= region.base and region.end <= self._limit):
+        if not (0 <= region.base and region.end <= self._sh._limit):
             raise MachineFault("snapshot outside allocated memory")
-        return self._mem[region.base : region.base + n]
+        return self._sh._mem[region.base : region.base + n]
 
     # -- execution ---------------------------------------------------------
 
@@ -719,7 +743,8 @@ class Machine:
                 raise MachineFault(f"no core {idx} on a {self.config.p}-core machine")
         if not order:
             return
-        self._round = self._rounds
+        sh = self._sh
+        sh._round = self._rounds
         try:
             alive = []
             for idx in order:
@@ -737,7 +762,7 @@ class Machine:
                     alive = [gen for gen in alive if gen.gi_frame is not None]
                     if not alive:
                         return
-                self._round = self._rounds
+                sh._round = self._rounds
                 finished = False
                 for gen in alive:
                     if next(gen, _END) is _END:
@@ -747,24 +772,26 @@ class Machine:
             # counted, and the charges already made stay.
             for core in self.cores:
                 core._wbuf.clear()
-            for pending in (self._round_readers, self._round_writers, self._round_adders,
-                            self._round_atomics, self._round_adder_writes):
+            for pending in (sh._round_readers, sh._round_writers, sh._round_adders,
+                            sh._round_atomics, sh._round_adder_writes):
                 pending.clear()
             raise
 
     def _settle_round(self) -> None:
-        writers_by_block = self._round_writers
+        sh = self._sh
+        writers_by_block = sh._round_writers
         if not writers_by_block:
             # Every write, fetch_add and writing run adds its block here
             # before it buffers anything.  So no core wrote or added this
             # round: no buffer to commit, no race, no block to invalidate.
-            self._round_readers.clear()
+            sh._round_readers.clear()
             return
-        trace = self._trace
-        readers_by_block = self._round_readers
-        holders_by_block = self._holders
-        adders = self._round_adders
-        noted = self._round_adder_writes
+        trace = sh._trace
+        readers_by_block = sh._round_readers
+        holders_by_block = sh._holders
+        adders = sh._round_adders
+        noted = sh._round_adder_writes
+        B, rnd = sh._B, sh._round
         # A race needs a block two cores wrote.  An address's first writer is
         # the lowest-id core that plain-wrote it, as programs run in core-id
         # order; a core that added to it plain-wrote it only if noted.
@@ -773,7 +800,7 @@ class Machine:
         for block in writers_by_block if trace is None else sorted(writers_by_block):
             writer_set = writers_by_block[block]
             readers = readers_by_block.get(block)
-            holders = holders_by_block[block]
+            holders = holders_by_block.get(block, frozenset())  # its writer may have evicted it
             if (len(writer_set) == 1 and holders <= writer_set
                     and (not readers or readers <= writer_set)):
                 continue  # one writer, and no other core read or holds it
@@ -782,9 +809,9 @@ class Machine:
                 if order:
                     self.cores[idx].block_misses += order
                     if trace is not None:
-                        trace.append((self._round, idx, "migrate", block * self._B, "block_miss"))
+                        trace.append((rnd, idx, "migrate", block * B, "block_miss"))
             if len(writers) > 1:
-                span = range(block * self._B, (block + 1) * self._B)
+                span = range(block * B, (block + 1) * B)
                 for idx in writers:
                     for addr in self.cores[idx]._wbuf.keys() & span:
                         if not adders or idx not in adders.get(addr, ()) or (addr, idx) in noted:
@@ -795,18 +822,20 @@ class Machine:
                 for idx in sorted(readers - writer_set):
                     self.cores[idx].block_misses += 1
                     if trace is not None:
-                        trace.append((self._round, idx, "reread", block * self._B, "block_miss"))
+                        trace.append((rnd, idx, "reread", block * B, "block_miss"))
             # Invalidate everywhere but the last writer's cache.
             keeper = writers[-1]
             if holders:
                 for idx in sorted(holders):
                     if idx != keeper:
-                        self.cores[idx]._cache.pop(block, None)
+                        del self.cores[idx]._cache[block]
                 holders.intersection_update({keeper})
+                if not holders:  # the keeper evicted it this round
+                    del holders_by_block[block]
         self.diagnostics.extend(
-            f"data race: cores {owner} and {idx} wrote address {addr} in round {self._round}"
+            f"data race: cores {owner} and {idx} wrote address {addr} in round {rnd}"
             for idx, addr, owner in sorted(races))
-        mem = self._mem
+        mem = sh._mem
         # Commit buffered writes in core-id order: on a same-address race the
         # highest core id lands last, matching the writer arrival order.
         # A plain loop: CPython's list store beats mapping ``__setitem__``.
@@ -819,7 +848,7 @@ class Machine:
         if adders:
             for addr, idx in noted:
                 first.setdefault(addr, idx)  # a block with one writer was not scanned
-            for addr, value in self._round_atomics.items():
+            for addr, value in sh._round_atomics.items():
                 writer = first.get(addr)
                 if writer is not None and adders[addr] == {writer}:
                     # One core wrote and added: its buffer, committed above,
@@ -830,9 +859,9 @@ class Machine:
                 if writer is not None:
                     self.diagnostics.append(
                         f"data race: core {writer} wrote address {addr} that cores "
-                        f"{sorted(adders[addr])} fetch_added in round {self._round}"
+                        f"{sorted(adders[addr])} fetch_added in round {rnd}"
                     )
-            self._round_atomics.clear()
+            sh._round_atomics.clear()
             adders.clear()
             noted.clear()
         readers_by_block.clear()
@@ -850,7 +879,7 @@ class Machine:
 
     def cache_state(self) -> CacheState:
         resident = tuple(tuple(c._cache.keys()) for c in self.cores)
-        holders = {b: sorted(h) for b, h in self._holders.items() if h}
+        holders = {b: sorted(h) for b, h in self._sh._holders.items()}
         return CacheState(resident=resident, holders=holders)
 
     def rng(self, *stream: int) -> _Philox:
@@ -870,12 +899,12 @@ class Machine:
 
     def export_trace(self, path) -> None:
         """Write the access trace as CSV (round, core, op, addr, miss_kind)."""
-        if self._trace is None:
+        if self._sh._trace is None:
             raise MachineFault("machine was created without trace=True")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["round", "core", "op", "addr", "miss_kind"])
-            writer.writerows(self._trace)
+            writer.writerows(self._sh._trace)
 
 
 # -- random streams ----------------------------------------------------------

@@ -365,6 +365,15 @@ def compact(machine, parts, cores, dest: MemRegion | None = None) -> KeySeq:
     return KeySeq(dst, total)
 
 
+def _stable_ranks(row: list) -> list:
+    """Rank of each word of ``row`` in a stable sort of it: the words
+    smaller than it plus its equals at earlier positions."""
+    ranks = [0] * len(row)
+    for r, j in enumerate(sorted(range(len(row)), key=row.__getitem__)):
+        ranks[j] = r
+    return ranks
+
+
 def brute_sort(machine, a: KeySeq, cores) -> KeySeq:
     """Sort by all-pairs ranking: ``O(n^2/p)`` ops and no comparisons saved.
 
@@ -382,13 +391,14 @@ def brute_sort(machine, a: KeySeq, cores) -> KeySeq:
 
     def body(core, ci, lo, hi):
         mine = []
+        ranks = None
         for i in range(lo, hi):
             ki = core.read(a, i)
             row = core.read_run(a, 0, n)
-            # Ties break by position.
-            r = sum(kj < ki for kj in row) + row[:i].count(ki)
+            if ranks is None:
+                ranks = _stable_ranks(row)  # every row of this core is the same
             core.tick(n)
-            mine.append((r, ki))
+            mine.append((ranks[i], ki))
         yield
         for phase in range(phases):
             for r, ki in mine:

@@ -1,10 +1,12 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pemlab.machine import Machine, MachineConfig, MachineFault, MemRegion
+from pemlab.machine import CostLedger, Machine, MachineConfig, MachineFault, MemRegion
 from pemlab.primitives import KeySeq
 from pemlab.procalloc import estimate_processors
 
@@ -376,7 +378,7 @@ class TestBlockMisses:
             core.write(region, core.idx, 1)
 
         m.run_rounds([prog, prog])
-        migrations = [row for row in m._trace if row[2] == "migrate"]
+        migrations = [row for row in m._sh._trace if row[2] == "migrate"]
         assert migrations == [(0, 1, "migrate", 0, "block_miss"),
                               (0, 1, "migrate", 8, "block_miss")]
 
@@ -631,6 +633,61 @@ class TestRoundSemantics:
         assert any("block_miss" in line for line in lines[1:])
 
 
+class TestHostMemory:
+    def test_thrash_keeps_holders_to_the_resident_blocks(self):
+        p, M, B = 2, 8, 2
+        m = Machine(MachineConfig(p=p, M=M, B=B))
+        region = m.alloc(400 * B)
+
+        def thrasher(core):
+            for r in range(4):
+                if r:
+                    yield
+                for b in range(100 * r, 100 * r + 100):
+                    core.write(region, b * B, core.read(region, b * B + 1) + r)
+
+        def reader(core):
+            for r in range(4):
+                if r:
+                    yield
+                for b in range(100 * r, 100 * r + 100, 7):
+                    core.read(region, b * B)
+                if r:
+                    core.read(region, (100 * r - 1) * B)  # written last round
+
+        m.run_rounds({0: thrasher, 1: reader})
+        assert len(m._sh._holders) <= p * M // B
+        _assert_holders_are_resident(m)
+        state = m.cache_state()
+        assert state.resident == ((396, 397, 398, 399), (299,))
+        assert state.holders == {299: [1], 396: [0], 397: [0], 398: [0], 399: [0]}
+        assert m.ledger() == CostLedger(per_core_ops=(800, 63), per_core_cache_misses=(400, 63),
+                                        per_core_block_misses=(0, 60), rounds=4)
+
+    def test_a_dropped_machine_is_freed_without_the_cyclic_collector(self):
+        m = Machine(MachineConfig(p=2, M=8, B=2), trace=True)
+        region = m.alloc(8)
+
+        def prog(core):
+            core.write(region, 0, core.idx)
+            core.fetch_add(region, 4)
+            yield
+            core.read(region, 4)
+
+        m.run_rounds([prog, prog])
+        assert m.diagnostics == ["data race: cores 0 and 1 wrote address 0 in round 0"]
+        assert m.snapshot_memory(region)[4] == 2
+        ref = weakref.ref(m)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del m
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+
 def _apply(core, region, ops, log):
     for op, i, val in ops:
         if op == "read":
@@ -767,7 +824,7 @@ class TestPlainPrograms:
             for mix in mixes:
                 m.run_rounds({idx: form(region, rounds, log) for idx, rounds in mix.items()})
             results.append((m.ledger(), m.cache_state(), m.snapshot_memory(region),
-                            list(m.diagnostics), list(m._trace), log))
+                            list(m.diagnostics), list(m._sh._trace), log))
         assert results[0] == results[1]
 
 
@@ -885,6 +942,22 @@ def _word_op(machine, core, regions, op, log):
         _run_op(machine, core, regions, op, log)
 
 
+def _assert_no_round_records(m):
+    """The barrier leaves no per-round record, on the machine or on the
+    state its cores share."""
+    records = [k for k in type(m._sh).__slots__ if k.startswith("_round_")]
+    assert records
+    assert not any(getattr(m._sh, k) for k in records)
+    assert not any(v for k, v in vars(m).items() if k.startswith("_round_"))
+
+
+def _assert_holders_are_resident(m):
+    """A block has a holder set exactly while some core caches it, naming
+    exactly the cores that do."""
+    resident = {b for core in m.cores for b in core._cache}
+    assert m._sh._holders == {b: {c.idx for c in m.cores if b in c._cache} for b in resident}
+
+
 def _execute(shape, lengths, steps, apply, trace):
     """Run ``steps`` on fresh regions; a length given as a list of words
     makes a region holding those words."""
@@ -907,11 +980,13 @@ def _execute(shape, lengths, steps, apply, trace):
 
     for step in steps:
         m.run_rounds({idx: program(rounds) for idx, rounds in step.items()})
-        # The barrier leaves no write buffered and no per-round record.
+        # The barrier leaves no write buffered, no per-round record and no
+        # holder set for a block no core caches.
         assert not any(core._wbuf for core in m.cores)
-        assert not any(v for k, v in vars(m).items() if k.startswith("_round_"))
+        _assert_no_round_records(m)
+        _assert_holders_are_resident(m)
     return (m.ledger(), m.cache_state(), [m.snapshot_memory(r) for r in regions],
-            list(m.diagnostics), m._trace, log)
+            list(m.diagnostics), m._sh._trace, log)
 
 
 def _assert_runs_match_words(shape, lengths, steps, trace=False):

@@ -11,11 +11,14 @@ import random
 from itertools import accumulate
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pemlab import Machine, MachineConfig, MachineFault, MemRegion
 from pemlab.primitives import (
     KeySeq,
     _reduce,
+    _stable_ranks,
     brute_sort,
     chunk_bounds,
     compact,
@@ -216,6 +219,13 @@ class TestBruteSort:
         seq = load_seq(m, vals)
         res = brute_sort(m, seq, m.cores)
         assert m.snapshot_memory(res) == sorted(vals)
+
+    @given(st.one_of(st.lists(st.integers(-3, 3), max_size=40),
+                     st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5)), max_size=40)))
+    def test_stable_ranks_are_the_all_pairs_ranks(self, row):
+        # The all-pairs rank: smaller words plus equal words at earlier positions.
+        assert _stable_ranks(row) == [sum(kj < ki for kj in row) + row[:i].count(ki)
+                                      for i, ki in enumerate(row)]
 
     def test_tuple_items_sort_stably_by_position(self, make_machine):
         m = make_machine(p=2, M=2048, B=8)
