@@ -86,14 +86,21 @@ enters and per output block, because consecutive touches of one block
 collapse: a block just touched is resident and MRU, so touching it again
 changes nothing.
 
-A whole run falls back to its own word loop, with the same results, when
-the machine keeps a trace (so the rows stay the same).  A copy also falls
-back when one block fills the cache (``M == B``) or when its two spans
-share a block, and a select when its output shares a block with its ranks
-or its source (a read could see an earlier write of the run).  Reads see
-the core's pending writes, including those of the same run; ``fn`` and
+A copy runs as a scatter to consecutive words when one block fills the
+cache (``M == B``) or when its two spans share a block, and a select falls
+back to its word loop when its output shares a block with its ranks or its
+source (a read could see an earlier write of the run).  Reads see the
+core's pending writes, including those of the same run; ``fn`` and
 ``route`` are called once per word, in order, and must not touch the
 machine.
+
+Trace
+-----
+A machine made with ``trace=True`` records one row ``(round, core, op,
+addr, miss_kind)`` per charged miss, where the miss is charged, so a run
+and its word loop give the same rows.  ``addr`` is the block's first word;
+``op`` is ``fetch`` (a cache miss), ``migrate`` (one row per block miss a
+writer pays) or ``reread``.  The barrier's rows go in block order.
 
 Host memory
 -----------
@@ -109,7 +116,7 @@ import csv
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import count, repeat
 from types import GeneratorType
 
 __all__ = [
@@ -269,13 +276,15 @@ class Core:
         self._wbuf: dict = {}
 
     def _miss(self, block: int) -> None:
-        """Charge a cache miss and make non-resident ``block`` resident.  A
-        hit makes no call: each access moves a cached block to MRU itself.
+        """Charge a cache miss, with a ``fetch`` row if traced, and make
+        ``block`` resident.  A hit makes no call but moves its block to MRU.
         A block's holder set names the cores caching it, and goes with the last."""
         cache = self._cache
         self.cache_misses += 1
         cache[block] = None
         sh = self._sh
+        if sh._trace is not None:
+            sh._trace.append((sh._round, self.idx, "fetch", block * sh._B, "cache_miss"))
         holders = sh._holders
         held = holders.get(block)
         if held is None:
@@ -300,8 +309,7 @@ class Core:
         self.ops += 1
         block = addr // sh._B
         cache = self._cache
-        hit = block in cache
-        if hit:
+        if block in cache:
             cache.move_to_end(block)
         else:
             self._miss(block)
@@ -310,8 +318,6 @@ class Core:
             sh._round_readers[block] = {self.idx}
         else:
             readers.add(self.idx)
-        if sh._trace is not None:
-            sh._trace.append((sh._round, self.idx, "read", addr, "hit" if hit else "cache_miss"))
         return self._wbuf.get(addr, sh._mem[addr])
 
     def write(self, dst, i: int, value) -> None:
@@ -325,8 +331,7 @@ class Core:
         self.ops += 1
         block = addr // sh._B
         cache = self._cache
-        hit = block in cache
-        if hit:
+        if block in cache:
             cache.move_to_end(block)
         else:
             self._miss(block)
@@ -338,8 +343,6 @@ class Core:
         if sh._round_adders and self.idx in sh._round_adders.get(addr, ()):
             sh._round_adder_writes.add((addr, self.idx))
         self._wbuf[addr] = value
-        if sh._trace is not None:
-            sh._trace.append((sh._round, self.idx, "write", addr, "hit" if hit else "cache_miss"))
 
     def fetch_add(self, dst, i: int, delta=1):
         """Atomically add ``delta`` to word ``i`` of a region (or key
@@ -356,8 +359,7 @@ class Core:
         self.ops += 1
         block = addr // sh._B
         cache = self._cache
-        hit = block in cache
-        if hit:
+        if block in cache:
             cache.move_to_end(block)
         else:
             self._miss(block)
@@ -372,8 +374,6 @@ class Core:
         # in program order; its reads see the new sum.
         prior = wbuf[addr] if addr in wbuf else atomics.get(addr, sh._mem[addr])
         atomics[addr] = wbuf[addr] = prior + delta
-        if sh._trace is not None:
-            sh._trace.append((sh._round, self.idx, "fetch_add", addr, "hit" if hit else "cache_miss"))
         return prior
 
     # -- runs of words: the word loops above, charged once per block -------
@@ -385,11 +385,9 @@ class Core:
         ``[self.read(src, i) for i in range(lo, hi)]`` would.
         """
         a0, a1 = self._span(src, lo, hi, "read_run")
-        sh = self._sh
-        if sh._trace is not None:
-            return [self.read(src, i) for i in range(lo, hi)]
         if a0 == a1:
             return []
+        sh = self._sh
         idx = self.idx
         cache = self._cache
         readers = sh._round_readers
@@ -412,23 +410,17 @@ class Core:
         if a0 == a1:
             return
         sh = self._sh
-        addrs = range(a0, a1)
-        blocks = range(a0 // sh._B, (a1 - 1) // sh._B + 1)
-        if sh._trace is not None:
-            for i, v in enumerate(values, lo):
-                self.write(region, i, v)
-            return
         idx = self.idx
         cache = self._cache
         writers = sh._round_writers
-        for block in blocks:
+        for block in range(a0 // sh._B, (a1 - 1) // sh._B + 1):
             if block in cache:
                 cache.move_to_end(block)
             else:
                 self._miss(block)
             writers.setdefault(block, set()).add(idx)
         self.ops += a1 - a0
-        self._buffer(addrs, values)
+        self._buffer(range(a0, a1), values)
 
     def copy_run(self, src, lo: int, hi: int, dst, at: int, fn=None) -> None:
         """Copy words ``[lo, hi)`` of a region (or key sequence) to words
@@ -447,11 +439,11 @@ class Core:
         B = sh._B
         src_blocks = range(s0 // B, (s1 - 1) // B + 1)
         dst_blocks = range(d0 // B, (d1 - 1) // B + 1)
-        if (sh._trace is not None or sh._cache_blocks == 1
+        if (sh._cache_blocks == 1
                 or (src_blocks[0] <= dst_blocks[-1] and dst_blocks[0] <= src_blocks[-1])):
-            for k in range(hi - lo):
-                v = self.read(src, lo + k)
-                self.write(dst, at + k, v if fn is None else fn(v))
+            region = dst if type(dst) is MemRegion else dst.region
+            dsts = count(at)
+            self.route_run(src, lo, hi, lambda v: (region, next(dsts), v if fn is None else fn(v)))
             return
         vals = self._values(s0, s1)
         words = vals if fn is None else list(map(fn, vals))
@@ -488,10 +480,7 @@ class Core:
         touch the machine.
 
         Every route is taken first, from the values the word loop would
-        read.  A piece here is the stretch of the run whose source words
-        share one block; it is replayed by touching its blocks in
-        first-touch order and then moving them to MRU in last-touch order,
-        or word by word when it touches more than ``M/B`` blocks.
+        read, before the run charges anything.
         """
         a0, a1 = self._span(src, lo, hi, "route_run")
         if a0 == a1:
@@ -513,13 +502,6 @@ class Core:
             if k < d - a0 < n:
                 vals[d - a0] = word  # a later read of this run sees it
         dst_blocks = [d // B for d in dsts]
-        if sh._trace is not None:
-            # The routed destinations are absolute and already checked.
-            whole = MemRegion(0, limit)
-            for i, d, word in zip(range(lo, hi), dsts, words):
-                self.read(src, i)
-                self.write(whole, d, word)
-            return
         idx = self.idx
         cache = self._cache
         miss = self._miss
@@ -595,8 +577,7 @@ class Core:
         rank_blocks = range(r0 // B, (r1 - 1) // B + 1)
         src_blocks = range(s0 // B, (s1 - 1) // B + 1)
         dst_blocks = range(d0 // B, (d1 - 1) // B + 1)
-        if (sh._trace is not None
-                or (rank_blocks[0] <= dst_blocks[-1] and dst_blocks[0] <= rank_blocks[-1])
+        if ((rank_blocks[0] <= dst_blocks[-1] and dst_blocks[0] <= rank_blocks[-1])
                 or (src_blocks[0] <= dst_blocks[-1] and dst_blocks[0] <= src_blocks[-1])):
             pos = 0
             for k in range(hi - lo):
@@ -672,7 +653,9 @@ class Core:
         self._wbuf.update(zip(addrs, words))
 
     def tick(self, n: int = 1) -> None:
-        """Charge ``n`` compute operations with no memory traffic."""
+        """Charge ``n`` compute operations (an ``int >= 0``, not a ``bool``)."""
+        if type(n) is not int or n < 0:
+            raise MachineFault(f"tick count must be a non-negative int; got {n!r}")
         self.ops += n
 
 
@@ -809,7 +792,7 @@ class Machine:
                 if order:
                     self.cores[idx].block_misses += order
                     if trace is not None:
-                        trace.append((rnd, idx, "migrate", block * B, "block_miss"))
+                        trace.extend(repeat((rnd, idx, "migrate", block * B, "block_miss"), order))
             if len(writers) > 1:
                 span = range(block * B, (block + 1) * B)
                 for idx in writers:
@@ -898,7 +881,8 @@ class Machine:
         return _Philox(_philox_key(self.config.seed, stream))
 
     def export_trace(self, path) -> None:
-        """Write the access trace as CSV (round, core, op, addr, miss_kind)."""
+        """Write the trace as CSV, one row per charged miss under the header
+        ``round,core,op,addr,miss_kind``; untraced, raise :class:`MachineFault`."""
         if self._sh._trace is None:
             raise MachineFault("machine was created without trace=True")
         with open(path, "w", newline="") as fh:

@@ -616,21 +616,50 @@ class TestRoundSemantics:
         assert m.ledger().rounds == 1
 
     def test_trace_export(self, make_machine, tmp_path):
-        m = Machine(MachineConfig(p=2, M=64, B=8), trace=True)
-        region = m.alloc(8)
+        # One row per charged miss: three writers of block 0 pay 0, 1 and 2
+        # migrations, core 3 re-reads it, and a read run over three blocks
+        # fetches each once.
+        m = Machine(MachineConfig(p=4, M=64, B=8), trace=True)
+        region = m.alloc(24)
 
         def prog(core):
-            core.write(region, core.idx, 1)
-            return
+            if core.idx < 3:
+                core.write(region, core.idx, 1)
+            else:
+                core.read(region, 3)
             yield
+            if core.idx == 0:
+                core.read_run(region, 0, 24)
 
-        m.run_rounds([prog, prog])
+        m.run_rounds([prog] * 4)
+        assert m.ledger() == CostLedger(per_core_ops=(25, 1, 1, 1),
+                                        per_core_cache_misses=(4, 1, 1, 1),
+                                        per_core_block_misses=(0, 1, 2, 1), rounds=2)
         out = tmp_path / "trace.csv"
         m.export_trace(out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "round,core,op,addr,miss_kind"
-        assert any("write" in line for line in lines[1:])
-        assert any("block_miss" in line for line in lines[1:])
+        assert out.read_text().splitlines() == [
+            "round,core,op,addr,miss_kind",
+            "0,0,fetch,0,cache_miss",
+            "0,1,fetch,0,cache_miss",
+            "0,2,fetch,0,cache_miss",
+            "0,3,fetch,0,cache_miss",
+            "0,1,migrate,0,block_miss",
+            "0,2,migrate,0,block_miss",
+            "0,2,migrate,0,block_miss",
+            "0,3,reread,0,block_miss",
+            "1,0,fetch,0,cache_miss",
+            "1,0,fetch,8,cache_miss",
+            "1,0,fetch,16,cache_miss",
+        ]
+        with pytest.raises(MachineFault):
+            make_machine().export_trace(tmp_path / "untraced.csv")
+
+    @pytest.mark.parametrize("n", [-5, True, 2.0, "3", None])
+    def test_tick_rejects_a_bad_count_before_charging(self, make_machine, n):
+        m = make_machine()
+        with pytest.raises(MachineFault):
+            m.run_rounds([lambda c: c.tick(n)])
+        assert m.ledger().per_core_ops == (0,)
 
 
 class TestHostMemory:
@@ -958,6 +987,16 @@ def _assert_holders_are_resident(m):
     assert m._sh._holders == {b: {c.idx for c in m.cores if b in c._cache} for b in resident}
 
 
+def _assert_trace_itemizes_ledger(m):
+    """Each core has one trace row per miss the ledger charges it, of the
+    miss's kind."""
+    led = m.ledger()
+    for kind, charged in (("cache_miss", led.per_core_cache_misses),
+                          ("block_miss", led.per_core_block_misses)):
+        rows = [row[1] for row in m._sh._trace if row[4] == kind]
+        assert tuple(map(rows.count, range(m.config.p))) == charged
+
+
 def _execute(shape, lengths, steps, apply, trace):
     """Run ``steps`` on fresh regions; a length given as a list of words
     makes a region holding those words."""
@@ -985,6 +1024,8 @@ def _execute(shape, lengths, steps, apply, trace):
         assert not any(core._wbuf for core in m.cores)
         _assert_no_round_records(m)
         _assert_holders_are_resident(m)
+    if trace:
+        _assert_trace_itemizes_ledger(m)
     return (m.ledger(), m.cache_state(), [m.snapshot_memory(r) for r in regions],
             list(m.diagnostics), m._sh._trace, log)
 
@@ -1068,6 +1109,15 @@ class TestRuns:
                        ("write_run", 0, 2, [5, 6, 7])]],
                   1: [[("route_run", 1, 0, 6, [(0, 0), (1, 7), (0, 3), (0, 4), (1, 8), (1, 0)])]]}]
         _assert_runs_match_words((2, 8, 4), [8, 9], steps, trace=True)
+
+    def test_route_run_fetches_in_first_touch_order(self):
+        # Eight cache blocks and no eviction: the final LRU order is the
+        # last-touch order, so only the trace shows that the routed blocks
+        # (3, 1, 2 after source block 0) are fetched as the loop meets them.
+        steps = [{0: [[("route_run", 0, 0, 4, [(1, 8), (1, 0), (1, 4), (1, 8)])]]}]
+        _assert_runs_match_words((1, 32, 4), [4, 12], steps, trace=True)
+        trace = _execute((1, 32, 4), [4, 12], steps, _run_op, True)[4]
+        assert trace == [(0, 0, "fetch", addr, "cache_miss") for addr in (0, 12, 4, 8)]
 
     def test_read_run_sees_own_pending_writes(self):
         steps = [{0: [[("write", 0, 3, 9), ("fetch_add", 0, 5, 4), ("read_run", 0, 0, 8),
