@@ -58,8 +58,8 @@ read-route-write (a scatter) over consecutive words of one region.
 rank in turn it reads the rank, reads a source word by word up to that
 rank, and writes the last word read to the next output word.  They charge
 exactly what those loops charge — ops, both miss kinds, the round's reader
-and writer sets, holders, LRU order, memory and diagnostics — and return
-the same values, at a cost per block rather than per word.
+and writer sets, LRU order, memory and diagnostics — and return the same
+values, at a cost per block rather than per word.
 
 Once per run, not once per word or block: the bounds of each stream are
 checked against its region and the allocation, every route is taken and
@@ -105,10 +105,9 @@ writer pays) or ``reread``.  The barrier's rows go in block order.
 Host memory
 -----------
 The memory image only grows: ``alloc`` never frees and reuses no address.
-The rest follows the live state: a block has a holder set only while some
-core caches it, and the barrier clears the round's records.  No core refers
-back to its machine, so a dropped machine is freed at once, by reference
-counting.
+The caches are the only record of which core holds which block, and the
+barrier clears the round's records.  No core refers back to its machine, so
+a dropped machine is freed at once, by reference counting.
 """
 from __future__ import annotations
 
@@ -222,8 +221,8 @@ class CostLedger:
 
 @dataclass(frozen=True)
 class CacheState:
-    """Resident blocks per core (LRU -> MRU) and, for exactly the blocks
-    some core caches, the sorted ids of the cores that cache each."""
+    """Resident blocks per core (LRU -> MRU) and, read off those caches,
+    the sorted ids of the cores that cache each resident block."""
 
     resident: tuple
     holders: dict
@@ -233,17 +232,16 @@ _END = object()  # what ``next`` returns for an ended program
 
 
 class _Shared:
-    """What a machine's cores share: shape, memory, holder sets, the round's
-    records and the trace; never the machine itself, so no cycle holds it."""
+    """What a machine's cores share: shape, memory, the round's records and
+    the trace; never the machine itself, so no cycle holds it."""
 
-    __slots__ = ("_B", "_cache_blocks", "_mem", "_limit", "_holders", "_round", "_round_readers",
+    __slots__ = ("_B", "_cache_blocks", "_mem", "_limit", "_round", "_round_readers",
                  "_round_writers", "_round_adders", "_round_adder_writes", "_round_atomics", "_trace")
 
     def __init__(self, config: MachineConfig, trace: bool) -> None:
         self._B, self._cache_blocks = config.B, config.M // config.B
         self._mem: list = []
         self._limit = 0
-        self._holders: dict = {}  # block -> cores caching it, resident blocks only
         self._round = 0
         self._round_readers: dict = {}
         self._round_writers: dict = {}
@@ -276,27 +274,17 @@ class Core:
         self._wbuf: dict = {}
 
     def _miss(self, block: int) -> None:
-        """Charge a cache miss, with a ``fetch`` row if traced, and make
-        ``block`` resident.  A hit makes no call but moves its block to MRU.
-        A block's holder set names the cores caching it, and goes with the last."""
+        """Charge a cache miss, with a ``fetch`` row if traced, make
+        ``block`` resident and evict the LRU block past ``M/B``.  A hit makes
+        no call but moves its block to MRU."""
         cache = self._cache
         self.cache_misses += 1
         cache[block] = None
         sh = self._sh
         if sh._trace is not None:
             sh._trace.append((sh._round, self.idx, "fetch", block * sh._B, "cache_miss"))
-        holders = sh._holders
-        held = holders.get(block)
-        if held is None:
-            holders[block] = {self.idx}
-        else:
-            held.add(self.idx)
         if len(cache) > sh._cache_blocks:
-            evicted, _ = cache.popitem(last=False)
-            held = holders[evicted]
-            held.discard(self.idx)
-            if not held:
-                del holders[evicted]
+            cache.popitem(last=False)
 
     def read(self, src, i: int):
         """Read word ``i`` of a region (or key sequence).  Charges one op,
@@ -672,9 +660,10 @@ class Machine:
     # -- memory management -------------------------------------------------
 
     def alloc(self, length: int) -> MemRegion:
-        """Allocate a zeroed, block-aligned region of ``length`` words."""
-        if length < 0:
-            raise MachineFault("allocation length must be >= 0")
+        """Allocate a zeroed, block-aligned region of ``length`` words (an
+        ``int >= 0``, not a ``bool``)."""
+        if type(length) is not int or length < 0:
+            raise MachineFault(f"allocation length must be a non-negative int; got {length!r}")
         sh = self._sh
         base = -(-sh._limit // sh._B) * sh._B
         new_limit = base + length
@@ -771,7 +760,6 @@ class Machine:
             return
         trace = sh._trace
         readers_by_block = sh._round_readers
-        holders_by_block = sh._holders
         adders = sh._round_adders
         noted = sh._round_adder_writes
         B, rnd = sh._B, sh._round
@@ -782,18 +770,12 @@ class Machine:
         # Only the trace rows depend on the order of the blocks.
         for block in writers_by_block if trace is None else sorted(writers_by_block):
             writer_set = writers_by_block[block]
-            readers = readers_by_block.get(block)
-            holders = holders_by_block.get(block, frozenset())  # its writer may have evicted it
-            if (len(writer_set) == 1 and holders <= writer_set
-                    and (not readers or readers <= writer_set)):
-                continue  # one writer, and no other core read or holds it
-            writers = sorted(writer_set)
-            for order, idx in enumerate(writers):
-                if order:
+            if len(writer_set) > 1:
+                writers = sorted(writer_set)
+                for order, idx in enumerate(writers[1:], 1):
                     self.cores[idx].block_misses += order
                     if trace is not None:
                         trace.extend(repeat((rnd, idx, "migrate", block * B, "block_miss"), order))
-            if len(writers) > 1:
                 span = range(block * B, (block + 1) * B)
                 for idx in writers:
                     for addr in self.cores[idx]._wbuf.keys() & span:
@@ -801,28 +783,25 @@ class Machine:
                             owner = first.setdefault(addr, idx)
                             if owner != idx:
                                 races.append((idx, addr, owner))
-            if readers:
+            readers = readers_by_block.get(block)
+            if readers and not readers <= writer_set:
                 for idx in sorted(readers - writer_set):
                     self.cores[idx].block_misses += 1
                     if trace is not None:
                         trace.append((rnd, idx, "reread", block * B, "block_miss"))
-            # Invalidate everywhere but the last writer's cache.
-            keeper = writers[-1]
-            if holders:
-                for idx in sorted(holders):
-                    if idx != keeper:
-                        del self.cores[idx]._cache[block]
-                holders.intersection_update({keeper})
-                if not holders:  # the keeper evicted it this round
-                    del holders_by_block[block]
         self.diagnostics.extend(
             f"data race: cores {owner} and {idx} wrote address {addr} in round {rnd}"
             for idx, addr, owner in sorted(races))
         mem = sh._mem
-        # Commit buffered writes in core-id order: on a same-address race the
-        # highest core id lands last, matching the writer arrival order.
-        # A plain loop: CPython's list store beats mapping ``__setitem__``.
+        # One pass over the cores in id order: each drops the written blocks
+        # it caches whose last writer is another core, then commits its
+        # buffer, so on a same-address race the highest id lands last.  A
+        # plain loop: CPython's list store beats mapping ``__setitem__``.
         for core in self.cores:
+            cache = core._cache
+            for block in cache.keys() & writers_by_block.keys():
+                if max(writers_by_block[block]) != core.idx:
+                    del cache[block]
             wbuf = core._wbuf
             if wbuf:
                 for addr, value in wbuf.items():
@@ -861,8 +840,12 @@ class Machine:
         )
 
     def cache_state(self) -> CacheState:
+        """Each core's resident blocks and the holders derived from them."""
         resident = tuple(tuple(c._cache.keys()) for c in self.cores)
-        holders = {b: sorted(h) for b, h in self._sh._holders.items()}
+        holders: dict = {}
+        for idx, blocks in enumerate(resident):
+            for block in blocks:
+                holders.setdefault(block, []).append(idx)
         return CacheState(resident=resident, holders=holders)
 
     def rng(self, *stream: int) -> _Philox:

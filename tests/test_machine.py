@@ -129,6 +129,15 @@ class TestMemory:
         with pytest.raises(MachineFault):
             m.snapshot_memory(KeySeq(MemRegion(8, 4), 2))
 
+    @pytest.mark.parametrize("length", [True, 2.5, -1, "3", None])
+    def test_alloc_rejects_a_bad_length_before_changing_the_arena(self, make_machine, length):
+        m = make_machine(B=8)
+        m.alloc(3)
+        with pytest.raises(MachineFault):
+            m.alloc(length)
+        assert (m._sh._limit, len(m._sh._mem)) == (3, 3)
+        assert m.alloc(1) == MemRegion(8, 1)
+
     def test_regions_are_block_aligned(self, make_machine):
         m = make_machine(B=8)
         a = m.alloc(3)
@@ -258,6 +267,8 @@ class TestBlockMisses:
         led = m.ledger()
         assert led.block_misses == 6
         assert led.per_core_block_misses == (0, 1, 2, 3)
+        # Only the last writer keeps the block.
+        assert m.cache_state().holders == {region.base // 8: [3]}
 
     def test_readers_of_written_block_pay_one_each(self, make_machine):
         m = make_machine(p=4, B=8)
@@ -663,7 +674,7 @@ class TestRoundSemantics:
 
 
 class TestHostMemory:
-    def test_thrash_keeps_holders_to_the_resident_blocks(self):
+    def test_thrash_pins_the_caches_and_the_ledger(self):
         p, M, B = 2, 8, 2
         m = Machine(MachineConfig(p=p, M=M, B=B))
         region = m.alloc(400 * B)
@@ -685,8 +696,6 @@ class TestHostMemory:
                     core.read(region, (100 * r - 1) * B)  # written last round
 
         m.run_rounds({0: thrasher, 1: reader})
-        assert len(m._sh._holders) <= p * M // B
-        _assert_holders_are_resident(m)
         state = m.cache_state()
         assert state.resident == ((396, 397, 398, 399), (299,))
         assert state.holders == {299: [1], 396: [0], 397: [0], 398: [0], 399: [0]}
@@ -980,13 +989,6 @@ def _assert_no_round_records(m):
     assert not any(v for k, v in vars(m).items() if k.startswith("_round_"))
 
 
-def _assert_holders_are_resident(m):
-    """A block has a holder set exactly while some core caches it, naming
-    exactly the cores that do."""
-    resident = {b for core in m.cores for b in core._cache}
-    assert m._sh._holders == {b: {c.idx for c in m.cores if b in c._cache} for b in resident}
-
-
 def _assert_trace_itemizes_ledger(m):
     """Each core has one trace row per miss the ledger charges it, of the
     miss's kind."""
@@ -1019,11 +1021,9 @@ def _execute(shape, lengths, steps, apply, trace):
 
     for step in steps:
         m.run_rounds({idx: program(rounds) for idx, rounds in step.items()})
-        # The barrier leaves no write buffered, no per-round record and no
-        # holder set for a block no core caches.
+        # The barrier leaves no write buffered and no per-round record.
         assert not any(core._wbuf for core in m.cores)
         _assert_no_round_records(m)
-        _assert_holders_are_resident(m)
     if trace:
         _assert_trace_itemizes_ledger(m)
     return (m.ledger(), m.cache_state(), [m.snapshot_memory(r) for r in regions],
