@@ -57,27 +57,26 @@ read-route-write (a scatter) over consecutive words of one region.
 ``select_run`` stands for a sampling scan over three streams: for each
 rank in turn it reads the rank, reads a source word by word up to that
 rank, and writes the last word read to the next output word.  They charge
-exactly what those loops charge — ops, both miss kinds, the round's reader
-and writer sets, LRU order, memory and diagnostics — and return the same
-values, at a cost per block rather than per word.
+exactly what those loops charge — ops, both miss kinds, the core's read and
+write sets, LRU order, memory and diagnostics — and return the same values,
+at a cost per block rather than per word.
 
 Once per run, not once per word or block: the bounds of each stream are
 checked against its region and the allocation, every route is taken and
 every destination checked, every rank is checked against its source, the
-core's own pending writes are read, and ``ops`` and the write buffer are
-updated.  A run that faults therefore raises before it charges anything: a
-span past its region's end, a route that raises, a routed destination
-outside its region, or a rank outside its source leaves the whole run
-uncharged, where the word loop would have charged the words before the
-fault.
+core's own pending writes are read, and ``ops``, the write buffer and the
+core's read and write sets are updated.  A run that faults therefore raises
+before it charges anything: a span past its region's end, a route that
+raises, a routed destination outside its region, or a rank outside its
+source leaves the whole run uncharged, where the word loop would have
+charged the words before the fault.
 
 Per piece, a stretch of the loop in which no stream crosses a block
-boundary, a run touches the piece's blocks and adds them to the round's
-reader and writer sets.  The replay is exact because inside a piece the
-loop only re-touches the same few blocks.  If they number at most ``M/B``,
-every eviction in the piece hits a block outside it, so touching them once
-in first-touch order and then moving them to MRU in last-touch order
-leaves the cache as the loop does.  A copy piece touches its source block,
+boundary, a run touches the piece's blocks.  The replay is exact because
+inside a piece the loop only re-touches the same few blocks.  If they number
+at most ``M/B``, every eviction in the piece hits a block outside it, so
+touching them once in first-touch order and then moving them to MRU in
+last-touch order leaves the cache as the loop does.  A copy piece touches its source block,
 then its destination block.  A ``route_run`` piece (the words of one source
 block) may scatter to more than ``M/B`` blocks; it is then replayed word by
 word inside an otherwise batched run.  A ``select_run`` touches blocks in
@@ -105,9 +104,10 @@ writer pays) or ``reread``.  The barrier's rows go in block order.
 Host memory
 -----------
 The memory image only grows: ``alloc`` never frees and reuses no address.
-The caches are the only record of which core holds which block, and the
-barrier clears the round's records.  No core refers back to its machine, so
-a dropped machine is freed at once, by reference counting.
+The caches are the only record of which core holds which block.  Each core
+keeps its own records of the round, and the barrier clears those of the
+cores that ran.  No core refers back to its machine, so a dropped machine is
+freed at once, by reference counting.
 """
 from __future__ import annotations
 
@@ -232,37 +232,31 @@ _END = object()  # what ``next`` returns for an ended program
 
 
 class _Shared:
-    """What a machine's cores share: shape, memory, the round's records and
-    the trace; never the machine itself, so no cycle holds it."""
+    """What a machine's cores share: shape, memory, the round's sums and the
+    trace; never the machine itself, so no cycle holds it."""
 
-    __slots__ = ("_B", "_cache_blocks", "_mem", "_limit", "_round", "_round_readers",
-                 "_round_writers", "_round_adders", "_round_adder_writes", "_round_atomics", "_trace")
+    __slots__ = ("_B", "_cache_blocks", "_mem", "_limit", "_round", "_round_atomics", "_trace")
 
     def __init__(self, config: MachineConfig, trace: bool) -> None:
         self._B, self._cache_blocks = config.B, config.M // config.B
         self._mem: list = []
         self._limit = 0
         self._round = 0
-        self._round_readers: dict = {}
-        self._round_writers: dict = {}
-        self._round_adders: dict = {}
-        self._round_adder_writes: set = set()  # (address, core) plain writes by an adder
-        self._round_atomics: dict = {}
+        self._round_atomics: dict = {}  # address -> running fetch_add sum
         self._trace = [] if trace else None
 
 
 class Core:
-    """Handle through which a program touches memory and charges ops."""
+    """Handle through which a program touches memory and charges ops.
 
-    __slots__ = (
-        "idx",
-        "_sh",
-        "ops",
-        "cache_misses",
-        "block_misses",
-        "_cache",
-        "_wbuf",
-    )
+    A core keeps its own records of the current round, which the barrier
+    reads and clears: its pending writes (``_wbuf``), the blocks it read
+    (``_reads``) and wrote or added to (``_writes``), and, per address it
+    added to, whether it also plain-wrote that address (``_adds``).
+    """
+
+    __slots__ = ("idx", "_sh", "ops", "cache_misses", "block_misses", "_cache", "_wbuf",
+                 "_reads", "_writes", "_adds")
 
     def __init__(self, idx: int, shared: "_Shared") -> None:
         self.idx = idx
@@ -272,6 +266,9 @@ class Core:
         self.block_misses = 0
         self._cache: OrderedDict = OrderedDict()
         self._wbuf: dict = {}
+        self._reads: set = set()
+        self._writes: set = set()
+        self._adds: dict = {}
 
     def _miss(self, block: int) -> None:
         """Charge a cache miss, with a ``fetch`` row if traced, make
@@ -301,11 +298,7 @@ class Core:
             cache.move_to_end(block)
         else:
             self._miss(block)
-        readers = sh._round_readers.get(block)
-        if readers is None:
-            sh._round_readers[block] = {self.idx}
-        else:
-            readers.add(self.idx)
+        self._reads.add(block)
         return self._wbuf.get(addr, sh._mem[addr])
 
     def write(self, dst, i: int, value) -> None:
@@ -323,13 +316,9 @@ class Core:
             cache.move_to_end(block)
         else:
             self._miss(block)
-        writers = sh._round_writers.get(block)
-        if writers is None:
-            sh._round_writers[block] = {self.idx}
-        else:
-            writers.add(self.idx)
-        if sh._round_adders and self.idx in sh._round_adders.get(addr, ()):
-            sh._round_adder_writes.add((addr, self.idx))
+        self._writes.add(block)
+        if addr in self._adds:
+            self._adds[addr] = True
         self._wbuf[addr] = value
 
     def fetch_add(self, dst, i: int, delta=1):
@@ -351,13 +340,10 @@ class Core:
             cache.move_to_end(block)
         else:
             self._miss(block)
-        sh._round_writers.setdefault(block, set()).add(self.idx)
-        adders = sh._round_adders.setdefault(addr, set())
+        self._writes.add(block)
         atomics = sh._round_atomics
         wbuf = self._wbuf
-        if addr in wbuf and self.idx not in adders:
-            sh._round_adder_writes.add((addr, self.idx))  # a plain write came first
-        adders.add(self.idx)
+        self._adds.setdefault(addr, addr in wbuf)  # did a plain write come first?
         # The core's own earlier write or sum to this address comes first
         # in program order; its reads see the new sum.
         prior = wbuf[addr] if addr in wbuf else atomics.get(addr, sh._mem[addr])
@@ -375,16 +361,15 @@ class Core:
         a0, a1 = self._span(src, lo, hi, "read_run")
         if a0 == a1:
             return []
-        sh = self._sh
-        idx = self.idx
+        B = self._sh._B
+        blocks = range(a0 // B, (a1 - 1) // B + 1)
         cache = self._cache
-        readers = sh._round_readers
-        for block in range(a0 // sh._B, (a1 - 1) // sh._B + 1):
+        for block in blocks:
             if block in cache:
                 cache.move_to_end(block)
             else:
                 self._miss(block)
-            readers.setdefault(block, set()).add(idx)
+        self._reads.update(blocks)
         self.ops += a1 - a0
         return self._values(a0, a1)
 
@@ -397,16 +382,15 @@ class Core:
         a0, a1 = self._span(region, lo, lo + len(values), "write_run")
         if a0 == a1:
             return
-        sh = self._sh
-        idx = self.idx
+        B = self._sh._B
+        blocks = range(a0 // B, (a1 - 1) // B + 1)
         cache = self._cache
-        writers = sh._round_writers
-        for block in range(a0 // sh._B, (a1 - 1) // sh._B + 1):
+        for block in blocks:
             if block in cache:
                 cache.move_to_end(block)
             else:
                 self._miss(block)
-            writers.setdefault(block, set()).add(idx)
+        self._writes.update(blocks)
         self.ops += a1 - a0
         self._buffer(range(a0, a1), values)
 
@@ -448,13 +432,8 @@ class Core:
             step = min(B - s % B, B - d % B)
             s += step
             d += step
-        idx = self.idx
-        readers = sh._round_readers
-        for block in src_blocks:
-            readers.setdefault(block, set()).add(idx)
-        writers = sh._round_writers
-        for block in dst_blocks:
-            writers.setdefault(block, set()).add(idx)
+        self._reads.update(src_blocks)
+        self._writes.update(dst_blocks)
         self.ops += 2 * (s1 - s0)
         self._buffer(range(d0, d1), words)
 
@@ -489,18 +468,16 @@ class Core:
             words.append(word)
             if k < d - a0 < n:
                 vals[d - a0] = word  # a later read of this run sees it
+        src_blocks = range(a0 // B, (a1 - 1) // B + 1)
         dst_blocks = [d // B for d in dsts]
-        idx = self.idx
         cache = self._cache
         miss = self._miss
-        readers = sh._round_readers
         cap = sh._cache_blocks
         k = 0
-        for src_block in range(a0 // B, (a1 - 1) // B + 1):
+        for src_block in src_blocks:
             stop = min(n, (src_block + 1) * B - a0)
             piece = dst_blocks[k:stop]
             k = stop
-            readers.setdefault(src_block, set()).add(idx)
             touched = dict.fromkeys([src_block, *piece])
             if len(touched) > cap:
                 for block in piece:
@@ -523,9 +500,8 @@ class Core:
                 cache.move_to_end(block)
             cache.move_to_end(src_block)
             cache.move_to_end(latest[0])
-        writers = sh._round_writers
-        for block in set(dst_blocks):
-            writers.setdefault(block, set()).add(idx)
+        self._reads.update(src_blocks)
+        self._writes.update(dst_blocks)
         self.ops += 2 * n
         self._buffer(dsts, words)
 
@@ -596,13 +572,8 @@ class Core:
                         miss(block)
                     last = block
             words.append(vals[pos - 1])
-        idx = self.idx
-        readers = sh._round_readers
-        for block in (*rank_blocks, *src_blocks):
-            readers.setdefault(block, set()).add(idx)
-        writers = sh._round_writers
-        for block in dst_blocks:
-            writers.setdefault(block, set()).add(idx)
+        self._reads.update(rank_blocks, src_blocks)
+        self._writes.update(dst_blocks)
         self.ops += 2 * (r1 - r0) + s1 - s0
         self._buffer(range(d0, d1), words)
 
@@ -624,20 +595,16 @@ class Core:
         sh = self._sh
         vals = sh._mem[a0:a1]
         wbuf = self._wbuf
-        if wbuf:
-            idx = self.idx
-            writers = sh._round_writers
-            if any(idx in writers.get(b, ()) for b in range(a0 // sh._B, (a1 - 1) // sh._B + 1)):
-                vals = list(map(wbuf.get, range(a0, a1), vals))
+        if wbuf and not self._writes.isdisjoint(range(a0 // sh._B, (a1 - 1) // sh._B + 1)):
+            vals = list(map(wbuf.get, range(a0, a1), vals))
         return vals
 
     def _buffer(self, addrs, words) -> None:
-        """Buffer a run's writes, noting those to addresses this core added
+        """Buffer a run's writes, flagging those to addresses this core added
         to this round, as ``write`` does."""
-        sh = self._sh
-        if sh._round_adders:
-            sh._round_adder_writes.update(
-                (a, self.idx) for a in addrs if self.idx in sh._round_adders.get(a, ()))
+        adds = self._adds
+        if adds:
+            adds.update(dict.fromkeys(adds.keys() & addrs, True))
         self._wbuf.update(zip(addrs, words))
 
     def tick(self, n: int = 1) -> None:
@@ -673,24 +640,25 @@ class Machine:
 
     def load(self, region: MemRegion, values) -> None:
         """Install input data into a region's first words without charging
-        any cost.  Bounds-checked: more values than the region holds, or a
-        region outside the allocation, raises :class:`MachineFault`."""
+        any cost.  Bounds-checked: a region outside the allocation or of
+        negative length, checked first, or more values than the region holds
+        raises :class:`MachineFault`."""
+        if not 0 <= region.base <= region.end <= self._sh._limit:
+            raise MachineFault("load outside allocated memory")
         values = list(values)
         if len(values) > region.len:
             raise MachineFault("load exceeds region length")
-        if not (0 <= region.base and region.end <= self._sh._limit):
-            raise MachineFault("load outside allocated memory")
         self._sh._mem[region.base : region.base + len(values)] = values
 
     def snapshot_memory(self, src) -> list:
         """Return a copy of a region's words, or of a key sequence's ``n``
         words, without charging any cost.  Bounds-checked: a region outside
-        the allocation raises :class:`MachineFault`."""
+        the allocation or of negative length raises :class:`MachineFault`."""
         if type(src) is MemRegion:
             region, n = src, src.len
         else:
             region, n = src.region, src.n
-        if not (0 <= region.base and region.end <= self._sh._limit):
+        if not 0 <= region.base <= region.end <= self._sh._limit:
             raise MachineFault("snapshot outside allocated memory")
         return self._sh._mem[region.base : region.base + n]
 
@@ -704,8 +672,9 @@ class Machine:
         program is called at its turn in round 0, in core-id order.  A call
         that returns a generator continues at every following round until
         the generator is exhausted, so each ``yield`` is a global barrier;
-        any other return value completes a one-round program.  Returns
-        ``None``; :meth:`ledger` gives the cumulative costs.
+        any other return value completes a one-round program.  Each barrier
+        settles the cores that ran in its round.  Returns ``None``;
+        :meth:`ledger` gives the cumulative costs.
         """
         if not isinstance(programs, dict):
             programs = dict(enumerate(programs))
@@ -718,80 +687,100 @@ class Machine:
         sh = self._sh
         sh._round = self._rounds
         try:
+            ran = [self.cores[idx] for idx in order]
             alive = []
-            for idx in order:
-                gen = programs[idx](self.cores[idx])
+            for core in ran:
+                gen = programs[core.idx](core)
                 if isinstance(gen, GeneratorType):
-                    alive.append(gen)
+                    alive.append((core, gen))
                     next(gen, None)
             finished = True  # round 0 may have ended some or all of them
             while True:
-                self._settle_round()
+                self._settle_round(ran)
                 self._rounds += 1
                 if finished:
                     # Only a round in which a generator ended rebuilds the
-                    # list; an ended generator has no frame.  Order is kept.
-                    alive = [gen for gen in alive if gen.gi_frame is not None]
+                    # lists; an ended generator has no frame.  Order is kept.
+                    alive = [(core, gen) for core, gen in alive if gen.gi_frame is not None]
                     if not alive:
                         return
+                    ran = [core for core, _ in alive]
                 sh._round = self._rounds
                 finished = False
-                for gen in alive:
+                for _, gen in alive:
                     if next(gen, _END) is _END:
                         finished = True
         except BaseException:
             # A program raised: its round commits nothing and is not
             # counted, and the charges already made stay.
             for core in self.cores:
-                core._wbuf.clear()
-            for pending in (sh._round_readers, sh._round_writers, sh._round_adders,
-                            sh._round_atomics, sh._round_adder_writes):
-                pending.clear()
+                for pending in (core._wbuf, core._reads, core._writes, core._adds):
+                    pending.clear()
+            sh._round_atomics.clear()
             raise
 
-    def _settle_round(self) -> None:
-        sh = self._sh
-        writers_by_block = sh._round_writers
-        if not writers_by_block:
-            # Every write, fetch_add and writing run adds its block here
-            # before it buffers anything.  So no core wrote or added this
-            # round: no buffer to commit, no race, no block to invalidate.
-            sh._round_readers.clear()
+    def _settle_round(self, ran) -> None:
+        """Charge and commit the round of the cores in ``ran`` (in id order)
+        from their records; stale copies leave every core's cache."""
+        for core in ran:
+            if core._writes:
+                break
+        else:
+            # Every write, fetch_add and writing run records its block before
+            # it buffers anything.  So no core wrote or added this round: no
+            # buffer to commit, no race, no block to invalidate.
+            for core in ran:
+                core._reads.clear()
             return
+        sh = self._sh
         trace = sh._trace
-        readers_by_block = sh._round_readers
-        adders = sh._round_adders
-        noted = sh._round_adder_writes
         B, rnd = sh._B, sh._round
+        # ``last`` maps each written block to its highest-id writer; a block
+        # in ``shared`` has more than one writer.
+        last, shared = {}, set()
+        for core in ran:
+            for block in core._writes:
+                if block in last:
+                    shared.add(block)
+                last[block] = core
+        rows = []
         # A race needs a block two cores wrote.  An address's first writer is
         # the lowest-id core that plain-wrote it, as programs run in core-id
-        # order; a core that added to it plain-wrote it only if noted.
+        # order; a core that added to it plain-wrote it only if flagged.
         first, races = {}, []
-        # Only the trace rows depend on the order of the blocks.
-        for block in writers_by_block if trace is None else sorted(writers_by_block):
-            writer_set = writers_by_block[block]
-            if len(writer_set) > 1:
-                writers = sorted(writer_set)
-                for order, idx in enumerate(writers[1:], 1):
-                    self.cores[idx].block_misses += order
+        for block in shared:
+            span = range(block * B, (block + 1) * B)
+            order = 0
+            for core in ran:
+                if block not in core._writes:
+                    continue
+                idx, adds = core.idx, core._adds
+                if order:
+                    core.block_misses += order
                     if trace is not None:
-                        trace.extend(repeat((rnd, idx, "migrate", block * B, "block_miss"), order))
-                span = range(block * B, (block + 1) * B)
-                for idx in writers:
-                    for addr in self.cores[idx]._wbuf.keys() & span:
-                        if not adders or idx not in adders.get(addr, ()) or (addr, idx) in noted:
-                            owner = first.setdefault(addr, idx)
-                            if owner != idx:
-                                races.append((idx, addr, owner))
-            readers = readers_by_block.get(block)
-            if readers and not readers <= writer_set:
-                for idx in sorted(readers - writer_set):
-                    self.cores[idx].block_misses += 1
-                    if trace is not None:
-                        trace.append((rnd, idx, "reread", block * B, "block_miss"))
-        self.diagnostics.extend(
-            f"data race: cores {owner} and {idx} wrote address {addr} in round {rnd}"
-            for idx, addr, owner in sorted(races))
+                        rows.extend(repeat((block, 0, idx), order))
+                order += 1
+                for addr in core._wbuf.keys() & span:
+                    if adds.get(addr, True):
+                        owner = first.setdefault(addr, idx)
+                        if owner != idx:
+                            races.append((idx, addr, owner))
+        for core in ran:
+            reread = (core._reads & last.keys()) - core._writes
+            core.block_misses += len(reread)
+            if trace is not None:
+                rows.extend((block, 1, core.idx) for block in reread)
+            core._reads.clear()
+            core._writes.clear()
+        if trace is not None:
+            # The barrier's rows go in block order, migrations first, each
+            # kind in core-id order.
+            trace.extend((rnd, idx, "reread" if kind else "migrate", block * B, "block_miss")
+                         for block, kind, idx in sorted(rows))
+        if races:
+            self.diagnostics.extend(
+                f"data race: cores {owner} and {idx} wrote address {addr} in round {rnd}"
+                for idx, addr, owner in sorted(races))
         mem = sh._mem
         # One pass over the cores in id order: each drops the written blocks
         # it caches whose last writer is another core, then commits its
@@ -799,35 +788,35 @@ class Machine:
         # plain loop: CPython's list store beats mapping ``__setitem__``.
         for core in self.cores:
             cache = core._cache
-            for block in cache.keys() & writers_by_block.keys():
-                if max(writers_by_block[block]) != core.idx:
+            for block in cache.keys() & last.keys():
+                if last[block] is not core:
                     del cache[block]
             wbuf = core._wbuf
             if wbuf:
                 for addr, value in wbuf.items():
                     mem[addr] = value
                 wbuf.clear()
-        if adders:
-            for addr, idx in noted:
-                first.setdefault(addr, idx)  # a block with one writer was not scanned
-            for addr, value in sh._round_atomics.items():
-                writer = first.get(addr)
-                if writer is not None and adders[addr] == {writer}:
-                    # One core wrote and added: its buffer, committed above,
-                    # holds whichever of the two came last.
-                    continue
-                # The sum overwrites a plain write from any other core.
-                mem[addr] = value
+        atomics = sh._round_atomics
+        if atomics:
+            for addr, value in atomics.items():
+                adders = [core for core in ran if addr in core._adds]
+                # An address in a block with one writer was not scanned: its
+                # first writer is the adder that plain-wrote it, if any.
+                writer = first.get(addr, next((c.idx for c in adders if c._adds[addr]), None))
                 if writer is not None:
+                    ids = [core.idx for core in adders]
+                    if ids == [writer]:
+                        # One core wrote and added: its buffer, committed
+                        # above, holds whichever of the two came last.
+                        continue
                     self.diagnostics.append(
                         f"data race: core {writer} wrote address {addr} that cores "
-                        f"{sorted(adders[addr])} fetch_added in round {rnd}"
-                    )
-            sh._round_atomics.clear()
-            adders.clear()
-            noted.clear()
-        readers_by_block.clear()
-        writers_by_block.clear()
+                        f"{ids} fetch_added in round {rnd}")
+                # The sum overwrites a plain write from any other core.
+                mem[addr] = value
+            atomics.clear()
+            for core in ran:
+                core._adds.clear()
 
     # -- inspection --------------------------------------------------------
 

@@ -174,8 +174,10 @@ class TestMemory:
         led = m.ledger()
         assert led.ops == 0 and led.cache_misses == 0 and led.block_misses == 0
 
-    @pytest.mark.parametrize("region", [MemRegion(100, 3), MemRegion(-2, 3), MemRegion(0, 9)],
-                             ids=["past_the_allocation", "negative_base", "straddling_the_limit"])
+    @pytest.mark.parametrize("region", [MemRegion(100, 3), MemRegion(-2, 3), MemRegion(0, 9),
+                                        MemRegion(0, -3)],
+                             ids=["past_the_allocation", "negative_base", "straddling_the_limit",
+                                  "negative_length"])
     def test_load_and_snapshot_outside_the_allocation_fault(self, make_machine, region):
         m = make_machine(B=8)
         own = m.alloc(4)
@@ -378,6 +380,17 @@ class TestBlockMisses:
         assert led.per_core_cache_misses == (1, 1)
         assert m.cache_state().holders == {0: [1]}
 
+    def test_a_write_invalidates_a_core_idle_that_round(self, make_machine):
+        # Core 1 caches block 0 in one call and sits out the next, in which
+        # core 0 alone writes the block; core 1 must still lose its copy.
+        m = make_machine(p=2, M=16, B=4)
+        region = m.alloc(4)
+        m.run_rounds({1: lambda core: core.read(region, 0)})
+        m.run_rounds({0: lambda core: core.write(region, 1, 5)})
+        assert m.cache_state().holders == {0: [0]}
+        m.run_rounds({1: lambda core: core.read(region, 1)})
+        assert m.ledger().per_core_cache_misses == (1, 2)
+
     def test_settle_trace_rows_follow_block_order(self):
         # Both cores write block 1 before block 0; the barrier's rows still
         # list block 0 first.
@@ -555,7 +568,10 @@ class TestRoundSemantics:
             "data race: core 0 wrote address 0 that cores [0, 1] fetch_added in round 0"]
         assert m.snapshot_memory(region)[0] == 106
 
-    def test_a_write_after_an_add_races_the_other_adder(self, make_machine):
+    @pytest.mark.parametrize("write", [lambda core, region: core.write(region, 0, 7),
+                                       lambda core, region: core.write_run(region, 0, [7])],
+                             ids=["write", "write_run"])
+    def test_a_write_after_an_add_races_the_other_adder(self, make_machine, write):
         m = make_machine(p=2, B=8)
         region = m.alloc(8)
 
@@ -564,7 +580,7 @@ class TestRoundSemantics:
 
         def added_then_wrote(core):
             core.fetch_add(region, 0, 1)
-            core.write(region, 0, 7)
+            write(core, region)
 
         m.run_rounds({0: added, 1: added_then_wrote})
         assert m.diagnostics == [
@@ -617,7 +633,7 @@ class TestRoundSemantics:
 
         with pytest.raises(MachineFault):
             m.run_rounds({0: lambda core: core.write(region, 0, 5), 1: faults})
-        assert not any(core._wbuf for core in m.cores)
+        _assert_no_round_records(m)
         m.run_rounds({1: lambda core: core.write(region, 0, 7)})
         assert m.snapshot_memory(region) == [7, 0]
         assert m.diagnostics == []
@@ -981,12 +997,14 @@ def _word_op(machine, core, regions, op, log):
 
 
 def _assert_no_round_records(m):
-    """The barrier leaves no per-round record, on the machine or on the
-    state its cores share."""
+    """The barrier leaves no per-round record, on the machine, on the state
+    its cores share or on any core."""
     records = [k for k in type(m._sh).__slots__ if k.startswith("_round_")]
     assert records
     assert not any(getattr(m._sh, k) for k in records)
     assert not any(v for k, v in vars(m).items() if k.startswith("_round_"))
+    for core in m.cores:
+        assert not (core._reads or core._writes or core._adds or core._wbuf)
 
 
 def _assert_trace_itemizes_ledger(m):
@@ -1021,8 +1039,6 @@ def _execute(shape, lengths, steps, apply, trace):
 
     for step in steps:
         m.run_rounds({idx: program(rounds) for idx, rounds in step.items()})
-        # The barrier leaves no write buffered and no per-round record.
-        assert not any(core._wbuf for core in m.cores)
         _assert_no_round_records(m)
     if trace:
         _assert_trace_itemizes_ledger(m)
