@@ -82,6 +82,7 @@ from pemlab.merge import BucketedRun
 from pemlab.partition import PartitionTask, partition_main, partition_seq
 from pemlab.primitives import (
     KeySeq,
+    _check_cores,
     _map_pass,
     _scan_words,
     _slot,
@@ -928,8 +929,7 @@ def hull_main(machine, planes: KeySeq, cores, stats: HullStats | None = None,
     driver produces the chain, and the vertices are written back to machine
     memory.  Returns ``(HullChain, KeySeq)``.
     """
-    if not cores:
-        raise MachineFault("need at least one core")
+    _check_cores(cores)
     m = planes.n
     if m < 3:
         raise GeometryError("at least three half-planes are required")
@@ -969,8 +969,7 @@ def convex_hull_2d(machine, points: KeySeq, cores, stream: int = 0):
     n = points.n
     if n == 0:
         raise MachineFault("cannot hull an empty point set")
-    if not cores:
-        raise MachineFault("need at least one core")
+    _check_cores(cores)
     norm = _map_pass(machine, points, cores,
                      lambda w: (coeff(w[0]), coeff(w[1])), tick=1)
     pmin = _reduce_words(machine, norm, cores,

@@ -53,22 +53,18 @@ Runs of words
 -------------
 ``read_run``, ``write_run``, ``copy_run`` and ``route_run`` stand for word
 loops of ``read``, ``write``, read-write (a two-stream copy) and
-read-route-write (a scatter) over consecutive words of one region.
-``select_run`` stands for a sampling scan over three streams: for each
-rank in turn it reads the rank, reads a source word by word up to that
-rank, and writes the last word read to the next output word.  They charge
-exactly what those loops charge — ops, both miss kinds, the core's read and
-write sets, LRU order, memory and diagnostics — and return the same values,
-at a cost per block rather than per word.
+read-route-write (a scatter) over consecutive words of one region.  They
+charge exactly what those loops charge — ops, both miss kinds, the core's
+read and write sets, LRU order, memory and diagnostics — and return the
+same values, at a cost per block rather than per word.
 
 Once per run, not once per word or block: the bounds of each stream are
 checked against its region and the allocation, every route is taken and
-every destination checked, every rank is checked against its source, the
-core's own pending writes are read, and ``ops``, the write buffer and the
-core's read and write sets are updated.  A run that faults therefore raises
-before it charges anything: a span past its region's end, a route that
-raises, a routed destination outside its region, or a rank outside its
-source leaves the whole run uncharged, where the word loop would have
+every destination checked, the core's own pending writes are read, and
+``ops``, the write buffer and the core's read and write sets are updated.
+A run that faults therefore raises before it charges anything: a span past
+its region's end, a route that raises or a routed destination outside its
+region leaves the whole run uncharged, where the word loop would have
 charged the words before the fault.
 
 Per piece, a stretch of the loop in which no stream crosses a block
@@ -79,16 +75,10 @@ touching them once in first-touch order and then moving them to MRU in
 last-touch order leaves the cache as the loop does.  A copy piece touches its source block,
 then its destination block.  A ``route_run`` piece (the words of one source
 block) may scatter to more than ``M/B`` blocks; it is then replayed word by
-word inside an otherwise batched run.  A ``select_run`` touches blocks in
-the loop's order, one touch per rank block, per source block the cursor
-enters and per output block, because consecutive touches of one block
-collapse: a block just touched is resident and MRU, so touching it again
-changes nothing.
+word inside an otherwise batched run.
 
 A copy runs as a scatter to consecutive words when one block fills the
-cache (``M == B``) or when its two spans share a block, and a select falls
-back to its word loop when its output shares a block with its ranks or its
-source (a read could see an earlier write of the run).  Reads see the
+cache (``M == B``) or when its two spans share a block.  Reads see the
 core's pending writes, including those of the same run; ``fn`` and
 ``route`` are called once per word, in order, and must not touch the
 machine.
@@ -504,78 +494,6 @@ class Core:
         self._writes.update(dst_blocks)
         self.ops += 2 * n
         self._buffer(dsts, words)
-
-    def select_run(self, ranks, lo: int, hi: int, src, dst, at: int) -> None:
-        """Pick words of ``src`` by the ranks in words ``[lo, hi)`` of
-        ``ranks``, scanning ``src`` once from word 0.
-
-        Charges exactly what this word loop would, word ``value`` included::
-
-            pos = 0
-            for k in range(hi - lo):
-                r = self.read(ranks, lo + k)
-                while pos <= r:
-                    value = self.read(src, pos)
-                    pos += 1
-                self.write(dst, at + k, value)
-
-        Ranks need not be sorted: a rank below the cursor reads nothing and
-        writes the last word read again, so word ``k`` of the output is
-        ``src``'s word at the running maximum of the ranks.  Every rank must
-        index a word of ``src``'s region; the ranks are checked before
-        anything is charged.  The loop's block touches are replayed with
-        consecutive touches of one block collapsed, which is exact because
-        a block just touched is resident and MRU.
-        """
-        r0, r1 = self._span(ranks, lo, hi, "select_run")
-        d0, d1 = self._span(dst, at, at + hi - lo, "select_run")
-        if r0 == r1:
-            return
-        sh = self._sh
-        B = sh._B
-        rvals = self._values(r0, r1)
-        if min(rvals) < 0:
-            raise MachineFault(f"select_run rank {min(rvals)} is negative")
-        top = max(rvals)
-        s0, s1 = self._span(src, 0, top + 1, "select_run")
-        rank_blocks = range(r0 // B, (r1 - 1) // B + 1)
-        src_blocks = range(s0 // B, (s1 - 1) // B + 1)
-        dst_blocks = range(d0 // B, (d1 - 1) // B + 1)
-        if ((rank_blocks[0] <= dst_blocks[-1] and dst_blocks[0] <= rank_blocks[-1])
-                or (src_blocks[0] <= dst_blocks[-1] and dst_blocks[0] <= src_blocks[-1])):
-            pos = 0
-            for k in range(hi - lo):
-                r = self.read(ranks, lo + k)
-                while pos <= r:
-                    value = self.read(src, pos)
-                    pos += 1
-                self.write(dst, at + k, value)
-            return
-        vals = self._values(s0, s1)
-        cache = self._cache
-        miss = self._miss
-        words = []
-        last = -1
-        pos = 0
-        for k, r in enumerate(rvals):
-            if r >= pos:
-                touched = ((r0 + k) // B, *range((s0 + pos) // B, (s0 + r) // B + 1),
-                           (d0 + k) // B)
-                pos = r + 1
-            else:
-                touched = ((r0 + k) // B, (d0 + k) // B)
-            for block in touched:
-                if block != last:
-                    if block in cache:
-                        cache.move_to_end(block)
-                    else:
-                        miss(block)
-                    last = block
-            words.append(vals[pos - 1])
-        self._reads.update(rank_blocks, src_blocks)
-        self._writes.update(dst_blocks)
-        self.ops += 2 * (r1 - r0) + s1 - s0
-        self._buffer(range(d0, d1), words)
 
     def _span(self, src, lo: int, hi: int, what: str) -> tuple:
         """Addresses ``[a0, a1)`` of words ``[lo, hi)`` of ``src``'s region,

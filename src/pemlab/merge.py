@@ -16,7 +16,7 @@ from functools import partial
 from itertools import accumulate
 
 from pemlab.machine import MachineFault, MemRegion
-from pemlab.primitives import KeySeq, prefix_sum, transpose
+from pemlab.primitives import KeySeq, _check_cores, prefix_sum, transpose
 
 __all__ = ["BucketedRun", "merge_bucketed", "plan_cuts"]
 
@@ -84,6 +84,7 @@ def plan_cuts(ends: list, p: int, y: int) -> list:
 
 def merge_bucketed(machine, runs, cores, dest: MemRegion | None = None) -> BucketedRun:
     """Merge ``x`` bucketed runs into one, into ``dest`` when given."""
+    _check_cores(cores)
     if not runs:
         raise MachineFault("nothing to merge")
     x = len(runs)

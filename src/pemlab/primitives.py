@@ -70,6 +70,15 @@ def chunk_bounds(n: int, p: int) -> list:
     return bounds
 
 
+def _check_cores(cores) -> None:
+    """Fault on an empty core list or one that names a core twice.  A step
+    keys its programs by core id, so a repeated core would drop a chunk."""
+    if not cores:
+        raise MachineFault("need at least one core")
+    if len({core.idx for core in cores}) < len(cores):
+        raise MachineFault(f"core list {[core.idx for core in cores]} repeats a core")
+
+
 def parallel_for(machine, n: int, cores, body) -> None:
     """One step over ``range(n)``: ``body(core, ci, lo, hi)`` on each core.
 
@@ -77,8 +86,10 @@ def parallel_for(machine, n: int, cores, body) -> None:
     chunks and chunk ``ci`` runs on ``cores[ci]``.  ``body`` is a machine
     program: a plain function takes one round, a generator one round per
     ``yield`` plus one.  It loops over its own chunk, so a step costs one
-    Python call per core, not per item.  ``n == 0`` runs no round.
+    Python call per core, not per item.  ``n == 0`` runs no round.  The
+    cores must be distinct and at least one.
     """
+    _check_cores(cores)
     if n == 0:
         return
     g = min(len(cores), n)
@@ -205,6 +216,7 @@ def prefix_sum(machine, a: KeySeq, cores) -> KeySeq:
     block-spaced partial slots never share a written cache block, so the
     routine incurs no block misses once chunks hold at least one block.
     """
+    _check_cores(cores)
     n = a.n
     if n == 0:
         return KeySeq(machine.alloc(0), 0)
@@ -290,6 +302,7 @@ def transpose(machine, a: KeySeq, m: int, n: int, cores) -> KeySeq:
     ``m < B`` the rule hands every core a column-contiguous band whose
     destination words are consecutive.
     """
+    _check_cores(cores)
     if m * n != a.n:
         raise MachineFault("matrix shape disagrees with sequence length")
     dst = machine.alloc(m * n)
@@ -452,9 +465,10 @@ def sample_k_of_n_seq(machine, a: KeySeq, k: int, core, stream: int = 0) -> KeyS
     """Draw ``k`` keys with replacement on one core via sorted random ranks.
 
     Three rounds: the ranks are drawn and saved, sorted, and consumed by
-    one joint scan of the input up to the largest rank
-    (:meth:`~pemlab.machine.Core.select_run`), so the pass costs
-    ``O(n + k log k)`` ops.
+    one scan of the input up to the largest rank.  The scan reads each
+    rank as a word, reads the source as one run from where it stopped up
+    to a new rank, and writes the last word read as a word, so the pass
+    costs ``O(n + k log k)`` ops.
     """
     n = a.n
     if n == 0 or k == 0:
@@ -471,7 +485,13 @@ def sample_k_of_n_seq(machine, a: KeySeq, k: int, core, stream: int = 0) -> KeyS
         c.tick(k * max(1, k.bit_length()))
         c.write_run(ranks_reg, 0, ranks)
         yield
-        c.select_run(ranks_reg, 0, k, a, out, 0)
+        pos = 0
+        for j in range(k):
+            r = c.read(ranks_reg, j)
+            if r >= pos:
+                value = c.read_run(a, pos, r + 1)[-1]
+                pos = r + 1
+            c.write(out, j, value)
 
     machine.run_rounds({core.idx: prog})
     return KeySeq(out, k)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from pemlab.machine import MachineFault
-from pemlab.primitives import KeySeq, chunk_bounds, prefix_sum, spaced_slots
+from pemlab.primitives import KeySeq, _check_cores, chunk_bounds, prefix_sum, spaced_slots
 
 __all__ = [
     "IdAssignment",
@@ -92,9 +92,8 @@ def estimate_processors(machine, n: int, cores,
     collisions serialize through an atomic counter.
     """
     cores = tuple(cores)
+    _check_cores(cores)
     p = len(cores)
-    if p == 0:
-        raise MachineFault("need at least one core")
     if n < 2:
         raise MachineFault("slot array needs at least two locations")
     target = _count_target(n)
@@ -243,8 +242,7 @@ def oblivious_prefix(machine, a: KeySeq, cores,
     event.
     """
     cores = tuple(cores)
-    if not cores:
-        raise MachineFault("need at least one core")
+    _check_cores(cores)
     n = a.n
     if n == 0:
         return KeySeq(machine.alloc(0), 0)

@@ -34,7 +34,8 @@ from math import isqrt
 
 from pemlab.machine import MachineFault, MemRegion
 from pemlab.partition import PartitionTask, _distribute_columns, partition_main
-from pemlab.primitives import KeySeq, _streams, _subseq, parallel_for, sample_splitters
+from pemlab.primitives import (KeySeq, _check_cores, _streams, _subseq, parallel_for,
+                               sample_splitters)
 
 __all__ = ["SortPlan", "SortStats", "sample_sort"]
 
@@ -49,13 +50,17 @@ class SortPlan:
     ``x`` is the sampling exponent (at least 4): a subproblem of ``n`` keys
     is cut around ``z = ceil(n**(1/x))`` splitters, and a round is accepted
     only if its largest bucket is at most ``tau(n)``.  ``retry_cap`` bounds
-    the redraws of one round.
+    the redraws of one round.  Both are ``int``s, never ``bool``s.
     """
 
     x: int = 32
     retry_cap: int = 20
 
     def __post_init__(self) -> None:
+        for name in ("x", "retry_cap"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise MachineFault(f"{name} must be an int; got {value!r}")
         if self.x < 4:
             raise MachineFault("sampling exponent x must be >= 4")
         if self.retry_cap < 1:
@@ -124,8 +129,7 @@ def sample_sort(machine, a: KeySeq, cores, plan: SortPlan | None = None,
     """
     plan = plan if plan is not None else SortPlan()
     stats = stats if stats is not None else SortStats()
-    if not cores:
-        raise MachineFault("need at least one core")
+    _check_cores(cores)
     n = a.n
     out = machine.alloc(n)
     cfg = machine.config
@@ -259,6 +263,9 @@ def _core_shares(sizes, p: int, grain: int) -> list:
         return [0] * len(sizes)
     quotas = [p * s / n for s in sizes]
     shares = [int(q) for q in quotas]
+    # ``left`` is the sum of the quotas' fractional parts, each below one
+    # and non-zero only for a non-empty bucket, so the loop hands out every
+    # core.
     left = p - sum(shares)
     order = sorted(
         range(len(sizes)),
@@ -271,8 +278,6 @@ def _core_shares(sizes, p: int, grain: int) -> list:
         if sizes[b] > 0:
             shares[b] += 1
             left -= 1
-    if left > 0:
-        shares[max(range(len(sizes)), key=lambda b: sizes[b])] += left
     for b, s in enumerate(sizes):
         if s > grain and shares[b] == 0:
             donor = max(range(len(sizes)), key=lambda d: shares[d])

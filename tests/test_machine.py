@@ -953,9 +953,6 @@ def _run_op(machine, core, regions, op, log):
         core.write_run(regions[op[1]], op[2], op[3])
     elif kind == "route_run":
         core.route_run(regions[op[1]], op[2], op[3], _route_for(regions, op[4], log))
-    elif kind == "select":
-        _, r, lo, hi, s, d, at = op
-        core.select_run(regions[r], lo, hi, regions[s], regions[d], at)
     else:
         _, r, lo, hi, d, at, mapped = op
         core.copy_run(regions[r], lo, hi, regions[d], at, _fn_for(mapped, log))
@@ -983,15 +980,6 @@ def _word_op(machine, core, regions, op, log):
         for k in range(hi - lo):
             v = core.read(regions[r], lo + k)
             core.write(regions[d], at + k, fn(v))
-    elif kind == "select":
-        _, r, lo, hi, s, d, at = op
-        pos = 0
-        for k in range(hi - lo):
-            rank = core.read(regions[r], lo + k)
-            while pos <= rank:
-                value = core.read(regions[s], pos)
-                pos += 1
-            core.write(regions[d], at + k, value)
     else:
         _run_op(machine, core, regions, op, log)
 
@@ -1058,9 +1046,6 @@ def _run_programs(draw):
     M = B * draw(st.sampled_from((1, 2, 3, 5)))
     p = draw(st.integers(1, 3))
     lengths = draw(st.lists(st.integers(1, 3 * B + 3), min_size=1, max_size=3))
-    # The region after the others holds ranks that index every other
-    # region; only select runs read it, and nothing writes it.
-    ranks = draw(st.lists(st.integers(0, min(lengths) - 1), min_size=1, max_size=2 * B + 2))
 
     def span(r):
         lo = draw(st.integers(0, lengths[r]))
@@ -1072,7 +1057,7 @@ def _run_programs(draw):
 
     def op():
         kind = draw(st.sampled_from(("read", "write", "fetch_add", "tick", "read_run",
-                                     "write_run", "route_run", "copy", "select")))
+                                     "write_run", "route_run", "copy")))
         r = draw(st.integers(0, len(lengths) - 1))
         if kind in ("read", "write", "fetch_add"):
             return (kind, *dest(), draw(st.integers(1, 9)))[: 3 if kind == "read" else 4]
@@ -1087,11 +1072,6 @@ def _run_programs(draw):
         if kind == "route_run":
             return ("route_run", r, lo, hi, [dest() for _ in range(hi - lo)])
         d = draw(st.integers(0, len(lengths) - 1))
-        if kind == "select":
-            lo = draw(st.integers(0, len(ranks)))
-            size = draw(st.integers(0, min(len(ranks) - lo, lengths[d])))
-            at = draw(st.integers(0, lengths[d] - size))
-            return ("select", len(lengths), lo, lo + size, r, d, at)
         size = min(hi - lo, lengths[d])
         at = draw(st.integers(0, lengths[d] - size))
         return ("copy", r, lo, lo + size, d, at, draw(st.booleans()))
@@ -1104,7 +1084,7 @@ def _run_programs(draw):
                   for _ in range(draw(st.integers(1, 3)))]
             for idx in cores
         })
-    return (p, M, B), lengths + [ranks], steps, draw(st.booleans())
+    return (p, M, B), lengths, steps, draw(st.booleans())
 
 
 class TestRuns:
@@ -1182,47 +1162,6 @@ class TestRuns:
         assert log[:6] == [("fn", v) for v in range(1, 7)]
         assert len(log) == 6 + 9
 
-    @pytest.mark.parametrize("trace", [False, True])
-    @pytest.mark.parametrize("shape, lengths, steps", [
-        pytest.param((1, 16, 4), [[2, 2, 5, 5, 5, 9], 12, 8],
-                     [{0: [[("select", 0, 0, 6, 1, 2, 1)]]}], id="duplicate_ranks"),
-        pytest.param((1, 16, 4), [[7, 3, 9, 0, 10, 2], 12, 8],
-                     [{0: [[("select", 0, 0, 6, 1, 2, 0)]]}], id="unsorted_ranks"),
-        pytest.param((1, 8, 4), [[1, 13, 14, 0, 15], 16, 8],
-                     [{0: [[("select", 0, 1, 5, 1, 2, 3)]]}], id="cursor_crosses_blocks"),
-        pytest.param((1, 4, 4), [[0, 6, 6, 11], 12, 8],
-                     [{0: [[("select", 0, 0, 4, 1, 2, 2)]]}], id="one_block_cache"),
-        # Word 10 is written from word 3 before the scan reads it.
-        pytest.param((1, 16, 4), [[3, 12], 16],
-                     [{0: [[("select", 0, 0, 2, 1, 1, 10)]]}], id="dst_shares_a_block_with_src"),
-        # Each write lands on the next rank before the scan reads it.
-        pytest.param((1, 16, 4), [[0, 5, 1, 1], [3, 1, 2, 0, 4, 9]],
-                     [{0: [[("select", 0, 0, 3, 1, 0, 1)]]}], id="dst_overwrites_its_ranks"),
-        pytest.param((2, 16, 4), [[1, 4, 5], 8, 8],
-                     [{0: [[("write", 2, 1, 7)]],
-                       1: [[("select", 0, 0, 3, 1, 2, 0), ("read_run", 2, 0, 4)]]}],
-                     id="dst_written_by_another_core"),
-        # Core 1 reads a ranks block that core 0 writes: a forced re-read.
-        pytest.param((2, 16, 4), [[1, 4, 5, 0], 8, 8],
-                     [{0: [[("write", 0, 3, 2)]], 1: [[("select", 0, 0, 3, 1, 2, 0)]]}],
-                     id="ranks_block_written_by_another_core"),
-    ])
-    def test_select_run_cases(self, shape, lengths, steps, trace):
-        _assert_runs_match_words(shape, lengths, steps, trace)
-
-    @pytest.mark.parametrize("ranks", [[1, 8], [3, -1]])
-    def test_select_with_a_rank_outside_its_source_charges_nothing(self, make_machine, ranks):
-        m = make_machine(B=4)
-        a = m.alloc(2)
-        src = m.alloc(8)
-        dst = m.alloc(2)
-        m.load(a, ranks)
-        with pytest.raises(MachineFault):
-            m.run_rounds([lambda c: c.select_run(a, 0, 2, src, dst, 0)])
-        assert m.ledger().per_core_ops == (0,)
-        assert m.ledger().per_core_cache_misses == (0,)
-        assert m.cache_state().resident == ((),)
-
     def test_runs_past_their_region_fault(self, make_machine):
         m = make_machine(B=4)
         a = m.alloc(6)
@@ -1236,8 +1175,6 @@ class TestRuns:
             lambda c: c.route_run(a, 0, 2, lambda v: (b, 6, v)),
             lambda c: c.read_run(outside, 0, 1),
             lambda c: c.copy_run(a, 0, 6, b, 1),
-            lambda c: c.select_run(a, 4, 7, b, b, 0),
-            lambda c: c.select_run(a, 0, 3, b, b, 4),
         ]
         for call in calls:
             with pytest.raises(MachineFault):

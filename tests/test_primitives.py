@@ -15,6 +15,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pemlab import Machine, MachineConfig, MachineFault, MemRegion
+from pemlab.hull import convex_hull_2d, hull_main
+from pemlab.merge import BucketedRun, merge_bucketed
 from pemlab.primitives import (
     KeySeq,
     _reduce,
@@ -29,7 +31,8 @@ from pemlab.primitives import (
     sample_splitters,
     transpose,
 )
-from pemlab.sorting import SortPlan
+from pemlab.procalloc import estimate_processors, oblivious_prefix
+from pemlab.sorting import SortPlan, sample_sort
 
 
 class TestChunking:
@@ -86,6 +89,43 @@ class TestParallelFor:
         parallel_for(m, 0, m.cores, lambda core, ci, lo, hi: core.tick(1))
         assert m.ledger().rounds == 0
         assert m.ledger().ops == 0
+
+
+# Every step that takes a core list, called on ``seq`` (40 words) with it.
+_CORE_LIST_ENTRIES = {
+    "parallel_for": lambda m, seq, cores: parallel_for(
+        m, seq.n, cores, lambda core, ci, lo, hi: core.read_run(seq, lo, hi)),
+    "prefix_sum": lambda m, seq, cores: prefix_sum(m, seq, cores),
+    "compact": lambda m, seq, cores: compact(m, [seq], cores),
+    "transpose": lambda m, seq, cores: transpose(m, seq, 5, 8, cores),
+    "merge_bucketed": lambda m, seq, cores: merge_bucketed(
+        m, [BucketedRun(seq, (20, 20))], cores),
+    "sample_sort": lambda m, seq, cores: sample_sort(m, seq, cores),
+    "estimate_processors": lambda m, seq, cores: estimate_processors(m, seq.n, cores),
+    "oblivious_prefix": lambda m, seq, cores: oblivious_prefix(m, seq, cores),
+    "hull_main": lambda m, seq, cores: hull_main(
+        m, load_seq(m, [(1, 0, 1), (0, 1, 1), (-1, -1, 1), (1, 1, 3)]), cores),
+    "convex_hull_2d": lambda m, seq, cores: convex_hull_2d(
+        m, load_seq(m, [(0, 0), (4, 0), (0, 4), (1, 1)]), cores),
+}
+
+
+class TestCoreLists:
+    @pytest.mark.parametrize("entry", sorted(_CORE_LIST_ENTRIES))
+    @pytest.mark.parametrize("picks, message", [
+        pytest.param((0, 0), "repeats a core", id="repeated"),
+        pytest.param((0, 0, 1), "repeats a core", id="repeated_among_others"),
+        pytest.param((), "at least one core", id="empty"),
+    ])
+    def test_a_bad_core_list_faults_before_any_charge(self, make_machine, entry, picks, message):
+        # A step keys its programs by core id: a repeated core would drop a
+        # chunk and return wrong words, or fail deep inside the step.
+        m = make_machine(p=4, M=64, B=8)
+        seq = load_seq(m, [v * 7 % 40 for v in range(40)])
+        with pytest.raises(MachineFault, match=message):
+            _CORE_LIST_ENTRIES[entry](m, seq, [m.cores[i] for i in picks])
+        assert m.ledger() == make_machine(p=4, M=64, B=8).ledger()
+        assert m.diagnostics == []
 
 
 class TestReductions:
@@ -325,6 +365,62 @@ class TestSampleKOfN:
         m = make_machine(p=1)
         res = sample_k_of_n_seq(m, load_seq(m, [1, 2]), 0, m.cores[0])
         assert res.n == 0
+
+    @staticmethod
+    def _word_loop_scan(machine, a, k, core):
+        """``sample_k_of_n_seq`` with its scan written as the word loop it
+        stands for: read a rank, read the source word by word up to it,
+        write the last word read."""
+        n = a.n
+        rng = machine.rng(12, 0, core.idx)
+        ranks_reg = machine.alloc(k)
+        out = machine.alloc(k)
+
+        def prog(c):
+            c.write_run(ranks_reg, 0, rng.integers(n, size=k))
+            yield
+            ranks = c.read_run(ranks_reg, 0, k)
+            ranks.sort()
+            c.tick(k * max(1, k.bit_length()))
+            c.write_run(ranks_reg, 0, ranks)
+            yield
+            pos = 0
+            for j in range(k):
+                r = c.read(ranks_reg, j)
+                while pos <= r:
+                    value = c.read(a, pos)
+                    pos += 1
+                c.write(out, j, value)
+
+        machine.run_rounds({core.idx: prog})
+        return KeySeq(out, k)
+
+    @pytest.mark.parametrize("M, B, n, k, warm", [
+        pytest.param(4, 4, 30, 8, None, id="one_block_cache"),
+        pytest.param(16, 4, 50, 9, None, id="cache_smaller_than_the_scan"),
+        pytest.param(8, 2, 5, 12, None, id="duplicate_ranks"),
+        pytest.param(1024, 2, 40, 3, None, id="cursor_crosses_blocks"),
+        pytest.param(32, 4, 24, 6, (0, 24), id="source_resident"),
+        pytest.param(16, 4, 50, 9, (8, 40), id="source_partly_resident"),
+    ])
+    def test_scan_charges_exactly_its_word_loop(self, M, B, n, k, warm):
+        # Core 1 scans; ``warm`` is a span of the source that it reads
+        # first.  The ledger, LRU order, memory and trace rows must
+        # match the word loop's.
+        def run(sample):
+            m = Machine(MachineConfig(p=2, M=M, B=B, seed=4), trace=True)
+            seq = load_seq(m, [v * 7 % 53 for v in range(n)])
+            if warm is not None:
+                m.run_rounds({1: lambda c: c.read_run(seq, *warm)})
+            res = sample(m, seq, k, m.cores[1])
+            return (res, m.ledger(), m.cache_state(), m.snapshot_memory(MemRegion(0, m._sh._limit)),
+                    m._sh._trace, m.diagnostics)
+
+        ranks = sorted(Machine(MachineConfig(p=2, M=M, B=B, seed=4)).rng(12, 0, 1).integers(n, size=k))
+        if k > n:
+            assert len(set(ranks)) < k
+        assert len({r // B for r in ranks}) > 1
+        assert run(sample_k_of_n_seq) == run(self._word_loop_scan)
 
     def test_thrashing_scan_cache_state_pinned(self):
         # A 4-block cache scanning a 13-block input, with duplicate ranks

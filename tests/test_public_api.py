@@ -4,7 +4,10 @@ A name in the ``__all__`` of a ``pemlab`` submodule passes when code in
 ``src/pemlab``, ``demos/`` or ``perfbench/`` uses it (as a name, an
 attribute or an import; its own ``def``/``class`` line, its ``__all__``
 entry and ``pemlab/__init__.py`` do not count), or when ``README.md``
-names it.  Tests do not count as callers.
+names it.  Tests do not count as callers.  The same holds for every public
+method and property that a public class defines, except that production
+code must use it as an attribute and ``README.md`` must name it in code:
+an inline code span or a fenced block.
 
 In the library modules, the same holds for every parameter with a default
 of a public function and every field of a public ``*Plan`` or ``*Config``
@@ -60,6 +63,7 @@ def _used_names() -> set:
 
 
 USED = _used_names()
+ATTRIBUTES = {node.attr for node in NODES if isinstance(node, ast.Attribute)}
 README = (ROOT / "README.md").read_text()
 
 
@@ -69,6 +73,39 @@ def test_public_names_have_a_caller_or_a_readme_entry(module):
     orphans = [name for name in names if name not in USED
                and not re.search(rf"\b{re.escape(name)}\b", README)]
     assert not orphans, f"pemlab.{module} exports {orphans} with no caller"
+
+
+def _readme_code() -> list:
+    """The code of README.md: its fenced blocks and, outside them, its
+    inline code spans."""
+    fenced = re.findall(r"^```[^\n]*\n(.*?)^```", README, re.S | re.M)
+    prose = re.sub(r"^```[^\n]*\n.*?^```", "", README, flags=re.S | re.M)
+    return fenced + re.findall(r"`([^`\n]+)`", prose)
+
+
+def _public_members(module) -> list:
+    """``(class, member)`` for every public method and property that a
+    public class of ``module`` defines itself."""
+    mod = importlib.import_module(f"pemlab.{module}")
+    found = []
+    for name in mod.__all__:
+        obj = getattr(mod, name)
+        if not inspect.isclass(obj):
+            continue
+        found += [(name, member) for member, value in vars(obj).items()
+                  if not member.startswith("_")
+                  and (inspect.isfunction(value)
+                       or isinstance(value, (property, staticmethod, classmethod)))]
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_public_methods_have_a_caller_or_a_readme_entry(module):
+    code = _readme_code()
+    orphans = [f"{cls}.{member}" for cls, member in _public_members(module)
+               if member not in ATTRIBUTES
+               and not any(re.search(rf"\b{member}\b", chunk) for chunk in code)]
+    assert not orphans, f"pemlab.{module} has public methods {orphans} with no caller"
 
 
 LIBRARY = ("machine", "primitives", "partition", "merge", "sorting",

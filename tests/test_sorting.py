@@ -23,6 +23,15 @@ class TestSortPlan:
         with pytest.raises(MachineFault):
             SortPlan(retry_cap=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("x", 5.5), ("x", 8.0), ("x", "8"), ("retry_cap", 2.5), ("retry_cap", True),
+    ])
+    def test_rejects_fields_that_are_not_ints(self, field, value):
+        # ``retry_cap=2.5`` would otherwise fail inside ``sample_sort``
+        # after charging the first round; ``x=5.5`` would be kept silently.
+        with pytest.raises(MachineFault, match=f"{field} must be an int"):
+            SortPlan(**{field: value})
+
     def test_splitter_counts(self):
         assert SortPlan(x=4).splitter_count(16) == 2
         assert SortPlan(x=4).splitter_count(256) == 4
