@@ -345,7 +345,8 @@ def _reach(planes) -> int:
 def _intersect_forms(planes) -> tuple:
     """Deque half-plane intersection: ccw vertex forms in O(m log m).
 
-    Every plane is scaled to ``int`` coefficients (:func:`_int_plane`), so
+    ``planes`` are normalized, as :func:`plane_word` gives them; every
+    plane is scaled to ``int`` coefficients (:func:`_int_plane`), so
     the sweep, its vertices and their cleanup run on integers.  Constraints
     are sorted by boundary direction and swept once, keeping the active
     envelope in a deque.  Four axis-aligned box constraints are mixed in so
@@ -359,7 +360,7 @@ def _intersect_forms(planes) -> tuple:
     canonical chain (see :func:`_canonical_forms`); raises when the region
     is unbounded, empty or has no interior.
     """
-    planes = [_int_plane(plane_word(h)) for h in planes]
+    planes = [_int_plane(h) for h in planes]
     if unbounded_directions(planes):
         raise GeometryError("half-plane intersection is unbounded")
     width = 2 ** 20
@@ -400,9 +401,10 @@ def _intersect_forms(planes) -> tuple:
 
 def intersect_halfplanes_ordered(planes) -> tuple:
     """The ccw vertices of a bounded half-plane intersection as
-    :class:`Point2` values, from the lexicographically smallest; see
-    :func:`_intersect_forms`, which does the work."""
-    return tuple(_point(v) for v in _intersect_forms(planes))
+    :class:`Point2` values, from the lexicographically smallest.  Takes raw
+    planes: each goes through :func:`plane_word`, which rejects a zero
+    normal, and :func:`_intersect_forms` does the work."""
+    return tuple(_point(v) for v in _intersect_forms(map(plane_word, planes)))
 
 
 @dataclass(frozen=True)

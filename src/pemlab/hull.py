@@ -11,7 +11,13 @@ and the sectors recurse independently.  The final chain is stitched per
 sector and is exact, with no epsilon anywhere.  :func:`convex_hull_2d`
 reaches the same driver by polar duality: it maps the points to half-planes
 about an interior point, runs one intersection and reads the hull's vertices
-off the chain's edges.
+off the chain's edges.  :func:`maxima_par` gives the dominance maxima of a
+point set by one sort and one sweep.  These three are the public entries.
+
+:func:`hull_main` alone checks and normalizes plane input.  Every stage
+after it takes its words as they are: ``(a, b, c)`` as
+:func:`~pemlab.geometry.plane_word` gives it, a nonzero normal and
+``c > 0``.
 
 There is one configuration.  The sampling exponent is fixed at ``1/32``;
 it and the other bounds of a round (poll size, copy budget, recursion
@@ -83,6 +89,7 @@ from pemlab.partition import PartitionTask, partition_main, partition_seq
 from pemlab.primitives import (
     KeySeq,
     _check_cores,
+    _check_stream,
     _map_pass,
     _scan_words,
     _slot,
@@ -98,18 +105,10 @@ from pemlab.primitives import _reduce as _reduce_words
 from pemlab.sorting import sample_sort
 
 __all__ = [
-    "Arrangement",
     "HullStats",
     "convex_hull_2d",
-    "dualize",
-    "expand_by_sector",
-    "filter_sector",
-    "find_sectors",
     "hull_main",
-    "locate_points",
     "maxima_par",
-    "polling_sample",
-    "preprocess_arrangement",
 ]
 
 
@@ -187,18 +186,13 @@ class _Ctx:
         return max(self.N // self.P, _BASE_FLOOR)
 
 
-def _make_ctx(machine, m, cores, stats, stream) -> _Ctx:
-    stats = stats if stats is not None else HullStats()
-    return _Ctx(machine, stats, N=m, P=max(1, len(cores)), next_stream=_streams(stream))
-
-
 # --------------------------------------------------------------------------
 # sequential building blocks
 
 
 def _hull_base(machine, planes: KeySeq, core, tick: int) -> HullChain:
-    """Sequential base case: one core reads the planes, is charged ``tick``
-    per plane, and clips them all in sorted order.  Raises
+    """Sequential base case: one core reads the normalized planes, is
+    charged ``tick`` per plane, and clips them all in sorted order.  Raises
     :class:`GeometryError` when the intersection is unbounded, empty or has
     no interior."""
     words = _scan_words(machine, planes, core, tick=tick)
@@ -228,14 +222,6 @@ def _dual_pick(i: int, s: int):
         return u if (d if (u[2] > 0) == (v[2] > 0) else -d) * s >= 0 else v
 
     return pick
-
-
-def _poll_intervals(machine, polled: KeySeq, chain: HullChain, core) -> list:
-    """Sector interval span of each polled plane against the sample chain."""
-    words = _scan_words(machine, polled, core,
-                        tick=max(1, len(chain.int_vertices)))
-    return [_sector_interval(plane_word(w), chain.int_vertices)
-            for w in words]
 
 
 def _sector_interval(word, verts) -> tuple | None:
@@ -271,54 +257,27 @@ def _interval_sectors(interval, t: int) -> list:
     return [(lo + i) % t for i in range(min(span, t))]
 
 
-def polling_sample(machine, planes: KeySeq, cores,
-                   stats: HullStats | None = None, stream: int = 0):
-    """Pick a bounded sample polygon whose sector load looks balanced.
-
-    Draws ``_candidate_count(m)`` random plane samples (each augmented with
-    the four dual-extreme planes so the sample has a chance of being
-    bounded), clips each with :func:`_hull_base` at the ``m**2`` cost of a
-    brute-force clip, and polls random planes to estimate both the total
-    number of sector copies and the largest sector group.  A candidate is
-    accepted when it is bounded, its estimated largest group respects
-    ``_group_bound(m)``, and its estimated copies stay within
-    ``_EXPANSION * m``; the best accepted candidate (fewest estimated
-    copies) wins.  One re-poll with fresh planes follows if nothing is
-    accepted.  Returns
-    ``(chain, sample_words)`` or ``None`` when every attempt fails.
-
-    Raises :class:`GeometryError` unless every plane has ``int`` or
-    ``Fraction`` coefficients (the dual extremes are compared
-    cross-multiplied, which is exact only for those) and ``c > 0`` (the
-    origin strictly interior).  The check reads the words on the host and
-    charges nothing.
-    """
-    for w in machine.snapshot_memory(planes):
-        if not all(isinstance(x, (int, Fraction)) for x in w[:3]):
-            raise GeometryError("plane coefficients must be int or Fraction")
-        if plane_word(w)[2] <= 0:
-            raise GeometryError("polling needs the origin strictly interior "
-                                "(c > 0)")
-    ctx = _make_ctx(machine, planes.n, cores, stats, stream)
-    return _polling_sample(ctx, planes, cores)
-
-
 def _polling_sample(ctx: _Ctx, planes: KeySeq, cores):
+    """Clip ``_candidate_count(m)`` random samples, each with the four
+    dual-extreme planes, and poll random planes to estimate each bounded
+    candidate's sector copies and largest group; the candidate with the
+    fewest estimated copies within ``_EXPANSION * m`` and
+    ``_group_bound(m)`` wins, after one re-poll if none qualifies.  Returns
+    ``(chain, sample_words)``, or ``None``."""
     machine = ctx.machine
     m = planes.n
     s = _sample_size(m)
     k = _candidate_count(m)
     q = _poll_count(m)
-    extremes = [plane_word(w) for w in _dual_extremes(machine, planes, cores)]
+    extremes = _dual_extremes(machine, planes, cores)
 
     candidates = []
     for i in range(k):
         core = cores[i % len(cores)]
         drawn = sample_k_of_n_seq(machine, planes, s, core,
                                   stream=ctx.next_stream())
-        drawn_words = _scan_words(machine, drawn, core)
         sample_words = []
-        for w in [plane_word(v) for v in drawn_words] + extremes:
+        for w in _scan_words(machine, drawn, core) + extremes:
             if w not in sample_words:
                 sample_words.append(w)
         sample_seq = _write_words(machine, sample_words, core)
@@ -338,12 +297,12 @@ def _polling_sample(ctx: _Ctx, planes: KeySeq, cores):
             core = cores[ci % len(cores)]
             polled = sample_k_of_n_seq(machine, planes, q, core,
                                        stream=ctx.next_stream())
-            intervals = _poll_intervals(machine, polled, chain, core)
             ctx.stats.polls += 1
             t = len(chain.int_vertices)
             per_sector = [0] * t
             copies = 0
-            for iv in intervals:
+            for w in _scan_words(machine, polled, core, tick=max(1, t)):
+                iv = _sector_interval(w, chain.int_vertices)
                 if iv is None:
                     continue
                 hit = _interval_sectors(iv, t)
@@ -375,16 +334,14 @@ def _filtered(q: Fraction) -> tuple:
 
 
 def dualize(machine, planes: KeySeq, cores) -> KeySeq:
-    """Map each plane word to ``(x, y, a, b, c)``: its dual point ``(a/c,
-    b/c)`` plus the original coefficients, so later passes never chase
-    references.  Each coordinate is the filtered pair ``(float(q), q)``
-    of its exact ``Fraction`` ``q``."""
+    """Map each of :func:`hull_main`'s normalized plane words (``c > 0``)
+    to ``(x, y, a, b, c)``: its dual point ``(a/c, b/c)`` plus the
+    coefficients, so later passes never chase references.  Each coordinate
+    is the filtered pair ``(float(q), q)`` of its exact ``Fraction``
+    ``q``."""
 
     def to_dual(w):
-        a, b, c = plane_word(w)
-        if c <= 0:
-            raise GeometryError("dualization needs the origin strictly "
-                                "interior (c > 0)")
+        a, b, c = w
         return (_filtered(Fraction(a, c)), _filtered(Fraction(b, c)), a, b, c)
 
     return _map_pass(machine, planes, cores, to_dual, tick=2)
@@ -469,20 +426,21 @@ def preprocess_arrangement(machine, chain: HullChain, core) -> Arrangement:
     return Arrangement(xs=xs, lines=tuple(lines), regions=regions, chain=chain)
 
 
-def _partition_by(machine, seq: KeySeq, splitters, cores, ctx_n, ctx_p):
+def _partition_by(ctx: _Ctx, seq: KeySeq, splitters, cores):
     """Partition ``seq`` around splitters, falling back to the sequential
-    routine when the square-splitter precondition fails."""
+    routine when the square-splitter precondition fails.  The root
+    problem's ``ctx.N`` and ``ctx.P`` fix every partition's sequential
+    threshold (see :class:`~pemlab.partition.PartitionTask`)."""
     z = len(splitters)
     if z == 0:
         return BucketedRun(seq, (seq.n,))
     if len(cores) == 1 or z * z > seq.n:
-        return partition_seq(machine, seq, tuple(splitters), cores[0])
-    task = PartitionTask(seq, tuple(splitters), N=ctx_n, P=ctx_p)
-    return partition_main(machine, task, cores)
+        return partition_seq(ctx.machine, seq, tuple(splitters), cores[0])
+    task = PartitionTask(seq, tuple(splitters), N=ctx.N, P=ctx.P)
+    return partition_main(ctx.machine, task, cores)
 
 
-def locate_points(machine, duals: KeySeq, arr: Arrangement, cores,
-                  root_n: int, root_p: int) -> list:
+def locate_points(ctx: _Ctx, duals: KeySeq, arr: Arrangement, cores) -> list:
     """Group dual points by arrangement region; returns ``(slice, interval)``
     pairs covering all of ``duals``.
 
@@ -498,19 +456,16 @@ def locate_points(machine, duals: KeySeq, arr: Arrangement, cores,
     plane ``(a, b, c)`` that the dual point carries, not the point itself:
     with ``c > 0`` and ``D > 0`` the line ``(X, Y, D)`` lies at or below
     ``u = (a/c, b/c)`` iff ``a*X + b*Y >= c*D`` when ``Y > 0``, and iff
-    ``a*X + b*Y <= c*D`` when ``Y < 0``.  ``root_n`` and ``root_p`` are the
-    root problem's size and core count, which fix every partition's
-    sequential threshold (see :class:`~pemlab.partition.PartitionTask`).
+    ``a*X + b*Y <= c*D`` when ``Y < 0``.
     """
-    n = duals.n
+    machine = ctx.machine
     groups: list = []
-    if n == 0:
+    if duals.n == 0:
         return groups
     xs = arr.xs
-    t = len(arr.chain.int_vertices)
 
     if xs:
-        xrun = _partition_by(machine, duals, _slab_splitters(xs), cores, root_n, root_p)
+        xrun = _partition_by(ctx, duals, _slab_splitters(xs), cores)
         starts = xrun.bucket_starts()
         buckets = [
             _subseq(xrun.seq, st, st + sz) if sz else None
@@ -537,9 +492,8 @@ def locate_points(machine, duals: KeySeq, arr: Arrangement, cores,
 
         tagged = _map_pass(machine, bucket, cores, tag,
                            tick=1 + max(1, z.bit_length()))
-        brun = _partition_by(machine, tagged,
-                             tuple((k,) for k in range(1, z + 1)),
-                             cores, root_n, root_p)
+        brun = _partition_by(ctx, tagged,
+                             tuple((k,) for k in range(1, z + 1)), cores)
         bstarts = brun.bucket_starts()
         for band, (st, sz) in enumerate(zip(bstarts, brun.sizes)):
             if sz:
@@ -594,16 +548,16 @@ def _classify_direct(machine, bucket: KeySeq, arr: Arrangement, core) -> list:
     return out
 
 
-def find_sectors(machine, planes: KeySeq, chain: HullChain, cores,
-                 root_n: int, root_p: int) -> list:
-    """Route every plane to its sector interval against ``chain``.
+def find_sectors(ctx: _Ctx, planes: KeySeq, chain: HullChain, cores) -> list:
+    """Route each of :func:`hull_main`'s normalized plane words to its
+    sector interval against ``chain``.
 
     Composition of :func:`dualize`, :func:`preprocess_arrangement`, and
     :func:`locate_points`; returns ``(dual slice, interval)`` groups.
     """
-    duals = dualize(machine, planes, cores)
-    arr = preprocess_arrangement(machine, chain, cores[0])
-    return locate_points(machine, duals, arr, cores, root_n, root_p)
+    duals = dualize(ctx.machine, planes, cores)
+    arr = preprocess_arrangement(ctx.machine, chain, cores[0])
+    return locate_points(ctx, duals, arr, cores)
 
 
 # --------------------------------------------------------------------------
@@ -774,10 +728,11 @@ def _staircase(vals, tail, rule) -> list:
 
 
 def _score(v1, v2, w) -> tuple:
-    """The plane word ``w`` as ``(u . P1, u . P2, a, b, c)`` for the sector
-    vertices ``P1``, ``P2`` given in vertex form; each product is the
-    filtered pair ``(float(q), q)`` of its exact ``Fraction`` ``q``."""
-    a, b, c = plane_word(w)
+    """The normalized plane word ``w`` (``c > 0``) as ``(u . P1, u . P2,
+    a, b, c)`` for the sector vertices ``P1``, ``P2`` given in vertex form;
+    each product is the filtered pair ``(float(q), q)`` of its exact
+    ``Fraction`` ``q``."""
+    a, b, c = w
     (X1, Y1, D1), (X2, Y2, D2) = v1, v2
     return (_filtered(Fraction(a * X1 + b * Y1, c * D1)),
             _filtered(Fraction(a * X2 + b * Y2, c * D2)), a, b, c)
@@ -792,7 +747,8 @@ def filter_sector(machine, sector_planes: KeySeq, j: int, chain: HullChain,
     is componentwise at least another's (strictly in one slot) can never cut
     deeper, so only the staircase of undominated pairs survives.  Ties keep
     every copy.  The pairs are sorted with the regular sorter and pruned by
-    the chunked dominance sweep.  Returns ``(survivors, host_words)``.
+    the chunked dominance sweep.  ``sector_planes`` are :func:`hull_main`'s
+    normalized words.  Returns ``(survivors, host_words)``.
     """
     verts = chain.int_vertices
     score = partial(_score, verts[j], verts[(j + 1) % len(verts)])
@@ -858,7 +814,7 @@ def _hull_rec(ctx: _Ctx, planes: KeySeq, cores, depth: int) -> HullChain:
     chain, sample_words = picked
     t = len(chain.int_vertices)
 
-    groups = find_sectors(machine, planes, chain, cores, ctx.N, ctx.P)
+    groups = find_sectors(ctx, planes, chain, cores)
     copies = expand_by_sector(machine, groups, t, cores)
     realized = max(copies.sizes) if copies.sizes else 0
     ctx.stats.record_round(m, t, realized, _group_bound(m), copies.seq.n)
@@ -923,17 +879,18 @@ def hull_main(machine, planes: KeySeq, cores, stats: HullStats | None = None,
     """Intersect half-planes into their exact convex chain.
 
     The origin must lie strictly inside every half-plane (``c > 0``).  One
-    normalization pass writes the planes as exact coefficients; an uncharged
-    host snapshot of them checks ``c > 0`` and boundedness
+    charged pass normalizes the planes (:func:`~pemlab.geometry.plane_word`);
+    an uncharged host snapshot of them checks ``c > 0`` and boundedness
     (:func:`~pemlab.geometry.unbounded_directions`); the recursive sampling
-    driver produces the chain, and the vertices are written back to machine
-    memory.  Returns ``(HullChain, KeySeq)``.
+    driver runs on the normalized words, and the vertices are written back
+    to machine memory.  Returns ``(HullChain, KeySeq)``.
     """
     _check_cores(cores)
     m = planes.n
     if m < 3:
         raise GeometryError("at least three half-planes are required")
-    ctx = _make_ctx(machine, m, cores, stats, stream)
+    ctx = _Ctx(machine, stats if stats is not None else HullStats(), N=m,
+               P=len(cores), next_stream=_streams(stream))
     normalized = _map_pass(machine, planes, cores, plane_word, tick=3)
     host = machine.snapshot_memory(normalized)
     if any(w[2] <= 0 for w in host):
@@ -970,6 +927,7 @@ def convex_hull_2d(machine, points: KeySeq, cores, stream: int = 0):
     if n == 0:
         raise MachineFault("cannot hull an empty point set")
     _check_cores(cores)
+    _check_stream(stream)
     norm = _map_pass(machine, points, cores,
                      lambda w: (coeff(w[0]), coeff(w[1])), tick=1)
     pmin = _reduce_words(machine, norm, cores,
@@ -1027,6 +985,7 @@ def _decode_polar(verts, s) -> list:
 
 def maxima_par(machine, points: KeySeq, cores, stream: int = 0) -> KeySeq:
     """Parallel dominance maxima: regular sort, then the chunked sweep."""
+    _check_stream(stream)
     if points.n == 0:
         return KeySeq(machine.alloc(0), 0)
     norm = _map_pass(machine, points, cores,

@@ -99,9 +99,17 @@ def parallel_for(machine, n: int, cores, body) -> None:
     })
 
 
+def _check_stream(stream) -> None:
+    """Fault unless ``stream`` is a non-negative ``int`` and not a ``bool``,
+    the rule :meth:`~pemlab.machine.Machine.rng` holds every key part to."""
+    if not isinstance(stream, int) or isinstance(stream, bool) or stream < 0:
+        raise MachineFault(f"stream must be a non-negative int; got {stream!r}")
+
+
 def _streams(base: int):
     """A recursion's stream counter: its ``k``-th call returns stream
-    ``(base << 20) | k``."""
+    ``(base << 20) | k``.  ``base`` is checked now, not at the first draw."""
+    _check_stream(base)
     return ((base << 20) | k for k in count()).__next__
 
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from pemlab.machine import MachineFault
-from pemlab.primitives import KeySeq, _check_cores, chunk_bounds, prefix_sum, spaced_slots
+from pemlab.primitives import (KeySeq, _check_cores, _check_stream, chunk_bounds, prefix_sum,
+                               spaced_slots)
 
 __all__ = [
     "IdAssignment",
@@ -243,6 +244,7 @@ def oblivious_prefix(machine, a: KeySeq, cores,
     """
     cores = tuple(cores)
     _check_cores(cores)
+    _check_stream(stream)
     n = a.n
     if n == 0:
         return KeySeq(machine.alloc(0), 0)

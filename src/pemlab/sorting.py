@@ -130,6 +130,7 @@ def sample_sort(machine, a: KeySeq, cores, plan: SortPlan | None = None,
     plan = plan if plan is not None else SortPlan()
     stats = stats if stats is not None else SortStats()
     _check_cores(cores)
+    next_stream = _streams(stream)
     n = a.n
     out = machine.alloc(n)
     cfg = machine.config
@@ -141,7 +142,7 @@ def sample_sort(machine, a: KeySeq, cores, plan: SortPlan | None = None,
         return KeySeq(out, 0)
     cap = max(_SEQ_FLOOR, cfg.M * cfg.M)
     ctx = _Ctx(machine=machine, plan=plan, N=n, P=len(cores), cap=cap,
-               stats=stats, next_stream=_streams(stream))
+               stats=stats, next_stream=next_stream)
     if len(cores) == 1 and n <= cap:
         _leaf(machine, a, cores[0], out, 0, tagged=False)
         return KeySeq(out, n)

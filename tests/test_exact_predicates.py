@@ -50,7 +50,6 @@ from pemlab.hull import (
     _slab_splitters,
     dualize,
     hull_main,
-    polling_sample,
     preprocess_arrangement,
 )
 from pemlab.machine import Machine, MachineConfig, MachineFault
@@ -186,7 +185,7 @@ def chains(draw):
                            min_size=0, max_size=6))
     box = [(1, 0, draw(positive)), (-1, 0, draw(positive)),
            (0, 1, draw(positive)), (0, -1, draw(positive))]
-    return HullChain(_intersect_forms(planes + box))
+    return HullChain(_intersect_forms([plane_word(h) for h in planes + box]))
 
 
 @st.composite
@@ -330,7 +329,8 @@ def test_intersector_matches_clipping_oracle(planes, size):
                        (0, 1, size[1]), (0, -1, size[0])]
     got = intersect_halfplanes_ordered(planes)
     assert set(got) == hull_vertices_by_clipping(planes)
-    assert _intersect_forms(planes) == tuple(_vertex_form(p) for p in got)
+    assert _intersect_forms([plane_word(h) for h in planes]) == \
+        tuple(_vertex_form(p) for p in got)
 
 
 @settings(max_examples=300, deadline=None)
@@ -463,6 +463,7 @@ def test_slab_band_matches_fraction_formula(data):
                 .filter(lambda w: w[0] != 0 or w[1] != 0),
                 min_size=1, max_size=12))
 def test_dualize_matches_fraction_formula(words):
+    words = [plane_word(w) for w in words]  # hull_main's normalized words
     m = machine()
     out = dualize(m, load_seq(m, words), m.cores)
     got = m.snapshot_memory(out)
@@ -470,13 +471,6 @@ def test_dualize_matches_fraction_formula(words):
     assert [(w[0][1], w[1][1], *w[2:]) for w in got] == want
     assert all(type(q) is F and f == ref_float(q)
                for w in got for f, q in w[:2])
-
-
-@pytest.mark.parametrize("c", [0, -7, F(-1, 2)])
-def test_dualize_rejects_nonpositive_c(c):
-    m = machine()
-    with pytest.raises(GeometryError):
-        dualize(m, load_seq(m, [(1, 1, 5), (3, 4, c)]), m.cores)
 
 
 # ------------------------------------------------- filtered sort keys
@@ -525,6 +519,16 @@ def test_filtered_keys_order_as_the_exact_keys(data):
             == [bisect_left(slabs, w) for w in words])
 
 
+def good_planes(count):
+    """``count`` planes around the origin (c > 0) with a bounded box."""
+    planes = [(1, 0, 50), (-1, 0, 50), (0, 1, 50), (0, -1, 50)]
+    k = 1
+    while len(planes) < count:
+        planes.append((k % 17 - 8 or 1, k % 13 - 6, 40 + k % 29))
+        k += 1
+    return planes
+
+
 def test_hull_main_saturates_quotients_past_the_float_range():
     """Dual points and scores of these planes overflow a float; their keys
     saturate and the chain stays exact."""
@@ -536,32 +540,3 @@ def test_hull_main_saturates_quotients_past_the_float_range():
     chain, _ = hull_main(m, load_seq(m, planes), m.cores, stream=1)
     assert chain.vertices == canonical_chain(
         intersect_halfplanes_ordered(planes))
-
-
-# ------------------------------------------------ polling_sample inputs
-
-
-def good_planes(count):
-    """``count`` planes around the origin (c > 0) with a bounded box."""
-    planes = [(1, 0, 50), (-1, 0, 50), (0, 1, 50), (0, -1, 50)]
-    k = 1
-    while len(planes) < count:
-        planes.append((k % 17 - 8 or 1, k % 13 - 6, 40 + k % 29))
-        k += 1
-    return planes
-
-
-@pytest.mark.parametrize("bad", [(3, 4, -7), (3, 4, 0)])
-def test_polling_sample_rejects_nonpositive_c_without_charge(bad):
-    m = Machine(MachineConfig(p=4, M=1024, B=8, seed=0))
-    seq = load_seq(m, good_planes(204) + [bad])
-    with pytest.raises(GeometryError):
-        polling_sample(m, seq, m.cores, stream=1)
-    assert m.ledger().ops == 0 and m.ledger().rounds == 0
-
-
-def test_polling_sample_rejects_inexact_coefficients():
-    m = Machine(MachineConfig(p=4, M=1024, B=8, seed=0))
-    seq = load_seq(m, good_planes(40) + [(0.5, 1, 3)])
-    with pytest.raises(GeometryError):
-        polling_sample(m, seq, m.cores, stream=1)

@@ -128,6 +128,9 @@ def test_cross_and_dominates():
 def test_halfplane_rejects_zero_normal():
     with pytest.raises(GeometryError):
         plane_word((0, 0, 1))
+    box = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
+    with pytest.raises(GeometryError, match="nonzero"):
+        intersect_halfplanes_ordered(box + [(0, F(0), 1)])
 
 
 def test_meet_point():
@@ -281,7 +284,7 @@ def test_intersect_halfplanes_random_agreement():
         want = hull_vertices_by_clipping(planes)
         got = intersect_halfplanes_ordered(planes)
         assert set(got) == want
-        chain = HullChain(_intersect_forms(planes))
+        chain = HullChain(_intersect_forms([plane_word(h) for h in planes]))
         assert chain.vertices == got
         assert chain.is_convex_ccw() and got[0] == min(got)
 

@@ -26,9 +26,11 @@ from pemlab.geometry import (
 from pemlab.hull import (
     HullStats,
     _candidate_count,
+    _Ctx,
     _group_bound,
     _hull_base,
     _poll_count,
+    _polling_sample,
     _sample_size,
     _sweep_survivors,
     convex_hull_2d,
@@ -37,10 +39,10 @@ from pemlab.hull import (
     find_sectors,
     hull_main,
     maxima_par,
-    polling_sample,
 )
-from pemlab.machine import Machine, MachineConfig, MachineFault
-from pemlab.primitives import KeySeq, load_seq
+from pemlab.bench import instance
+from pemlab.machine import Machine, MachineConfig, MachineFault, MemRegion
+from pemlab.primitives import KeySeq, _streams, load_seq
 
 F = Fraction
 
@@ -64,6 +66,13 @@ def bounded_instance(rng, m, n=None):
         planes.append((a, b, rng.randrange(n, 2 * n)))
     rng.shuffle(planes)
     return planes
+
+
+def hull_ctx(m, planes, stream=0):
+    """The context ``hull_main`` builds for ``planes`` on all of ``m``'s
+    cores; the stages take these int planes as normalized words."""
+    return _Ctx(m, HullStats(), N=len(planes), P=len(m.cores),
+                next_stream=_streams(stream))
 
 
 def chain_vertex_set(chain: HullChain):
@@ -163,6 +172,26 @@ class TestHullMain:
                             led.block_misses, led.rounds))
         assert results[0] == results[1]
 
+    @pytest.mark.parametrize("form", [F, float], ids=["fraction", "float"])
+    def test_input_form_does_not_reach_the_stages(self, form):
+        # hull_main's one charged pass writes every plane as its exact
+        # plane_word and every later stage reads only those words, so the
+        # same planes given as int, integral Fraction or float triples run
+        # identically: costs, caches, every word written, chain and stats.
+        planes = instance("hull", 600, 3)
+
+        def run(words):
+            m = make(p=4, M=256, B=8, seed=0)
+            seq = load_seq(m, words)
+            stats = HullStats()
+            chain, written = hull_main(m, seq, m.cores, stats=stats)
+            image = m.snapshot_memory(MemRegion(seq.region.end, m._sh._limit - seq.region.end))
+            return (m.ledger(), m.cache_state(), [repr(w) for w in image],
+                    chain.int_vertices, m.snapshot_memory(written),
+                    m.diagnostics, stats)
+
+        assert run([tuple(map(form, w)) for w in planes]) == run(planes)
+
     def test_stats_rounds_respect_group_bound(self):
         rng = random.Random(55)
         planes = bounded_instance(rng, 1 << 10)
@@ -230,8 +259,8 @@ class TestSectorRouting:
         planes = [pl for pl in planes
                   if pl[2] > 0]  # dualization needs c > 0
         m = make(p=4, seed=8)
-        groups = find_sectors(m, load_seq(m, planes), chain, m.cores,
-                              len(planes), len(m.cores))
+        groups = find_sectors(hull_ctx(m, planes), load_seq(m, planes), chain,
+                              m.cores)
         got = {}
         covered = 0
         for sl, interval in groups:
@@ -255,8 +284,8 @@ class TestSectorRouting:
         rng = random.Random(29)
         planes = [pl for pl in bounded_instance(rng, 60, n=16)]
         m = make(p=4, seed=8)
-        groups = find_sectors(m, load_seq(m, planes), chain, m.cores,
-                              len(planes), len(m.cores))
+        groups = find_sectors(hull_ctx(m, planes), load_seq(m, planes), chain,
+                              m.cores)
         copies = expand_by_sector(m, groups, t, m.cores)
         exp = expected_sector_sets([(F(a), F(b), F(c)) for a, b, c in planes],
                                    chain.vertices)
@@ -275,15 +304,14 @@ class TestSectorRouting:
         rng = random.Random(3)
         planes = bounded_instance(rng, 300)
         m = make(p=4, seed=6)
-        stats = HullStats()
-        res = polling_sample(m, load_seq(m, planes), m.cores,
-                             stats=stats, stream=2)
+        ctx = hull_ctx(m, planes, stream=2)
+        res = _polling_sample(ctx, load_seq(m, planes), m.cores)
         assert res is not None
         chain, words = res
         assert len(chain.vertices) >= 3 and chain.is_convex_ccw()
         pool = {(F(a), F(b), F(c)) for a, b, c in planes}
         assert all((w[0], w[1], w[2]) in pool for w in words)
-        assert stats.polls >= 1
+        assert ctx.stats.polls >= 1
 
 
 # -------------------------------------------------------- dominance filter
@@ -296,8 +324,8 @@ class TestFilterSector:
         rng = random.Random(17)
         planes = bounded_instance(rng, 80, n=16)
         m = make(p=4, seed=4)
-        groups = find_sectors(m, load_seq(m, planes), chain, m.cores,
-                              len(planes), len(m.cores))
+        groups = find_sectors(hull_ctx(m, planes), load_seq(m, planes), chain,
+                              m.cores)
         copies = expand_by_sector(m, groups, t, m.cores)
         starts = copies.bucket_starts()
         words = m.snapshot_memory(copies.seq)

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pemlab import Machine, MachineConfig, MachineFault, MemRegion
-from pemlab.hull import convex_hull_2d, hull_main
+from pemlab.hull import convex_hull_2d, hull_main, maxima_par
 from pemlab.merge import BucketedRun, merge_bucketed
 from pemlab.primitives import (
     KeySeq,
@@ -124,6 +124,35 @@ class TestCoreLists:
         seq = load_seq(m, [v * 7 % 40 for v in range(40)])
         with pytest.raises(MachineFault, match=message):
             _CORE_LIST_ENTRIES[entry](m, seq, [m.cores[i] for i in picks])
+        assert m.ledger() == make_machine(p=4, M=64, B=8).ledger()
+        assert m.diagnostics == []
+
+
+# Every entry that checks its stream itself, called on ``seq`` (40 words)
+# with it.  The others reach ``Machine.rng`` before they charge anything.
+_STREAM_ENTRIES = {
+    "sample_sort": lambda m, seq, stream: sample_sort(m, seq, m.cores, stream=stream),
+    "hull_main": lambda m, seq, stream: hull_main(
+        m, load_seq(m, [(1, 0, 1), (0, 1, 1), (-1, -1, 1), (1, 1, 3)]), m.cores,
+        stream=stream),
+    "convex_hull_2d": lambda m, seq, stream: convex_hull_2d(
+        m, load_seq(m, [(0, 0), (4, 0), (0, 4), (1, 1)]), m.cores, stream=stream),
+    "maxima_par": lambda m, seq, stream: maxima_par(
+        m, load_seq(m, [(v, v * 7 % 40) for v in range(40)]), m.cores, stream=stream),
+    "oblivious_prefix_one_core": lambda m, seq, stream: oblivious_prefix(
+        m, seq, m.cores[:1], stream=stream),
+}
+
+
+class TestStreams:
+    @pytest.mark.parametrize("entry", sorted(_STREAM_ENTRIES))
+    @pytest.mark.parametrize("stream", [-1, 1.5, True], ids=["negative", "float", "bool"])
+    def test_a_bad_stream_faults_before_any_charge(self, make_machine, entry, stream):
+        # The rule of Machine.rng: a non-negative int, not a bool.
+        m = make_machine(p=4, M=64, B=8)
+        seq = load_seq(m, [v * 7 % 40 for v in range(40)])
+        with pytest.raises(MachineFault, match="non-negative int"):
+            _STREAM_ENTRIES[entry](m, seq, stream)
         assert m.ledger() == make_machine(p=4, M=64, B=8).ledger()
         assert m.diagnostics == []
 

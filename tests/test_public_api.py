@@ -1,13 +1,14 @@
 """Every public name has a production caller or a documented use.
 
 A name in the ``__all__`` of a ``pemlab`` submodule passes when code in
-``src/pemlab``, ``demos/`` or ``perfbench/`` uses it (as a name, an
-attribute or an import; its own ``def``/``class`` line, its ``__all__``
-entry and ``pemlab/__init__.py`` do not count), or when ``README.md``
-names it.  Tests do not count as callers.  The same holds for every public
-method and property that a public class defines, except that production
-code must use it as an attribute and ``README.md`` must name it in code:
-an inline code span or a fenced block.
+``src/pemlab``, ``demos/`` or ``perfbench/`` uses it, or when ``README.md``
+names it in code: an inline code span or a fenced block.  A use is an
+import, an attribute, or a load of the name where no enclosing function,
+lambda or comprehension binds it as a parameter or a local; its own
+``def``/``class`` line, its ``__all__`` entry and ``pemlab/__init__.py``
+do not count.  Tests do not count as callers.  The same holds for every
+public method and property that a public class defines, except that
+production code must use it as an attribute.
 
 In the library modules, the same holds for every parameter with a default
 of a public function and every field of a public ``*Plan`` or ``*Config``
@@ -38,41 +39,68 @@ PACKAGE = ROOT / "src" / "pemlab"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 
-def _production_nodes() -> list:
-    """Every AST node of the production code."""
+def _production_trees() -> list:
+    """The parsed modules of the production code."""
     files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     files += sorted((ROOT / "demos").glob("*.py"))
     files += sorted((ROOT / "perfbench").glob("*.py"))
-    return [node for path in files
-            for node in ast.walk(ast.parse(path.read_text(), str(path)))]
+    return [ast.parse(path.read_text(), str(path)) for path in files]
 
 
-NODES = _production_nodes()
+TREES = _production_trees()
+NODES = [node for tree in TREES for node in ast.walk(tree)]
+
+# Nodes that open a scope of their own.
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef,
+           ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
-def _used_names() -> set:
-    used = set()
-    for node in NODES:
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+def _bound_in(scope) -> set:
+    """The names that ``scope`` binds itself: its parameters, the names it
+    stores, defines or imports, and its ``except ... as`` names, less those
+    it declares ``global``.  Nested scopes keep their own names."""
+    bound, declared = set(), set()
+    args = getattr(scope, "args", None)
+    if isinstance(args, ast.arguments):
+        bound |= {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        bound |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
         elif isinstance(node, ast.alias):
-            used.add(node.name)
-    return used
+            bound.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, ast.Global):
+            declared |= set(node.names)
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    return bound - declared
 
 
-USED = _used_names()
+def _global_loads(node, scopes=()) -> set:
+    """The names loaded under ``node`` where no enclosing scope binds them.
+    ``scopes`` holds ``(is_class, bound)`` of the enclosing scopes; a class
+    body's names are not visible inside the scopes nested in it."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return set() if any(node.id in bound for _, bound in scopes) else {node.id}
+    if isinstance(node, _SCOPES):
+        scopes = tuple(s for s in scopes if not s[0]) + (
+            (isinstance(node, ast.ClassDef), _bound_in(node)),)
+    loads = set()
+    for child in ast.iter_child_nodes(node):
+        loads |= _global_loads(child, scopes)
+    return loads
+
+
 ATTRIBUTES = {node.attr for node in NODES if isinstance(node, ast.Attribute)}
+USED = (set().union(*map(_global_loads, TREES)) | ATTRIBUTES
+        | {node.name for node in NODES if isinstance(node, ast.alias)})
 README = (ROOT / "README.md").read_text()
-
-
-@pytest.mark.parametrize("module", MODULES)
-def test_public_names_have_a_caller_or_a_readme_entry(module):
-    names = importlib.import_module(f"pemlab.{module}").__all__
-    orphans = [name for name in names if name not in USED
-               and not re.search(rf"\b{re.escape(name)}\b", README)]
-    assert not orphans, f"pemlab.{module} exports {orphans} with no caller"
 
 
 def _readme_code() -> list:
@@ -81,6 +109,20 @@ def _readme_code() -> list:
     fenced = re.findall(r"^```[^\n]*\n(.*?)^```", README, re.S | re.M)
     prose = re.sub(r"^```[^\n]*\n.*?^```", "", README, flags=re.S | re.M)
     return fenced + re.findall(r"`([^`\n]+)`", prose)
+
+
+README_CODE = _readme_code()
+
+
+def _in_readme_code(name: str) -> bool:
+    return any(re.search(rf"\b{re.escape(name)}\b", chunk) for chunk in README_CODE)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_public_names_have_a_caller_or_a_readme_entry(module):
+    names = importlib.import_module(f"pemlab.{module}").__all__
+    orphans = [name for name in names if name not in USED and not _in_readme_code(name)]
+    assert not orphans, f"pemlab.{module} exports {orphans} with no caller"
 
 
 def _public_members(module) -> list:
@@ -101,10 +143,8 @@ def _public_members(module) -> list:
 
 @pytest.mark.parametrize("module", MODULES)
 def test_public_methods_have_a_caller_or_a_readme_entry(module):
-    code = _readme_code()
     orphans = [f"{cls}.{member}" for cls, member in _public_members(module)
-               if member not in ATTRIBUTES
-               and not any(re.search(rf"\b{member}\b", chunk) for chunk in code)]
+               if member not in ATTRIBUTES and not _in_readme_code(member)]
     assert not orphans, f"pemlab.{module} has public methods {orphans} with no caller"
 
 
