@@ -311,7 +311,7 @@ def _polling_sample(ctx: _Ctx, planes: KeySeq, cores):
                     per_sector[sec] += 1
             scale = m / q
             est_total = copies * scale
-            est_group = max(per_sector) * scale if per_sector else 0.0
+            est_group = max(per_sector) * scale
             if est_group <= bound and est_total <= _EXPANSION * m:
                 if best is None or est_total < best[0]:
                     best = (est_total, chain, sample_words)
@@ -394,9 +394,7 @@ def preprocess_arrangement(machine, chain: HullChain, core) -> Arrangement:
     lines: list = []
     regions: dict = {}
     for s in range(len(xs) + 1):
-        if not xs:
-            sx = Fraction(0)
-        elif s == 0:
+        if s == 0:
             sx = xs[0] - 1
         elif s == len(xs):
             sx = xs[-1] + 1
@@ -409,9 +407,7 @@ def preprocess_arrangement(machine, chain: HullChain, core) -> Arrangement:
         if any(ys[i] >= ys[i + 1] for i in range(len(ys) - 1)):
             raise MachineFault("slab lines must be strictly ordered")
         for band in range(len(slab) + 1):
-            if not ys:
-                sy = Fraction(0)
-            elif band == 0:
+            if band == 0:
                 sy = ys[0] - 1
             elif band == len(slab):
                 sy = ys[-1] + 1
@@ -432,8 +428,6 @@ def _partition_by(ctx: _Ctx, seq: KeySeq, splitters, cores):
     problem's ``ctx.N`` and ``ctx.P`` fix every partition's sequential
     threshold (see :class:`~pemlab.partition.PartitionTask`)."""
     z = len(splitters)
-    if z == 0:
-        return BucketedRun(seq, (seq.n,))
     if len(cores) == 1 or z * z > seq.n:
         return partition_seq(ctx.machine, seq, tuple(splitters), cores[0])
     task = PartitionTask(seq, tuple(splitters), N=ctx.N, P=ctx.P)
@@ -460,31 +454,16 @@ def locate_points(ctx: _Ctx, duals: KeySeq, arr: Arrangement, cores) -> list:
     """
     machine = ctx.machine
     groups: list = []
-    if duals.n == 0:
-        return groups
-    xs = arr.xs
-
-    if xs:
-        xrun = _partition_by(ctx, duals, _slab_splitters(xs), cores)
-        starts = xrun.bucket_starts()
-        buckets = [
-            _subseq(xrun.seq, st, st + sz) if sz else None
-            for st, sz in zip(starts, xrun.sizes)
-        ]
-    else:
-        buckets = [duals]
-
-    for b, bucket in enumerate(buckets):
-        if bucket is None or bucket.n == 0:
+    xrun = _partition_by(ctx, duals, _slab_splitters(arr.xs), cores)
+    for b, (lo, size) in enumerate(zip(xrun.bucket_starts(), xrun.sizes)):
+        if size == 0:
             continue
+        bucket = _subseq(xrun.seq, lo, lo + size)
         if b % 2 == 1:
             groups.extend(_classify_direct(machine, bucket, arr, cores[0]))
             continue
         s = b // 2
         lines = arr.lines[s]
-        if not lines:
-            groups.append((bucket, arr.regions[(s, 0)]))
-            continue
         z = len(lines)
 
         def tag(w, lines=lines):
@@ -606,7 +585,8 @@ def expand_by_sector(machine, groups, sector_count: int, cores) -> BucketedRun:
 
 
 def _sweep_survivors(machine, seq: KeySeq, cores, rule: str, emit) -> tuple:
-    """Right-to-left dominance sweep over a ``(x, y, ...)``-sorted sequence.
+    """Right-to-left dominance sweep over a non-empty ``(x, y, ...)``-sorted
+    sequence.
 
     ``rule`` selects the dominance convention: ``"one_strict"`` drops a word
     when another has both components at least as large and one strictly
@@ -617,8 +597,6 @@ def _sweep_survivors(machine, seq: KeySeq, cores, rule: str, emit) -> tuple:
     Returns ``(KeySeq, host_words)`` of ``emit(word)`` survivors.
     """
     n = seq.n
-    if n == 0:
-        return KeySeq(machine.alloc(0), 0), []
     g = min(len(cores), n)
     slots = spaced_slots(machine, 2 * g)
     chunks: list = [None] * g
@@ -816,7 +794,7 @@ def _hull_rec(ctx: _Ctx, planes: KeySeq, cores, depth: int) -> HullChain:
 
     groups = find_sectors(ctx, planes, chain, cores)
     copies = expand_by_sector(machine, groups, t, cores)
-    realized = max(copies.sizes) if copies.sizes else 0
+    realized = max(copies.sizes)
     ctx.stats.record_round(m, t, realized, _group_bound(m), copies.seq.n)
     if copies.seq.n > _EXPANSION * m:
         machine.diagnostics.append(

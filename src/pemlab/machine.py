@@ -222,7 +222,8 @@ _END = object()  # what ``next`` returns for an ended program
 
 
 class _Shared:
-    """What a machine's cores share: shape, memory, the round's sums and the
+    """What a machine's cores share: shape, memory, the count of settled
+    rounds (so the index of the round that runs), the round's sums and the
     trace; never the machine itself, so no cycle holds it."""
 
     __slots__ = ("_B", "_cache_blocks", "_mem", "_limit", "_round", "_round_atomics", "_trace")
@@ -540,7 +541,6 @@ class Machine:
         self._sh = _Shared(config, trace)
         self.cores = tuple(Core(i, self._sh) for i in range(config.p))
         self.diagnostics: list = []
-        self._rounds = 0
 
     # -- memory management -------------------------------------------------
 
@@ -603,7 +603,6 @@ class Machine:
         if not order:
             return
         sh = self._sh
-        sh._round = self._rounds
         try:
             ran = [self.cores[idx] for idx in order]
             alive = []
@@ -615,7 +614,7 @@ class Machine:
             finished = True  # round 0 may have ended some or all of them
             while True:
                 self._settle_round(ran)
-                self._rounds += 1
+                sh._round += 1
                 if finished:
                     # Only a round in which a generator ended rebuilds the
                     # lists; an ended generator has no frame.  Order is kept.
@@ -623,7 +622,6 @@ class Machine:
                     if not alive:
                         return
                     ran = [core for core, _ in alive]
-                sh._round = self._rounds
                 finished = False
                 for _, gen in alive:
                     if next(gen, _END) is _END:
@@ -743,7 +741,7 @@ class Machine:
             per_core_ops=tuple(c.ops for c in self.cores),
             per_core_cache_misses=tuple(c.cache_misses for c in self.cores),
             per_core_block_misses=tuple(c.block_misses for c in self.cores),
-            rounds=self._rounds,
+            rounds=self._sh._round,
         )
 
     def cache_state(self) -> CacheState:

@@ -35,7 +35,7 @@ from math import isqrt
 
 from pemlab.machine import MachineFault, MemRegion
 from pemlab.merge import BucketedRun, merge_bucketed
-from pemlab.primitives import KeySeq, _subseq, brute_sort, compact, parallel_for
+from pemlab.primitives import KeySeq, _subseq, brute_sort, chunk_bounds, compact, parallel_for
 
 __all__ = [
     "PartitionTask",
@@ -128,8 +128,6 @@ def _distribute_seq(machine, a: KeySeq, keys: tuple, core, dest: MemRegion | Non
     z = len(keys)
     n = a.n
     dst = dest if dest is not None else machine.alloc(n)
-    if n == 0:
-        return BucketedRun(KeySeq(dst, 0), (0,) * (z + 1))
     counts = [0] * (z + 1)
     probe = max(1, (z + 1).bit_length())
 
@@ -161,8 +159,6 @@ def _distribute_columns(machine, a: KeySeq, keys: tuple, core) -> BucketedRun:
     """
     z = len(keys)
     n = a.n
-    if n == 0:
-        return BucketedRun(KeySeq(machine.alloc(0), 0), (0,) * (z + 1))
     region = machine.alloc((z + 1) * n)
     counts = [0] * (z + 1)
     probe = max(1, (z + 1).bit_length())
@@ -213,9 +209,8 @@ def partition_sqrt(machine, a: KeySeq, splitters, cores) -> BucketedRun:
     n = a.n
     if n == 0:
         return BucketedRun(KeySeq(machine.alloc(0), 0), (0,) * (len(keys) + 1))
-    c_len = max(1, isqrt(n))
-    full = max(1, n // c_len)
-    ranges = [(i * c_len, (i + 1) * c_len) for i in range(full - 1)] + [((full - 1) * c_len, n)]
+    # ``n // isqrt(n)`` chunks of ``isqrt(n)`` keys, the remainder on the last.
+    ranges = chunk_bounds(n, n // isqrt(n))
     runs = [partition_quadratic(machine, _subseq(a, lo, hi), keys,
                                 _core_band(cores, i, i + 1, len(ranges)))
             for i, (lo, hi) in enumerate(ranges)]

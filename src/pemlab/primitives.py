@@ -478,6 +478,7 @@ def sample_k_of_n_seq(machine, a: KeySeq, k: int, core, stream: int = 0) -> KeyS
     to a new rank, and writes the last word read as a word, so the pass
     costs ``O(n + k log k)`` ops.
     """
+    _check_stream(stream)
     n = a.n
     if n == 0 or k == 0:
         return KeySeq(machine.alloc(0), 0)

@@ -1,14 +1,16 @@
 """Randomized parallel sample sort on the simulated machine.
 
-The recursion has three regimes.  A subproblem of at most ``M**2`` keys,
-which may be up to ``M`` caches' worth, is a modelled leaf: a single core
-reads it, host-sorts it and writes it back, charged one read sweep, one
-write sweep and ``n log n`` ticks however many caches it spans.  A
-subproblem at or below the per-core grain ``N/P`` — or holding only one
-core — samples splitters and distributes its keys in one pass into bucket
-columns, then recurses bucket by bucket.  Anything larger samples splitters
-with all of its cores, partitions through the chunked parallel partitioner,
-and recurses with cores reassigned to buckets in proportion to bucket size.
+The recursion has two arms.  A subproblem of at most ``M**2`` keys at the
+per-core grain ``N/P`` — or holding only one core — is a modelled leaf,
+which may be up to ``M`` caches' worth: a single core reads it,
+host-sorts it and writes it back, charged one read sweep, one write sweep
+and ``n log n`` ticks however many caches it spans.  Any other subproblem
+is one distribute-and-recurse branch: it samples splitters, distributes
+its keys into buckets, and recurses on each bucket with its cores handed
+out in proportion to bucket size.  On one core — the grain's single core,
+or a bucket's — the keys go in one counting pass into bucket columns, and
+every bucket recurses on that core; on many, through the chunked parallel
+partitioner.
 
 Two details keep the measured costs aligned with the intended shape:
 
@@ -27,7 +29,6 @@ cap records a diagnostic and keeps the final round rather than failing.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import count
 from math import isqrt
@@ -90,21 +91,12 @@ class SortPlan:
 class SortStats:
     """Counters accumulated across one sort call tree.
 
-    ``rounds`` counts sample-and-distribute rounds, ``resamples`` the
-    rounds discarded for a bucket above threshold, and
-    ``achieved_exponent`` the largest observed ``log_n`` of a kept round's
-    biggest bucket.
+    ``rounds`` counts sample-and-distribute rounds and ``resamples`` the
+    rounds discarded for a bucket above threshold.
     """
 
     rounds: int = 0
     resamples: int = 0
-    achieved_exponent: float = 0.0
-
-    def record_kept(self, n: int, largest: int) -> None:
-        if n > 1 and largest > 1:
-            self.achieved_exponent = max(
-                self.achieved_exponent, math.log(largest) / math.log(n)
-            )
 
 
 @dataclass
@@ -183,10 +175,8 @@ def _sort_rec(machine, seq: KeySeq, cores, out: MemRegion, off: int, ctx: _Ctx) 
     at_grain = len(cores) == 1 or n <= max(ctx.N // ctx.P, _SEQ_FLOOR)
     if at_grain and n <= ctx.cap:
         _leaf(machine, seq, cores[0], out, off, tagged=True)
-    elif at_grain:
-        _seq_branch(machine, seq, cores[0], out, off, ctx)
     else:
-        _par_branch(machine, seq, cores, out, off, ctx)
+        _branch(machine, seq, cores[:1] if at_grain else cores, out, off, ctx)
 
 
 def _partition_round(machine, seq: KeySeq, cores, ctx: _Ctx, distribute):
@@ -201,39 +191,24 @@ def _partition_round(machine, seq: KeySeq, cores, ctx: _Ctx, distribute):
                                 stream=ctx.next_stream())
         run = distribute(keys)
         stats.rounds += 1
-        largest = max(run.sizes)
-        if largest <= tau:
-            stats.record_kept(n, largest)
+        if max(run.sizes) <= tau:
             return run
         stats.resamples += 1
     machine.diagnostics.append(
         f"sample_sort: retry cap {plan.retry_cap} exhausted at n={n}; keeping the last round"
     )
-    stats.record_kept(n, max(run.sizes))
     return run
 
 
-def _seq_branch(machine, seq: KeySeq, core, out: MemRegion, off: int, ctx: _Ctx) -> None:
-    run = _partition_round(
-        machine, seq, [core], ctx,
-        lambda keys: _distribute_columns(machine, seq, keys, core),
-    )
-    starts = run.bucket_starts()
-    sub_off = off
-    for b, size in enumerate(run.sizes):
-        view = _subseq(run.seq, starts[b], starts[b] + size)
-        _sort_rec(machine, view, [core], out, sub_off, ctx)
-        sub_off += size
-
-
-def _par_branch(machine, seq: KeySeq, cores, out: MemRegion, off: int, ctx: _Ctx) -> None:
+def _branch(machine, seq: KeySeq, cores, out: MemRegion, off: int, ctx: _Ctx) -> None:
+    """Sample, distribute and recurse on every bucket with a band of
+    ``cores``; one core distributes into bucket columns and keeps every
+    bucket, since its single share leaves the other buckets on it too."""
     p = len(cores)
-    if ctx.plan.splitter_count(seq.n) ** 2 > seq.n:
-        # Too small to cut around its splitters; finish on one core.
-        _seq_branch(machine, seq, cores[0], out, off, ctx)
-        return
 
     def distribute(keys):
+        if p == 1:
+            return _distribute_columns(machine, seq, keys, cores[0])
         task = PartitionTask(seq, keys, N=seq.n, P=p)
         return partition_main(machine, task, cores)
 
@@ -260,8 +235,6 @@ def _core_shares(sizes, p: int, grain: int) -> list:
     rounding would starve them, taking one from the widest allocation.
     """
     n = sum(sizes)
-    if n == 0:
-        return [0] * len(sizes)
     quotas = [p * s / n for s in sizes]
     shares = [int(q) for q in quotas]
     # ``left`` is the sum of the quotas' fractional parts, each below one

@@ -395,6 +395,16 @@ class TestSampleKOfN:
         res = sample_k_of_n_seq(m, load_seq(m, [1, 2]), 0, m.cores[0])
         assert res.n == 0
 
+    @pytest.mark.parametrize("vals, k", [([1, 2], 0), ([], 3)], ids=["k=0", "n=0"])
+    @pytest.mark.parametrize("stream", [-1, 1.5, True], ids=["negative", "float", "bool"])
+    def test_a_bad_stream_faults_without_a_draw(self, make_machine, vals, k, stream):
+        # Nothing is drawn here, so Machine.rng never sees the stream.
+        m = make_machine(p=1)
+        seq = load_seq(m, vals)
+        with pytest.raises(MachineFault, match="non-negative int"):
+            sample_k_of_n_seq(m, seq, k, m.cores[0], stream=stream)
+        assert m.ledger() == make_machine(p=1).ledger()
+
     @staticmethod
     def _word_loop_scan(machine, a, k, core):
         """``sample_k_of_n_seq`` with its scan written as the word loop it

@@ -233,7 +233,9 @@ def test_readme_keywords_are_parameters():
 
 def _unused_imports(path: Path) -> list:
     tree = ast.parse(path.read_text(), str(path))
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # A name is used where it is read; a store such as ``dumps = 1`` is not a use.
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(getattr(t, "id", None) == "__all__"
