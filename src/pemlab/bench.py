@@ -11,8 +11,8 @@ A sweep config is flat text: ``[algo]`` section headers followed by
 per combination.  Each row owns a private simulator, so rows are
 independent and the whole sweep is deterministic given its seeds; rows
 are sorted before CSV assembly, and identical configs produce
-byte-identical CSV files.  The ``PEMLAB_SEED`` environment variable
-overrides every configured seed list.
+byte-identical CSV files.  A sweep reads nothing but its config: seeds
+come only from its ``seed =`` lines.
 
 Each measured row records the ledger counters plus a closed-form bound
 and the measured/bound ratio; band checking groups rows into series and
@@ -24,7 +24,6 @@ M``), and parameter points where a bound degenerates are emitted with
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass, fields, replace
 
@@ -284,24 +283,15 @@ def parse_sweep_config(text: str) -> list:
     return sections
 
 
-def run_sweep(config_text: str, env=None) -> list:
+def run_sweep(config_text: str) -> list:
     """Run every scenario of a sweep config; returns sorted rows.
 
-    ``PEMLAB_SEED`` in the environment replaces every seed list.
+    The config is the sweep's only input: its ``seed =`` lines, or the
+    default seed 0, give every row's seed.
     """
-    env = os.environ if env is None else env
-    override = env.get("PEMLAB_SEED")
-    if override is not None:
-        try:
-            override = int(override)
-        except ValueError:
-            raise MachineFault(
-                f"PEMLAB_SEED must be an integer; got {override!r}") from None
     rows = []
     for algo, keys in parse_sweep_config(config_text):
         grids = {k: list(keys.get(k, _SWEEP_DEFAULTS.get(k, []))) for k in _SWEEP_KEYS}
-        if override is not None:
-            grids["seed"] = [override]
         for n in grids["n"]:
             for p in grids["p"]:
                 for M in grids["M"]:

@@ -95,7 +95,7 @@ def _print_row(row) -> None:
 
 
 def _cmd_sort(args) -> int:
-    plan = SortPlan(x=args.x, retry_cap=args.retry_cap)
+    plan = SortPlan(x=args.x)
     machine, row, out = _run("sort", args, _keys("sort", args), plan)
     keys = machine.snapshot_memory(out)
     print(f"sorted {len(keys)} keys, digest {_digest(keys)}")
@@ -153,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     sort = subs.add_parser("sort", help="sort one instance")
     _machine_args(sort)
     sort.add_argument("--x", type=int, default=32)
-    sort.add_argument("--retry-cap", type=int, default=20)
     sort.add_argument("--keys", help="key file instead of generated input")
     sort.add_argument("--binary", action="store_true",
                       help="key file is little-endian int64 words")

@@ -591,9 +591,12 @@ def _sweep_survivors(machine, seq: KeySeq, cores, rule: str, emit) -> tuple:
     ``rule`` selects the dominance convention: ``"one_strict"`` drops a word
     when another has both components at least as large and one strictly
     larger (so exact ties all survive); ``"strict_both"`` drops only on two
-    strict inequalities.  Chunks publish ``(first_x, eq_max, strict_max)``
-    summaries through block-spaced slots, one core folds the suffix carries,
-    and a second pass re-reads each chunk and writes its survivors packed.
+    strict inequalities.  Each chunk publishes the end state of
+    :func:`_staircase` run on it alone as its summary in a block-spaced
+    slot.  One core reads the summaries and writes each chunk's carry, the
+    state of the sweep over everything to its right; the host computes the
+    carries and each chunk's survivors in the same right-to-left pass.  A
+    second pass re-reads each chunk and writes its survivors packed.
     Returns ``(KeySeq, host_words)`` of ``emit(word)`` survivors.
     """
     n = seq.n
@@ -602,45 +605,24 @@ def _sweep_survivors(machine, seq: KeySeq, cores, rule: str, emit) -> tuple:
     chunks: list = [None] * g
 
     def read(core, ci, lo, hi):
-        vals = core.read_run(seq, lo, hi)
+        chunks[ci] = core.read_run(seq, lo, hi)
         core.tick(hi - lo)
-        chunks[ci] = vals
-        first = vals[0][0]
-        eqm = max(v[1] for v in vals if v[0] == first)
-        above = [v[1] for v in vals if v[0] > first]
-        sm = max(above) if above else None
-        core.write(slots, _slot(machine, ci), (first, eqm, sm))
+        core.write(slots, _slot(machine, ci), _staircase(chunks[ci], None, rule)[1])
 
     parallel_for(machine, n, cores, read)
 
-    carries: list = [None] * g
+    survivors_per_chunk: list = [None] * g
 
     def fold(core):
-        summaries = [core.read(slots, _slot(machine, ci)) for ci in range(g)]
+        for ci in range(g):
+            core.read(slots, _slot(machine, ci))
         core.tick(g)
         tail = None
         for ci in range(g - 1, -1, -1):
-            carries[ci] = tail
             core.write(slots, _slot(machine, g + ci), tail)
-            first, eqm, sm = summaries[ci]
-            if tail is None:
-                tail = (first, eqm, sm)
-            else:
-                tf, teq, tsm = tail
-                neq = eqm if tf != first else max(eqm, teq)
-                extra = tsm if tf == first else _max_none(teq, tsm)
-                nsm = extra if sm is None else (
-                    sm if extra is None else max(sm, extra))
-                tail = (first, neq, nsm)
+            survivors_per_chunk[ci], tail = _staircase(chunks[ci], tail, rule)
 
     machine.run_rounds({cores[0].idx: fold})
-
-    survivors_per_chunk: list = []
-    for ci in range(g):
-        vals = chunks[ci]
-        tail = carries[ci]
-        keep = _staircase(vals, tail, rule)
-        survivors_per_chunk.append(keep)
 
     sizes = [len(k) for k in survivors_per_chunk]
     total = sum(sizes)
@@ -676,15 +658,17 @@ def _max_none(*vals):
     return best
 
 
-def _staircase(vals, tail, rule) -> list:
-    """Local indices of sweep survivors within one sorted chunk.
+def _staircase(vals, tail, rule) -> tuple:
+    """Sweep one sorted chunk right to left: ``(keep, state)``.
 
-    ``tail`` summarizes everything to the right as ``(first_x, eq_max,
-    strict_max)`` or None.  One right-to-left pass keeps the largest ``y``
-    at the current ``x`` and the largest at greater ``x``, both seeded from
-    the tail.  Within equal ``x`` the chunk is sorted by ``y``, so under
-    ``one_strict`` a word matches its block's maximum exactly when it is at
-    least every ``y`` already seen at its ``x``.
+    ``keep`` lists the local indices of the survivors.  A state is
+    ``(x_now, at_x, above)``: the smallest ``x`` swept, the largest ``y``
+    at that ``x`` and the largest ``y`` at greater ``x`` (``None`` where
+    nothing was seen).  ``tail`` is the state of the sweep over everything
+    to the chunk's right, or None, and seeds the pass; the returned state
+    covers the chunk and its tail.  Within equal ``x`` the chunk is sorted
+    by ``y``, so under ``one_strict`` a word matches its block's maximum
+    exactly when it is at least every ``y`` already seen at its ``x``.
     """
     x_now, at_x, above = tail if tail is not None else (None, None, None)
     keep: list = []
@@ -702,7 +686,7 @@ def _staircase(vals, tail, rule) -> list:
         if at_x is None or y > at_x:
             at_x = y
     keep.reverse()
-    return keep
+    return keep, (x_now, at_x, above)
 
 
 def _score(v1, v2, w) -> tuple:

@@ -165,24 +165,29 @@ def _slot(machine, i: int) -> int:
     return i * machine.config.B
 
 
-def _combine_slots(machine, slots: MemRegion, count: int, cores, combine):
-    """Fold ``count`` block-spaced slot values with a binary reduction tree.
-
-    Leaves the result in slot 0 and returns it (read host-side afterwards).
-    """
-    g = min(len(cores), count)
+def _reduce(machine, a: KeySeq, cores, combine):
+    """Fold ``a`` with ``combine``: per-core chunk folds into block-spaced
+    slots, then a halving reduction tree over the slots that leaves the
+    result in slot 0.  The tree's first round has each core re-read and
+    rewrite its own slot, and is charged."""
+    if a.n == 0:
+        raise MachineFault("reduction over an empty sequence")
+    g = min(len(cores), a.n)
+    slots = spaced_slots(machine, g)
     levels = []
     step = 1
     while step < g:
         levels.append(step)
         step *= 2
 
-    def body(core, ci, lo, hi):
-        acc = _NONE
-        for k in range(lo, hi):
-            v = core.read(slots, _slot(machine, k))
-            acc = v if acc is _NONE else combine(acc, v)
-            core.tick(1)
+    def fold(core, ci, lo, hi):
+        acc = reduce(combine, core.read_run(a, lo, hi))
+        core.tick(hi - lo)
+        core.write(slots, _slot(machine, ci), acc)
+
+    def tree(core, ci, lo, hi):
+        acc = core.read(slots, _slot(machine, ci))
+        core.tick(1)
         core.write(slots, _slot(machine, ci), acc)
         yield
         for step in levels:
@@ -193,25 +198,9 @@ def _combine_slots(machine, slots: MemRegion, count: int, cores, combine):
                 core.write(slots, _slot(machine, ci), acc)
             yield
 
-    parallel_for(machine, count, cores, body)
+    parallel_for(machine, a.n, cores, fold)
+    parallel_for(machine, g, cores[:g], tree)
     return machine.snapshot_memory(slots)[0]
-
-
-def _reduce(machine, a: KeySeq, cores, combine):
-    """Fold ``a`` with ``combine``: per-core chunk folds, then a halving
-    reduction tree over block-spaced partials."""
-    if a.n == 0:
-        raise MachineFault("reduction over an empty sequence")
-    g = min(len(cores), a.n)
-    slots = spaced_slots(machine, g)
-
-    def body(core, ci, lo, hi):
-        acc = reduce(combine, core.read_run(a, lo, hi))
-        core.tick(hi - lo)
-        core.write(slots, _slot(machine, ci), acc)
-
-    parallel_for(machine, a.n, cores, body)
-    return _combine_slots(machine, slots, g, cores[:g], combine)
 
 
 def prefix_sum(machine, a: KeySeq, cores) -> KeySeq:

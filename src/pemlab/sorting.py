@@ -24,8 +24,9 @@ Two details keep the measured costs aligned with the intended shape:
 
 Every distribution round is judged against the quality threshold
 ``tau(n)``: a round whose largest bucket exceeds it is discarded and
-redrawn with fresh splitters, up to ``retry_cap`` times.  Exhausting the
-cap records a diagnostic and keeps the final round rather than failing.
+redrawn with fresh splitters, up to ``_RETRY_CAP`` times; like the hull's
+redraw budget, the cap is a constant.  Exhausting it records a diagnostic
+and keeps the final round rather than failing.
 """
 from __future__ import annotations
 
@@ -42,30 +43,27 @@ __all__ = ["SortPlan", "SortStats", "sample_sort"]
 
 # Smallest leaf size: a run this short is never sampled, whatever N/P is.
 _SEQ_FLOOR = 32
+# Redraws of one distribution round before its last draw is kept.
+_RETRY_CAP = 20
 
 
 @dataclass(frozen=True)
 class SortPlan:
-    """Tuning knobs of the sample-sort recursion.
+    """The one tuning knob of the sample-sort recursion.
 
-    ``x`` is the sampling exponent (at least 4): a subproblem of ``n`` keys
-    is cut around ``z = ceil(n**(1/x))`` splitters, and a round is accepted
-    only if its largest bucket is at most ``tau(n)``.  ``retry_cap`` bounds
-    the redraws of one round.  Both are ``int``s, never ``bool``s.
+    ``x`` is the sampling exponent, an ``int`` (never a ``bool``) of at
+    least 4: a subproblem of ``n`` keys is cut around ``z = ceil(n**(1/x))``
+    splitters, and a round is accepted only if its largest bucket is at
+    most ``tau(n)``.
     """
 
     x: int = 32
-    retry_cap: int = 20
 
     def __post_init__(self) -> None:
-        for name in ("x", "retry_cap"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise MachineFault(f"{name} must be an int; got {value!r}")
+        if not isinstance(self.x, int) or isinstance(self.x, bool):
+            raise MachineFault(f"x must be an int; got {self.x!r}")
         if self.x < 4:
             raise MachineFault("sampling exponent x must be >= 4")
-        if self.retry_cap < 1:
-            raise MachineFault("retry cap must be positive")
 
     def splitter_count(self, n: int) -> int:
         """Smallest ``z`` with ``z**x >= n``: the splitters drawn per round."""
@@ -101,7 +99,6 @@ class SortStats:
 
 @dataclass
 class _Ctx:
-    machine: object
     plan: SortPlan
     N: int
     P: int
@@ -133,7 +130,7 @@ def sample_sort(machine, a: KeySeq, cores, plan: SortPlan | None = None,
     if n == 0:
         return KeySeq(out, 0)
     cap = max(_SEQ_FLOOR, cfg.M * cfg.M)
-    ctx = _Ctx(machine=machine, plan=plan, N=n, P=len(cores), cap=cap,
+    ctx = _Ctx(plan=plan, N=n, P=len(cores), cap=cap,
                stats=stats, next_stream=next_stream)
     if len(cores) == 1 and n <= cap:
         _leaf(machine, a, cores[0], out, 0, tagged=False)
@@ -186,7 +183,7 @@ def _partition_round(machine, seq: KeySeq, cores, ctx: _Ctx, distribute):
     n = seq.n
     tau = plan.tau(n)
     run = None
-    for attempt in range(plan.retry_cap + 1):
+    for attempt in range(_RETRY_CAP + 1):
         keys = sample_splitters(machine, seq, plan.splitter_count(n), cores,
                                 stream=ctx.next_stream())
         run = distribute(keys)
@@ -195,7 +192,7 @@ def _partition_round(machine, seq: KeySeq, cores, ctx: _Ctx, distribute):
             return run
         stats.resamples += 1
     machine.diagnostics.append(
-        f"sample_sort: retry cap {plan.retry_cap} exhausted at n={n}; keeping the last round"
+        f"sample_sort: retry cap {_RETRY_CAP} exhausted at n={n}; keeping the last round"
     )
     return run
 

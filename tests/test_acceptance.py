@@ -294,8 +294,8 @@ def test_criterion_10_sweep_determinism(tmp_path):
            "[prefix]\nn = 300\np = 4\n")
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
-    first.write_text(rows_to_csv(run_sweep(cfg, env={})))
-    second.write_text(rows_to_csv(run_sweep(cfg, env={})))
+    first.write_text(rows_to_csv(run_sweep(cfg)))
+    second.write_text(rows_to_csv(run_sweep(cfg)))
     assert first.read_bytes() == second.read_bytes()
     assert first.read_text().count("\n") == 7  # header + 6 rows
     print("criterion 10: PASS — sweep re-run produced a byte-identical CSV")

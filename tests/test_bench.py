@@ -73,11 +73,10 @@ class TestSweepConfig:
 
 class TestRunSweep:
     def test_empty_sweep_header_only(self):
-        assert rows_to_csv(run_sweep("", env={})) == CSV_HEADER + "\n"
+        assert rows_to_csv(run_sweep("")) == CSV_HEADER + "\n"
 
     def test_single_sort_row_has_ratio(self):
-        rows = run_sweep("[sort]\nn = 4096\np = 1\nM = 1024\nB = 8\n",
-                         env={})
+        rows = run_sweep("[sort]\nn = 4096\np = 1\nM = 1024\nB = 8\n")
         assert len(rows) == 1
         row = rows[0]
         assert row.status == "ok"
@@ -90,21 +89,23 @@ class TestRunSweep:
     def test_rerun_byte_identical(self):
         cfg = ("[sort]\nn = 128 256\np = 2\nM = 256\nB = 8\nseed = 0 1\n"
                "[prefix]\nn = 200\np = 4\n[hull]\nn = 32\np = 2\nM = 256\n")
-        a = rows_to_csv(run_sweep(cfg, env={}))
-        b = rows_to_csv(run_sweep(cfg, env={}))
+        a = rows_to_csv(run_sweep(cfg))
+        b = rows_to_csv(run_sweep(cfg))
         assert a == b
         assert a.encode() == b.encode()
 
     def test_rows_sorted(self):
         cfg = "[sort]\nn = 256 64 128\np = 2\nM = 256\nseed = 1 0\n"
-        rows = run_sweep(cfg, env={})
+        rows = run_sweep(cfg)
         assert [r.sort_key() for r in rows] == \
             sorted(r.sort_key() for r in rows)
 
-    def test_seed_env_override(self):
-        cfg = "[prefix]\nn = 50\nseed = 1 2 3\n"
-        rows = run_sweep(cfg, env={"PEMLAB_SEED": "9"})
-        assert [r.seed for r in rows] == [9]
+    def test_exported_seed_is_ignored(self, monkeypatch):
+        # A sweep reads only its config: an exported PEMLAB_SEED, which
+        # once replaced every seed list, leaves the rows as the config says.
+        monkeypatch.setenv("PEMLAB_SEED", "9")
+        rows = run_sweep("[prefix]\nn = 50\nseed = 1 2 3\n")
+        assert [r.seed for r in rows] == [1, 2, 3]
 
     def test_skipped_rows_carry_reason(self):
         row = run_scenario("sort", 64, 1, 1, 8, 0)  # M=1: log base broken
@@ -235,15 +236,13 @@ class TestCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_non_integer_seed_override_is_an_error(self, tmp_path, capsys,
-                                                   monkeypatch):
+    def test_non_integer_seed_is_an_error(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("[sort]\nn = 64\n")
-        monkeypatch.setenv("PEMLAB_SEED", "abc")
+        cfg.write_text("[sort]\nn = 64\nseed = abc\n")
         rc = main(["sweep", "--config", str(cfg),
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
-        assert "error: PEMLAB_SEED" in capsys.readouterr().err
+        assert "error: non-integer value on line 3" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("argv", [
@@ -258,12 +257,10 @@ class TestCli:
         assert "error: seed must be >= 0" in captured.err
         assert captured.out == ""
 
-    def test_negative_seed_override_skips_the_row(self, tmp_path, capsys,
-                                                  monkeypatch):
+    def test_negative_seed_skips_the_row(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("[sort]\nn = 64\np = 2\nM = 256\n")
+        cfg.write_text("[sort]\nn = 64\np = 2\nM = 256\nseed = -1\n")
         out = tmp_path / "rows.csv"
-        monkeypatch.setenv("PEMLAB_SEED", "-1")
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         (row,) = parse_csv(out.read_text())
         assert row.seed == -1

@@ -505,6 +505,31 @@ class TestMaxima:
                                          emit=lambda w: w)
             assert m.snapshot_memory(seq) == host == oracle(pts), t
 
+    @pytest.mark.parametrize("rule, ledger, kept", [
+        ("one_strict", ((35, 26, 30), (8, 4, 5), (0, 0, 0), 3), 4),
+        ("strict_both", ((35, 32, 32), (8, 6, 6), (0, 0, 1), 3), 12),
+    ])
+    def test_sweep_survivors_pinned(self, rule, ledger, kept):
+        # Three chunks of six; the block x = 2 starts in the first chunk,
+        # fills the second and ends in the third, so the first chunk's carry
+        # takes its y = 7 from the third.
+        pts = [(0, 5), (1, 1), (1, 4), (2, 0), (2, 1), (2, 2),
+               (2, 3), (2, 3), (2, 4), (2, 4), (2, 5), (2, 6),
+               (2, 7), (3, 2), (3, 2), (3, 3), (4, 1), (5, 0)]
+        m = make(p=3, M=64, B=4)
+        seq = load_seq(m, pts)
+        # The sweep's first allocation is its 2g = 6 block-spaced slots.
+        base = m.alloc(0).base
+        _, host = _sweep_survivors(m, seq, m.cores, rule, emit=lambda w: w)
+        led = m.ledger()
+        assert (led.per_core_ops, led.per_core_cache_misses,
+                led.per_core_block_misses, led.rounds) == ledger
+        # Three summaries, then the carries of chunks 0, 1 and 2.
+        assert m.snapshot_memory(MemRegion(base, 6 * 4))[::4] == [
+            (0, 5, 4), (2, 6, None), (2, 7, 3),
+            (2, 7, 3), (2, 7, 3), None]
+        assert len(host) == kept
+
     def test_empty(self):
         m = make()
         assert maxima_par(m, KeySeq(m.alloc(0), 0), m.cores[:1]).n == 0

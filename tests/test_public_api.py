@@ -21,6 +21,10 @@ Every import in ``src/pemlab``, ``demos/`` and ``tests/`` is used: the name
 it binds appears as a name in its file, or in that file's ``__all__``.
 
 ``pemlab`` and ``pemlab.cli`` import nothing outside the standard library.
+
+Nothing in ``src/pemlab`` reads the environment: no ``environ`` or
+``getenv`` attribute and no ``from os import`` of either, so a run depends
+only on its arguments and its config.
 """
 import ast
 import dataclasses
@@ -257,6 +261,25 @@ def test_imports_are_used():
     files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     files += sorted((ROOT / "tests").glob("*.py"))
     assert [name for path in files for name in _unused_imports(path)] == []
+
+
+def _environment_reads(path: Path) -> list:
+    reads = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        reads += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+                  for name in names if name in ("environ", "getenv")]
+    return reads
+
+
+def test_library_reads_no_environment():
+    assert [read for path in sorted(PACKAGE.glob("*.py"))
+            for read in _environment_reads(path)] == []
 
 
 def test_import_needs_only_the_standard_library():

@@ -6,7 +6,8 @@ import pytest
 
 from pemlab.machine import Machine, MachineConfig, MachineFault
 from pemlab.primitives import KeySeq, _streams, load_seq
-from pemlab.sorting import SortPlan, SortStats, _Ctx, _partition_round, sample_sort
+from pemlab.sorting import (_RETRY_CAP, SortPlan, SortStats, _Ctx, _partition_round,
+                            sample_sort)
 from pemlab.merge import BucketedRun
 
 
@@ -19,16 +20,11 @@ class TestSortPlan:
         with pytest.raises(MachineFault):
             SortPlan(x=3)
 
-    def test_rejects_bad_caps(self):
-        with pytest.raises(MachineFault):
-            SortPlan(retry_cap=0)
-
     @pytest.mark.parametrize("field, value", [
-        ("x", 5.5), ("x", 8.0), ("x", "8"), ("retry_cap", 2.5), ("retry_cap", True),
+        ("x", 5.5), ("x", 8.0), ("x", "8"), ("x", True),
     ])
     def test_rejects_fields_that_are_not_ints(self, field, value):
-        # ``retry_cap=2.5`` would otherwise fail inside ``sample_sort``
-        # after charging the first round; ``x=5.5`` would be kept silently.
+        # ``x=5.5`` would otherwise be kept silently.
         with pytest.raises(MachineFault, match=f"{field} must be an int"):
             SortPlan(**{field: value})
 
@@ -178,7 +174,7 @@ class TestCorrectness:
 
 class TestQualityGate:
     def _ctx(self, m, plan):
-        return _Ctx(machine=m, plan=plan, N=1 << 12, P=1, cap=32,
+        return _Ctx(plan=plan, N=1 << 12, P=1, cap=32,
                     stats=SortStats(), next_stream=_streams(0))
 
     def _run(self, m, sizes_per_attempt, plan):
@@ -199,7 +195,7 @@ class TestQualityGate:
         return run, ctx.stats
 
     def test_oversized_bucket_forces_resample(self):
-        plan = SortPlan(x=4, retry_cap=5)
+        plan = SortPlan(x=4)
         n = 1 << 12
         bad = (n - 4, 1, 1, 1, 1)
         good = (874, 874, 874, 874, 600)
@@ -211,13 +207,13 @@ class TestQualityGate:
         assert not any("retry cap" in d for d in m.diagnostics)
 
     def test_retry_cap_exhaustion_keeps_last_round(self):
-        plan = SortPlan(x=4, retry_cap=3)
+        plan = SortPlan(x=4)
         n = 1 << 12
         bad = (n - 4, 1, 1, 1, 1)
         m = make(p=1)
-        run, stats = self._run(m, [bad] * (plan.retry_cap + 1), plan)
+        run, stats = self._run(m, [bad] * (_RETRY_CAP + 1), plan)
         assert run.sizes == bad
-        assert stats.rounds == plan.retry_cap + 1
+        assert stats.rounds == _RETRY_CAP + 1
         assert any("retry cap" in d for d in m.diagnostics)
 
 
