@@ -44,23 +44,28 @@ Machine conventions: a half-plane ``a*x + b*y <= c`` is one memory word,
 stored as the tuple ``(a, b, c)``; points are ``(x, y)`` words.  Cores are
 charged for every pass over plane or point data; the small per-round
 summaries that drive control flow (sample chains, bucket sizes, slab
-tables) are treated as host metadata, exactly like splitter keys in the
-partition routines.  Sector sub-problems execute one after another on the
-same physical cores; the ledger's critical path treats phase-sequential
-siblings the same as concurrent ones.
+boundaries, region intervals) are treated as host metadata, exactly like
+splitter keys in the partition routines.  Sector sub-problems execute one
+after another on the same physical cores; the ledger's critical path
+treats phase-sequential siblings the same as concurrent ones.
 
 Sector routing rests on three exact facts.  First, a plane with dual point
 ``u = (a/c, b/c)`` can remove area from the triangle of sector ``j`` iff
 ``u . P >= 1`` for one of the sector's sample vertices ``P``, because the
 origin always satisfies ``u . O = 0 < 1``.  The flagged vertices of a
 convex chain form one circular arc, so each plane maps to one circular
-sector interval.  Second, inside the wedge of sector ``j`` every point is
-``alpha * P_j + beta * P_{j+1}`` with nonnegative coefficients, so a plane
-whose two vertex products ``(s1, s2)`` are componentwise dominated (both
-at least as large, one strictly) by another plane's is redundant there and
-can be dropped.  Third, each sub-problem keeps the full sample, so it stays
-bounded with the origin strictly interior, and clipping its result to the
-sector wedge reproduces the true intersection inside that wedge.
+sector interval.  Planes are grouped by region of the chain's dual-line
+arrangement, and no table of regions is built: inside a slab a plane's
+band is the number of dual lines at or below its dual point, and every
+plane of one band has the same flags, so both are read off the plane's
+own vertex products (:func:`_region`).  Second, inside the wedge of
+sector ``j`` every point is ``alpha * P_j + beta * P_{j+1}`` with
+nonnegative coefficients, so a plane whose two vertex products
+``(s1, s2)`` are componentwise dominated (both at least as large, one
+strictly) by another plane's is redundant there and can be dropped.
+Third, each sub-problem keeps the full sample, so it stays bounded with
+the origin strictly interior, and clipping its result to the sector wedge
+reproduces the true intersection inside that wedge.
 """
 from __future__ import annotations
 
@@ -229,14 +234,22 @@ def _sector_interval(word, verts) -> tuple | None:
 
     ``verts`` is the chain's ``int_vertices``.  Vertex ``j`` is flagged when
     ``u . P_j >= 1`` (with ``u = (a/c, b/c)``, ``c > 0``), evaluated
-    cross-multiplied as ``a*X + b*Y >= c*D`` so nothing divides.  The flags
-    of a convex chain form one circular arc ``[lo..hi]``; the plane can
-    touch exactly the sectors ``lo - 1 .. hi``.  No flags means the plane
-    misses every sector triangle; all flags means it cuts everywhere.
+    cross-multiplied as ``a*X + b*Y >= c*D`` so nothing divides; the
+    interval is the :func:`_arc` of the flags.
     """
     a, b, c = word
-    t = len(verts)
-    flags = [a * X + b * Y >= c * D for X, Y, D in verts]
+    return _arc([a * X + b * Y >= c * D for X, Y, D in verts])
+
+
+def _arc(flags) -> tuple | None:
+    """The sectors a convex chain's vertex ``flags`` let a plane touch.
+
+    The flags of a convex chain form one circular arc ``[lo..hi]``; the
+    plane can touch exactly the sectors ``lo - 1 .. hi``.  No flags means
+    the plane misses every sector triangle; all flags means it cuts
+    everywhere.
+    """
+    t = len(flags)
     if not any(flags):
         return None
     if all(flags):
@@ -347,34 +360,18 @@ def dualize(machine, planes: KeySeq, cores) -> KeySeq:
     return _map_pass(machine, planes, cores, to_dual, tick=2)
 
 
-@dataclass(frozen=True)
-class Arrangement:
-    """Slab decomposition of the sample chain's dual-line arrangement.
+def preprocess_arrangement(machine, chain: HullChain, core) -> tuple:
+    """The sorted slab boundaries ``xs`` of the chain's dual arrangement.
 
-    ``xs`` are the slab boundaries (every pairwise intersection x plus the
-    x of each vertical dual line).  Slab ``s`` covers the open interval
-    between ``xs[s-1]`` and ``xs[s]``; ``lines[s]`` holds the slab's
-    non-vertical dual lines ``n . u = 1`` bottom-to-top as ``(y, X, Y, D)``
-    tuples, ``y`` being the line's height at the slab's sample x (within an
-    open slab no two lines cross) and ``(X, Y, D)`` the vertex form of the
-    line's normal ``n``, a chain vertex; ``regions[(s, band)]`` stores
-    the precomputed sector interval of every region, where ``band`` counts
-    the lines at or below a point.  Points exactly on a slab boundary are
-    not covered and must be classified directly.
-    """
-
-    xs: tuple
-    lines: tuple
-    regions: dict
-    chain: HullChain
-
-
-def preprocess_arrangement(machine, chain: HullChain, core) -> Arrangement:
-    """Build the slab table of the chain's dual arrangement on one core.
-
-    The table is host metadata (like splitter keys); the core is charged
-    the work of intersecting all line pairs and probing one sample point
-    per region with all ``t`` dual lines.
+    The chain's vertices ``(X, Y, D)`` are the dual lines ``X*x + Y*y = D``.
+    ``xs`` holds every pairwise intersection x plus the x of each vertical
+    line; slab ``s`` is the open interval between ``xs[s-1]`` and ``xs[s]``,
+    and no two lines cross inside it.  The boundaries are host metadata
+    (like splitter keys).  One core is charged for the slab table without
+    building it: the work of intersecting all line pairs and of probing one
+    sample point per region with all ``t`` lines, where each of the
+    ``len(xs) + 1`` slabs holds the same ``z`` non-vertical lines and so
+    ``z + 1`` regions.
     """
     verts = chain.int_vertices
     t = len(verts)
@@ -390,36 +387,10 @@ def preprocess_arrangement(machine, chain: HullChain, core) -> Arrangement:
                 continue
             xs_set.add(Fraction(Yi * Dj - Yj * Di, det))
     xs = tuple(sorted(xs_set))
-
-    lines: list = []
-    regions: dict = {}
-    for s in range(len(xs) + 1):
-        if s == 0:
-            sx = xs[0] - 1
-        elif s == len(xs):
-            sx = xs[-1] + 1
-        else:
-            sx = (xs[s - 1] + xs[s]) / 2
-        slab = sorted(
-            ((D - X * sx) / Y, X, Y, D) for X, Y, D in verts if Y != 0
-        )
-        ys = [ln[0] for ln in slab]
-        if any(ys[i] >= ys[i + 1] for i in range(len(ys) - 1)):
-            raise MachineFault("slab lines must be strictly ordered")
-        for band in range(len(slab) + 1):
-            if band == 0:
-                sy = ys[0] - 1
-            elif band == len(slab):
-                sy = ys[-1] + 1
-            else:
-                sy = (ys[band - 1] + ys[band]) / 2
-            # The plane (sx, sy, 1) scaled by a positive denominator.
-            regions[(s, band)] = _sector_interval(_vertex_form((sx, sy)),
-                                                  verts)
-        lines.append(tuple(slab))
-
-    machine.run_rounds({core.idx: lambda c: c.tick(max(1, t * t + len(regions) * t))})
-    return Arrangement(xs=xs, lines=tuple(lines), regions=regions, chain=chain)
+    z = sum(1 for _, Y, _ in verts if Y != 0)
+    regions = (len(xs) + 1) * (z + 1)
+    machine.run_rounds({core.idx: lambda c: c.tick(max(1, t * t + regions * t))})
+    return xs
 
 
 def _partition_by(ctx: _Ctx, seq: KeySeq, splitters, cores):
@@ -434,40 +405,40 @@ def _partition_by(ctx: _Ctx, seq: KeySeq, splitters, cores):
     return partition_main(ctx.machine, task, cores)
 
 
-def locate_points(ctx: _Ctx, duals: KeySeq, arr: Arrangement, cores) -> list:
+def locate_points(ctx: _Ctx, duals: KeySeq, chain: HullChain, xs, cores) -> list:
     """Group dual points by arrangement region; returns ``(slice, interval)``
     pairs covering all of ``duals``.
 
-    Points are first partitioned into slab buckets (boundary x values get
-    their own degenerate buckets via ``(x, -inf)`` / ``(x, +inf)`` splitter
-    pairs).  Within a slab, band membership is not monotone in the point
-    order, so each point first binary-searches the slab's lines at its own
-    x and the bucket is then partitioned by that integer tag.  A point
-    exactly on a dual line lands in the band above it, matching its own
-    closed cut test; either band is exact there, because touching a
-    triangle only at a vertex removes no area.  Boundary-bucket points are
-    classified directly against the chain instead.  The band test reads the
-    plane ``(a, b, c)`` that the dual point carries, not the point itself:
-    with ``c > 0`` and ``D > 0`` the line ``(X, Y, D)`` lies at or below
-    ``u = (a/c, b/c)`` iff ``a*X + b*Y >= c*D`` when ``Y > 0``, and iff
-    ``a*X + b*Y <= c*D`` when ``Y < 0``.
+    Points are first partitioned into slab buckets by the boundaries ``xs``
+    of :func:`preprocess_arrangement` (boundary x values get their own
+    degenerate buckets via ``(x, -inf)`` / ``(x, +inf)`` splitter pairs).
+    Within a slab, band membership is not monotone in the point order, so
+    each point is tagged with its band by :func:`_region` and the bucket is
+    then partitioned by that integer tag.  The host records the
+    :func:`_arc` of the first flags it sees in each band as the band's
+    interval: every point of a band has the same flags, so that is the
+    interval of the whole region.  Boundary-bucket points are classified
+    directly against the chain instead.
     """
     machine = ctx.machine
+    verts = chain.int_vertices
+    z = sum(1 for _, Y, _ in verts if Y != 0)
     groups: list = []
-    xrun = _partition_by(ctx, duals, _slab_splitters(arr.xs), cores)
+    xrun = _partition_by(ctx, duals, _slab_splitters(xs), cores)
     for b, (lo, size) in enumerate(zip(xrun.bucket_starts(), xrun.sizes)):
         if size == 0:
             continue
         bucket = _subseq(xrun.seq, lo, lo + size)
         if b % 2 == 1:
-            groups.extend(_classify_direct(machine, bucket, arr, cores[0]))
+            groups.extend(_classify_direct(machine, bucket, verts, cores[0]))
             continue
-        s = b // 2
-        lines = arr.lines[s]
-        z = len(lines)
+        intervals: dict = {}
 
-        def tag(w, lines=lines):
-            return (_band(lines, w[2], w[3], w[4]), w[2], w[3], w[4])
+        def tag(w, intervals=intervals):
+            band, flags = _region(verts, w[2], w[3], w[4])
+            if band not in intervals:
+                intervals[band] = _arc(flags)
+            return (band, w[2], w[3], w[4])
 
         tagged = _map_pass(machine, bucket, cores, tag,
                            tick=1 + max(1, z.bit_length()))
@@ -477,7 +448,7 @@ def locate_points(ctx: _Ctx, duals: KeySeq, arr: Arrangement, cores) -> list:
         for band, (st, sz) in enumerate(zip(bstarts, brun.sizes)):
             if sz:
                 groups.append((_subseq(brun.seq, st, st + sz),
-                               arr.regions[(s, band)]))
+                               intervals[band]))
     return groups
 
 
@@ -493,27 +464,36 @@ def _slab_splitters(xs) -> tuple:
     return tuple(out)
 
 
-def _band(lines, a, b, c) -> int:
-    """How many of a slab's ``lines`` lie at or below the dual point of the
-    plane ``(a, b, c)``, ``c > 0``, at the point's own x.
+def _region(verts, a, b, c) -> tuple:
+    """``(band, flags)`` of the dual point of the plane ``(a, b, c)``,
+    ``c > 0``, in the arrangement of the chain ``verts``' dual lines.
 
-    No two lines cross inside the slab, so a binary search holds.
+    With ``d = a*X + b*Y - c*D`` and ``D > 0``, the line ``(X, Y, D)`` lies
+    at or below ``u = (a/c, b/c)`` iff ``d >= 0`` when ``Y > 0``, and iff
+    ``d <= 0`` when ``Y < 0``; ``band`` counts those lines, which inside an
+    open slab (no two lines cross there) is the point's band.  A point
+    exactly on a line thus lands in the band above it.  ``flags`` are the
+    vertex flags ``d >= 0`` of :func:`_sector_interval`, except that a
+    point on a ``Y < 0`` line is not flagged there: above that line the
+    band's interior points have ``d < 0``, so every point of a band gets
+    the same flags.  Either interval is exact for a point on a line,
+    because touching a triangle only at a vertex removes no area.
     """
-    lo, hi = 0, len(lines)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        _, X, Y, D = lines[mid]
+    band = 0
+    flags = []
+    for X, Y, D in verts:
         d = a * X + b * Y - c * D
-        if (d >= 0) if Y > 0 else (d <= 0):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+        if Y > 0:
+            band += d >= 0
+        elif Y < 0:
+            band += d <= 0
+        flags.append(d > 0 if Y < 0 else d >= 0)
+    return band, flags
 
 
-def _classify_direct(machine, bucket: KeySeq, arr: Arrangement, core) -> list:
-    """Classify slab-boundary points one by one and regroup them by interval."""
-    verts = arr.chain.int_vertices
+def _classify_direct(machine, bucket: KeySeq, verts, core) -> list:
+    """Classify slab-boundary points one by one against the chain vertices
+    ``verts`` and regroup them by interval."""
     words = _scan_words(machine, bucket, core, tick=max(1, len(verts)))
     by_interval: dict = {}
     for w in words:
@@ -531,12 +511,14 @@ def find_sectors(ctx: _Ctx, planes: KeySeq, chain: HullChain, cores) -> list:
     """Route each of :func:`hull_main`'s normalized plane words to its
     sector interval against ``chain``.
 
-    Composition of :func:`dualize`, :func:`preprocess_arrangement`, and
-    :func:`locate_points`; returns ``(dual slice, interval)`` groups.
+    Composition of :func:`dualize`, :func:`preprocess_arrangement` (the
+    slab boundaries) and :func:`locate_points`, which reads each plane's
+    region and interval off its vertex flags; returns ``(dual slice,
+    interval)`` groups.
     """
     duals = dualize(ctx.machine, planes, cores)
-    arr = preprocess_arrangement(ctx.machine, chain, cores[0])
-    return locate_points(ctx, duals, arr, cores)
+    xs = preprocess_arrangement(ctx.machine, chain, cores[0])
+    return locate_points(ctx, duals, chain, xs, cores)
 
 
 # --------------------------------------------------------------------------

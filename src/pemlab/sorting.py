@@ -228,8 +228,10 @@ def _branch(machine, seq: KeySeq, cores, out: MemRegion, off: int, ctx: _Ctx) ->
 def _core_shares(sizes, p: int, grain: int) -> list:
     """Cores per bucket: proportional quotas, largest-remainder rounding.
 
-    Buckets above the sequential grain are guaranteed a core even when
-    rounding would starve them, taking one from the widest allocation.
+    A bucket above the sequential grain that rounding starves takes one
+    core from the widest allocation when that allocation holds more than
+    one.  When none does, the bucket keeps zero shares, and
+    :func:`_branch` runs it on a core that another bucket's band holds.
     """
     n = sum(sizes)
     quotas = [p * s / n for s in sizes]

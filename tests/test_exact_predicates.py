@@ -42,9 +42,9 @@ from pemlab.geometry import (
     unbounded_directions,
 )
 from pemlab.hull import (
-    _band,
     _dual_pick,
     _filtered,
+    _region,
     _score,
     _sector_interval,
     _slab_splitters,
@@ -426,18 +426,24 @@ def test_sector_interval_and_score_match_fraction_formula(data):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_slab_band_matches_fraction_formula(data):
+    """``_region`` against a slab table built here: its band is the slab
+    binary search's, and its flags are those of a point strictly inside
+    that band at the same x."""
     chain = data.draw(chains())
+    ints = chain.int_vertices
     m = machine(p=1)
-    arr = preprocess_arrangement(m, chain, m.cores[0])
-    xs = arr.xs
+    xs = preprocess_arrangement(m, chain, m.cores[0])
     s = data.draw(st.integers(0, len(xs)))
-    lines = arr.lines[s]
+    lo = xs[s - 1] if s > 0 else (xs[0] - 2 if xs else F(-1))
+    hi = xs[s] if s < len(xs) else (xs[-1] + 2 if xs else F(1))
+    # The slab's non-vertical dual lines bottom to top as (y, X, Y, D),
+    # ordered by height at the slab's middle; no two cross inside the slab.
+    mid = (lo + hi) / 2
+    lines = sorted(((D - X * mid) / Y, X, Y, D) for X, Y, D in ints if Y != 0)
     assume(lines)
     # The chain surrounds the origin, so some line has Y < 0.
     assert any(Y < 0 for _, _, Y, _ in lines)
     # A dual point strictly inside slab s.
-    lo = xs[s - 1] if s > 0 else (xs[0] - 2 if xs else F(-1))
-    hi = xs[s] if s < len(xs) else (xs[-1] + 2 if xs else F(1))
     t = data.draw(st.fractions(min_value=F(1, 20), max_value=F(19, 20),
                                max_denominator=20))
     ux = lo + t * (hi - lo)
@@ -453,9 +459,20 @@ def test_slab_band_matches_fraction_formula(data):
     c = F(math.lcm(ux.denominator, uy.denominator)) * data.draw(positive)
     a, b = ux * c, uy * c
     a, b, c = plane_word((a, b, c))
-    assert _band(lines, a, b, c) == ref_band(lines, a, b, c)
+    band, flags = _region(ints, a, b, c)
+    assert band == ref_band(lines, a, b, c)
     for line in lines:
-        assert _band([line], a, b, c) == ref_band([line], a, b, c)
+        assert _region([line[1:]], a, b, c)[0] == ref_band([line], a, b, c)
+    # A point strictly inside that band at x = ux, on no line, and its
+    # flags.
+    ys = [(D - X * ux) / Y for _, X, Y, D in lines]
+    if band == 0:
+        vy = ys[0] - 1
+    elif band == len(ys):
+        vy = ys[-1] + 1
+    else:
+        vy = (ys[band - 1] + ys[band]) / 2
+    assert flags == [ux * X + vy * Y >= D for X, Y, D in ints]
 
 
 @settings(max_examples=100, deadline=None)

@@ -278,6 +278,42 @@ class TestSectorRouting:
         for key in want:
             assert sorted(got[key], key=repr) == sorted(want[key], key=repr)
 
+    def test_planes_through_lower_vertices_pinned(self):
+        """Planes through the sample vertices (4, -4) and (-4, -4), whose
+        dual lines have Y < 0, lie on those lines and land in the band
+        above; each takes that band's interval, which leaves out a sector
+        the plane touches only at the vertex."""
+        chain = HullChain(_intersect_forms(SAMPLE_PLANES))
+        planes = [(2, 1, 4), (1, -1, 8), (3, 1, 8), (1, -2, 12), (-1, -3, 8),
+                  (-1, -1, 8), (-2, -1, 12), (1, -3, 8), (-3, 1, 8),
+                  (1, 2, 9), (-2, 3, 10), (3, -1, 11), (-1, 4, 13),
+                  (2, 2, 17), (5, 1, 19), (-4, -1, 15), (1, 5, 21),
+                  (-3, -2, 14), (2, -5, 23)]
+        m = make(p=4, seed=8)
+        groups = find_sectors(hull_ctx(m, planes), load_seq(m, planes), chain,
+                              m.cores)
+        got = [(iv, [tuple(w[-3:]) for w in m.snapshot_memory(sl)])
+               for sl, iv in groups]
+        assert got == [
+            ((4, 0), [(-4, -1, 15)]),
+            ((3, 4), [(-3, 1, 8)]),
+            ((4, 0), [(-3, -2, 14), (-1, -3, 8)]),
+            (None, [(-2, -1, 12), (-1, -1, 8)]),
+            ((3, 4), [(-2, 3, 10)]),
+            ((2, 4), [(-1, 4, 13)]),
+            ((2, 3), [(1, 5, 21)]),
+            ((0, 1), [(1, -2, 12)]),
+            ((0, 1), [(1, -3, 8), (2, -5, 23)]),
+            (None, [(1, -1, 8), (2, 2, 17)]),
+            ((2, 3), [(1, 2, 9)]),
+            ((0, 1), [(3, -1, 11)]),
+            ((1, 2), [(5, 1, 19)]),
+            ((1, 3), [(2, 1, 4), (3, 1, 8)]),
+        ]
+        led = m.ledger()
+        assert (led.ops, led.cache_misses, led.block_misses,
+                led.rounds) == (775, 50, 17, 17)
+
     def test_expand_by_sector_buckets(self):
         chain = HullChain(_intersect_forms(SAMPLE_PLANES))
         t = len(chain.vertices)

@@ -184,6 +184,22 @@ class TestPartitionMain:
         bound = 4 * (n / B) * (math.log(n) / math.log(M))
         assert m.ledger().misses <= bound
 
+    def test_chunked_short_chunks_and_recursive_chunks(self, make_machine):
+        # 256 cores over 2**14 keys: the coarse buckets come out shorter
+        # than a root-scale chunk, and the big last one splits into chunks
+        # long enough to recurse through partition_main.
+        m = make_machine(p=256, M=64, B=8, seed=0)
+        vals = list(range(2**14))
+        random.Random(0).shuffle(vals)
+        splitters = (20, 59, 120, 186)
+        task = PartitionTask(load_seq(m, vals), splitters, N=2**14, P=256)
+        run = partition_main(m, task, m.cores)
+        assert run.sizes == (21, 39, 61, 66, 16197)
+        assert_matches_oracle(m, run, vals, splitters)
+        led = m.ledger()
+        assert (led.ops, led.cache_misses, led.block_misses, led.rounds,
+                led.critical_path) == (227706, 29451, 382, 2359, 6193)
+
     def test_deterministic_output(self, make_machine):
         outs = []
         for _ in range(2):

@@ -6,8 +6,8 @@ import pytest
 
 from pemlab.machine import Machine, MachineConfig, MachineFault
 from pemlab.primitives import KeySeq, _streams, load_seq
-from pemlab.sorting import (_RETRY_CAP, SortPlan, SortStats, _Ctx, _partition_round,
-                            sample_sort)
+from pemlab.sorting import (_RETRY_CAP, SortPlan, SortStats, _core_shares, _Ctx,
+                            _partition_round, sample_sort)
 from pemlab.merge import BucketedRun
 
 
@@ -113,6 +113,12 @@ class TestPinnedExamples:
         assert (led.ops, led.cache_misses, led.block_misses, led.rounds) == ledger
         assert (st.rounds, st.resamples) == (1, 0)
         assert m.diagnostics == []
+
+    def test_core_shares_starve_a_bucket_when_no_allocation_can_spare(self):
+        # Rounding gives all three cores to the big bucket.  The first two
+        # small buckets, above the grain 0, each take one of them back; the
+        # third finds no allocation above one core and keeps zero shares.
+        assert _core_shares([1, 1, 1, 10], 3, 0) == [1, 1, 0, 1]
 
     def test_seq_sort_miss_ratio(self):
         # n=2^12 on one core with M=2^10, B=32: total misses stay within
