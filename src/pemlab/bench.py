@@ -53,14 +53,8 @@ __all__ = [
 DEFAULT_MISS_BAND = 4.0
 DEFAULT_CRIT_BAND = 2.5
 
-BOUND_FORMULAS = {
-    "sort": "(n/B) * log_M n",
-    "hull": "(n/B) * log_M n",
-    "prefix": "n/B",
-}
-
-# Smallest generated instance of each algorithm: a hull instance holds four
-# box planes plus at least one random plane.
+# Smallest generated instance of each algorithm, keyed by every algorithm
+# name: a hull instance holds four box planes plus at least one random plane.
 _SIZE_FLOOR = {"sort": 1, "hull": 5, "prefix": 1}
 
 
@@ -68,8 +62,9 @@ _SIZE_FLOOR = {"sort": 1, "hull": 5, "prefix": 1}
 class ScenarioRow:
     """One measured (or skipped) sweep point.
 
-    ``bound`` is the closed-form value of the algorithm's miss bound
-    (see ``BOUND_FORMULAS``) and ``ratio`` is ``cache_misses / bound``;
+    ``bound`` is the closed-form value of the algorithm's miss bound (see
+    :func:`_miss_bound`): ``(n/B) * log_M n`` for sort and hull and
+    ``max(1, n/B)`` for prefix.  ``ratio`` is ``cache_misses / bound``;
     both are ``None`` on skipped rows, where ``status`` carries the
     reason instead.
     """
@@ -120,7 +115,9 @@ def _log_base_m(n: int, M: int) -> float:
 
 
 def _miss_bound(algo: str, n: int, M: int, B: int) -> tuple:
-    """Closed-form bound value, or ``(None, reason)`` when degenerate."""
+    """Closed-form miss bound as ``(value, None)``, or ``(None, reason)``
+    when it degenerates: ``(n/B) * log_M n`` for sort and hull, and
+    ``max(1, n/B)`` for prefix."""
     if algo in ("sort", "hull"):
         if M < 2:
             return None, "bound degenerate: log_M n needs M >= 2"
@@ -160,7 +157,7 @@ _INSTANCES = {"sort": _sort_instance, "hull": _hull_instance,
 
 
 def _check_algo(algo: str) -> None:
-    if algo not in BOUND_FORMULAS:
+    if algo not in _SIZE_FLOOR:
         raise MachineFault(f"unknown algorithm {algo!r}")
 
 
@@ -260,7 +257,7 @@ def parse_sweep_config(text: str) -> list:
             continue
         if line.startswith("[") and line.endswith("]"):
             algo = line[1:-1].strip()
-            if algo not in BOUND_FORMULAS:
+            if algo not in _SIZE_FLOOR:
                 raise MachineFault(f"unknown algorithm section {algo!r}")
             current = (algo, {})
             sections.append(current)

@@ -73,6 +73,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 
 from pemlab.geometry import (
     GeometryError,
@@ -99,7 +100,6 @@ from pemlab.primitives import (
     _scan_words,
     _slot,
     _streams,
-    _subseq,
     _write_words,
     compact,
     parallel_for,
@@ -267,7 +267,7 @@ def _arc(flags) -> tuple | None:
 def _interval_sectors(interval, t: int) -> list:
     lo, hi = interval
     span = (hi - lo) % t + 1
-    return [(lo + i) % t for i in range(min(span, t))]
+    return [(lo + i) % t for i in range(span)]
 
 
 def _polling_sample(ctx: _Ctx, planes: KeySeq, cores):
@@ -289,10 +289,8 @@ def _polling_sample(ctx: _Ctx, planes: KeySeq, cores):
         core = cores[i % len(cores)]
         drawn = sample_k_of_n_seq(machine, planes, s, core,
                                   stream=ctx.next_stream())
-        sample_words = []
-        for w in _scan_words(machine, drawn, core) + extremes:
-            if w not in sample_words:
-                sample_words.append(w)
+        sample_words = list(dict.fromkeys(_scan_words(machine, drawn, core)
+                                          + extremes))
         sample_seq = _write_words(machine, sample_words, core)
         try:
             chain = _hull_base(machine, sample_seq, core,
@@ -425,10 +423,9 @@ def locate_points(ctx: _Ctx, duals: KeySeq, chain: HullChain, xs, cores) -> list
     z = sum(1 for _, Y, _ in verts if Y != 0)
     groups: list = []
     xrun = _partition_by(ctx, duals, _slab_splitters(xs), cores)
-    for b, (lo, size) in enumerate(zip(xrun.bucket_starts(), xrun.sizes)):
-        if size == 0:
+    for b, bucket in enumerate(xrun.buckets()):
+        if bucket.n == 0:
             continue
-        bucket = _subseq(xrun.seq, lo, lo + size)
         if b % 2 == 1:
             groups.extend(_classify_direct(machine, bucket, verts, cores[0]))
             continue
@@ -444,11 +441,9 @@ def locate_points(ctx: _Ctx, duals: KeySeq, chain: HullChain, xs, cores) -> list
                            tick=1 + max(1, z.bit_length()))
         brun = _partition_by(ctx, tagged,
                              tuple((k,) for k in range(1, z + 1)), cores)
-        bstarts = brun.bucket_starts()
-        for band, (st, sz) in enumerate(zip(bstarts, brun.sizes)):
-            if sz:
-                groups.append((_subseq(brun.seq, st, st + sz),
-                               intervals[band]))
+        for band, group in enumerate(brun.buckets()):
+            if group.n:
+                groups.append((group, intervals[band]))
     return groups
 
 
@@ -535,22 +530,20 @@ def expand_by_sector(machine, groups, sector_count: int, cores) -> BucketedRun:
     chase the scattered source groups.  Groups with interval ``None`` are
     redundant planes and are dropped here.
     """
-    incidences: dict = {s: [] for s in range(sector_count)}
+    incidences: list = [[] for _ in range(sector_count)]
     for seq, iv in groups:
-        if iv is None or seq.n == 0:
+        if iv is None:
             continue
         for s in _interval_sectors(iv, sector_count):
             incidences[s].append(seq)
-    sizes = [sum(sq.n for sq in incidences[s]) for s in range(sector_count)]
+    sizes = [sum(sq.n for sq in sector) for sector in incidences]
     total = sum(sizes)
     dst = machine.alloc(total)
-    if total == 0:
-        return BucketedRun(KeySeq(dst, 0), tuple(sizes))
 
     slots = []
     pos = 0
-    for s in range(sector_count):
-        for sq in incidences[s]:
+    for sector in incidences:
+        for sq in sector:
             slots.append((pos, sq))
             pos += sq.n
 
@@ -609,9 +602,7 @@ def _sweep_survivors(machine, seq: KeySeq, cores, rule: str, emit) -> tuple:
     sizes = [len(k) for k in survivors_per_chunk]
     total = sum(sizes)
     dst = machine.alloc(total)
-    offs = [0]
-    for sz in sizes:
-        offs.append(offs[-1] + sz)
+    offs = list(accumulate(sizes, initial=0))
 
     def write(core, ci, lo, hi):
         keep_idx = set(survivors_per_chunk[ci])
@@ -725,12 +716,7 @@ def _sector_bands(sizes, cores) -> list:
     bands = []
     off = 0
     for sh in shares:
-        band = []
-        for i in range(min(sh, p)):
-            c = cores[(off + i) % p]
-            if c not in band:
-                band.append(c)
-        bands.append(band)
+        bands.append([cores[(off + i) % p] for i in range(min(sh, p))])
         off += sh
     return bands
 
@@ -767,12 +753,9 @@ def _hull_rec(ctx: _Ctx, planes: KeySeq, cores, depth: int) -> HullChain:
             f"hull: {copies.seq.n} copies exceed the budget "
             f"{_EXPANSION}*{m} at m={m}")
 
-    starts = copies.bucket_starts()
     bands = _sector_bands(copies.sizes, cores)
     sub_chains = []
-    for j in range(t):
-        band = bands[j]
-        sector = _subseq(copies.seq, starts[j], starts[j] + copies.sizes[j])
+    for j, (band, sector) in enumerate(zip(bands, copies.buckets())):
         survivors, host = filter_sector(machine, sector, j, chain, band,
                                         stream=ctx.next_stream())
         seen = set(host)

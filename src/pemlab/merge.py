@@ -16,7 +16,7 @@ from functools import partial
 from itertools import accumulate
 
 from pemlab.machine import MachineFault, MemRegion
-from pemlab.primitives import KeySeq, _check_cores, prefix_sum, transpose
+from pemlab.primitives import KeySeq, _check_cores, _subseq, prefix_sum, transpose
 
 __all__ = ["BucketedRun", "merge_bucketed", "plan_cuts"]
 
@@ -46,10 +46,10 @@ class BucketedRun:
                 if self.starts[j] + self.sizes[j] > self.starts[j + 1]:
                     raise MachineFault("bucket segments overlap")
 
-    def bucket_starts(self) -> list:
-        if self.starts is not None:
-            return list(self.starts)
-        return list(accumulate([0] + list(self.sizes)))[:-1]
+    def buckets(self) -> list:
+        """Each bucket, in order, as a key sequence viewing ``seq``'s memory."""
+        starts = self.starts if self.starts is not None else accumulate(self.sizes, initial=0)
+        return [_subseq(self.seq, lo, lo + size) for lo, size in zip(starts, self.sizes)]
 
 
 def plan_cuts(ends: list, p: int, y: int) -> list:
@@ -116,7 +116,7 @@ def merge_bucketed(machine, runs, cores, dest: MemRegion | None = None) -> Bucke
 
     p = min(len(cores), y)
     plans = plan_cuts(ends, p, y)
-    row_starts = [r.bucket_starts() for r in runs]
+    views = [r.buckets() for r in runs]
 
     def copy(core, ci):
         out_lo = ci * y // p
@@ -133,8 +133,7 @@ def merge_bucketed(machine, runs, cores, dest: MemRegion | None = None) -> Bucke
         for k, a_lo, a_hi in plans[ci]:
             core.read(ends_seq, k)
             j, i = divmod(k, x)
-            base = row_starts[i][j]
-            core.copy_run(runs[i].seq.region, base + a_lo, base + a_hi, dst, out)
+            core.copy_run(views[i][j], a_lo, a_hi, dst, out)
             out += a_hi - a_lo
 
     machine.run_rounds({cores[ci].idx: partial(copy, ci=ci) for ci in range(p)})

@@ -2,18 +2,19 @@
 
 The bucket rule sends key ``k`` to bucket ``i`` when
 ``splitter[i-1] < k <= splitter[i]``; ``z`` splitters induce ``z + 1``
-buckets whose last member holds keys above every splitter.  Four routines
-trade ops for parallelism:
+buckets whose last member holds keys above every splitter.  The two public
+entries trade ops for parallelism:
 
 * :func:`partition_seq` sorts on one core and scans keys against splitters.
-* :func:`partition_quadratic` rank-sorts and binary-searches one boundary
-  per splitter.
-* :func:`partition_sqrt` cuts the keys into ``sqrt(n)`` chunks, runs the
-  quadratic routine per chunk, and merges the bucketed runs.
 * :func:`partition_main` recurses two levels per step: every
   ``ceil(sqrt(z))``-th splitter first forms coarse buckets from recursively
   partitioned ``sqrt(n)``-chunks, then each coarse bucket is refined by its
   interior splitters with cores assigned in proportion to bucket size.
+
+Two internal stages serve a short trailing chunk of that recursion:
+:func:`_partition_quadratic` rank-sorts and binary-searches one boundary
+per splitter, and :func:`_partition_sqrt` cuts the keys into ``sqrt(n)``
+chunks, runs the quadratic stage per chunk, and merges the bucketed runs.
 
 Single-core subproblems distribute by counting instead of sorting; this
 keeps the per-level work linear in ``n log z``.  Chunk jobs feeding a merge
@@ -22,9 +23,10 @@ explicit segment starts, while the top-level sequential base packs its
 output contiguously with a counting pass first.
 
 Splitters are any sorted sequence of keys, such as the tuple that
-:func:`~pemlab.primitives.sample_splitters` returns; an unsorted one is
-rejected.  No routine here reads the cache size M or the block size B; only
-the merges they call lay out their size tables by B.
+:func:`~pemlab.primitives.sample_splitters` returns; the two entries reject
+an unsorted one, and the stages below them trust their caller.  No routine
+here reads the cache size M or the block size B; only the merges they call
+lay out their size tables by B.
 """
 from __future__ import annotations
 
@@ -37,13 +39,7 @@ from pemlab.machine import MachineFault, MemRegion
 from pemlab.merge import BucketedRun, merge_bucketed
 from pemlab.primitives import KeySeq, _subseq, brute_sort, chunk_bounds, compact, parallel_for
 
-__all__ = [
-    "PartitionTask",
-    "partition_main",
-    "partition_quadratic",
-    "partition_seq",
-    "partition_sqrt",
-]
+__all__ = ["PartitionTask", "partition_main", "partition_seq"]
 
 
 def _splitter_keys(splitters) -> tuple:
@@ -79,6 +75,11 @@ class PartitionTask:
     def z(self) -> int:
         return len(self.splitters)
 
+    @property
+    def grain(self) -> int:
+        """Largest subproblem distributed on one core: ``max(N/P, 64)``."""
+        return max(self.N // self.P, 64)
+
 
 def _core_band(cores, lo: int, hi: int, total: int):
     """The cores serving ``[lo, hi)`` of ``total``: a proportional slice of
@@ -88,10 +89,11 @@ def _core_band(cores, lo: int, hi: int, total: int):
     return cores[band_lo : max(band_lo + 1, hi * g // total)]
 
 
-def _bucket_sizes_from_bounds(bounds: list, n: int) -> tuple:
-    ends = list(bounds) + [n]
-    starts = [0] + list(bounds)
-    return tuple(e - s for s, e in zip(starts, ends))
+def _cut(machine, srt: KeySeq, keys) -> BucketedRun:
+    """The sorted run ``srt`` cut at ``keys``; the host bisects its words."""
+    host = machine.snapshot_memory(srt)
+    bounds = [bisect_right(host, s) for s in keys]
+    return BucketedRun(srt, tuple(hi - lo for lo, hi in zip([0] + bounds, bounds + [srt.n])))
 
 
 def partition_seq(machine, a: KeySeq, splitters, core) -> BucketedRun:
@@ -113,10 +115,7 @@ def partition_seq(machine, a: KeySeq, splitters, core) -> BucketedRun:
         c.tick(n)
 
     machine.run_rounds({core.idx: prog})
-    seq = KeySeq(out, n)
-    host = machine.snapshot_memory(seq)
-    bounds = [bisect_right(host, s) for s in keys]
-    return BucketedRun(seq, _bucket_sizes_from_bounds(bounds, n))
+    return _cut(machine, KeySeq(out, n), keys)
 
 
 def _distribute_seq(machine, a: KeySeq, keys: tuple, core, dest: MemRegion | None = None) -> BucketedRun:
@@ -176,13 +175,9 @@ def _distribute_columns(machine, a: KeySeq, keys: tuple, core) -> BucketedRun:
     return BucketedRun(KeySeq(region, n), tuple(counts), starts=tuple(b * n for b in range(z + 1)))
 
 
-def partition_quadratic(machine, a: KeySeq, splitters, cores) -> BucketedRun:
+def _partition_quadratic(machine, a: KeySeq, keys, cores) -> BucketedRun:
     """Rank-sort, then one core per splitter binary-searches its boundary."""
-    keys = _splitter_keys(splitters)
-    z = len(keys)
     n = a.n
-    if n == 0:
-        return BucketedRun(KeySeq(machine.alloc(0), 0), (0,) * (z + 1))
     srt = brute_sort(machine, a, cores)
 
     def search(core, ci, lo, hi):
@@ -197,22 +192,17 @@ def partition_quadratic(machine, a: KeySeq, splitters, cores) -> BucketedRun:
                 else:
                     right = mid
 
-    parallel_for(machine, z, cores, search)
-    host = machine.snapshot_memory(srt)
-    bounds = [bisect_right(host, s) for s in keys]
-    return BucketedRun(srt, _bucket_sizes_from_bounds(bounds, n))
+    parallel_for(machine, len(keys), cores, search)
+    return _cut(machine, srt, keys)
 
 
-def partition_sqrt(machine, a: KeySeq, splitters, cores) -> BucketedRun:
+def _partition_sqrt(machine, a: KeySeq, keys, cores) -> BucketedRun:
     """Quadratic-partition ``sqrt(n)`` chunks, then merge the bucketed runs."""
-    keys = _splitter_keys(splitters)
     n = a.n
-    if n == 0:
-        return BucketedRun(KeySeq(machine.alloc(0), 0), (0,) * (len(keys) + 1))
     # ``n // isqrt(n)`` chunks of ``isqrt(n)`` keys, the remainder on the last.
     ranges = chunk_bounds(n, n // isqrt(n))
-    runs = [partition_quadratic(machine, _subseq(a, lo, hi), keys,
-                                _core_band(cores, i, i + 1, len(ranges)))
+    runs = [_partition_quadratic(machine, _subseq(a, lo, hi), keys,
+                                 _core_band(cores, i, i + 1, len(ranges)))
             for i, (lo, hi) in enumerate(ranges)]
     return merge_bucketed(machine, runs, cores)
 
@@ -227,7 +217,7 @@ def partition_main(machine, task: PartitionTask, cores) -> BucketedRun:
     if z == 0:
         out = compact(machine, [a], cores)
         return BucketedRun(out, (n,))
-    if n <= max(task.N // task.P, 64) or len(cores) == 1:
+    if n <= task.grain or len(cores) == 1:
         return _distribute_seq(machine, a, keys, cores[0])
     if z <= 2:
         return _chunked(machine, a, keys, task, cores, refine=False)
@@ -249,7 +239,6 @@ def partition_main(machine, task: PartitionTask, cores) -> BucketedRun:
     dest = machine.alloc(n)
     starts = [0] + list(accumulate(coarse.sizes))
     sizes: list = []
-    threshold = max(task.N // task.P, 64)
     for b, inner in enumerate(interior):
         lo, hi = starts[b], starts[b + 1]
         if hi == lo:
@@ -262,7 +251,7 @@ def partition_main(machine, task: PartitionTask, cores) -> BucketedRun:
             compact(machine, [part], band, dest=sub_dest)
             sizes.append(hi - lo)
             continue
-        if hi - lo <= threshold or len(band) == 1:
+        if hi - lo <= task.grain or len(band) == 1:
             fine = _distribute_seq(machine, part, inner, band[0], dest=sub_dest)
         else:
             fine = _chunked(machine, part, inner, task, band, refine=True, dest=sub_dest)
@@ -275,7 +264,7 @@ def _chunked(machine, seq: KeySeq, keys: tuple, task: PartitionTask, cores, refi
 
     Full chunks recurse through :func:`partition_main`; when refining a
     coarse bucket the trailing short chunk goes through
-    :func:`partition_sqrt` on a sliver of the cores.  The per-chunk runs are
+    :func:`_partition_sqrt` on a sliver of the cores.  The per-chunk runs are
     merged into one bucketed output.
     """
     n = seq.n
@@ -295,11 +284,10 @@ def _chunked(machine, seq: KeySeq, keys: tuple, task: PartitionTask, cores, refi
         ranges.append(((full - 1) * c_len, n))
 
     total = len(ranges) + (1 if short_range else 0)
-    threshold = max(task.N // task.P, 64)
     runs = []
     for i, (lo, hi) in enumerate(ranges):
         band = _core_band(cores, i, i + 1, total)
-        if hi - lo <= threshold or len(band) == 1:
+        if hi - lo <= task.grain or len(band) == 1:
             runs.append(_distribute_columns(machine, _subseq(seq, lo, hi), keys, band[0]))
         else:
             sub = PartitionTask(_subseq(seq, lo, hi), keys, task.N, task.P)
@@ -307,5 +295,5 @@ def _chunked(machine, seq: KeySeq, keys: tuple, task: PartitionTask, cores, refi
     if short_range is not None:
         lo, hi = short_range
         band = cores[: max(1, len(cores) // max(1, isqrt(c_len)))]
-        runs.append(partition_sqrt(machine, _subseq(seq, lo, hi), keys, band))
+        runs.append(_partition_sqrt(machine, _subseq(seq, lo, hi), keys, band))
     return merge_bucketed(machine, runs, cores, dest=dest)

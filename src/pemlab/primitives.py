@@ -174,11 +174,7 @@ def _reduce(machine, a: KeySeq, cores, combine):
         raise MachineFault("reduction over an empty sequence")
     g = min(len(cores), a.n)
     slots = spaced_slots(machine, g)
-    levels = []
-    step = 1
-    while step < g:
-        levels.append(step)
-        step *= 2
+    levels = [1 << k for k in range((g - 1).bit_length())]
 
     def fold(core, ci, lo, hi):
         acc = reduce(combine, core.read_run(a, lo, hi))
@@ -224,11 +220,7 @@ def prefix_sum(machine, a: KeySeq, cores) -> KeySeq:
     sreg = machine.alloc(n)
     rreg = machine.alloc(n)
     aux = spaced_slots(machine, g)
-    levels = []
-    step = 1
-    while step < g:
-        levels.append(step)
-        step *= 2
+    levels = [1 << k for k in range((g - 1).bit_length())]
 
     def phase1(core, i, size):
         if size == 1:
@@ -306,36 +298,31 @@ def transpose(machine, a: KeySeq, m: int, n: int, cores) -> KeySeq:
     if m * n == 0:
         return KeySeq(dst, 0)
 
+    def halves(i0, i1, j0, j1):
+        rows, cols = i1 - i0, j1 - j0
+        if 4 * cols > rows and cols > 1:
+            jm = j0 + cols // 2
+            return (i0, i1, j0, jm), (i0, i1, jm, j1)
+        im = i0 + rows // 2
+        return (i0, im, j0, j1), (im, i1, j0, j1)
+
     def split(i0, i1, j0, j1, group):
         group = group[: max(1, (i1 - i0) * (j1 - j0))]
         if len(group) == 1:
             return [(group[0], i0, i1, j0, j1)]
-        rows, cols = i1 - i0, j1 - j0
-        if cols == 1 and rows == 1:
-            return [(group[0], i0, i1, j0, j1)]
         c1 = len(group) // 2
-        if 4 * cols > rows and cols > 1:
-            jm = j0 + cols // 2
-            return split(i0, i1, j0, jm, group[:c1]) + split(i0, i1, jm, j1, group[c1:])
-        im = i0 + rows // 2
-        return split(i0, im, j0, j1, group[:c1]) + split(im, i1, j0, j1, group[c1:])
+        first, second = halves(i0, i1, j0, j1)
+        return split(*first, group[:c1]) + split(*second, group[c1:])
 
     def tile_moves(core, i0, i1, j0, j1):
-        rows, cols = i1 - i0, j1 - j0
-        if rows * cols <= 32:
+        if (i1 - i0) * (j1 - j0) <= 32:
             for i in range(i0, i1):
                 for j in range(j0, j1):
                     v = core.read(a, i * n + j)
                     core.write(dst, j * m + i, v)
             return
-        if 4 * cols > rows:
-            jm = j0 + cols // 2
-            tile_moves(core, i0, i1, j0, jm)
-            tile_moves(core, i0, i1, jm, j1)
-        else:
-            im = i0 + rows // 2
-            tile_moves(core, i0, im, j0, j1)
-            tile_moves(core, im, i1, j0, j1)
+        for block in halves(i0, i1, j0, j1):
+            tile_moves(core, *block)
 
     jobs = split(0, m, 0, n, list(range(min(len(cores), m * n))))
     machine.run_rounds({cores[ci].idx: partial(tile_moves, i0=i0, i1=i1, j0=j0, j1=j1)

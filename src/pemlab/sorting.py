@@ -36,8 +36,7 @@ from math import isqrt
 
 from pemlab.machine import MachineFault, MemRegion
 from pemlab.partition import PartitionTask, _distribute_columns, partition_main
-from pemlab.primitives import (KeySeq, _check_cores, _streams, _subseq, parallel_for,
-                               sample_splitters)
+from pemlab.primitives import KeySeq, _check_cores, _streams, parallel_for, sample_splitters
 
 __all__ = ["SortPlan", "SortStats", "sample_sort"]
 
@@ -211,18 +210,16 @@ def _branch(machine, seq: KeySeq, cores, out: MemRegion, off: int, ctx: _Ctx) ->
 
     run = _partition_round(machine, seq, cores, ctx, distribute)
     shares = _core_shares(run.sizes, p, ctx.N // ctx.P)
-    starts = run.bucket_starts()
     at = 0
     sub_off = off
-    for b, size in enumerate(run.sizes):
-        view = _subseq(run.seq, starts[b], starts[b] + size)
-        if shares[b]:
-            band = cores[at : at + shares[b]]
-            at += shares[b]
+    for share, view in zip(shares, run.buckets()):
+        if share:
+            band = cores[at : at + share]
+            at += share
         else:
             band = [cores[min(at, p - 1)]]
         _sort_rec(machine, view, band, out, sub_off, ctx)
-        sub_off += size
+        sub_off += view.n
 
 
 def _core_shares(sizes, p: int, grain: int) -> list:

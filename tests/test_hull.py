@@ -22,13 +22,17 @@ from pemlab.geometry import (
     HullChain,
     Point2,
     _intersect_forms,
+    canonical_chain,
+    intersect_halfplanes_ordered,
 )
 from pemlab.hull import (
+    _DEPTH_CAP,
     HullStats,
     _candidate_count,
     _Ctx,
     _group_bound,
     _hull_base,
+    _hull_rec,
     _poll_count,
     _polling_sample,
     _sample_size,
@@ -204,6 +208,23 @@ class TestHullMain:
             assert r["largest_group"] <= r["group_bound"]
             assert r["sectors"] >= 1
 
+    def test_depth_cap_finishes_sequentially(self):
+        # At the depth cap a problem above the grain neither polls nor
+        # splits: one core clips it in one round, with one diagnostic.
+        planes = bounded_instance(random.Random(3), 300)
+        m = make(p=4, seed=6)
+        ctx = hull_ctx(m, planes)
+        chain = _hull_rec(ctx, load_seq(m, planes), m.cores, depth=_DEPTH_CAP)
+        assert m.diagnostics == [
+            "hull: depth cap 12 reached at m=300; finishing sequentially"]
+        assert (ctx.stats.fallbacks, ctx.stats.polls) == (1, 0)
+        led = m.ledger()
+        assert (led.per_core_ops, led.per_core_cache_misses,
+                led.per_core_block_misses, led.rounds) == (
+            (3000, 0, 0, 0), (38, 0, 0, 0), (0, 0, 0, 0), 1)
+        assert chain.vertices == canonical_chain(
+            intersect_halfplanes_ordered(planes))
+
 
 class TestHalfplaneBrute:
     def test_matches_oracle(self):
@@ -329,11 +350,9 @@ class TestSectorRouting:
         for pl, secs in zip(planes, exp):
             for j in secs or ():
                 want_buckets[j].append((F(pl[0]), F(pl[1]), F(pl[2])))
-        starts = copies.bucket_starts()
-        words = m.snapshot_memory(copies.seq)
         assert sum(copies.sizes) == sum(len(bk) for bk in want_buckets)
-        for j in range(t):
-            got = sorted(words[starts[j]:starts[j] + copies.sizes[j]])
+        for j, bucket in enumerate(copies.buckets()):
+            got = sorted(m.snapshot_memory(bucket))
             assert got == sorted(want_buckets[j]), j
 
     def test_polling_sample_is_bounded_subset(self):
@@ -363,11 +382,9 @@ class TestFilterSector:
         groups = find_sectors(hull_ctx(m, planes), load_seq(m, planes), chain,
                               m.cores)
         copies = expand_by_sector(m, groups, t, m.cores)
-        starts = copies.bucket_starts()
-        words = m.snapshot_memory(copies.seq)
         checked = 0
-        for j in range(t):
-            bucket = words[starts[j]:starts[j] + copies.sizes[j]]
+        for j, view in enumerate(copies.buckets()):
+            bucket = m.snapshot_memory(view)
             if not bucket:
                 continue
             seq = load_seq(m, bucket)

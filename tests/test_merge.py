@@ -6,6 +6,7 @@ import pytest
 
 from pemlab import MachineFault
 from pemlab.merge import BucketedRun, merge_bucketed, plan_cuts
+from pemlab.partition import _distribute_columns
 from pemlab.primitives import KeySeq, load_seq
 
 
@@ -87,6 +88,38 @@ class TestMergeBucketed:
         reg = m.alloc(4)
         with pytest.raises(MachineFault):
             BucketedRun(KeySeq(reg, 4), (1, 2))
+
+
+class TestBuckets:
+    @staticmethod
+    def layout(machine, run):
+        """Each bucket view's ``(offset into run.seq, length, words)``."""
+        base = run.seq.region.base
+        return [(v.region.base - base, v.n, machine.snapshot_memory(v))
+                for v in run.buckets()]
+
+    def test_packed_buckets_follow_each_other(self, make_machine):
+        m = make_machine(p=1)
+        run = load_run(m, [[3, 1], [], [7, 5, 6]])
+        assert self.layout(m, run) == [(0, 2, [3, 1]), (2, 0, []),
+                                       (2, 3, [7, 5, 6])]
+
+    def test_column_buckets_start_at_their_columns(self, make_machine):
+        # Keys go to bucket ``bisect_left((3, 5), k)``; bucket ``b`` of
+        # five keys starts at slot ``5 * b``.
+        m = make_machine(p=1)
+        run = _distribute_columns(m, load_seq(m, [5, 1, 9, 3, 4]), (3, 5),
+                                  m.cores[0])
+        assert run.starts == (0, 5, 10)
+        assert self.layout(m, run) == [(0, 2, [1, 3]), (5, 2, [5, 4]),
+                                       (10, 1, [9])]
+
+    def test_views_are_bounded_by_their_bucket(self, make_machine):
+        m = make_machine(p=1)
+        run = load_run(m, [[3, 1], [7]])
+        assert [v.region.len for v in run.buckets()] == [2, 1]
+        with pytest.raises(MachineFault):
+            m.run_rounds({0: lambda c: c.read_run(run.buckets()[0], 0, 3)})
 
 
 class TestPlanCuts:

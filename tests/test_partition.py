@@ -12,10 +12,10 @@ import pytest
 from pemlab import MachineFault
 from pemlab.partition import (
     PartitionTask,
+    _partition_quadratic,
+    _partition_sqrt,
     partition_main,
-    partition_quadratic,
     partition_seq,
-    partition_sqrt,
 )
 from pemlab.primitives import load_seq
 
@@ -92,12 +92,12 @@ class TestPartitionSeq:
 class TestPartitionQuadratic:
     def test_single_splitter_example(self, make_machine):
         m = make_machine(p=2)
-        run = partition_quadratic(m, load_seq(m, [5, 1, 9, 3]), [4], m.cores)
+        run = _partition_quadratic(m, load_seq(m, [5, 1, 9, 3]), [4], m.cores)
         assert run_buckets(m, run) == [[1, 3], [5, 9]]
 
     def test_splitters_beyond_all_keys(self, make_machine):
         m = make_machine(p=2)
-        run = partition_quadratic(m, load_seq(m, [5, 1, 9, 3]), [50], m.cores)
+        run = _partition_quadratic(m, load_seq(m, [5, 1, 9, 3]), [50], m.cores)
         assert run.sizes == (4, 0)
 
     @pytest.mark.parametrize("p", [1, 4])
@@ -106,19 +106,19 @@ class TestPartitionQuadratic:
         rng = random.Random(31 + p)
         vals = [rng.randrange(500) for _ in range(256)]
         splitters = sorted(rng.sample(sorted(set(vals)), 8))
-        run = partition_quadratic(m, load_seq(m, vals), splitters, m.cores)
+        run = _partition_quadratic(m, load_seq(m, vals), splitters, m.cores)
         assert_matches_oracle(m, run, vals, splitters, ordered=True)
 
 
 class TestPartitionSqrt:
     def test_single_splitter_example(self, make_machine):
         m = make_machine(p=2)
-        run = partition_sqrt(m, load_seq(m, [5, 1, 9, 3]), [4], m.cores)
+        run = _partition_sqrt(m, load_seq(m, [5, 1, 9, 3]), [4], m.cores)
         assert run_buckets(m, run) == [[1, 3], [5, 9]]
 
     def test_splitters_beyond_all_keys(self, make_machine):
         m = make_machine(p=2)
-        run = partition_sqrt(m, load_seq(m, [5, 1, 9, 3]), [50], m.cores)
+        run = _partition_sqrt(m, load_seq(m, [5, 1, 9, 3]), [50], m.cores)
         assert run.sizes == (4, 0)
 
     def test_random_against_oracle(self, make_machine):
@@ -126,7 +126,7 @@ class TestPartitionSqrt:
         rng = random.Random(77)
         vals = [rng.randrange(4000) for _ in range(400)]
         splitters = sorted(rng.sample(vals, 12))
-        run = partition_sqrt(m, load_seq(m, vals), splitters, m.cores)
+        run = _partition_sqrt(m, load_seq(m, vals), splitters, m.cores)
         assert_matches_oracle(m, run, vals, splitters)
 
     def test_miss_count_within_three_halves_power_bound(self, make_machine):
@@ -135,7 +135,7 @@ class TestPartitionSqrt:
         rng = random.Random(5)
         vals = [rng.randrange(1 << 20) for _ in range(n)]
         splitters = sorted(rng.sample(vals, y))
-        run = partition_sqrt(m, load_seq(m, vals), splitters, m.cores)
+        run = _partition_sqrt(m, load_seq(m, vals), splitters, m.cores)
         assert sum(run.sizes) == n
         bound = 4 * (n**1.5 / B + y * math.isqrt(n))
         assert m.ledger().misses <= bound
