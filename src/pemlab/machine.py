@@ -20,10 +20,10 @@ Most steps cut their input into one chunk per core;
 :func:`pemlab.primitives.parallel_for` writes that step.
 
 Every access names a region (or a key sequence, through its region) and
-word indices within it, words and runs alike.  An index outside its region,
-or a region outside the allocation, raises :class:`MachineFault` before the
-access charges anything.  Trace rows and diagnostics give absolute
-addresses.
+word indices within it, words and runs alike.  An index that is not an
+``int`` (a ``bool`` is not) or lies outside its region, or a region outside
+the allocation, raises :class:`MachineFault` before the access charges
+anything.  Trace rows and diagnostics give absolute addresses.
 
 Cost rules
 ----------
@@ -53,19 +53,22 @@ Runs of words
 -------------
 ``read_run``, ``write_run``, ``copy_run`` and ``route_run`` stand for word
 loops of ``read``, ``write``, read-write (a two-stream copy) and
-read-route-write (a scatter) over consecutive words of one region.  They
-charge exactly what those loops charge — ops, both miss kinds, the core's
-read and write sets, LRU order, memory and diagnostics — and return the
-same values, at a cost per block rather than per word.
+read-place-write (a scatter into one region) over consecutive words of one
+region.  They charge exactly what those loops charge — ops, both miss
+kinds, the core's read and write sets, LRU order, memory and diagnostics —
+and return the same values, at a cost per block rather than per word.  A
+run never writes the span it reads: a copy onto an overlapping span, or a
+scatter into a region that overlaps its source span, raises
+:class:`MachineFault`.
 
 Once per run, not once per word or block: the bounds of each stream are
-checked against its region and the allocation, every route is taken and
-every destination checked, the core's own pending writes are read, and
-``ops``, the write buffer and the core's read and write sets are updated.
-A run that faults therefore raises before it charges anything: a span past
-its region's end, a route that raises or a routed destination outside its
-region leaves the whole run uncharged, where the word loop would have
-charged the words before the fault.
+checked against its region and the allocation, every word is placed and
+every index checked, the core's own pending writes are read, and ``ops``,
+the write buffer and the core's read and write sets are updated.  A run
+that faults therefore raises before it charges anything: a span past its
+region's end, a ``place`` that raises or an index outside its destination
+leaves the whole run uncharged, where the word loop would have charged the
+words before the fault.
 
 Per piece, a stretch of the loop in which no stream crosses a block
 boundary, a run touches the piece's blocks.  The replay is exact because
@@ -73,15 +76,14 @@ inside a piece the loop only re-touches the same few blocks.  If they number
 at most ``M/B``, every eviction in the piece hits a block outside it, so
 touching them once in first-touch order and then moving them to MRU in
 last-touch order leaves the cache as the loop does.  A copy piece touches its source block,
-then its destination block.  A ``route_run`` piece (the words of one source
+then its destination block.  A scatter piece (the words of one source
 block) may scatter to more than ``M/B`` blocks; it is then replayed word by
 word inside an otherwise batched run.
 
-A copy runs as a scatter to consecutive words when one block fills the
-cache (``M == B``) or when its two spans share a block.  Reads see the
-core's pending writes, including those of the same run; ``fn`` and
-``route`` are called once per word, in order, and must not touch the
-machine.
+A copy goes through the scatter replay, to consecutive words, when one
+block fills the cache (``M == B``) or when its two spans share a block.
+Reads see the core's pending writes; ``fn`` and ``place`` are called once
+per word, in order, and must not touch the machine.
 
 Trace
 -----
@@ -105,7 +107,7 @@ import csv
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, repeat
+from itertools import repeat
 from types import GeneratorType
 
 __all__ = [
@@ -280,8 +282,8 @@ class Core:
         sh = self._sh
         region = src if type(src) is MemRegion else src.region
         addr = region.base + i
-        if not (0 <= i < region.len and 0 <= addr < sh._limit):
-            raise MachineFault(f"read of word {i} of region [{region.base}, {region.end}) out of bounds")
+        if type(i) is not int or not (0 <= i < region.len and 0 <= addr < sh._limit):
+            raise MachineFault(f"read of bad index {i!r} of region [{region.base}, {region.end})")
         self.ops += 1
         block = addr // sh._B
         cache = self._cache
@@ -298,8 +300,8 @@ class Core:
         sh = self._sh
         region = dst if type(dst) is MemRegion else dst.region
         addr = region.base + i
-        if not (0 <= i < region.len and 0 <= addr < sh._limit):
-            raise MachineFault(f"write to word {i} of region [{region.base}, {region.end}) out of bounds")
+        if type(i) is not int or not (0 <= i < region.len and 0 <= addr < sh._limit):
+            raise MachineFault(f"write to bad index {i!r} of region [{region.base}, {region.end})")
         self.ops += 1
         block = addr // sh._B
         cache = self._cache
@@ -322,8 +324,8 @@ class Core:
         sh = self._sh
         region = dst if type(dst) is MemRegion else dst.region
         addr = region.base + i
-        if not (0 <= i < region.len and 0 <= addr < sh._limit):
-            raise MachineFault(f"fetch_add on word {i} of region [{region.base}, {region.end}) out of bounds")
+        if type(i) is not int or not (0 <= i < region.len and 0 <= addr < sh._limit):
+            raise MachineFault(f"fetch_add on bad index {i!r} of region [{region.base}, {region.end})")
         self.ops += 1
         block = addr // sh._B
         cache = self._cache
@@ -390,26 +392,26 @@ class Core:
         ``at, at + 1, ...`` of ``dst``, one word at a time in order.
 
         Charges exactly what ``self.write(dst, at + k, fn(self.read(src,
-        lo + k)))`` for each ``k`` would.  ``fn``
-        defaults to the identity; it is called once per word, in order, and
-        must not touch the machine.
+        lo + k)))`` for each ``k`` would.  ``fn`` defaults to the identity;
+        it is called once per word, in order, and must not touch the
+        machine.  The two spans must not overlap.
         """
         s0, s1 = self._span(src, lo, hi, "copy_run")
         d0, d1 = self._span(dst, at, at + hi - lo, "copy_run")
         if s0 == s1:
             return
+        if s0 < d1 and d0 < s1:
+            raise MachineFault(f"copy_run of [{s0}, {s1}) onto overlapping [{d0}, {d1})")
+        vals = self._values(s0, s1)
+        words = vals if fn is None else list(map(fn, vals))
         sh = self._sh
         B = sh._B
         src_blocks = range(s0 // B, (s1 - 1) // B + 1)
         dst_blocks = range(d0 // B, (d1 - 1) // B + 1)
         if (sh._cache_blocks == 1
                 or (src_blocks[0] <= dst_blocks[-1] and dst_blocks[0] <= src_blocks[-1])):
-            region = dst if type(dst) is MemRegion else dst.region
-            dsts = count(at)
-            self.route_run(src, lo, hi, lambda v: (region, next(dsts), v if fn is None else fn(v)))
+            self._scatter(s0, s1, range(d0, d1), words)
             return
-        vals = self._values(s0, s1)
-        words = vals if fn is None else list(map(fn, vals))
         # A piece ends where either stream crosses a block boundary; inside
         # it the loop alternates between its source and destination block.
         cache = self._cache
@@ -428,37 +430,36 @@ class Core:
         self.ops += 2 * (s1 - s0)
         self._buffer(range(d0, d1), words)
 
-    def route_run(self, src, lo: int, hi: int, route) -> None:
-        """Move words ``[lo, hi)`` of a region (or key sequence) one by one.
+    def route_run(self, src, lo: int, hi: int, dst, place) -> None:
+        """Scatter words ``[lo, hi)`` of a region (or key sequence) into
+        ``dst``, a region (or key sequence) apart from them.
 
-        For each word ``v`` in order: read it, take ``(dst_region,
-        dst_index, word) = route(v)`` and write ``word`` at word
-        ``dst_index`` of ``dst_region``.  Charges exactly what that word loop
-        would.  ``route`` is called once per word, in order; it must not
+        For each word ``v`` in order: read it and write it at word
+        ``place(v)`` of ``dst``.  Charges exactly what that word loop would.
+        ``place`` is called once per word, in order, from the values the
+        word loop would read, before the run charges anything; it must not
         touch the machine.
-
-        Every route is taken first, from the values the word loop would
-        read, before the run charges anything.
         """
         a0, a1 = self._span(src, lo, hi, "route_run")
+        region = dst if type(dst) is MemRegion else dst.region
+        d0, d1 = self._span(region, 0, region.len, "route_run")
         if a0 == a1:
             return
+        if a0 < d1 and d0 < a1:
+            raise MachineFault(f"route_run of [{a0}, {a1}) into overlapping region [{d0}, {d1})")
+        words = self._values(a0, a1)
+        index = list(map(place, words))
+        if set(map(type, index)) != {int} or min(index) < 0 or max(index) >= region.len:
+            raise MachineFault(f"route_run index outside range({region.len}) or not an int")
+        self._scatter(a0, a1, [d0 + i for i in index], words)
+
+    def _scatter(self, a0: int, a1: int, dsts, words) -> None:
+        """Charge and buffer the word loop that reads addresses ``[a0, a1)``
+        (``a0 < a1``) in order and writes ``words[k]`` at address
+        ``dsts[k]``, none of which it reads; one piece per source block."""
         sh = self._sh
         B = sh._B
         n = a1 - a0
-        vals = self._values(a0, a1)
-        limit = sh._limit
-        dsts = []
-        words = []
-        for k in range(n):
-            region, i, word = route(vals[k])
-            d = region.base + i
-            if not (0 <= i < region.len and 0 <= d < limit):
-                raise MachineFault(f"route_run destination {i} outside region of length {region.len}")
-            dsts.append(d)
-            words.append(word)
-            if k < d - a0 < n:
-                vals[d - a0] = word  # a later read of this run sees it
         src_blocks = range(a0 // B, (a1 - 1) // B + 1)
         dst_blocks = [d // B for d in dsts]
         cache = self._cache
@@ -501,8 +502,8 @@ class Core:
         checked once against the region and the allocation, as a word
         access checks its word."""
         region = src if type(src) is MemRegion else src.region
-        if not 0 <= lo <= hi <= region.len:
-            raise MachineFault(f"{what} [{lo}, {hi}) outside region of length {region.len}")
+        if type(lo) is not int or type(hi) is not int or not 0 <= lo <= hi <= region.len:
+            raise MachineFault(f"{what} [{lo!r}, {hi!r}) is not an int span within [0, {region.len}]")
         a0, a1 = region.base + lo, region.base + hi
         if lo < hi and not (0 <= a0 and a1 <= self._sh._limit):
             raise MachineFault(f"{what} of unallocated addresses [{a0}, {a1})")
@@ -613,7 +614,16 @@ class Machine:
                     next(gen, None)
             finished = True  # round 0 may have ended some or all of them
             while True:
-                self._settle_round(ran)
+                for core in ran:
+                    if core._writes:
+                        self._settle_round(ran)
+                        break
+                else:
+                    # Every write, fetch_add and writing run records its
+                    # block before it buffers anything: with no writer there
+                    # is no buffer to commit, no race, no block to invalidate.
+                    for core in ran:
+                        core._reads.clear()
                 sh._round += 1
                 if finished:
                     # Only a round in which a generator ended rebuilds the
@@ -637,17 +647,7 @@ class Machine:
 
     def _settle_round(self, ran) -> None:
         """Charge and commit the round of the cores in ``ran`` (in id order)
-        from their records; stale copies leave every core's cache."""
-        for core in ran:
-            if core._writes:
-                break
-        else:
-            # Every write, fetch_add and writing run records its block before
-            # it buffers anything.  So no core wrote or added this round: no
-            # buffer to commit, no race, no block to invalidate.
-            for core in ran:
-                core._reads.clear()
-            return
+        from their records (one wrote); stale copies leave every core's cache."""
         sh = self._sh
         trace = sh._trace
         B, rnd = sh._B, sh._round

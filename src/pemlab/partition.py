@@ -139,9 +139,9 @@ def _distribute_seq(machine, a: KeySeq, keys: tuple, core, dest: MemRegion | Non
         def place(v):
             b = bisect_left(keys, v)
             cursors[b] += 1
-            return dst, cursors[b] - 1, v
+            return cursors[b] - 1
 
-        c.route_run(a, 0, n, place)
+        c.route_run(a, 0, n, dst, place)
         c.tick(probe * n)
 
     machine.run_rounds({core.idx: prog})
@@ -165,10 +165,10 @@ def _distribute_columns(machine, a: KeySeq, keys: tuple, core) -> BucketedRun:
     def place(v):
         b = bisect_left(keys, v)
         counts[b] += 1
-        return region, b * n + counts[b] - 1, v
+        return b * n + counts[b] - 1
 
     def prog(c):
-        c.route_run(a, 0, n, place)
+        c.route_run(a, 0, n, region, place)
         c.tick(probe * n)
 
     machine.run_rounds({core.idx: prog})

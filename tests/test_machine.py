@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -147,16 +148,20 @@ class TestMemory:
         assert b.base >= a.end
 
     @pytest.mark.parametrize("op", ["read", "write", "fetch_add"])
-    @pytest.mark.parametrize("where", ["past_its_region", "negative", "past_the_allocation"])
+    @pytest.mark.parametrize("where", ["past_its_region", "negative", "past_the_allocation",
+                                       "float_index", "fraction_index", "bool_index"])
     def test_word_access_outside_its_region_faults_uncharged(self, make_machine, op, where):
         # At B=8, word 9 of r1 and word -1 of r2 are allocated addresses
-        # (r2[1] and r1's padding), so only a region check catches them.
+        # (r2[1] and r1's padding), so only a region check catches them.  A
+        # word index is an int, never a float, a Fraction or a bool.
         m = make_machine(B=8)
         r1 = m.alloc(3)
         r2 = m.alloc(8)
         m.load(r2, range(8))
         region, i = {"past_its_region": (r1, 9), "negative": (r2, -1),
-                     "past_the_allocation": (MemRegion(r2.end, 4), 0)}[where]
+                     "past_the_allocation": (MemRegion(r2.end, 4), 0),
+                     "float_index": (r2, 2.0), "fraction_index": (r2, Fraction(2)),
+                     "bool_index": (r2, True)}[where]
         args = () if op == "read" else (77,)
         with pytest.raises(MachineFault):
             m.run_rounds([lambda core: getattr(core, op)(region, i, *args)])
@@ -165,6 +170,19 @@ class TestMemory:
         assert m.cache_state().resident == ((),)
         assert m.snapshot_memory(r1) == [0] * 3
         assert m.snapshot_memory(r2) == list(range(8))
+
+    def test_bad_index_in_a_round_commits_nothing(self):
+        # Core 0's write is charged and then dropped with its round; core 1's
+        # float index faults before its write is charged or cached.
+        m = Machine(MachineConfig(p=2, M=16, B=4))
+        r = m.alloc(8)
+        with pytest.raises(MachineFault):
+            m.run_rounds({0: lambda c: c.write(r, 0, 11), 1: lambda c: c.write(r, 5.0, 22)})
+        assert m.snapshot_memory(r) == [0] * 8
+        led = m.ledger()
+        assert (led.rounds, led.per_core_ops, led.per_core_cache_misses) == (0, (1, 0), (1, 0))
+        assert m.cache_state().resident == ((0,), ())
+        _assert_no_round_records(m)
 
     def test_load_and_snapshot_are_free(self, make_machine):
         m = make_machine()
@@ -913,16 +931,16 @@ class TestFetchAddProgramOrder:
 # -- runs of words against the word loops they stand for --------------------
 
 
-def _route_for(regions, dests, log):
-    """A route sending the k-th word to ``dests[k]``, logging what it saw."""
+def _place_for(dests, log):
+    """A placement sending the k-th word to index ``dests[k]``, logging
+    what it saw."""
     it = iter(dests)
 
-    def route(v):
-        log.append(("route", v))
-        r, i = next(it)
-        return regions[r], i, v + 1000
+    def place(v):
+        log.append(("place", v))
+        return next(it)
 
-    return route
+    return place
 
 
 def _fn_for(mapped, log):
@@ -952,7 +970,8 @@ def _run_op(machine, core, regions, op, log):
     elif kind == "write_run":
         core.write_run(regions[op[1]], op[2], op[3])
     elif kind == "route_run":
-        core.route_run(regions[op[1]], op[2], op[3], _route_for(regions, op[4], log))
+        _, r, lo, hi, d, dests = op
+        core.route_run(regions[r], lo, hi, regions[d], _place_for(dests, log))
     else:
         _, r, lo, hi, d, at, mapped = op
         core.copy_run(regions[r], lo, hi, regions[d], at, _fn_for(mapped, log))
@@ -969,11 +988,11 @@ def _word_op(machine, core, regions, op, log):
         for k, v in enumerate(op[3]):
             core.write(region, op[2] + k, v)
     elif kind == "route_run":
-        src = regions[op[1]]
-        route = _route_for(regions, op[4], log)
-        for i in range(op[2], op[3]):
-            dst, j, word = route(core.read(src, i))
-            core.write(dst, j, word)
+        _, r, lo, hi, d, dests = op
+        place = _place_for(dests, log)
+        for i in range(lo, hi):
+            v = core.read(regions[r], i)
+            core.write(regions[d], place(v), v)
     elif kind == "copy":
         _, r, lo, hi, d, at, mapped = op
         fn = _fn_for(mapped, log) or (lambda v: v)
@@ -1055,9 +1074,13 @@ def _run_programs(draw):
         r = draw(st.integers(0, len(lengths) - 1))
         return r, draw(st.integers(0, lengths[r] - 1))
 
+    # A run never writes the span it reads: a scatter needs a second region.
+    kinds = ("read", "write", "fetch_add", "tick", "read_run", "write_run", "copy")
+    if len(lengths) > 1:
+        kinds += ("route_run",)
+
     def op():
-        kind = draw(st.sampled_from(("read", "write", "fetch_add", "tick", "read_run",
-                                     "write_run", "route_run", "copy")))
+        kind = draw(st.sampled_from(kinds))
         r = draw(st.integers(0, len(lengths) - 1))
         if kind in ("read", "write", "fetch_add"):
             return (kind, *dest(), draw(st.integers(1, 9)))[: 3 if kind == "read" else 4]
@@ -1070,10 +1093,20 @@ def _run_programs(draw):
             vals = draw(st.lists(st.integers(-50, 50), max_size=lengths[r] - lo))
             return ("write_run", r, lo, vals)
         if kind == "route_run":
-            return ("route_run", r, lo, hi, [dest() for _ in range(hi - lo)])
+            d = draw(st.sampled_from([k for k in range(len(lengths)) if k != r]))
+            dests = draw(st.lists(st.integers(0, lengths[d] - 1), min_size=hi - lo,
+                                  max_size=hi - lo))
+            return ("route_run", r, lo, hi, d, dests)
         d = draw(st.integers(0, len(lengths) - 1))
-        size = min(hi - lo, lengths[d])
-        at = draw(st.integers(0, lengths[d] - size))
+        if d == r:
+            # Two spans apart in one region, in either order.
+            size = draw(st.integers(0, lengths[r] // 2))
+            first = draw(st.integers(0, lengths[r] - 2 * size))
+            second = draw(st.integers(first + size, lengths[r] - size))
+            lo, at = (first, second) if draw(st.booleans()) else (second, first)
+        else:
+            size = min(hi - lo, lengths[d])
+            at = draw(st.integers(0, lengths[d] - size))
         return ("copy", r, lo, lo + size, d, at, draw(st.booleans()))
 
     steps = []
@@ -1097,39 +1130,32 @@ class TestRuns:
     @pytest.mark.parametrize("trace", [False, True])
     def test_one_block_cache(self, trace):
         # M == B: the word loop misses on every access of a two-block copy.
-        steps = [{0: [[("copy", 0, 0, 8, 1, 1, False), ("route_run", 1, 0, 4, [(0, 7)] * 4)]]}]
+        steps = [{0: [[("copy", 0, 0, 8, 1, 1, False), ("route_run", 1, 0, 4, 0, [7] * 4)]]}]
         _assert_runs_match_words((1, 4, 4), [8, 10], steps, trace)
 
     def test_trace_rows_interleave(self):
         steps = [{0: [[("copy", 0, 1, 7, 1, 0, True), ("read_run", 1, 0, 6),
                        ("write_run", 0, 2, [5, 6, 7])]],
-                  1: [[("route_run", 1, 0, 6, [(0, 0), (1, 7), (0, 3), (0, 4), (1, 8), (1, 0)])]]}]
+                  1: [[("route_run", 1, 0, 6, 0, [0, 7, 3, 4, 6, 1])]]}]
         _assert_runs_match_words((2, 8, 4), [8, 9], steps, trace=True)
 
     def test_route_run_fetches_in_first_touch_order(self):
         # Eight cache blocks and no eviction: the final LRU order is the
         # last-touch order, so only the trace shows that the routed blocks
         # (3, 1, 2 after source block 0) are fetched as the loop meets them.
-        steps = [{0: [[("route_run", 0, 0, 4, [(1, 8), (1, 0), (1, 4), (1, 8)])]]}]
+        steps = [{0: [[("route_run", 0, 0, 4, 1, [8, 0, 4, 8])]]}]
         _assert_runs_match_words((1, 32, 4), [4, 12], steps, trace=True)
         trace = _execute((1, 32, 4), [4, 12], steps, _run_op, True)[4]
         assert trace == [(0, 0, "fetch", addr, "cache_miss") for addr in (0, 12, 4, 8)]
 
     def test_read_run_sees_own_pending_writes(self):
         steps = [{0: [[("write", 0, 3, 9), ("fetch_add", 0, 5, 4), ("read_run", 0, 0, 8),
-                       ("route_run", 0, 2, 7, [(1, 0)] * 5), ("copy", 0, 3, 6, 1, 4, False)]]}]
+                       ("route_run", 0, 2, 7, 1, [0] * 5), ("copy", 0, 3, 6, 1, 4, False)]]}]
         _assert_runs_match_words((1, 16, 4), [8, 8], steps)
-
-    def test_route_into_its_own_source(self):
-        # Word k's destination is word k + 1 of the same block: each later
-        # read sees the word just written, and so does its route.
-        steps = [{0: [[("route_run", 0, 0, 8, [(0, i + 1) for i in range(7)] + [(0, 0)]),
-                       ("copy", 0, 0, 6, 0, 1, True)]]}]
-        _assert_runs_match_words((1, 16, 8), [8], steps)
 
     def test_destinations_written_by_another_core(self):
         steps = [{0: [[("write", 1, 2, 5), ("write", 1, 9, 6)]],
-                  1: [[("write_run", 1, 0, [1, 2, 3, 4]), ("route_run", 0, 0, 4, [(1, 9)] * 4),
+                  1: [[("write_run", 1, 0, [1, 2, 3, 4]), ("route_run", 0, 0, 4, 1, [9] * 4),
                        ("copy", 0, 0, 4, 1, 8, False)]]}]
         _assert_runs_match_words((2, 16, 4), [4, 12], steps)
 
@@ -1137,22 +1163,15 @@ class TestRuns:
         # M/B = 2, B = 4: a piece routing to three blocks is replayed word by
         # word; the other piece of the run is batched.  Both write region 1
         # word 0, and the later word in program order must win.
-        spread = [(1, 0), (1, 4), (1, 8), (1, 12)]
-        steps = [{0: [[("route_run", 0, 0, 8, spread + [(1, 0)] * 4)],
-                      [("route_run", 0, 0, 8, [(1, 0)] * 4 + spread)]]}]
+        spread = [0, 4, 8, 12]
+        steps = [{0: [[("route_run", 0, 0, 8, 1, spread + [0] * 4)],
+                      [("route_run", 0, 0, 8, 1, [0] * 4 + spread)]]}]
         _assert_runs_match_words((1, 8, 4), [8, 16], steps)
-
-    def test_route_into_a_later_block_of_its_own_source(self):
-        # Word 1 lands in the second source block, which a later piece reads
-        # and routes.
-        steps = [{0: [[("route_run", 0, 0, 8, [(1, 0), (0, 6), (1, 1), (1, 2),
-                                               (1, 3), (1, 4), (1, 5), (0, 7)])]]}]
-        _assert_runs_match_words((1, 16, 4), [8, 8], steps)
 
     @pytest.mark.parametrize("mapped", [False, True])
     def test_copy_whose_streams_share_a_block(self, mapped):
-        # An in-place shift right by one reads every word it just wrote.
-        steps = [{0: [[("copy", 0, 0, 9, 0, 1, mapped)], [("copy", 0, 2, 10, 0, 1, mapped)]]}]
+        # Spans apart in one region whose streams share block 0, then block 1.
+        steps = [{0: [[("copy", 0, 0, 2, 0, 2, mapped)], [("copy", 0, 6, 9, 0, 3, mapped)]]}]
         _assert_runs_match_words((1, 16, 4), [10], steps)
 
     def test_copy_calls_fn_once_per_word_in_order(self):
@@ -1171,8 +1190,8 @@ class TestRuns:
             lambda c: c.read_run(a, 0, 7),
             lambda c: c.read_run(a, 3, 2),
             lambda c: c.write_run(a, 4, [1, 2, 3]),
-            lambda c: c.route_run(a, 5, 7, lambda v: (b, 0, v)),
-            lambda c: c.route_run(a, 0, 2, lambda v: (b, 6, v)),
+            lambda c: c.route_run(a, 5, 7, b, lambda v: 0),
+            lambda c: c.route_run(a, 0, 2, b, lambda v: 6),
             lambda c: c.read_run(outside, 0, 1),
             lambda c: c.copy_run(a, 0, 6, b, 1),
         ]
@@ -1182,6 +1201,34 @@ class TestRuns:
         # The word loop would fault too, at its first word past the end.
         with pytest.raises(MachineFault):
             m.run_rounds([lambda c: c.read(a, 6)])
+
+    @pytest.mark.parametrize("run", [
+        # A run never writes the span it reads.
+        lambda c, a, b: c.route_run(a, 0, 4, a, lambda v: 4),
+        lambda c, a, b: c.route_run(KeySeq(MemRegion(a.base + 4, 2), 2), 0, 2, a, lambda v: 0),
+        lambda c, a, b: c.copy_run(a, 0, 6, a, 1),
+        lambda c, a, b: c.copy_run(a, 1, 7, a, 0),
+        # Every index is an int.
+        lambda c, a, b: c.read_run(a, 0.0, 4),
+        lambda c, a, b: c.read_run(a, 0, Fraction(4)),
+        lambda c, a, b: c.write_run(a, True, [1, 2]),
+        lambda c, a, b: c.copy_run(a, 0, 2, b, 2.0),
+        lambda c, a, b: c.route_run(a, 0, 4, b, lambda v: 1.0),
+        lambda c, a, b: c.route_run(a, 0, 4, b, lambda v: Fraction(v)),
+        lambda c, a, b: c.route_run(a, 0, 4, b, lambda v: True),
+    ], ids=["route_into_own_region", "route_from_a_view_into_its_region",
+            "copy_shifted_right", "copy_shifted_left",
+            "read_run_float", "read_run_fraction", "write_run_bool", "copy_run_float",
+            "route_run_float", "route_run_fraction", "route_run_bool"])
+    def test_refused_run_charges_nothing(self, make_machine, run):
+        m = make_machine(B=4)
+        a = m.alloc(8)
+        b = m.alloc(8)
+        with pytest.raises(MachineFault):
+            m.run_rounds([lambda c: run(c, a, b)])
+        assert m.ledger().per_core_ops == (0,)
+        assert m.ledger().per_core_cache_misses == (0,)
+        assert m.cache_state().resident == ((),)
 
     def test_copy_past_its_destination_charges_nothing(self, make_machine):
         m = make_machine(B=4)
@@ -1201,16 +1248,16 @@ class TestRuns:
         a = m.alloc(8)
         b = m.alloc(8)
 
-        def route(v):
+        def place(v):
             if v == 5:
                 if bad == "raises":
                     raise ValueError(v)
-                return b, 8, v
-            return b, v, v
+                return 8
+            return v
 
         m.load(a, range(8))
         with pytest.raises(ValueError if bad == "raises" else MachineFault):
-            m.run_rounds([lambda c: c.route_run(a, 0, 8, route)])
+            m.run_rounds([lambda c: c.route_run(a, 0, 8, b, place)])
         assert m.ledger().per_core_ops == (0,)
         assert m.ledger().per_core_cache_misses == (0,)
         assert m.cache_state().resident == ((),)
