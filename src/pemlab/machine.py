@@ -54,21 +54,23 @@ Runs of words
 ``read_run``, ``write_run``, ``copy_run`` and ``route_run`` stand for word
 loops of ``read``, ``write``, read-write (a two-stream copy) and
 read-place-write (a scatter into one region) over consecutive words of one
-region.  They charge exactly what those loops charge — ops, both miss
-kinds, the core's read and write sets, LRU order, memory and diagnostics —
-and return the same values, at a cost per block rather than per word.  A
-run never writes the span it reads: a copy onto an overlapping span, or a
-scatter into a region that overlaps its source span, raises
-:class:`MachineFault`.
+region.  A ``read_run`` given ``stop`` stands for the read loop that breaks
+after the first word ``v`` for which ``stop(v)`` is true.  They charge
+exactly what those loops charge — ops, both miss kinds, the core's read and
+write sets, LRU order, memory and diagnostics — and return the same values,
+at a cost per block rather than per word.  A run never writes the span it
+reads: a copy onto an overlapping span, or a scatter into a region that
+overlaps its source span, raises :class:`MachineFault`.
 
 Once per run, not once per word or block: the bounds of each stream are
 checked against its region and the allocation, every word is placed and
-every index checked, the core's own pending writes are read, and ``ops``,
-the write buffer and the core's read and write sets are updated.  A run
-that faults therefore raises before it charges anything: a span past its
-region's end, a ``place`` that raises or an index outside its destination
-leaves the whole run uncharged, where the word loop would have charged the
-words before the fault.
+every index checked, the words up to a stop are found, the core's own
+pending writes are read, and ``ops``, the write buffer and the core's read
+and write sets are updated.  A run that faults therefore raises before it
+charges anything: a span past its region's end, a ``place`` or ``stop``
+that raises or an index outside its destination leaves the whole run
+uncharged, where the word loop would have charged the words before the
+fault.
 
 Per piece, a stretch of the loop in which no stream crosses a block
 boundary, a run touches the piece's blocks.  The replay is exact because
@@ -83,7 +85,8 @@ word inside an otherwise batched run.
 A copy goes through the scatter replay, to consecutive words, when one
 block fills the cache (``M == B``) or when its two spans share a block.
 Reads see the core's pending writes; ``fn`` and ``place`` are called once
-per word, in order, and must not touch the machine.
+per word, in order, and ``stop`` once per word up to its first true value;
+none of them may touch the machine.
 
 Trace
 -----
@@ -107,7 +110,7 @@ import csv
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, count, repeat
 from types import GeneratorType
 
 __all__ = [
@@ -345,15 +348,27 @@ class Core:
 
     # -- runs of words: the word loops above, charged once per block -------
 
-    def read_run(self, src, lo: int, hi: int) -> list:
-        """Read words ``[lo, hi)`` of a region (or key sequence) in order.
+    def read_run(self, src, lo: int, hi: int, stop=None) -> list:
+        """Read words ``[lo, hi)`` of a region (or key sequence) in order,
+        ending after the first word ``v`` for which ``stop(v)`` is true.
 
-        Returns and charges exactly what
-        ``[self.read(src, i) for i in range(lo, hi)]`` would.
+        Returns and charges exactly what the word loop that reads word
+        ``i``, appends it, and breaks if ``stop`` is given and true of it
+        would.  ``stop`` is called once per word, in order, up to its first
+        true value, before the run charges anything; it must not touch the
+        machine.
         """
         a0, a1 = self._span(src, lo, hi, "read_run")
         if a0 == a1:
             return []
+        vals = self._values(a0, a1)
+        if stop is not None:
+            # ``compress`` pulls one ``stop`` value per word and returns at
+            # the first true one, so no later word is tested.
+            k = next(compress(count(1), map(stop, vals)), None)
+            if k is not None:
+                del vals[k:]
+                a1 = a0 + k
         B = self._sh._B
         blocks = range(a0 // B, (a1 - 1) // B + 1)
         cache = self._cache
@@ -364,7 +379,7 @@ class Core:
                 self._miss(block)
         self._reads.update(blocks)
         self.ops += a1 - a0
-        return self._values(a0, a1)
+        return vals
 
     def write_run(self, region, lo: int, values) -> None:
         """Write ``values`` to words ``lo, lo + 1, ...`` of a region in order.
@@ -594,6 +609,12 @@ class Machine:
         any other return value completes a one-round program.  Each barrier
         settles the cores that ran in its round.  Returns ``None``;
         :meth:`ledger` gives the cumulative costs.
+
+        Once one program is left, a round in which it wrote nothing is only
+        counted, and the core keeps its read set until a round in which it
+        writes.  That never charges a re-read: the barrier charges a core
+        one for each block it read and another core wrote, and here it is
+        the only writer.
         """
         if not isinstance(programs, dict):
             programs = dict(enumerate(programs))
@@ -607,17 +628,18 @@ class Machine:
         try:
             ran = [self.cores[idx] for idx in order]
             alive = []
+            wrote = False
             for core in ran:
                 gen = programs[core.idx](core)
                 if isinstance(gen, GeneratorType):
                     alive.append((core, gen))
                     next(gen, None)
+                if core._writes:
+                    wrote = True
             finished = True  # round 0 may have ended some or all of them
             while True:
-                for core in ran:
-                    if core._writes:
-                        self._settle_round(ran)
-                        break
+                if wrote:
+                    self._settle_round(ran)
                 else:
                     # Every write, fetch_add and writing run records its
                     # block before it buffers anything: with no writer there
@@ -632,10 +654,26 @@ class Machine:
                     if not alive:
                         return
                     ran = [core for core, _ in alive]
-                finished = False
-                for _, gen in alive:
+                    if len(alive) == 1:
+                        break
+                finished = wrote = False
+                for core, gen in alive:
                     if next(gen, _END) is _END:
                         finished = True
+                    if core._writes:
+                        wrote = True
+            # One program is left: a round in which it wrote nothing is only
+            # counted, and its read set is kept (see the docstring).
+            core, gen = alive[0]
+            for _ in gen:
+                if core._writes:
+                    self._settle_round(ran)
+                sh._round += 1
+            if core._writes:
+                self._settle_round(ran)
+            else:
+                core._reads.clear()
+            sh._round += 1
         except BaseException:
             # A program raised: its round commits nothing and is not
             # counted, and the charges already made stay.

@@ -13,6 +13,9 @@ registrant total *is* the exact core count.  Slots then group into
 blocks of ``slots * log n / p_hat``; block leaders (elected the same
 way within their block) assign local ranks by scanning their block,
 and the global leader turns per-block totals into dense id offsets.
+A block scan reads its block as runs that stop at each registered slot
+(``read_run`` with ``stop=bool``), so it charges exactly the word loop
+that reads every slot and writes each registered slot's offset.
 
 Election walks take one lockstep round per step, so the leftmost-walker
 argument is literal.  Every value later phases need (the estimate, the
@@ -94,6 +97,7 @@ def estimate_processors(machine, n: int, cores,
     """
     cores = tuple(cores)
     _check_cores(cores)
+    _check_stream(stream)
     p = len(cores)
     if n < 2:
         raise MachineFault("slot array needs at least two locations")
@@ -124,11 +128,10 @@ def estimate_processors(machine, n: int, cores,
     def walk(core, ci, floor, won):
         """Election walk: read one slot per round leftward from ``ci``'s
         slot down to ``floor``; ``ci`` joins ``won`` if all are empty."""
-        pos = my_slot[ci] - 1
-        while pos >= floor:
-            if core.read(slots, pos):
+        read = core.read
+        for pos in range(my_slot[ci] - 1, floor - 1, -1):
+            if read(slots, pos):
                 return
-            pos -= 1
             yield
         won.append(ci)
 
@@ -141,15 +144,14 @@ def estimate_processors(machine, n: int, cores,
     est: dict = {}
 
     def count_prog(core):
+        read = core.read
         total = 0
         beta = slots_n
-        i = 0
-        while i < slots_n:
-            total += core.read(slots, i)
+        for i in range(slots_n):
+            total += read(slots, i)
             if total >= target:
                 beta = i + 1
                 break
-            i += 1
             yield
         saturated = total < target
         if saturated:
@@ -177,13 +179,17 @@ def estimate_processors(machine, n: int, cores,
                         for ci in range(p) if my_rank[ci] == 0})
 
     def block_scan(core, ci):
+        """Read the block's slots as runs that end at a registered slot, and
+        write each such slot's offset before reading on."""
         mb = my_slot[ci] // b
+        pos, end = mb * b, min((mb + 1) * b, slots_n)
         running = 0
-        for pos in range(mb * b, min((mb + 1) * b, slots_n)):
-            v = core.read(slots, pos)
-            if v:
-                core.write(offs, pos, running)
-                running += v
+        while pos < end:
+            run = core.read_run(slots, pos, end, stop=bool)
+            pos += len(run)
+            if run[-1]:
+                core.write(offs, pos - 1, running)
+                running += run[-1]
         core.write(summaries, mb, running)
 
     machine.run_rounds({cores[ci].idx: partial(block_scan, ci=ci)
@@ -193,10 +199,14 @@ def estimate_processors(machine, n: int, cores,
 
     def gsum_prog(core):
         running = 0
-        for k in range(nblocks):
-            v = core.read(summaries, k)
-            core.write(gsum, k, running)
-            running += v
+
+        def carry(v):
+            """The total before summary ``v``, which it then adds."""
+            nonlocal running
+            prior, running = running, running + v
+            return prior
+
+        core.copy_run(summaries, 0, nblocks, gsum, 0, carry)
         grand["total"] = running
 
     machine.run_rounds({cores[leader[0]].idx: gsum_prog})
@@ -273,10 +283,15 @@ def oblivious_prefix(machine, a: KeySeq, cores,
 
     def emit(core, k):
         acc = core.read(pref, k - 1) if k else 0
-        for i in range(*owners[k]):
-            acc += core.read(a, i)
-            core.write(out, i, acc)
-            core.tick(1)
+        lo, hi = owners[k]
+
+        def running(v):
+            nonlocal acc
+            acc += v
+            return acc
+
+        core.copy_run(a, lo, hi, out, lo, running)
+        core.tick(hi - lo)
 
     machine.run_rounds({core.idx: partial(emit, k=k)
                         for core, k in zip(cores, est.dense_ids)})

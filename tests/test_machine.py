@@ -81,7 +81,8 @@ class TestRandomStreams:
         m = make_machine(p=2)
         with pytest.raises(MachineFault, match="non-negative ints"):
             m.rng(11, stream, 0)
-        with pytest.raises(MachineFault, match="non-negative ints"):
+        # estimate_processors checks its stream at entry, before it draws.
+        with pytest.raises(MachineFault, match="stream must be a non-negative int"):
             estimate_processors(m, 1024, m.cores, stream=stream)
 
     @pytest.mark.parametrize("high", [0, -3, 2**63 + 1])
@@ -660,6 +661,70 @@ class TestRoundSemantics:
         assert m.ledger().per_core_ops == (1, 1)
         assert m.ledger().rounds == 1
 
+    def test_a_lone_program_charges_what_it_charges_beside_an_idle_core(self):
+        # Core 2 caches blocks 1 and 2 first.  Core 0 then reads, writes
+        # block 1, reads through four write-free rounds (block 2 among
+        # them) and writes block 2: its kept read set must charge nothing.
+        # Beside core 1, which only yields as often, every round has two
+        # programs; alone, core 0 runs the lone-program loop.
+        def lone(core, region):
+            core.read(region, 0)
+            core.write(region, 4, 7)
+            yield
+            core.read(region, 9)
+            yield
+            core.read_run(region, 0, 12)
+            yield
+            yield
+            core.read(region, 4)
+            yield
+            core.write(region, 10, core.read(region, 8) + 1)
+
+        def idle(core):
+            for _ in range(5):
+                yield
+
+        results = []
+        for companion in (False, True):
+            m = Machine(MachineConfig(p=3, M=8, B=4), trace=True)
+            region = m.alloc(12)
+            m.load(region, range(12))
+            m.run_rounds({2: lambda core: core.read_run(region, 4, 12)})
+            programs = {0: lambda core: lone(core, region)}
+            if companion:
+                programs[1] = idle
+            m.run_rounds(programs)
+            _assert_no_round_records(m)
+            results.append((m.ledger(), m.cache_state(), m.snapshot_memory(region),
+                            list(m.diagnostics), list(m._sh._trace)))
+        assert results[0] == results[1]
+        led, state, memory, diagnostics, trace = results[0]
+        assert led.rounds == 7
+        assert led.per_core_block_misses == (0, 0, 0)
+        assert memory[4] == 7 and memory[10] == 9
+        assert state.holders == {1: [0], 2: [0]}
+        assert [row[0] for row in trace if row[1] == 0] == [1, 1, 2, 3, 3, 3]
+
+    def test_a_lone_program_that_raises_commits_nothing(self, make_machine):
+        m = make_machine(p=2, M=16, B=4)
+        region = m.alloc(8)
+
+        def prog(core):
+            core.write(region, 0, 5)
+            yield
+            core.read(region, 4)
+            yield
+            core.write(region, 1, 6)
+            core.read(region, 5)
+            core.read(region, 99)
+
+        with pytest.raises(MachineFault):
+            m.run_rounds({1: prog})
+        _assert_no_round_records(m)
+        assert m.snapshot_memory(region) == [5] + [0] * 7
+        assert m.ledger().rounds == 2
+        assert m.ledger().per_core_ops == (0, 4)
+
     def test_trace_export(self, make_machine, tmp_path):
         # One row per charged miss: three writers of block 0 pay 0, 1 and 2
         # migrations, core 3 re-reads it, and a read run over three blocks
@@ -955,6 +1020,28 @@ def _fn_for(mapped, log):
     return fn
 
 
+def _stop_for(stops, log):
+    """A ``stop`` true of the words in ``stops``, logging every word it is
+    given."""
+    def stop(v):
+        log.append(("stop", v))
+        return v in stops
+
+    return stop
+
+
+def _stop_raising_at_call(k):
+    """A ``stop`` false of the first ``k - 1`` words that raises at word ``k``."""
+    calls = iter(range(1, k))
+
+    def stop(v):
+        if next(calls, None) is None:
+            raise MachineFault(f"stop refused word {v!r}")
+        return False
+
+    return stop
+
+
 def _run_op(machine, core, regions, op, log):
     kind = op[0]
     if kind == "read":
@@ -967,6 +1054,9 @@ def _run_op(machine, core, regions, op, log):
         core.tick(op[1])
     elif kind == "read_run":
         log.append((core.idx, core.read_run(regions[op[1]], op[2], op[3])))
+    elif kind == "read_until":
+        _, r, lo, hi, stops = op
+        log.append((core.idx, core.read_run(regions[r], lo, hi, stop=_stop_for(stops, log))))
     elif kind == "write_run":
         core.write_run(regions[op[1]], op[2], op[3])
     elif kind == "route_run":
@@ -983,6 +1073,15 @@ def _word_op(machine, core, regions, op, log):
     if kind == "read_run":
         region = regions[op[1]]
         log.append((core.idx, [core.read(region, i) for i in range(op[2], op[3])]))
+    elif kind == "read_until":
+        _, r, lo, hi, stops = op
+        stop = _stop_for(stops, log)
+        words = []
+        for i in range(lo, hi):
+            words.append(core.read(regions[r], i))
+            if stop(words[-1]):
+                break
+        log.append((core.idx, words))
     elif kind == "write_run":
         region = regions[op[1]]
         for k, v in enumerate(op[3]):
@@ -1075,7 +1174,8 @@ def _run_programs(draw):
         return r, draw(st.integers(0, lengths[r] - 1))
 
     # A run never writes the span it reads: a scatter needs a second region.
-    kinds = ("read", "write", "fetch_add", "tick", "read_run", "write_run", "copy")
+    kinds = ("read", "write", "fetch_add", "tick", "read_run", "read_until", "write_run",
+             "copy")
     if len(lengths) > 1:
         kinds += ("route_run",)
 
@@ -1089,6 +1189,11 @@ def _run_programs(draw):
         lo, hi = span(r)
         if kind == "read_run":
             return ("read_run", r, lo, hi)
+        if kind == "read_until":
+            # Words the span was loaded with, or that a write may have left.
+            words = [100 * r + i for i in range(lo, hi)] + list(range(-50, 51))
+            return ("read_until", r, lo, hi,
+                    frozenset(draw(st.lists(st.sampled_from(words), max_size=3))))
         if kind == "write_run":
             vals = draw(st.lists(st.integers(-50, 50), max_size=lengths[r] - lo))
             return ("write_run", r, lo, vals)
@@ -1153,6 +1258,20 @@ class TestRuns:
                        ("route_run", 0, 2, 7, 1, [0] * 5), ("copy", 0, 3, 6, 1, 4, False)]]}]
         _assert_runs_match_words((1, 16, 4), [8, 8], steps)
 
+    @pytest.mark.parametrize("ops", [
+        [("read_until", 0, 1, 12, frozenset({999}))],
+        [("read_until", 0, 2, 12, frozenset({2, 9}))],
+        [("read_until", 0, 0, 12, frozenset({2, 9}))],
+        [("read_until", 0, 1, 12, frozenset({6, 9}))],
+        [("write", 0, 5, 0), ("write", 0, 6, 77), ("read_until", 0, 1, 12, frozenset({0, 77}))],
+    ], ids=["never", "first_word", "mid_block", "past_a_block_boundary", "own_pending_writes"])
+    def test_stopping_read_run(self, ops):
+        # B = 4 and region 0 holds 0..11: the run ends after the word that
+        # stops it; core 1 then reads the words past it.
+        steps = [{0: [ops, [("read_until", 0, 0, 12, frozenset({7}))]],
+                  1: [[("read_run", 0, 0, 4)], [("read_until", 0, 3, 12, frozenset({10}))]]}]
+        _assert_runs_match_words((2, 8, 4), [12], steps, trace=True)
+
     def test_destinations_written_by_another_core(self):
         steps = [{0: [[("write", 1, 2, 5), ("write", 1, 9, 6)]],
                   1: [[("write_run", 1, 0, [1, 2, 3, 4]), ("route_run", 0, 0, 4, 1, [9] * 4),
@@ -1216,10 +1335,12 @@ class TestRuns:
         lambda c, a, b: c.route_run(a, 0, 4, b, lambda v: 1.0),
         lambda c, a, b: c.route_run(a, 0, 4, b, lambda v: Fraction(v)),
         lambda c, a, b: c.route_run(a, 0, 4, b, lambda v: True),
+        # A ``stop`` that raises at the sixth word, in the second block.
+        lambda c, a, b: c.read_run(a, 0, 8, stop=_stop_raising_at_call(6)),
     ], ids=["route_into_own_region", "route_from_a_view_into_its_region",
             "copy_shifted_right", "copy_shifted_left",
             "read_run_float", "read_run_fraction", "write_run_bool", "copy_run_float",
-            "route_run_float", "route_run_fraction", "route_run_bool"])
+            "route_run_float", "route_run_fraction", "route_run_bool", "read_run_stop_raises"])
     def test_refused_run_charges_nothing(self, make_machine, run):
         m = make_machine(B=4)
         a = m.alloc(8)

@@ -1,10 +1,11 @@
 """Anonymous core estimation, id assignment, and oblivious prefix sums."""
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from pemlab.machine import Machine, MachineConfig, MachineFault
+from pemlab.machine import CostLedger, Machine, MachineConfig, MachineFault, MemRegion
 from pemlab.primitives import KeySeq, load_seq
 from pemlab.procalloc import (
     IdAssignment,
@@ -96,6 +97,15 @@ class TestEstimateProcessors:
         with pytest.raises(MachineFault):
             estimate_processors(m, 16, m.cores)  # 4 slots < 8 cores
 
+    @pytest.mark.parametrize("stream", [-1, 1.5, True])
+    def test_bad_stream_faults_before_allocating(self, stream):
+        m = make(p=4)
+        limit = m._sh._limit
+        with pytest.raises(MachineFault, match="stream must be a non-negative int"):
+            estimate_processors(m, 256, m.cores, stream=stream)
+        assert m._sh._limit == limit
+        assert (m.ledger().ops, m.ledger().rounds) == (0, 0)
+
     def test_deterministic(self):
         def run():
             m = make(p=16, seed=5)
@@ -167,6 +177,26 @@ class TestObliviousPrefix:
             got = oblivious_prefix(m, load_seq(m, vals), m.cores, stream=t)
             want = list(itertools.accumulate(vals))
             assert list(m.snapshot_memory(got.region)[:n]) == want, (t, p, n)
+
+    def test_ledger_cache_state_and_memory_pinned(self):
+        # Recorded while the emit pass was a word loop; its run must charge
+        # and write exactly what that loop did.
+        m = make(p=4, M=64, B=8, seed=3)
+        rng = random.Random(3)
+        vals = [rng.randrange(-60, 60) for _ in range(1 << 10)]
+        got = oblivious_prefix(m, load_seq(m, vals), m.cores, stream=3)
+        assert m.snapshot_memory(got) == list(itertools.accumulate(vals))
+        assert m.ledger() == CostLedger(per_core_ops=(1373, 1309, 1331, 1564),
+                                        per_core_cache_misses=(109, 103, 105, 132),
+                                        per_core_block_misses=(0, 1, 2, 3), rounds=173)
+        assert m.cache_state().resident == (
+            (60, 218, 61, 219, 62, 220, 63, 221), (92, 250, 93, 251, 94, 252, 95, 253),
+            (124, 282, 125, 283, 126, 284, 127, 285), (28, 186, 29, 187, 30, 188, 31, 189))
+        memory = m.snapshot_memory(MemRegion(0, m._sh._limit))
+        assert len(memory) == 2312
+        assert hashlib.sha256(repr(memory).encode()).hexdigest() == (
+            "a1468d235e72966d6b1ae5b8e30c989904091b8a1cc477a39dcb4597c890aaa6")
+        assert m.diagnostics == []
 
     def test_empty_and_single(self):
         m = make()
