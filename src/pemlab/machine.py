@@ -88,6 +88,26 @@ Reads see the core's pending writes; ``fn`` and ``place`` are called once
 per word, in order, and ``stop`` once per word up to its first true value;
 none of them may touch the machine.
 
+Read-only phases
+----------------
+``Machine.run_reads`` runs programs that only read, and charges what
+``run_rounds`` charges for them.  That is exact because without a writer no
+barrier charges, commits or invalidates anything: a read sees memory as the
+phase found it, and a core's ops, misses and LRU order depend on its own
+program alone.  So each program runs to its end in turn, from the phase's
+first round; the phase counts the rounds of its longest program, and its
+trace rows are sorted by round and core, the order lockstep rounds give.
+Within a core the rows keep program order.  A write cannot be undone once
+a generator has run past it, so the caller declares the phase: a program
+that writes faults, and the phase commits nothing and counts no round.
+
+In such a phase ``walk`` stands for the loop that reads a region's words
+from ``hi - 1`` down, one word per round, until ``stop`` is true of one.  It
+charges ops, misses and LRU order as ``read_run`` does, once per block,
+descending, and moves the program's round on by one per word after the
+first.  Each ``fetch`` row gets the round of the block's first word read,
+the one that missed in the loop.
+
 Trace
 -----
 A machine made with ``trace=True`` records one row ``(round, core, op,
@@ -111,6 +131,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count, repeat
+from operator import itemgetter
 from types import GeneratorType
 
 __all__ = [
@@ -228,10 +249,12 @@ _END = object()  # what ``next`` returns for an ended program
 
 class _Shared:
     """What a machine's cores share: shape, memory, the count of settled
-    rounds (so the index of the round that runs), the round's sums and the
-    trace; never the machine itself, so no cycle holds it."""
+    rounds (so the index of the round that runs), the round's sums, the
+    trace and whether a read-only phase runs; never the machine itself, so
+    no cycle holds it."""
 
-    __slots__ = ("_B", "_cache_blocks", "_mem", "_limit", "_round", "_round_atomics", "_trace")
+    __slots__ = ("_B", "_cache_blocks", "_mem", "_limit", "_round", "_round_atomics", "_trace",
+                 "_reading")
 
     def __init__(self, config: MachineConfig, trace: bool) -> None:
         self._B, self._cache_blocks = config.B, config.M // config.B
@@ -240,6 +263,7 @@ class _Shared:
         self._round = 0
         self._round_atomics: dict = {}  # address -> running fetch_add sum
         self._trace = [] if trace else None
+        self._reading = False
 
 
 class Core:
@@ -379,6 +403,47 @@ class Core:
                 self._miss(block)
         self._reads.update(blocks)
         self.ops += a1 - a0
+        return vals
+
+    def walk(self, src, lo: int, hi: int, stop) -> list:
+        """Read words ``hi - 1`` down to ``lo`` of a region (or key
+        sequence), one word per round, ending after the first word ``v`` for
+        which ``stop(v)`` is true.  Only a program of
+        :meth:`Machine.run_reads` may walk.
+
+        Returns the words read, in that order, and charges exactly what the
+        word loop that reads a word, breaks if ``stop`` is true of it and
+        otherwise yields would: ops, misses and LRU order, each ``fetch``
+        row at the round of the word that missed.  The walk ends in the
+        round of its last word, an empty walk in the round it starts.
+        ``stop`` is called as in :meth:`read_run`.
+        """
+        sh = self._sh
+        if not sh._reading:
+            raise MachineFault("walk outside a read-only phase (Machine.run_reads)")
+        a0, a1 = self._span(src, lo, hi, "walk")
+        if a0 == a1:
+            return []
+        # In a read-only phase no core has a pending write, so the words are
+        # memory's; they are looked up one at a time up to the stop.
+        mem = sh._mem
+        words = map(mem.__getitem__, range(a1 - 1, a0 - 1, -1))
+        k = next(compress(count(1), map(stop, words)), a1 - a0)
+        first, top = a1 - k, a1 - 1
+        vals = mem[first:a1]
+        vals.reverse()
+        B = sh._B
+        cache = self._cache
+        start = sh._round
+        # Descending blocks, each touched from its highest word in the span.
+        for block in range(top // B, first // B - 1, -1):
+            if block in cache:
+                cache.move_to_end(block)
+            else:
+                sh._round = start + top - min(top, block * B + B - 1)
+                self._miss(block)
+        self.ops += k
+        sh._round = start + k - 1
         return vals
 
     def write_run(self, region, lo: int, values) -> None:
@@ -616,21 +681,16 @@ class Machine:
         one for each block it read and another core wrote, and here it is
         the only writer.
         """
-        if not isinstance(programs, dict):
-            programs = dict(enumerate(programs))
-        order = sorted(programs)
-        for idx in order:
-            if not 0 <= idx < self.config.p:
-                raise MachineFault(f"no core {idx} on a {self.config.p}-core machine")
-        if not order:
+        schedule = self._schedule(programs)
+        if not schedule:
             return
         sh = self._sh
         try:
-            ran = [self.cores[idx] for idx in order]
+            ran = [core for core, _ in schedule]
             alive = []
             wrote = False
-            for core in ran:
-                gen = programs[core.idx](core)
+            for core, program in schedule:
+                gen = program(core)
                 if isinstance(gen, GeneratorType):
                     alive.append((core, gen))
                     next(gen, None)
@@ -682,6 +742,70 @@ class Machine:
                     pending.clear()
             sh._round_atomics.clear()
             raise
+
+    def run_reads(self, programs) -> None:
+        """Run per-core programs that only read, each to its end in turn.
+
+        Takes what :meth:`run_rounds` takes and charges what it would.  With
+        no writer no barrier charges, commits or invalidates anything, so
+        each core's charges depend on its own program alone: the programs
+        run one after another in core-id order, each from the current round.
+        The phase counts as many rounds as its longest program, and its
+        trace rows are put in ``(round, core)`` order, as lockstep rounds
+        give them.  Only these programs may :meth:`Core.walk`.
+
+        The caller declares the phase read-only, as a generator cannot be
+        rolled back to where it wrote.  A program that wrote, added or ran a
+        writing run raises :class:`MachineFault` when it ends; then, as when
+        a program raises, nothing commits, no pending record stays and the
+        round counter is restored, and the charges made stay.
+        """
+        schedule = self._schedule(programs)
+        if not schedule:
+            return
+        sh = self._sh
+        start = end = sh._round
+        trace = sh._trace
+        mark = len(trace) if trace is not None else 0
+        sh._reading = True
+        try:
+            for core, program in schedule:
+                sh._round = start
+                gen = program(core)
+                if isinstance(gen, GeneratorType):
+                    for _ in gen:
+                        sh._round += 1
+                if core._writes:
+                    raise MachineFault(f"core {core.idx} wrote in a read-only phase")
+                if sh._round > end:
+                    end = sh._round
+            sh._round = end + 1
+        except BaseException:
+            for core, _ in schedule:
+                for pending in (core._wbuf, core._writes, core._adds):
+                    pending.clear()
+            sh._round_atomics.clear()
+            sh._round = start
+            raise
+        finally:
+            sh._reading = False
+            for core, _ in schedule:
+                core._reads.clear()
+            if trace is not None:
+                trace[mark:] = sorted(trace[mark:], key=itemgetter(0, 1))
+
+    def _schedule(self, programs) -> list:
+        """``(core, program)`` pairs in core-id order from a dict of core
+        ids, or a list pairing with cores ``0..len-1``.  An id that is not an
+        ``int`` (a ``bool`` is not) naming a core raises
+        :class:`MachineFault` before any program runs."""
+        if not isinstance(programs, dict):
+            programs = dict(enumerate(programs))
+        p = self.config.p
+        for idx in programs:
+            if type(idx) is not int or not 0 <= idx < p:
+                raise MachineFault(f"no core {idx!r} on a {p}-core machine")
+        return [(self.cores[idx], programs[idx]) for idx in sorted(programs)]
 
     def _settle_round(self, ran) -> None:
         """Charge and commit the round of the cores in ``ran`` (in id order)
@@ -797,8 +921,10 @@ class Machine:
         Its ``integers(high, size=None)`` draws are those of numpy's
         ``Generator(Philox(SeedSequence(entropy=seed, spawn_key=stream)))
         .integers(0, high, size)``, bit for bit, as Python ints.  Any other
-        key part, or a ``high`` outside ``1..2**63``, raises
-        :class:`MachineFault`.
+        key part, a ``high`` that is not an ``int`` in ``1..2**63`` or a
+        ``size`` that is not ``None`` or an ``int >= 0`` raises
+        :class:`MachineFault`, and a refused draw leaves the stream as it
+        was.
         """
         for part in stream:
             if not isinstance(part, int) or isinstance(part, bool) or part < 0:
@@ -948,11 +1074,14 @@ class _Philox:
         return word & _M32
 
     def integers(self, high: int, size=None):
-        """One draw from ``range(high)``, or a list of ``size`` draws."""
-        if not 0 < high <= _INT64_LIMIT:
-            raise MachineFault(f"need 1 <= high <= 2**63; got {high!r}")
+        """One draw from ``range(high)``, or a list of ``size`` draws; both
+        are ``int``s, not ``bool``s, checked before anything is drawn."""
+        if type(high) is not int or not 0 < high <= _INT64_LIMIT:
+            raise MachineFault(f"need an int 1 <= high <= 2**63; got {high!r}")
         if size is None:
             return self._bounded(high)
+        if type(size) is not int or size < 0:
+            raise MachineFault(f"size must be a non-negative int; got {size!r}")
         return [self._bounded(high) for _ in range(size)]
 
     def _bounded(self, n: int) -> int:

@@ -17,11 +17,15 @@ A block scan reads its block as runs that stop at each registered slot
 (``read_run`` with ``stop=bool``), so it charges exactly the word loop
 that reads every slot and writes each registered slot's offset.
 
-Election walks take one lockstep round per step, so the leftmost-walker
-argument is literal.  Every value later phases need (the estimate, the
-block size, rank offsets) is written to shared words by the core that
-computed it and read back by each participant, so the communication is
-charged to the ledger; the host only mirrors what the leaders wrote.
+Each step of an election walk is still charged as one round, so the
+leftmost-walker argument is literal.  No walker writes, so each election
+phase is read-only (``run_reads``) and each walk runs as one paced run
+(``Core.walk``) that charges per block what the one-slot-per-round loop
+charges.  The count walk writes in its last round and stays a word loop.
+Every value later phases need (the estimate, the block size, rank offsets)
+is written to shared words by the core that computed it and read back by
+each participant, so the communication is charged to the ledger; the host
+only mirrors what the leaders wrote.
 """
 from __future__ import annotations
 
@@ -127,17 +131,18 @@ def estimate_processors(machine, n: int, cores,
 
     def walk(core, ci, floor, won):
         """Election walk: read one slot per round leftward from ``ci``'s
-        slot down to ``floor``; ``ci`` joins ``won`` if all are empty."""
-        read = core.read
-        for pos in range(my_slot[ci] - 1, floor - 1, -1):
-            if read(slots, pos):
+        slot down to ``floor``; ``ci`` joins ``won`` a round after the last
+        if all are empty."""
+        seen = core.walk(slots, floor, my_slot[ci], bool)
+        if seen:
+            if seen[-1]:
                 return
             yield
         won.append(ci)
 
     leader: list = []
-    machine.run_rounds({cores[ci].idx: partial(walk, ci=ci, floor=0, won=leader)
-                        for ci in range(p) if my_rank[ci] == 0})
+    machine.run_reads({cores[ci].idx: partial(walk, ci=ci, floor=0, won=leader)
+                       for ci in range(p) if my_rank[ci] == 0})
     if len(leader) != 1:
         raise MachineFault("leftward election did not produce one leader")
 
@@ -175,8 +180,8 @@ def estimate_processors(machine, n: int, cores,
         core.read(header, 0)
         return walk(core, ci, (my_slot[ci] // b) * b, block_leaders)
 
-    machine.run_rounds({cores[ci].idx: partial(block_walk, ci=ci)
-                        for ci in range(p) if my_rank[ci] == 0})
+    machine.run_reads({cores[ci].idx: partial(block_walk, ci=ci)
+                       for ci in range(p) if my_rank[ci] == 0})
 
     def block_scan(core, ci):
         """Read the block's slots as runs that end at a registered slot, and

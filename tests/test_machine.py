@@ -93,6 +93,15 @@ class TestRandomStreams:
         with pytest.raises(MachineFault):
             rng.integers(high, size=2)
 
+    @pytest.mark.parametrize("high, size", [(5.0, None), (True, None), (10, -1), (10, True),
+                                            (10, 2.0)])
+    def test_a_bad_high_or_size_faults_before_drawing(self, make_machine, high, size):
+        m = make_machine(seed=7)
+        rng = m.rng(12, 1, 0)
+        with pytest.raises(MachineFault):
+            rng.integers(high, size)
+        assert rng.integers(50) == m.rng(12, 1, 0).integers(50)
+
     @pytest.fixture(scope="class")
     def np_random(self):
         return pytest.importorskip("numpy").random
@@ -946,6 +955,17 @@ class TestPlainPrograms:
             m.run_rounds({0: ran.append, 5: ran.append})
         assert ran == []
 
+    @pytest.mark.parametrize("executor", ["run_rounds", "run_reads"])
+    @pytest.mark.parametrize("idx", [True, 1.0, -1, 2], ids=["bool", "float", "negative", "past_p"])
+    def test_a_core_id_is_an_int_naming_a_core(self, make_machine, executor, idx):
+        # ``True == 1`` and ``1.0 == 1``, but neither names core 1.
+        m = make_machine(p=2)
+        ran = []
+        with pytest.raises(MachineFault, match="no core"):
+            getattr(m, executor)({0: ran.append, idx: ran.append})
+        assert ran == []
+        assert m.ledger().rounds == 0
+
     @pytest.mark.parametrize("seed", range(12))
     def test_plain_and_tail_forms_agree(self, seed):
         rng = random.Random(seed)
@@ -1321,32 +1341,40 @@ class TestRuns:
         with pytest.raises(MachineFault):
             m.run_rounds([lambda c: c.read(a, 6)])
 
-    @pytest.mark.parametrize("run", [
+    @pytest.mark.parametrize("executor, run", [
         # A run never writes the span it reads.
-        lambda c, a, b: c.route_run(a, 0, 4, a, lambda v: 4),
-        lambda c, a, b: c.route_run(KeySeq(MemRegion(a.base + 4, 2), 2), 0, 2, a, lambda v: 0),
-        lambda c, a, b: c.copy_run(a, 0, 6, a, 1),
-        lambda c, a, b: c.copy_run(a, 1, 7, a, 0),
+        ("run_rounds", lambda c, a, b: c.route_run(a, 0, 4, a, lambda v: 4)),
+        ("run_rounds",
+         lambda c, a, b: c.route_run(KeySeq(MemRegion(a.base + 4, 2), 2), 0, 2, a, lambda v: 0)),
+        ("run_rounds", lambda c, a, b: c.copy_run(a, 0, 6, a, 1)),
+        ("run_rounds", lambda c, a, b: c.copy_run(a, 1, 7, a, 0)),
         # Every index is an int.
-        lambda c, a, b: c.read_run(a, 0.0, 4),
-        lambda c, a, b: c.read_run(a, 0, Fraction(4)),
-        lambda c, a, b: c.write_run(a, True, [1, 2]),
-        lambda c, a, b: c.copy_run(a, 0, 2, b, 2.0),
-        lambda c, a, b: c.route_run(a, 0, 4, b, lambda v: 1.0),
-        lambda c, a, b: c.route_run(a, 0, 4, b, lambda v: Fraction(v)),
-        lambda c, a, b: c.route_run(a, 0, 4, b, lambda v: True),
+        ("run_rounds", lambda c, a, b: c.read_run(a, 0.0, 4)),
+        ("run_rounds", lambda c, a, b: c.read_run(a, 0, Fraction(4))),
+        ("run_rounds", lambda c, a, b: c.write_run(a, True, [1, 2])),
+        ("run_rounds", lambda c, a, b: c.copy_run(a, 0, 2, b, 2.0)),
+        ("run_rounds", lambda c, a, b: c.route_run(a, 0, 4, b, lambda v: 1.0)),
+        ("run_rounds", lambda c, a, b: c.route_run(a, 0, 4, b, lambda v: Fraction(v))),
+        ("run_rounds", lambda c, a, b: c.route_run(a, 0, 4, b, lambda v: True)),
         # A ``stop`` that raises at the sixth word, in the second block.
-        lambda c, a, b: c.read_run(a, 0, 8, stop=_stop_raising_at_call(6)),
+        ("run_rounds", lambda c, a, b: c.read_run(a, 0, 8, stop=_stop_raising_at_call(6))),
+        # A walk runs only in a read-only phase, within its region, and its
+        # ``stop`` is called before it charges.
+        ("run_rounds", lambda c, a, b: c.walk(a, 0, 8, bool)),
+        ("run_reads", lambda c, a, b: c.walk(a, 0, 9, bool)),
+        ("run_reads", lambda c, a, b: c.walk(a, 0, 8, _stop_raising_at_call(6))),
     ], ids=["route_into_own_region", "route_from_a_view_into_its_region",
             "copy_shifted_right", "copy_shifted_left",
             "read_run_float", "read_run_fraction", "write_run_bool", "copy_run_float",
-            "route_run_float", "route_run_fraction", "route_run_bool", "read_run_stop_raises"])
-    def test_refused_run_charges_nothing(self, make_machine, run):
+            "route_run_float", "route_run_fraction", "route_run_bool", "read_run_stop_raises",
+            "walk_outside_run_reads", "walk_past_its_region", "walk_stop_raises"])
+    def test_refused_run_charges_nothing(self, make_machine, executor, run):
         m = make_machine(B=4)
         a = m.alloc(8)
         b = m.alloc(8)
         with pytest.raises(MachineFault):
-            m.run_rounds([lambda c: run(c, a, b)])
+            getattr(m, executor)([lambda c: run(c, a, b)])
+        assert m.ledger().rounds == 0
         assert m.ledger().per_core_ops == (0,)
         assert m.ledger().per_core_cache_misses == (0,)
         assert m.cache_state().resident == ((),)
@@ -1382,3 +1410,166 @@ class TestRuns:
         assert m.ledger().per_core_ops == (0,)
         assert m.ledger().per_core_cache_misses == (0,)
         assert m.cache_state().resident == ((),)
+
+
+# -- read-only phases against the lockstep rounds they stand for -------------
+
+
+def _walk_words(core, region, lo, hi, stop):
+    """The word loop ``Core.walk`` stands for: read words ``hi - 1`` down to
+    ``lo``, one per round, until ``stop`` is true of one."""
+    seen = []
+    for pos in range(hi - 1, lo - 1, -1):
+        if seen:
+            yield
+        seen.append(core.read(region, pos))
+        if stop(seen[-1]):
+            break
+    return seen
+
+
+def _walk_run(core, region, lo, hi, stop):
+    return core.walk(region, lo, hi, stop)
+    yield  # pragma: no cover
+
+
+def _reader(ops, region, log, walker):
+    """A program of ``("read", i)``, ``("walk", lo, hi)`` and ``("yield",)``
+    steps, logging what each core read."""
+    def prog(core):
+        seen = log.setdefault(core.idx, [])
+        for op in ops:
+            if op[0] == "yield":
+                yield
+            elif op[0] == "read":
+                seen.append(core.read(region, op[1]))
+            else:
+                seen.append((yield from walker(core, region, op[1], op[2], bool)))
+
+    return prog
+
+
+def _random_readers(rng, p, n):
+    """Read-only programs for a random subset of ``p`` cores over ``n`` words."""
+    phase = {}
+    for idx in sorted(rng.sample(range(p), rng.randint(1, p))):
+        ops = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(("walk", "walk", "read", "yield"))
+            if kind == "walk":
+                lo = rng.randint(0, n)
+                ops.append(("walk", lo, rng.randint(lo, n)))
+            elif kind == "read":
+                ops.append(("read", rng.randrange(n)))
+            else:
+                ops.append(("yield",))
+        phase[idx] = ops
+    return phase
+
+
+def _run_read_phases(p, M, B, words, steps, form, trace=True):
+    """Run ``steps`` on a machine whose region holds ``words``: a dict of
+    reader ops is a read-only phase, in ``form`` ``"runs"`` through
+    ``run_reads`` and walks, else through ``run_rounds`` and word loops; a
+    list of ``(core, lo, hi, value)`` is a lockstep round in which each core
+    reads ``[lo, hi)`` and writes ``value`` at ``lo``."""
+    m = Machine(MachineConfig(p=p, M=M, B=B), trace=trace)
+    m.alloc(3)  # the region starts past block 0
+    region = m.alloc(len(words))
+    m.load(region, words)
+    log = {}
+    for step in steps:
+        if isinstance(step, dict):
+            walker = _walk_run if form == "runs" else _walk_words
+            programs = {idx: _reader(ops, region, log, walker) for idx, ops in step.items()}
+            (m.run_reads if form == "runs" else m.run_rounds)(programs)
+        else:
+            m.run_rounds({idx: (lambda core, lo=lo, hi=hi, v=v: (
+                core.read_run(region, lo, hi), core.write(region, lo, v)))
+                for idx, lo, hi, v in step})
+        _assert_no_round_records(m)
+    if trace:
+        _assert_trace_itemizes_ledger(m)
+    return (m.ledger(), m.cache_state(), m.snapshot_memory(region), list(m.diagnostics),
+            m._sh._trace, log)
+
+
+class TestReadOnlyPhases:
+    """``run_reads`` with ``walk`` charges what ``run_rounds`` charges for
+    the same programs with word loops: ledger, rounds, LRU order, memory,
+    diagnostics, trace rows and the words each core read."""
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_walks_charge_exactly_the_lockstep_word_loops(self, seed):
+        rng = random.Random(seed)
+        p = (1, 3, 8)[seed % 3]
+        M, B = ((4, 1), (8, 2), (16, 4), (64, 8), (8, 8), (32, 4))[seed // 3 % 6]
+        n = rng.randint(1, 40)
+        density = (0.0, 0.1, 0.3, 1.0)[seed % 4]
+        words = [rng.randint(1, 9) if rng.random() < density else 0 for _ in range(n)]
+        steps = []
+        for _ in range(rng.randint(1, 3)):
+            # A lockstep round leaves some blocks resident, some not.
+            steps.append([(idx, lo, rng.randint(lo, n), rng.choice((0, 5)))
+                          for idx in rng.sample(range(p), rng.randint(1, p))
+                          for lo in [rng.randrange(n)]])
+            steps.append(_random_readers(rng, p, n))
+        trace = seed % 5 != 4
+        got = _run_read_phases(p, M, B, words, steps, "runs", trace)
+        want = _run_read_phases(p, M, B, words, steps, "words", trace)
+        assert got == want
+
+    def test_a_walk_across_resident_and_fetched_blocks(self):
+        # B = 4; region words 0..15 sit at addresses 4..19 (blocks 1..4), and
+        # only word 0 is nonzero.  Core 0 caches block 2 in round 0; its walk
+        # from word 15 then reads one word per round in rounds 1..16,
+        # fetching block 4 at word 15, block 3 at word 11 and block 1 at
+        # word 3.
+        words = [7] + [0] * 15
+        steps = [[(0, 4, 8, 0)], {0: [("walk", 0, 16)], 1: [("yield",), ("walk", 14, 16)]}]
+        got = _run_read_phases(2, 32, 4, words, steps, "runs")
+        assert got == _run_read_phases(2, 32, 4, words, steps, "words")
+        led, state, _, _, trace, log = got
+        assert led.rounds == 1 + 16
+        assert led.per_core_ops == (4 + 1 + 16, 2)
+        assert state.resident[0] == (4, 3, 2, 1)
+        assert [row[0] for row in trace if row[1] == 0] == [0, 1, 5, 13]
+        assert [row[:2] for row in trace if row[1] == 1] == [(2, 1)]
+        assert log == {0: [[0] * 15 + [7]], 1: [[0, 0]]}
+
+    def test_an_empty_phase_runs_zero_rounds(self, make_machine):
+        m = make_machine(p=2)
+        m.run_reads({})
+        m.run_reads([])
+        assert m.ledger() == CostLedger((0, 0), (0, 0), (0, 0), 0)
+
+    @pytest.mark.parametrize("write", [
+        lambda core, region: core.write(region, 1, 9),
+        lambda core, region: core.fetch_add(region, 1, 9),
+        lambda core, region: core.write_run(region, 0, [9, 9]),
+        lambda core, region: core.read(region, 99),
+    ], ids=["write", "fetch_add", "write_run", "raises"])
+    def test_a_writer_in_a_read_only_phase_commits_nothing(self, make_machine, write):
+        m = make_machine(p=3, M=16, B=4)
+        region = m.alloc(8)
+        m.run_rounds({0: lambda core: core.write(region, 0, 5)})
+
+        def writer(core):
+            core.walk(region, 0, 4, bool)
+            yield
+            write(core, region)
+            yield
+
+        with pytest.raises(MachineFault):
+            m.run_reads({0: lambda core: core.walk(region, 0, 8, bool), 1: writer,
+                         2: lambda core: core.read(region, 2)})
+        _assert_no_round_records(m)
+        assert m.snapshot_memory(region) == [5] + [0] * 7
+        assert m.ledger().rounds == 1
+        assert m.diagnostics == []
+        # The phase is over: a walk faults again, and the next round runs.
+        with pytest.raises(MachineFault, match="read-only phase"):
+            m.run_rounds([lambda core: core.walk(region, 0, 1, bool)])
+        m.run_rounds({2: lambda core: core.write(region, 3, 6)})
+        assert m.snapshot_memory(region) == [5, 0, 0, 6, 0, 0, 0, 0]
+        assert m.ledger().rounds == 2

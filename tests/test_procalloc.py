@@ -165,6 +165,17 @@ class TestEstimateProcessors:
             39: [1, 4], 40: [1, 2], 41: [1, 14], 42: [15, 31], 44: every,
             45: [6, 15], 46: every}
 
+    def test_census_trial_trace_pinned(self):
+        # The same trial on a traced machine.  The hash of its trace rows
+        # was recorded while the election walks ran as lockstep word loops;
+        # it pins the round each walk's misses are charged in.
+        m = Machine(MachineConfig(p=32, M=1024, B=16, seed=3), trace=True)
+        estimate_processors(m, 1 << 12, m.cores, stream=3)
+        rows = m._sh._trace
+        assert len(rows) == 229
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "f40be1606af6dd4cc7e93bf509687c826f88b7f9704e62e09e18dc76fc98412f")
+
 
 class TestObliviousPrefix:
     def test_matches_accumulate_hidden_p(self):
