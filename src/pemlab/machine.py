@@ -88,25 +88,26 @@ Reads see the core's pending writes; ``fn`` and ``place`` are called once
 per word, in order, and ``stop`` once per word up to its first true value;
 none of them may touch the machine.
 
-Read-only phases
-----------------
-``Machine.run_reads`` runs programs that only read, and charges what
-``run_rounds`` charges for them.  That is exact because without a writer no
-barrier charges, commits or invalidates anything: a read sees memory as the
-phase found it, and a core's ops, misses and LRU order depend on its own
-program alone.  So each program runs to its end in turn, from the phase's
-first round; the phase counts the rounds of its longest program, and its
-trace rows are sorted by round and core, the order lockstep rounds give.
-Within a core the rows keep program order.  A write cannot be undone once
-a generator has run past it, so the caller declares the phase: a program
-that writes faults, and the phase commits nothing and counts no round.
+Running ahead
+-------------
+While no other core writes, a barrier settles nothing for a core that its
+own program does not decide: it commits only that core's writes, charges
+it no migration or re-read, and leaves every block it wrote in its cache.
+Such a core runs ahead: its program is driven to its end from the current
+round, a round in which it wrote nothing is only counted (its read set is
+kept), and a round in which it wrote is settled.  ``run_rounds`` runs a
+call of one program, and the last program of a call left running, that
+way.  ``Machine.run_reads`` runs each of its programs that way in turn from
+the phase's first round, and a write faults: the caller declares the phase
+read-only, as a generator cannot be rolled back.  The phase counts the
+rounds of its longest program, and its trace rows are sorted by round and
+core, the order lockstep rounds give.
 
-In such a phase ``walk`` stands for the loop that reads a region's words
-from ``hi - 1`` down, one word per round, until ``stop`` is true of one.  It
-charges ops, misses and LRU order as ``read_run`` does, once per block,
-descending, and moves the program's round on by one per word after the
-first.  Each ``fetch`` row gets the round of the block's first word read,
-the one that missed in the loop.
+A core that runs ahead may ``walk``: the loop that reads the words a
+``range`` of step 1 or -1 names, in its order and one per round, until
+``stop`` is true of one.  It reads and charges as ``read_run`` does, once
+per block in walk order, and moves the round on by one per word after the
+first; each ``fetch`` row gets the round of the word that missed.
 
 Trace
 -----
@@ -130,7 +131,7 @@ import csv
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import itemgetter
 from types import GeneratorType
 
@@ -247,14 +248,22 @@ class CacheState:
 _END = object()  # what ``next`` returns for an ended program
 
 
+def _rounds(core, program):
+    """Call ``program`` on ``core`` and resume a generator it returns to its
+    end: one step per round of the program but its last."""
+    gen = program(core)
+    if isinstance(gen, GeneratorType):
+        yield from gen
+
+
 class _Shared:
     """What a machine's cores share: shape, memory, the count of settled
     rounds (so the index of the round that runs), the round's sums, the
-    trace and whether a read-only phase runs; never the machine itself, so
-    no cycle holds it."""
+    trace and the core that runs ahead, if one does; never the machine
+    itself, so no cycle holds it."""
 
     __slots__ = ("_B", "_cache_blocks", "_mem", "_limit", "_round", "_round_atomics", "_trace",
-                 "_reading")
+                 "_ahead")
 
     def __init__(self, config: MachineConfig, trace: bool) -> None:
         self._B, self._cache_blocks = config.B, config.M // config.B
@@ -263,7 +272,7 @@ class _Shared:
         self._round = 0
         self._round_atomics: dict = {}  # address -> running fetch_add sum
         self._trace = [] if trace else None
-        self._reading = False
+        self._ahead = None
 
 
 class Core:
@@ -405,43 +414,53 @@ class Core:
         self.ops += a1 - a0
         return vals
 
-    def walk(self, src, lo: int, hi: int, stop) -> list:
-        """Read words ``hi - 1`` down to ``lo`` of a region (or key
-        sequence), one word per round, ending after the first word ``v`` for
-        which ``stop(v)`` is true.  Only a program of
-        :meth:`Machine.run_reads` may walk.
+    def walk(self, src, words: range, stop) -> list:
+        """Read the words of a region (or key sequence) that ``words``, a
+        ``range`` of step 1 or -1, names, in its order and one per round,
+        ending after the first word ``v`` for which ``stop(v)`` is true.
+        Only a core that runs ahead may walk (see the module docstring).
 
         Returns the words read, in that order, and charges exactly what the
         word loop that reads a word, breaks if ``stop`` is true of it and
-        otherwise yields would: ops, misses and LRU order, each ``fetch``
-        row at the round of the word that missed.  The walk ends in the
-        round of its last word, an empty walk in the round it starts.
-        ``stop`` is called as in :meth:`read_run`.
+        otherwise yields would, each ``fetch`` row at the round of the word
+        that missed.  The walk ends in the round of its last word, an empty
+        walk in the round it starts.  Words are read, and ``stop`` called,
+        as in :meth:`read_run`.
         """
         sh = self._sh
-        if not sh._reading:
-            raise MachineFault("walk outside a read-only phase (Machine.run_reads)")
+        if sh._ahead is not self:
+            raise MachineFault("walk by a core that does not run ahead")
+        if type(words) is not range or words.step not in (1, -1):
+            raise MachineFault(f"walk needs a range of step 1 or -1; got {words!r}")
+        step = words.step
+        lo, hi = (words.start, words.stop) if step == 1 else (words.stop + 1, words.start + 1)
         a0, a1 = self._span(src, lo, hi, "walk")
         if a0 == a1:
             return []
-        # In a read-only phase no core has a pending write, so the words are
-        # memory's; they are looked up one at a time up to the stop.
-        mem = sh._mem
-        words = map(mem.__getitem__, range(a1 - 1, a0 - 1, -1))
-        k = next(compress(count(1), map(stop, words)), a1 - a0)
-        first, top = a1 - k, a1 - 1
-        vals = mem[first:a1]
-        vals.reverse()
+        addrs = range(a0, a1) if step == 1 else range(a1 - 1, a0 - 1, -1)
+        seen = map(sh._mem.__getitem__, addrs)
+        if self._wbuf:
+            seen = map(self._wbuf.get, addrs, seen)
+        # The words are looked up one at a time up to the stop: an election
+        # walk's span runs down to slot 0.
+        k = next(compress(count(1), map(stop, seen)), len(addrs))
+        first, last = addrs[0], addrs[k - 1]
+        vals = self._values(min(first, last), max(first, last) + 1)
+        if step == -1:
+            vals.reverse()
         B = sh._B
         cache = self._cache
         start = sh._round
-        # Descending blocks, each touched from its highest word in the span.
-        for block in range(top // B, first // B - 1, -1):
+        blocks = range(first // B, last // B + step, step)
+        for block in blocks:
             if block in cache:
                 cache.move_to_end(block)
             else:
-                sh._round = start + top - min(top, block * B + B - 1)
+                # The block's first word walked is the one that misses.
+                edge = block * B if step == 1 else block * B + B - 1
+                sh._round = start + max(0, (edge - first) * step)
                 self._miss(block)
+        self._reads.update(blocks)
         self.ops += k
         sh._round = start + k - 1
         return vals
@@ -673,31 +692,21 @@ class Machine:
         the generator is exhausted, so each ``yield`` is a global barrier;
         any other return value completes a one-round program.  Each barrier
         settles the cores that ran in its round.  Returns ``None``;
-        :meth:`ledger` gives the cumulative costs.
-
-        Once one program is left, a round in which it wrote nothing is only
-        counted, and the core keeps its read set until a round in which it
-        writes.  That never charges a re-read: the barrier charges a core
-        one for each block it read and another core wrote, and here it is
-        the only writer.
+        :meth:`ledger` gives the cumulative costs.  A call of one program,
+        and the last program left running, runs ahead (see the module
+        docstring).
         """
-        schedule = self._schedule(programs)
-        if not schedule:
-            return
+        alive = [(core, _rounds(core, program)) for core, program in self._schedule(programs)]
+        ran = [core for core, _ in alive]
         sh = self._sh
         try:
-            ran = [core for core, _ in schedule]
-            alive = []
-            wrote = False
-            for core, program in schedule:
-                gen = program(core)
-                if isinstance(gen, GeneratorType):
-                    alive.append((core, gen))
-                    next(gen, None)
-                if core._writes:
-                    wrote = True
-            finished = True  # round 0 may have ended some or all of them
-            while True:
+            while len(alive) > 1:
+                finished = wrote = False
+                for core, gen in alive:
+                    if next(gen, _END) is _END:
+                        finished = True
+                    if core._writes:
+                        wrote = True
                 if wrote:
                     self._settle_round(ran)
                 else:
@@ -708,91 +717,70 @@ class Machine:
                         core._reads.clear()
                 sh._round += 1
                 if finished:
-                    # Only a round in which a generator ended rebuilds the
+                    # Only a round in which a program ended rebuilds the
                     # lists; an ended generator has no frame.  Order is kept.
                     alive = [(core, gen) for core, gen in alive if gen.gi_frame is not None]
-                    if not alive:
-                        return
                     ran = [core for core, _ in alive]
-                    if len(alive) == 1:
-                        break
-                finished = wrote = False
-                for core, gen in alive:
-                    if next(gen, _END) is _END:
-                        finished = True
-                    if core._writes:
-                        wrote = True
-            # One program is left: a round in which it wrote nothing is only
-            # counted, and its read set is kept (see the docstring).
-            core, gen = alive[0]
-            for _ in gen:
-                if core._writes:
-                    self._settle_round(ran)
-                sh._round += 1
-            if core._writes:
-                self._settle_round(ran)
-            else:
-                core._reads.clear()
-            sh._round += 1
+            if alive:
+                self._run_ahead(*alive[0])
         except BaseException:
-            # A program raised: its round commits nothing and is not
-            # counted, and the charges already made stay.
-            for core in self.cores:
-                for pending in (core._wbuf, core._reads, core._writes, core._adds):
-                    pending.clear()
-            sh._round_atomics.clear()
+            self._drop_round()
             raise
 
     def run_reads(self, programs) -> None:
-        """Run per-core programs that only read, each to its end in turn.
+        """Run per-core programs that only read, each ahead to its end in
+        turn, in core-id order and from the current round (see the module
+        docstring).  Takes what :meth:`run_rounds` takes and charges what it
+        would.
 
-        Takes what :meth:`run_rounds` takes and charges what it would.  With
-        no writer no barrier charges, commits or invalidates anything, so
-        each core's charges depend on its own program alone: the programs
-        run one after another in core-id order, each from the current round.
-        The phase counts as many rounds as its longest program, and its
-        trace rows are put in ``(round, core)`` order, as lockstep rounds
-        give them.  Only these programs may :meth:`Core.walk`.
-
-        The caller declares the phase read-only, as a generator cannot be
-        rolled back to where it wrote.  A program that wrote, added or ran a
-        writing run raises :class:`MachineFault` when it ends; then, as when
-        a program raises, nothing commits, no pending record stays and the
+        A program that wrote, added or ran a writing run raises
+        :class:`MachineFault` at the end of that round; then, as when a
+        program raises, nothing commits, no pending record stays and the
         round counter is restored, and the charges made stay.
         """
         schedule = self._schedule(programs)
-        if not schedule:
-            return
         sh = self._sh
         start = end = sh._round
         trace = sh._trace
         mark = len(trace) if trace is not None else 0
-        sh._reading = True
         try:
             for core, program in schedule:
                 sh._round = start
-                gen = program(core)
-                if isinstance(gen, GeneratorType):
-                    for _ in gen:
-                        sh._round += 1
-                if core._writes:
-                    raise MachineFault(f"core {core.idx} wrote in a read-only phase")
-                if sh._round > end:
-                    end = sh._round
-            sh._round = end + 1
+                self._run_ahead(core, _rounds(core, program), read_only=True)
+                end = max(end, sh._round)
+            sh._round = end
         except BaseException:
-            for core, _ in schedule:
-                for pending in (core._wbuf, core._writes, core._adds):
-                    pending.clear()
-            sh._round_atomics.clear()
             sh._round = start
+            self._drop_round()
             raise
         finally:
-            sh._reading = False
-            for core, _ in schedule:
-                core._reads.clear()
             if trace is not None:
                 trace[mark:] = sorted(trace[mark:], key=itemgetter(0, 1))
+
+    def _run_ahead(self, core, rounds, read_only=False) -> None:
+        """Drive ``core``'s program alone from the current round to its end;
+        each step of ``rounds`` runs one of its rounds but the last.  A round
+        in which the core wrote is settled, or faults if ``read_only``; any
+        other round is only counted, and the core keeps its read set."""
+        sh = self._sh
+        sh._ahead = core
+        for _ in chain(rounds, (None,)):
+            if core._writes:
+                if read_only:
+                    raise MachineFault(f"core {core.idx} wrote in a read-only phase")
+                self._settle_round((core,))
+            sh._round += 1
+        core._reads.clear()
+        sh._ahead = None
+
+    def _drop_round(self) -> None:
+        """A program raised: its round commits nothing and is not counted,
+        no core runs ahead, and the charges already made stay."""
+        for core in self.cores:
+            for pending in (core._wbuf, core._reads, core._writes, core._adds):
+                pending.clear()
+        self._sh._round_atomics.clear()
+        self._sh._ahead = None
 
     def _schedule(self, programs) -> list:
         """``(core, program)`` pairs in core-id order from a dict of core

@@ -17,11 +17,12 @@ A block scan reads its block as runs that stop at each registered slot
 (``read_run`` with ``stop=bool``), so it charges exactly the word loop
 that reads every slot and writes each registered slot's offset.
 
-Each step of an election walk is still charged as one round, so the
-leftmost-walker argument is literal.  No walker writes, so each election
-phase is read-only (``run_reads``) and each walk runs as one paced run
+Each step of a walk is still charged as one round, so the
+leftmost-walker argument is literal.  Each walk runs as one paced run
 (``Core.walk``) that charges per block what the one-slot-per-round loop
-charges.  The count walk writes in its last round and stays a word loop.
+charges: no walker writes, so each election phase is read-only
+(``run_reads``), and the leader counts alone, walking right with a ``stop``
+that keeps the running sum, then writes the estimate.
 Every value later phases need (the estimate, the block size, rank offsets)
 is written to shared words by the core that computed it and read back by
 each participant, so the communication is charged to the ledger; the host
@@ -133,7 +134,7 @@ def estimate_processors(machine, n: int, cores,
         """Election walk: read one slot per round leftward from ``ci``'s
         slot down to ``floor``; ``ci`` joins ``won`` a round after the last
         if all are empty."""
-        seen = core.walk(slots, floor, my_slot[ci], bool)
+        seen = core.walk(slots, range(my_slot[ci] - 1, floor - 1, -1), bool)
         if seen:
             if seen[-1]:
                 return
@@ -149,17 +150,18 @@ def estimate_processors(machine, n: int, cores,
     est: dict = {}
 
     def count_prog(core):
-        read = core.read
         total = 0
-        beta = slots_n
-        for i in range(slots_n):
-            total += read(slots, i)
-            if total >= target:
-                beta = i + 1
-                break
-            yield
+
+        def counted(v):
+            """Add slot count ``v``; true once ``target`` registrants are seen."""
+            nonlocal total
+            total += v
+            return total >= target
+
+        beta = len(core.walk(slots, range(slots_n), counted))
         saturated = total < target
         if saturated:
+            yield  # the word loop's round after its last slot
             p_hat = max(1, total)
         else:
             p_hat = max(1, (target * slots_n + beta // 2) // beta)

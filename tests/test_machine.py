@@ -1358,26 +1358,32 @@ class TestRuns:
         ("run_rounds", lambda c, a, b: c.route_run(a, 0, 4, b, lambda v: True)),
         # A ``stop`` that raises at the sixth word, in the second block.
         ("run_rounds", lambda c, a, b: c.read_run(a, 0, 8, stop=_stop_raising_at_call(6))),
-        # A walk runs only in a read-only phase, within its region, and its
-        # ``stop`` is called before it charges.
-        ("run_rounds", lambda c, a, b: c.walk(a, 0, 8, bool)),
-        ("run_reads", lambda c, a, b: c.walk(a, 0, 9, bool)),
-        ("run_reads", lambda c, a, b: c.walk(a, 0, 8, _stop_raising_at_call(6))),
+        # A walk runs only on a core that runs ahead, over a range of step 1
+        # or -1 within its region, and its ``stop`` is called before it
+        # charges.  In a lockstep round of two programs no core runs ahead.
+        ("lockstep", lambda c, a, b: c.walk(a, range(7, -1, -1), bool)),
+        ("run_reads", lambda c, a, b: c.walk(a, range(8, -1, -1), bool)),
+        ("run_reads", lambda c, a, b: c.walk(a, range(7, -1, -1), _stop_raising_at_call(6))),
+        ("run_rounds", lambda c, a, b: c.walk(a, range(0, 8, 2), bool)),
+        ("run_rounds", lambda c, a, b: c.walk(a, [0, 1], bool)),
+        ("run_rounds", lambda c, a, b: c.walk(a, range(9, 9), bool)),
     ], ids=["route_into_own_region", "route_from_a_view_into_its_region",
             "copy_shifted_right", "copy_shifted_left",
             "read_run_float", "read_run_fraction", "write_run_bool", "copy_run_float",
             "route_run_float", "route_run_fraction", "route_run_bool", "read_run_stop_raises",
-            "walk_outside_run_reads", "walk_past_its_region", "walk_stop_raises"])
+            "walk_outside_run_reads", "walk_past_its_region", "walk_stop_raises",
+            "walk_step_two", "walk_list", "empty_walk_past_its_region"])
     def test_refused_run_charges_nothing(self, make_machine, executor, run):
-        m = make_machine(B=4)
+        m = make_machine(p=2, B=4)
         a = m.alloc(8)
         b = m.alloc(8)
+        programs = [lambda c: run(c, a, b)]
+        if executor == "lockstep":
+            executor, programs = "run_rounds", programs + [lambda c: None]
         with pytest.raises(MachineFault):
-            getattr(m, executor)([lambda c: run(c, a, b)])
-        assert m.ledger().rounds == 0
-        assert m.ledger().per_core_ops == (0,)
-        assert m.ledger().per_core_cache_misses == (0,)
-        assert m.cache_state().resident == ((),)
+            getattr(m, executor)(programs)
+        assert m.ledger() == CostLedger((0, 0), (0, 0), (0, 0), 0)
+        assert m.cache_state().resident == ((), ())
 
     def test_copy_past_its_destination_charges_nothing(self, make_machine):
         m = make_machine(B=4)
@@ -1415,11 +1421,11 @@ class TestRuns:
 # -- read-only phases against the lockstep rounds they stand for -------------
 
 
-def _walk_words(core, region, lo, hi, stop):
-    """The word loop ``Core.walk`` stands for: read words ``hi - 1`` down to
-    ``lo``, one per round, until ``stop`` is true of one."""
+def _walk_words(core, region, words, stop):
+    """The word loop ``Core.walk`` stands for: read the words of the range
+    ``words`` in its order, one per round, until ``stop`` is true of one."""
     seen = []
-    for pos in range(hi - 1, lo - 1, -1):
+    for pos in words:
         if seen:
             yield
         seen.append(core.read(region, pos))
@@ -1428,14 +1434,15 @@ def _walk_words(core, region, lo, hi, stop):
     return seen
 
 
-def _walk_run(core, region, lo, hi, stop):
-    return core.walk(region, lo, hi, stop)
+def _walk_run(core, region, words, stop):
+    return core.walk(region, words, stop)
     yield  # pragma: no cover
 
 
 def _reader(ops, region, log, walker):
-    """A program of ``("read", i)``, ``("walk", lo, hi)`` and ``("yield",)``
-    steps, logging what each core read."""
+    """A program of ``("read", i)``, ``("walk", words)``, ``("yield",)``,
+    ``("write", i, v)`` and ``("add", i, v)`` steps, logging what each core
+    read."""
     def prog(core):
         seen = log.setdefault(core.idx, [])
         for op in ops:
@@ -1443,8 +1450,12 @@ def _reader(ops, region, log, walker):
                 yield
             elif op[0] == "read":
                 seen.append(core.read(region, op[1]))
+            elif op[0] == "write":
+                core.write(region, op[1], op[2])
+            elif op[0] == "add":
+                seen.append(core.fetch_add(region, op[1], op[2]))
             else:
-                seen.append((yield from walker(core, region, op[1], op[2], bool)))
+                seen.append((yield from walker(core, region, op[1], bool)))
 
     return prog
 
@@ -1458,7 +1469,7 @@ def _random_readers(rng, p, n):
             kind = rng.choice(("walk", "walk", "read", "yield"))
             if kind == "walk":
                 lo = rng.randint(0, n)
-                ops.append(("walk", lo, rng.randint(lo, n)))
+                ops.append(("walk", range(rng.randint(lo, n) - 1, lo - 1, -1)))
             elif kind == "read":
                 ops.append(("read", rng.randrange(n)))
             else:
@@ -1467,12 +1478,52 @@ def _random_readers(rng, p, n):
     return phase
 
 
+def _beside_partner(program):
+    """``program`` and an idle program that runs exactly its rounds when
+    given the higher core id, so that every round goes through the
+    barrier."""
+    done = []
+
+    def main(core):
+        yield from program(core)
+        done.append(True)
+
+    def partner(core):
+        while not done:
+            yield
+
+    return main, partner
+
+
+def _random_lone(rng, p, n):
+    """A lone program for one of cores ``0..p-2`` over ``n`` words: walks
+    either way, reads, writes and adds."""
+    ops = []
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.choice(("walk", "walk", "read", "write", "add", "yield"))
+        if kind == "walk":
+            lo = rng.randint(0, n)
+            hi = rng.randint(lo, n)
+            ops.append(("walk", rng.choice((range(lo, hi), range(hi - 1, lo - 1, -1)))))
+        elif kind == "read":
+            ops.append(("read", rng.randrange(n)))
+        elif kind == "yield":
+            ops.append(("yield",))
+        else:
+            values = (0, 1, 5) if kind == "write" else (1, 3)
+            ops.append((kind, rng.randrange(n), rng.choice(values)))
+    return rng.randrange(p - 1), ops
+
+
 def _run_read_phases(p, M, B, words, steps, form, trace=True):
     """Run ``steps`` on a machine whose region holds ``words``: a dict of
     reader ops is a read-only phase, in ``form`` ``"runs"`` through
     ``run_reads`` and walks, else through ``run_rounds`` and word loops; a
-    list of ``(core, lo, hi, value)`` is a lockstep round in which each core
-    reads ``[lo, hi)`` and writes ``value`` at ``lo``."""
+    tuple ``(core, ops)`` is a lone program of :func:`_reader` ops, in ``form``
+    ``"runs"`` run alone with walks, else as word loops beside an idle
+    partner, core ``p - 1``; a list of ``(core, lo, hi, value)`` is a
+    lockstep round in which each core reads ``[lo, hi)`` and writes
+    ``value`` at ``lo``."""
     m = Machine(MachineConfig(p=p, M=M, B=B), trace=trace)
     m.alloc(3)  # the region starts past block 0
     region = m.alloc(len(words))
@@ -1483,6 +1534,13 @@ def _run_read_phases(p, M, B, words, steps, form, trace=True):
             walker = _walk_run if form == "runs" else _walk_words
             programs = {idx: _reader(ops, region, log, walker) for idx, ops in step.items()}
             (m.run_reads if form == "runs" else m.run_rounds)(programs)
+        elif isinstance(step, tuple):
+            idx, ops = step
+            if form == "runs":
+                m.run_rounds({idx: _reader(ops, region, log, _walk_run)})
+            else:
+                m.run_rounds(dict(zip((idx, p - 1), _beside_partner(
+                    _reader(ops, region, log, _walk_words)))))
         else:
             m.run_rounds({idx: (lambda core, lo=lo, hi=hi, v=v: (
                 core.read_run(region, lo, hi), core.write(region, lo, v)))
@@ -1526,7 +1584,8 @@ class TestReadOnlyPhases:
         # fetching block 4 at word 15, block 3 at word 11 and block 1 at
         # word 3.
         words = [7] + [0] * 15
-        steps = [[(0, 4, 8, 0)], {0: [("walk", 0, 16)], 1: [("yield",), ("walk", 14, 16)]}]
+        steps = [[(0, 4, 8, 0)],
+                 {0: [("walk", range(15, -1, -1))], 1: [("yield",), ("walk", range(15, 13, -1))]}]
         got = _run_read_phases(2, 32, 4, words, steps, "runs")
         assert got == _run_read_phases(2, 32, 4, words, steps, "words")
         led, state, _, _, trace, log = got
@@ -1555,21 +1614,97 @@ class TestReadOnlyPhases:
         m.run_rounds({0: lambda core: core.write(region, 0, 5)})
 
         def writer(core):
-            core.walk(region, 0, 4, bool)
+            core.walk(region, range(3, -1, -1), bool)
             yield
             write(core, region)
             yield
 
         with pytest.raises(MachineFault):
-            m.run_reads({0: lambda core: core.walk(region, 0, 8, bool), 1: writer,
+            m.run_reads({0: lambda core: core.walk(region, range(7, -1, -1), bool), 1: writer,
                          2: lambda core: core.read(region, 2)})
         _assert_no_round_records(m)
         assert m.snapshot_memory(region) == [5] + [0] * 7
         assert m.ledger().rounds == 1
         assert m.diagnostics == []
-        # The phase is over: a walk faults again, and the next round runs.
-        with pytest.raises(MachineFault, match="read-only phase"):
-            m.run_rounds([lambda core: core.walk(region, 0, 1, bool)])
+        # The phase is over and no core runs ahead: a walk in a lockstep
+        # round faults, by the core that ran ahead when the phase faulted too,
+        # uncharged and counting no round; then the next round runs.
+        led = m.ledger()
+        for idx in (0, 1):
+            with pytest.raises(MachineFault, match="does not run ahead"):
+                m.run_rounds({idx: lambda core: core.walk(region, range(1), bool),
+                              2: lambda core: None})
+        assert m.ledger() == led
         m.run_rounds({2: lambda core: core.write(region, 3, 6)})
         assert m.snapshot_memory(region) == [5, 0, 0, 6, 0, 0, 0, 0]
         assert m.ledger().rounds == 2
+
+
+class TestLoneWalks:
+    """A lone program of ``run_rounds`` that walks either way, with writes
+    and adds before, between and after its walks, charges what the same
+    program charges as word loops beside an idle partner core, every round
+    through the barrier: ledger, rounds, LRU order, memory, diagnostics,
+    trace rows and the words read."""
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_lone_walks_charge_exactly_the_lockstep_word_loops(self, seed):
+        rng = random.Random(seed)
+        p = (2, 4, 9)[seed % 3]
+        M, B = ((4, 1), (8, 2), (16, 4), (64, 8), (8, 8), (32, 4))[seed // 3 % 6]
+        n = rng.randint(1, 40)
+        density = (0.0, 0.1, 0.3, 1.0)[seed % 4]
+        words = [rng.randint(1, 9) if rng.random() < density else 0 for _ in range(n)]
+        steps = []
+        for _ in range(rng.randint(1, 3)):
+            # Other cores, the partner included, cache blocks the lone
+            # program then writes.
+            steps.append([(idx, lo, rng.randint(lo, n), rng.choice((0, 5)))
+                          for idx in rng.sample(range(p), rng.randint(1, p))
+                          for lo in [rng.randrange(n)]])
+            steps.append(_random_lone(rng, p, n))
+        trace = seed % 5 != 4
+        got = _run_read_phases(p, M, B, words, steps, "runs", trace)
+        want = _run_read_phases(p, M, B, words, steps, "words", trace)
+        assert got == want
+
+    def test_walks_after_a_write_and_before_one(self):
+        # B = 4; region words 0..15 sit at addresses 4..19 (blocks 1..4), and
+        # core 1 caches all four in round 0.  In round 1 core 0 writes word 9
+        # and adds 3 to word 1, then walks left from word 11 to the word it
+        # added to (rounds 1..11), fetching block 2 at word 7 (round 5), and
+        # writes word 0 in the walk's last round.  In round 12 it walks right
+        # from word 4 to the end (rounds 12..23), fetching block 4 at word 12
+        # (round 20), and adds to word 15 in the walk's last round.
+        words = [0] * 16
+        ops = [("write", 9, 0), ("add", 1, 3), ("walk", range(11, -1, -1)), ("write", 0, 7),
+               ("yield",), ("walk", range(4, 16)), ("add", 15, 1)]
+        steps = [[(1, 0, 16, 0)], (0, ops)]
+        got = _run_read_phases(3, 32, 4, words, steps, "runs")
+        assert got == _run_read_phases(3, 32, 4, words, steps, "words")
+        led, state, memory, _, trace, log = got
+        assert led.rounds == 24
+        assert memory == [7, 3] + [0] * 13 + [1]
+        assert log[0] == [0, [0] * 10 + [3], [0] * 12, 0]
+        assert [row[:4] for row in trace if row[1] == 0] == [
+            (1, 0, "fetch", 12), (1, 0, "fetch", 4), (5, 0, "fetch", 8), (20, 0, "fetch", 16)]
+        # Core 0 wrote blocks 1, 3 and 4, so core 1 keeps block 2 alone.
+        assert state.resident[1] == (2,)
+
+    def test_a_raising_lone_program_leaves_no_core_ahead(self, make_machine):
+        m = make_machine(p=2, B=4)
+        region = m.alloc(8)
+
+        def lone(core):
+            core.walk(region, range(8), bool)
+            yield
+            raise ValueError
+
+        with pytest.raises(ValueError):
+            m.run_rounds([lone])
+        _assert_no_round_records(m)
+        led = m.ledger()
+        assert led.rounds == 8
+        with pytest.raises(MachineFault, match="does not run ahead"):
+            m.run_rounds([lambda core: core.walk(region, range(1), bool), lambda core: None])
+        assert m.ledger() == led
