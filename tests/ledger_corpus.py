@@ -20,13 +20,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
 
 from pemlab.bench import _hull_instance, _prefix_instance, _sort_instance
-from pemlab.hull import hull_main
+from pemlab.hull import convex_hull_2d, hull_main, maxima_par
 from pemlab.machine import Machine, MachineConfig, MemRegion
-from pemlab.primitives import load_seq, prefix_sum
+from pemlab.merge import BucketedRun, merge_bucketed
+from pemlab.primitives import load_seq, prefix_sum, transpose
 from pemlab.procalloc import estimate_processors, oblivious_prefix
 from pemlab.sorting import sample_sort
 
@@ -58,6 +60,43 @@ def _prefix(machine, n, seed):
     return prefix_sum(machine, load_seq(machine, _prefix_instance(n, seed)), machine.cores)
 
 
+# Matrix shape per size: 3 rows is fewer than any B of ``SHAPES`` (the
+# column-band rule), 32 x 64 is not.
+_MATRICES = {120: (3, 40), 2048: (32, 64)}
+
+
+def _transpose(machine, n, seed):
+    rows, cols = _MATRICES[n]
+    return transpose(machine, load_seq(machine, _prefix_instance(n, seed)), rows, cols,
+                     machine.cores)
+
+
+def _merge(machine, n, seed):
+    # Four consecutive runs of the words, each cut into five buckets at
+    # seeded points (empty buckets included).
+    words, rng = _sort_instance(n, seed), random.Random(seed)
+    runs, ends = [], [0, *sorted(rng.randrange(n + 1) for _ in range(3)), n]
+    for lo, hi in zip(ends, ends[1:]):
+        cuts = [lo, *sorted(rng.randrange(lo, hi + 1) for _ in range(4)), hi]
+        runs.append(BucketedRun(load_seq(machine, words[lo:hi]),
+                                tuple(b - a for a, b in zip(cuts, cuts[1:]))))
+    return merge_bucketed(machine, runs, machine.cores)
+
+
+def _points(n, seed):
+    rng = random.Random(seed)
+    return [(rng.randrange(-1000, 1001), rng.randrange(-1000, 1001)) for _ in range(n)]
+
+
+def _convex_hull(machine, n, seed):
+    return convex_hull_2d(machine, load_seq(machine, _points(n, seed)), machine.cores,
+                          stream=seed)
+
+
+def _maxima(machine, n, seed):
+    return maxima_par(machine, load_seq(machine, _points(n, seed)), machine.cores, stream=seed)
+
+
 # (algorithm, run, core counts, sizes).  The census counts to
 # ``bit_length(n) - 1`` registrants: at n = 256 that is 7, so p = 8 and 32
 # stop early while p = 1 and 3 saturate; at n = 4096 it is 11, so only
@@ -68,6 +107,10 @@ GRID = (
     ("sample_sort", _sort, (1, 3, 8), (200, 2000)),
     ("hull_main", _hull, (1, 3, 8), (40, 300)),
     ("prefix_sum", _prefix, (1, 3, 8), (100, 1000)),
+    ("transpose", _transpose, (1, 3, 8), tuple(_MATRICES)),
+    ("merge_bucketed", _merge, (1, 3, 8), (60, 600)),
+    ("convex_hull_2d", _convex_hull, (1, 3, 8), (40, 300)),
+    ("maxima_par", _maxima, (1, 3, 8), (60, 600)),
 )
 
 CASES = {
