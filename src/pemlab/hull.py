@@ -96,7 +96,6 @@ from pemlab.primitives import (
     KeySeq,
     _check_cores,
     _check_stream,
-    _map_pass,
     _scan_words,
     _slot,
     _streams,
@@ -355,7 +354,7 @@ def dualize(machine, planes: KeySeq, cores) -> KeySeq:
         a, b, c = w
         return (_filtered(Fraction(a, c)), _filtered(Fraction(b, c)), a, b, c)
 
-    return _map_pass(machine, planes, cores, to_dual, tick=2)
+    return compact(machine, [planes], cores, fn=to_dual, tick=2)
 
 
 def preprocess_arrangement(machine, chain: HullChain, core) -> tuple:
@@ -437,8 +436,8 @@ def locate_points(ctx: _Ctx, duals: KeySeq, chain: HullChain, xs, cores) -> list
                 intervals[band] = _arc(flags)
             return (band, w[2], w[3], w[4])
 
-        tagged = _map_pass(machine, bucket, cores, tag,
-                           tick=1 + max(1, z.bit_length()))
+        tagged = compact(machine, [bucket], cores, fn=tag,
+                         tick=1 + max(1, z.bit_length()))
         brun = _partition_by(ctx, tagged,
                              tuple((k,) for k in range(1, z + 1)), cores)
         for band, group in enumerate(brun.buckets()):
@@ -525,9 +524,10 @@ def expand_by_sector(machine, groups, sector_count: int, cores) -> BucketedRun:
 
     Group words end with the plane coefficients ``(a, b, c)`` whatever tag
     or dual prefix they carry; only those three words are copied.  Group
-    sizes and intervals are host metadata, so all destination offsets are
-    precomputed and each core fills one contiguous destination range; reads
-    chase the scattered source groups.  Groups with interval ``None`` are
+    sizes and intervals are host metadata, so the copies are one
+    :func:`~pemlab.primitives.compact` of the groups in sector order: each
+    core fills one contiguous destination range, and reads chase the
+    scattered source groups.  Groups with interval ``None`` are
     redundant planes and are dropped here.
     """
     incidences: list = [[] for _ in range(sector_count)]
@@ -536,27 +536,10 @@ def expand_by_sector(machine, groups, sector_count: int, cores) -> BucketedRun:
             continue
         for s in _interval_sectors(iv, sector_count):
             incidences[s].append(seq)
-    sizes = [sum(sq.n for sq in sector) for sector in incidences]
-    total = sum(sizes)
-    dst = machine.alloc(total)
-
-    slots = []
-    pos = 0
-    for sector in incidences:
-        for sq in sector:
-            slots.append((pos, sq))
-            pos += sq.n
-
-    def body(core, ci, lo, hi):
-        for dpos, sq in slots:
-            if dpos + sq.n <= lo or dpos >= hi:
-                continue
-            i0, i1 = max(lo, dpos), min(hi, dpos + sq.n)
-            core.copy_run(sq, i0 - dpos, i1 - dpos, dst, i0, lambda w: w[-3:])
-            core.tick(i1 - i0)
-
-    parallel_for(machine, total, cores, body)
-    return BucketedRun(KeySeq(dst, total), tuple(sizes))
+    sizes = tuple(sum(sq.n for sq in sector) for sector in incidences)
+    copies = compact(machine, [sq for sector in incidences for sq in sector], cores,
+                     fn=lambda w: w[-3:], tick=1)
+    return BucketedRun(copies, sizes)
 
 
 def _sweep_survivors(machine, seq: KeySeq, cores, rule: str, emit) -> tuple:
@@ -689,7 +672,7 @@ def filter_sector(machine, sector_planes: KeySeq, j: int, chain: HullChain,
     score = partial(_score, verts[j], verts[(j + 1) % len(verts)])
     if sector_planes.n == 0:
         return KeySeq(machine.alloc(0), 0), []
-    scored = _map_pass(machine, sector_planes, cores, score, tick=4)
+    scored = compact(machine, [sector_planes], cores, fn=score, tick=4)
     ordered = sample_sort(machine, scored, cores, stream=stream)
     return _sweep_survivors(machine, ordered, cores, "one_strict",
                             emit=lambda w: (w[2], w[3], w[4]))
@@ -818,7 +801,7 @@ def hull_main(machine, planes: KeySeq, cores, stats: HullStats | None = None,
         raise GeometryError("at least three half-planes are required")
     ctx = _Ctx(machine, stats if stats is not None else HullStats(), N=m,
                P=len(cores), next_stream=_streams(stream))
-    normalized = _map_pass(machine, planes, cores, plane_word, tick=3)
+    normalized = compact(machine, [planes], cores, fn=plane_word, tick=3)
     host = machine.snapshot_memory(normalized)
     if any(w[2] <= 0 for w in host):
         raise GeometryError("the origin must satisfy every half-plane "
@@ -855,8 +838,8 @@ def convex_hull_2d(machine, points: KeySeq, cores, stream: int = 0):
         raise MachineFault("cannot hull an empty point set")
     _check_cores(cores)
     _check_stream(stream)
-    norm = _map_pass(machine, points, cores,
-                     lambda w: (coeff(w[0]), coeff(w[1])), tick=1)
+    norm = compact(machine, [points], cores,
+                   fn=lambda w: (coeff(w[0]), coeff(w[1])), tick=1)
     pmin = _reduce_words(machine, norm, cores,
                          lambda u, v: u if u <= v else v)
     pmax = _reduce_words(machine, norm, cores,
@@ -879,7 +862,7 @@ def convex_hull_2d(machine, points: KeySeq, cores, stream: int = 0):
                 a, b = fallback
             return (coeff(a), coeff(b), 3)
 
-        planes = _map_pass(machine, norm, cores, to_plane, tick=1)
+        planes = compact(machine, [norm], cores, fn=to_plane, tick=1)
         polar, _ = hull_main(machine, planes, cores, stream=stream)
         forms = _decode_polar(polar.int_vertices, _vertex_form((sx, sy)))
     final = HullChain(_canonical_forms(forms))
@@ -915,8 +898,8 @@ def maxima_par(machine, points: KeySeq, cores, stream: int = 0) -> KeySeq:
     _check_stream(stream)
     if points.n == 0:
         return KeySeq(machine.alloc(0), 0)
-    norm = _map_pass(machine, points, cores,
-                     lambda w: (coeff(w[0]), coeff(w[1])), tick=1)
+    norm = compact(machine, [points], cores,
+                   fn=lambda w: (coeff(w[0]), coeff(w[1])), tick=1)
     ordered = sample_sort(machine, norm, cores, stream=stream)
     seq, _ = _sweep_survivors(machine, ordered, cores, "strict_both",
                               emit=lambda w: w)

@@ -28,7 +28,10 @@ anything.  Trace rows and diagnostics give absolute addresses.
 Cost rules
 ----------
 * A read or write of a word whose block is not resident charges one cache
-  miss and makes the block resident (evicting LRU blocks past ``M/B``).
+  miss and makes the block resident (evicting LRU blocks past ``M/B``); a
+  hit charges no miss and moves its block to MRU.  Every access, word or
+  run, applies this rule in one place, ``Core._touch``; a scatter's piece
+  replay (below) only reorders blocks it has touched.
 * Within one round, if ``k`` cores write words of the same block, the
   ``i``-th writer in core-id order is charged ``i - 1`` block misses
   (``k*(k-1)/2`` total, the cost of migrating the block between writers).
@@ -299,11 +302,14 @@ class Core:
         self._writes: set = set()
         self._adds: dict = {}
 
-    def _miss(self, block: int) -> None:
-        """Charge a cache miss, with a ``fetch`` row if traced, make
-        ``block`` resident and evict the LRU block past ``M/B``.  A hit makes
-        no call but moves its block to MRU."""
+    def _touch(self, block: int) -> None:
+        """Touch ``block`` under LRU: a resident block moves to MRU; any
+        other is a cache miss, charged with a ``fetch`` row if traced, made
+        resident, and the LRU block past ``M/B`` is evicted."""
         cache = self._cache
+        if block in cache:
+            cache.move_to_end(block)
+            return
         self.cache_misses += 1
         cache[block] = None
         sh = self._sh
@@ -312,40 +318,31 @@ class Core:
         if len(cache) > sh._cache_blocks:
             cache.popitem(last=False)
 
+    def _access(self, src, i: int, what: str, blocks: set) -> int:
+        """Address of word ``i`` of a region (or key sequence), charged one
+        op, touched and added to ``blocks``.  ``i`` is checked for type,
+        then against the region and the allocation, before any charge."""
+        sh = self._sh
+        region = src if type(src) is MemRegion else src.region
+        if type(i) is not int or not (0 <= i < region.len and 0 <= region.base + i < sh._limit):
+            raise MachineFault(f"{what} bad index {i!r} of region [{region.base}, {region.end})")
+        addr = region.base + i
+        self.ops += 1
+        block = addr // sh._B
+        self._touch(block)
+        blocks.add(block)
+        return addr
+
     def read(self, src, i: int):
         """Read word ``i`` of a region (or key sequence).  Charges one op,
         plus a cache miss if non-resident."""
-        sh = self._sh
-        region = src if type(src) is MemRegion else src.region
-        addr = region.base + i
-        if type(i) is not int or not (0 <= i < region.len and 0 <= addr < sh._limit):
-            raise MachineFault(f"read of bad index {i!r} of region [{region.base}, {region.end})")
-        self.ops += 1
-        block = addr // sh._B
-        cache = self._cache
-        if block in cache:
-            cache.move_to_end(block)
-        else:
-            self._miss(block)
-        self._reads.add(block)
-        return self._wbuf.get(addr, sh._mem[addr])
+        addr = self._access(src, i, "read of", self._reads)
+        return self._wbuf.get(addr, self._sh._mem[addr])
 
     def write(self, dst, i: int, value) -> None:
         """Write word ``i`` of a region (or key sequence), visible to other
         cores after the barrier."""
-        sh = self._sh
-        region = dst if type(dst) is MemRegion else dst.region
-        addr = region.base + i
-        if type(i) is not int or not (0 <= i < region.len and 0 <= addr < sh._limit):
-            raise MachineFault(f"write to bad index {i!r} of region [{region.base}, {region.end})")
-        self.ops += 1
-        block = addr // sh._B
-        cache = self._cache
-        if block in cache:
-            cache.move_to_end(block)
-        else:
-            self._miss(block)
-        self._writes.add(block)
+        addr = self._access(dst, i, "write to", self._writes)
         if addr in self._adds:
             self._adds[addr] = True
         self._wbuf[addr] = value
@@ -358,18 +355,7 @@ class Core:
         updates are well defined (and still pay same-block write charges).
         """
         sh = self._sh
-        region = dst if type(dst) is MemRegion else dst.region
-        addr = region.base + i
-        if type(i) is not int or not (0 <= i < region.len and 0 <= addr < sh._limit):
-            raise MachineFault(f"fetch_add on bad index {i!r} of region [{region.base}, {region.end})")
-        self.ops += 1
-        block = addr // sh._B
-        cache = self._cache
-        if block in cache:
-            cache.move_to_end(block)
-        else:
-            self._miss(block)
-        self._writes.add(block)
+        addr = self._access(dst, i, "fetch_add on", self._writes)
         atomics = sh._round_atomics
         wbuf = self._wbuf
         self._adds.setdefault(addr, addr in wbuf)  # did a plain write come first?
@@ -404,12 +390,8 @@ class Core:
                 a1 = a0 + k
         B = self._sh._B
         blocks = range(a0 // B, (a1 - 1) // B + 1)
-        cache = self._cache
         for block in blocks:
-            if block in cache:
-                cache.move_to_end(block)
-            else:
-                self._miss(block)
+            self._touch(block)
         self._reads.update(blocks)
         self.ops += a1 - a0
         return vals
@@ -449,17 +431,13 @@ class Core:
         if step == -1:
             vals.reverse()
         B = sh._B
-        cache = self._cache
         start = sh._round
         blocks = range(first // B, last // B + step, step)
         for block in blocks:
-            if block in cache:
-                cache.move_to_end(block)
-            else:
-                # The block's first word walked is the one that misses.
-                edge = block * B if step == 1 else block * B + B - 1
-                sh._round = start + max(0, (edge - first) * step)
-                self._miss(block)
+            # The block's first word walked is the one that may miss.
+            edge = block * B if step == 1 else block * B + B - 1
+            sh._round = start + max(0, (edge - first) * step)
+            self._touch(block)
         self._reads.update(blocks)
         self.ops += k
         sh._round = start + k - 1
@@ -471,17 +449,13 @@ class Core:
         Charges exactly what ``self.write(region, lo + k, v)`` for each
         ``(k, v)`` would.
         """
-        a0, a1 = self._span(region, lo, lo + len(values), "write_run")
+        a0, a1 = self._span(region, lo, None, "write_run", len(values))
         if a0 == a1:
             return
         B = self._sh._B
         blocks = range(a0 // B, (a1 - 1) // B + 1)
-        cache = self._cache
         for block in blocks:
-            if block in cache:
-                cache.move_to_end(block)
-            else:
-                self._miss(block)
+            self._touch(block)
         self._writes.update(blocks)
         self.ops += a1 - a0
         self._buffer(range(a0, a1), values)
@@ -496,7 +470,7 @@ class Core:
         machine.  The two spans must not overlap.
         """
         s0, s1 = self._span(src, lo, hi, "copy_run")
-        d0, d1 = self._span(dst, at, at + hi - lo, "copy_run")
+        d0, d1 = self._span(dst, at, None, "copy_run", hi - lo)
         if s0 == s1:
             return
         if s0 < d1 and d0 < s1:
@@ -513,14 +487,11 @@ class Core:
             return
         # A piece ends where either stream crosses a block boundary; inside
         # it the loop alternates between its source and destination block.
-        cache = self._cache
+        touch = self._touch
         s, d = s0, d0
         while s < s1:
-            for block in (s // B, d // B):
-                if block in cache:
-                    cache.move_to_end(block)
-                else:
-                    self._miss(block)
+            touch(s // B)
+            touch(d // B)
             step = min(B - s % B, B - d % B)
             s += step
             d += step
@@ -562,7 +533,7 @@ class Core:
         src_blocks = range(a0 // B, (a1 - 1) // B + 1)
         dst_blocks = [d // B for d in dsts]
         cache = self._cache
-        miss = self._miss
+        touch = self._touch
         cap = sh._cache_blocks
         k = 0
         for src_block in src_blocks:
@@ -572,17 +543,11 @@ class Core:
             touched = dict.fromkeys([src_block, *piece])
             if len(touched) > cap:
                 for block in piece:
-                    for b in (src_block, block):
-                        if b in cache:
-                            cache.move_to_end(b)
-                        else:
-                            miss(b)
+                    touch(src_block)
+                    touch(block)
                 continue
             for block in touched:
-                if block in cache:
-                    cache.move_to_end(block)
-                else:
-                    miss(block)
+                touch(block)
             # Last touches, oldest first: other destination blocks, then the
             # source block (read just before the piece's final write), then
             # the block of that final write.
@@ -596,11 +561,14 @@ class Core:
         self.ops += 2 * n
         self._buffer(dsts, words)
 
-    def _span(self, src, lo: int, hi: int, what: str) -> tuple:
+    def _span(self, src, lo: int, hi, what: str, n=None) -> tuple:
         """Addresses ``[a0, a1)`` of words ``[lo, hi)`` of ``src``'s region,
-        checked once against the region and the allocation, as a word
-        access checks its word."""
+        or of ``[lo, lo + n)`` given a count ``n``, checked once against the
+        region and the allocation, as a word access checks its word; ``lo``
+        is checked to be an ``int`` before ``lo + n`` is formed."""
         region = src if type(src) is MemRegion else src.region
+        if n is not None and type(lo) is int:
+            hi = lo + n
         if type(lo) is not int or type(hi) is not int or not 0 <= lo <= hi <= region.len:
             raise MachineFault(f"{what} [{lo!r}, {hi!r}) is not an int span within [0, {region.len}]")
         a0, a1 = region.base + lo, region.base + hi

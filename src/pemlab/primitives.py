@@ -39,12 +39,15 @@ _NONE = object()
 
 @dataclass(frozen=True)
 class KeySeq:
-    """A sequence of ``n`` totally ordered words at the front of a region."""
+    """A sequence of ``n`` totally ordered words at the front of a region;
+    ``n`` is an ``int`` (not a ``bool``) in ``0..region.len``."""
 
     region: MemRegion
     n: int
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            raise MachineFault(f"KeySeq length must be an int; got {self.n!r}")
         if self.n < 0 or self.n > self.region.len:
             raise MachineFault("KeySeq length exceeds its region")
 
@@ -141,18 +144,6 @@ def _write_words(machine, words, core) -> KeySeq:
     if n:
         machine.run_rounds({core.idx: prog})
     return KeySeq(dst, n)
-
-
-def _map_pass(machine, src: KeySeq, cores, fn, tick: int = 1) -> KeySeq:
-    """Elementwise ``dest[i] = fn(src[i])`` across core-chunked ranges."""
-    dst = machine.alloc(src.n)
-
-    def body(core, ci, lo, hi):
-        core.copy_run(src, lo, hi, dst, lo, fn)
-        core.tick(tick * (hi - lo))
-
-    parallel_for(machine, src.n, cores, body)
-    return KeySeq(dst, src.n)
 
 
 def spaced_slots(machine, count: int) -> MemRegion:
@@ -330,13 +321,19 @@ def transpose(machine, a: KeySeq, m: int, n: int, cores) -> KeySeq:
     return KeySeq(dst, m * n)
 
 
-def compact(machine, parts, cores, dest: MemRegion | None = None) -> KeySeq:
+def compact(machine, parts, cores, dest: MemRegion | None = None, fn=None,
+            tick: int = 0) -> KeySeq:
     """Concatenate key sequences; each core writes one contiguous slice.
 
-    ``parts`` is a list of :class:`KeySeq`.  Output slices are disjoint and
-    in-order, so writes incur no block misses once a slice spans at least
-    one block.
+    ``parts`` is a list of :class:`KeySeq`.  Each word is written as
+    ``fn(word)`` (``fn`` defaults to the identity, and must not touch the
+    machine), and each core is charged ``tick`` ops per word it copies;
+    ``tick`` is an ``int >= 0``, not a ``bool``, checked before anything is
+    allocated or run.  Output slices are disjoint and in-order, so writes
+    incur no block misses once a slice spans at least one block.
     """
+    if type(tick) is not int or tick < 0:
+        raise MachineFault(f"tick count must be a non-negative int; got {tick!r}")
     total = sum(part.n for part in parts)
     dst = dest if dest is not None else machine.alloc(total)
     if dst.len < total:
@@ -354,9 +351,10 @@ def compact(machine, parts, cores, dest: MemRegion | None = None) -> KeySeq:
             off = item - starts[k]
             take = min(hi, starts[k + 1]) - item
             if take > 0:
-                core.copy_run(parts[k], off, off + take, dst, item)
+                core.copy_run(parts[k], off, off + take, dst, item, fn)
                 item += take
             k += 1
+        core.tick(tick * (hi - lo))
 
     parallel_for(machine, total, cores, body)
     return KeySeq(dst, total)

@@ -159,11 +159,13 @@ class TestMemory:
 
     @pytest.mark.parametrize("op", ["read", "write", "fetch_add"])
     @pytest.mark.parametrize("where", ["past_its_region", "negative", "past_the_allocation",
-                                       "float_index", "fraction_index", "bool_index"])
+                                       "float_index", "fraction_index", "bool_index",
+                                       "none_index", "str_index"])
     def test_word_access_outside_its_region_faults_uncharged(self, make_machine, op, where):
         # At B=8, word 9 of r1 and word -1 of r2 are allocated addresses
         # (r2[1] and r1's padding), so only a region check catches them.  A
-        # word index is an int, never a float, a Fraction or a bool.
+        # word index is an int, never a float, a Fraction, a bool, None or a
+        # str; its type is checked before any arithmetic on it.
         m = make_machine(B=8)
         r1 = m.alloc(3)
         r2 = m.alloc(8)
@@ -171,7 +173,8 @@ class TestMemory:
         region, i = {"past_its_region": (r1, 9), "negative": (r2, -1),
                      "past_the_allocation": (MemRegion(r2.end, 4), 0),
                      "float_index": (r2, 2.0), "fraction_index": (r2, Fraction(2)),
-                     "bool_index": (r2, True)}[where]
+                     "bool_index": (r2, True), "none_index": (r2, None),
+                     "str_index": (r2, "2")}[where]
         args = () if op == "read" else (77,)
         with pytest.raises(MachineFault):
             m.run_rounds([lambda core: getattr(core, op)(region, i, *args)])
@@ -1353,6 +1356,11 @@ class TestRuns:
         ("run_rounds", lambda c, a, b: c.read_run(a, 0, Fraction(4))),
         ("run_rounds", lambda c, a, b: c.write_run(a, True, [1, 2])),
         ("run_rounds", lambda c, a, b: c.copy_run(a, 0, 2, b, 2.0)),
+        # An offset's type is checked before the run adds a length to it.
+        ("run_rounds", lambda c, a, b: c.write_run(a, None, [1, 2])),
+        ("run_rounds", lambda c, a, b: c.write_run(a, "0", [1, 2])),
+        ("run_rounds", lambda c, a, b: c.copy_run(a, 0, 2, b, None)),
+        ("run_rounds", lambda c, a, b: c.copy_run(a, 0, 2, b, "2")),
         ("run_rounds", lambda c, a, b: c.route_run(a, 0, 4, b, lambda v: 1.0)),
         ("run_rounds", lambda c, a, b: c.route_run(a, 0, 4, b, lambda v: Fraction(v))),
         ("run_rounds", lambda c, a, b: c.route_run(a, 0, 4, b, lambda v: True)),
@@ -1370,6 +1378,7 @@ class TestRuns:
     ], ids=["route_into_own_region", "route_from_a_view_into_its_region",
             "copy_shifted_right", "copy_shifted_left",
             "read_run_float", "read_run_fraction", "write_run_bool", "copy_run_float",
+            "write_run_none", "write_run_str", "copy_run_none", "copy_run_str",
             "route_run_float", "route_run_fraction", "route_run_bool", "read_run_stop_raises",
             "walk_outside_run_reads", "walk_past_its_region", "walk_stop_raises",
             "walk_step_two", "walk_list", "empty_walk_past_its_region"])

@@ -56,6 +56,13 @@ class TestChunking:
         with pytest.raises(MachineFault):
             KeySeq(reg, 9)
 
+    @pytest.mark.parametrize("length", [None, "3", 2.0, True])
+    def test_keyseq_rejects_a_length_that_is_not_an_int(self, length):
+        m = Machine(MachineConfig(p=1, M=64, B=8))
+        reg = m.alloc(8)
+        with pytest.raises(MachineFault):
+            KeySeq(reg, length)
+
 
 class TestParallelFor:
     def test_one_chunk_per_core_in_one_round(self, make_machine):
@@ -277,6 +284,32 @@ class TestCompact:
         dst = m.alloc(4)
         res = compact(m, [load_seq(m, [7, 8])], m.cores, dest=dst)
         assert res.region is dst
+
+    def test_fn_maps_each_word_and_tick_charges_per_word(self, make_machine):
+        # Against the identity copy: the words are mapped, and each core pays
+        # ``tick`` ops more per word of its slice (2, 2 and 3 words).
+        got = {}
+        for tick, fn in ((0, None), (2, lambda w: -w)):
+            m = make_machine(p=3)
+            res = compact(m, [load_seq(m, [1, 2, 3, 4]), load_seq(m, [5, 6, 7])], m.cores,
+                          fn=fn, tick=tick)
+            got[tick] = m.snapshot_memory(res), m.ledger()
+        (words, plain), (mapped, led) = got[0], got[2]
+        assert mapped == [-w for w in words] == [-1, -2, -3, -4, -5, -6, -7]
+        assert led.per_core_ops == tuple(o + 2 * k for o, k in zip(plain.per_core_ops, (2, 2, 3)))
+        assert (led.per_core_cache_misses, led.per_core_block_misses, led.rounds) == (
+            plain.per_core_cache_misses, plain.per_core_block_misses, plain.rounds)
+
+    @pytest.mark.parametrize("tick", [-1, 1.5, True, "1", None])
+    def test_a_bad_tick_faults_before_anything_is_allocated_or_run(self, make_machine, tick):
+        m = make_machine(p=2)
+        seq = load_seq(m, [1, 2, 3])
+        limit = m._sh._limit
+        with pytest.raises(MachineFault):
+            compact(m, [seq], m.cores, tick=tick)
+        led = m.ledger()
+        assert (led.ops, led.cache_misses, led.block_misses, led.rounds) == (0, 0, 0, 0)
+        assert m._sh._limit == limit
 
 
 class TestBruteSort:
