@@ -246,8 +246,9 @@ def parse_sweep_config(text: str) -> list:
     """Parse the flat sweep format into ``(algo, {key: [ints]})`` pairs.
 
     Sections are ``[algo]`` lines; each following ``key = v1 v2 ...``
-    line lists the values that key sweeps over.  ``n`` is required per
-    section; ``p``, ``M``, ``B``, ``seed`` default to single values.
+    line lists the values, at least one, that key sweeps over.  ``n`` is
+    required per section; ``p``, ``M``, ``B``, ``seed`` default to single
+    values.
     """
     sections: list = []
     current = None
@@ -274,8 +275,10 @@ def parse_sweep_config(text: str) -> list:
         except ValueError:
             raise MachineFault(
                 f"non-integer value on line {lineno}: {raw!r}") from None
+        if not current[1][key]:
+            raise MachineFault(f"sweep key {key!r} on line {lineno} has no values")
     for algo, keys in sections:
-        if "n" not in keys or not keys["n"]:
+        if "n" not in keys:
             raise MachineFault(f"section [{algo}] lists no n values")
     return sections
 

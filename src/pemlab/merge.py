@@ -16,7 +16,7 @@ from functools import partial
 from itertools import accumulate
 
 from pemlab.machine import MachineFault, MemRegion
-from pemlab.primitives import KeySeq, _check_cores, _subseq, prefix_sum, transpose
+from pemlab.primitives import KeySeq, _check_cores, _search, _subseq, prefix_sum, transpose
 
 __all__ = ["BucketedRun", "merge_bucketed", "plan_cuts"]
 
@@ -119,17 +119,8 @@ def merge_bucketed(machine, runs, cores, dest: MemRegion | None = None) -> Bucke
     views = [r.buckets() for r in runs]
 
     def copy(core, ci):
-        out_lo = ci * y // p
-        lo_i, hi_i = 0, entries
-        while lo_i < hi_i:
-            mid = (lo_i + hi_i) // 2
-            v = core.read(ends_seq, mid)
-            core.tick(1)
-            if v > out_lo:
-                hi_i = mid
-            else:
-                lo_i = mid + 1
-        out = out_lo
+        out = ci * y // p
+        _search(core, ends_seq, entries, out)
         for k, a_lo, a_hi in plans[ci]:
             core.read(ends_seq, k)
             j, i = divmod(k, x)

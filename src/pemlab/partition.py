@@ -37,7 +37,8 @@ from math import isqrt
 
 from pemlab.machine import MachineFault, MemRegion
 from pemlab.merge import BucketedRun, merge_bucketed
-from pemlab.primitives import KeySeq, _subseq, brute_sort, chunk_bounds, compact, parallel_for
+from pemlab.primitives import (KeySeq, _check_cores, _host_sort, _search, _subseq, brute_sort,
+                               chunk_bounds, compact, parallel_for)
 
 __all__ = ["PartitionTask", "partition_main", "partition_seq"]
 
@@ -106,10 +107,7 @@ def partition_seq(machine, a: KeySeq, splitters, core) -> BucketedRun:
         return BucketedRun(KeySeq(out, 0), (0,) * (z + 1))
 
     def prog(c):
-        vals = c.read_run(a, 0, n)
-        vals.sort()
-        c.tick(n * max(1, n.bit_length()))
-        c.write_run(out, 0, vals)
+        _host_sort(c, a, n, out)
         # Scan ``out`` back against the splitters; the host bisects below.
         c.read_run(out, 0, n)
         c.tick(n)
@@ -118,34 +116,42 @@ def partition_seq(machine, a: KeySeq, splitters, core) -> BucketedRun:
     return _cut(machine, KeySeq(out, n), keys)
 
 
-def _distribute_seq(machine, a: KeySeq, keys: tuple, core, dest: MemRegion | None = None) -> BucketedRun:
-    """Two counting passes on one core: tally buckets, then place each key.
+def _place(c, a: KeySeq, keys: tuple, dst, starts) -> list:
+    """Scatter ``a`` on core ``c`` into its buckets in ``dst``, bucket ``b``
+    from word ``starts[b]`` on and in input order, charging one
+    binary-search tick per key beside the route's read and write.  Returns
+    the bucket sizes."""
+    sizes = [0] * (len(keys) + 1)
+
+    def place(v):
+        b = bisect_left(keys, v)
+        sizes[b] += 1
+        return starts[b] + sizes[b] - 1
+
+    c.route_run(a, 0, a.n, dst, place)
+    c.tick(max(1, len(sizes).bit_length()) * a.n)
+    return sizes
+
+
+def _distribute_seq(machine, a: KeySeq, keys: tuple, core, dest: MemRegion) -> BucketedRun:
+    """Two counting passes on one core into ``dest``: tally buckets, then
+    place each key.
 
     Keys keep their input order inside every bucket, and the per-key cost is
     one binary-search tick plus two reads and a write.
     """
-    z = len(keys)
     n = a.n
-    dst = dest if dest is not None else machine.alloc(n)
-    counts = [0] * (z + 1)
-    probe = max(1, (z + 1).bit_length())
+    sizes = []
 
     def prog(c):
+        tally = [0] * (len(keys) + 1)
         for v in c.read_run(a, 0, n):
-            counts[bisect_left(keys, v)] += 1
-        c.tick(probe * n)
-        cursors = [0] + list(accumulate(counts))[:-1]
-
-        def place(v):
-            b = bisect_left(keys, v)
-            cursors[b] += 1
-            return cursors[b] - 1
-
-        c.route_run(a, 0, n, dst, place)
-        c.tick(probe * n)
+            tally[bisect_left(keys, v)] += 1
+        c.tick(max(1, len(tally).bit_length()) * n)
+        sizes.extend(_place(c, a, keys, dest, list(accumulate(tally, initial=0))))
 
     machine.run_rounds({core.idx: prog})
-    return BucketedRun(KeySeq(dst, n), tuple(counts))
+    return BucketedRun(KeySeq(dest, n), tuple(sizes))
 
 
 def _distribute_columns(machine, a: KeySeq, keys: tuple, core) -> BucketedRun:
@@ -156,23 +162,12 @@ def _distribute_columns(machine, a: KeySeq, keys: tuple, core) -> BucketedRun:
     of packing, so a later merge can gather the columns without a second
     pass over the keys.
     """
-    z = len(keys)
     n = a.n
-    region = machine.alloc((z + 1) * n)
-    counts = [0] * (z + 1)
-    probe = max(1, (z + 1).bit_length())
-
-    def place(v):
-        b = bisect_left(keys, v)
-        counts[b] += 1
-        return b * n + counts[b] - 1
-
-    def prog(c):
-        c.route_run(a, 0, n, region, place)
-        c.tick(probe * n)
-
-    machine.run_rounds({core.idx: prog})
-    return BucketedRun(KeySeq(region, n), tuple(counts), starts=tuple(b * n for b in range(z + 1)))
+    starts = tuple(b * n for b in range(len(keys) + 1))
+    region = machine.alloc(len(starts) * n)
+    sizes = []
+    machine.run_rounds({core.idx: lambda c: sizes.extend(_place(c, a, keys, region, starts))})
+    return BucketedRun(KeySeq(region, n), tuple(sizes), starts=starts)
 
 
 def _partition_quadratic(machine, a: KeySeq, keys, cores) -> BucketedRun:
@@ -182,15 +177,7 @@ def _partition_quadratic(machine, a: KeySeq, keys, cores) -> BucketedRun:
 
     def search(core, ci, lo, hi):
         for j in range(lo, hi):
-            left, right = 0, n
-            while left < right:
-                mid = (left + right) // 2
-                v = core.read(srt, mid)
-                core.tick(1)
-                if v <= keys[j]:
-                    left = mid + 1
-                else:
-                    right = mid
+            _search(core, srt, n, keys[j])
 
     parallel_for(machine, len(keys), cores, search)
     return _cut(machine, srt, keys)
@@ -209,6 +196,7 @@ def _partition_sqrt(machine, a: KeySeq, keys, cores) -> BucketedRun:
 
 def partition_main(machine, task: PartitionTask, cores) -> BucketedRun:
     """Two-level recursive partition; see the module docstring for the plan."""
+    _check_cores(cores)
     a = task.input
     keys = task.splitters
     n, z = a.n, task.z
@@ -218,7 +206,7 @@ def partition_main(machine, task: PartitionTask, cores) -> BucketedRun:
         out = compact(machine, [a], cores)
         return BucketedRun(out, (n,))
     if n <= task.grain or len(cores) == 1:
-        return _distribute_seq(machine, a, keys, cores[0])
+        return _distribute_seq(machine, a, keys, cores[0], machine.alloc(n))
     if z <= 2:
         return _chunked(machine, a, keys, task, cores, refine=False)
 
@@ -237,22 +225,20 @@ def partition_main(machine, task: PartitionTask, cores) -> BucketedRun:
     interior.append(keys[prev + 1 :])
 
     dest = machine.alloc(n)
-    starts = [0] + list(accumulate(coarse.sizes))
     sizes: list = []
-    for b, inner in enumerate(interior):
-        lo, hi = starts[b], starts[b + 1]
+    for lo, inner, part in zip(accumulate(coarse.sizes, initial=0), interior, coarse.buckets()):
+        hi = lo + part.n
         if hi == lo:
             sizes.extend([0] * (len(inner) + 1))
             continue
         band = _core_band(cores, lo, hi, n)
-        part = _subseq(coarse.seq, lo, hi)
         sub_dest = MemRegion(dest.base + lo, hi - lo)
         if not inner:
             compact(machine, [part], band, dest=sub_dest)
             sizes.append(hi - lo)
             continue
         if hi - lo <= task.grain or len(band) == 1:
-            fine = _distribute_seq(machine, part, inner, band[0], dest=sub_dest)
+            fine = _distribute_seq(machine, part, inner, band[0], sub_dest)
         else:
             fine = _chunked(machine, part, inner, task, band, refine=True, dest=sub_dest)
         sizes.extend(fine.sizes)

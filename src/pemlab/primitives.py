@@ -133,6 +133,29 @@ def _scan_words(machine, seq: KeySeq, core, tick: int = 1) -> list:
     return vals
 
 
+def _host_sort(core, src, n: int, dst, at: int = 0, fn=None) -> list:
+    """The modelled one-core sort, a host cost: read words ``[0, n)`` of
+    ``src`` as one run, host-sort them, charge ``n * max(1, n.bit_length())``
+    ops, and write each sorted word (or ``fn`` of it, which must not touch
+    the machine) to ``dst`` from word ``at``.  Returns the sorted words."""
+    vals = core.read_run(src, 0, n)
+    vals.sort()
+    core.tick(n * max(1, n.bit_length()))
+    core.write_run(dst, at, vals if fn is None else list(map(fn, vals)))
+    return vals
+
+
+def _search(core, seq, n: int, x) -> int:
+    """``bisect_right`` of ``x`` in words ``[0, n)`` of a sorted sequence,
+    charged one read and one op per word it probes."""
+
+    def probe(i):
+        core.tick(1)
+        return core.read(seq, i)
+
+    return bisect_right(range(n), x, key=probe)
+
+
 def _write_words(machine, words, core) -> KeySeq:
     """Write host words into a fresh region on one core."""
     n = len(words)
@@ -280,9 +303,12 @@ def transpose(machine, a: KeySeq, m: int, n: int, cores) -> KeySeq:
     otherwise, first to split the matrix over cores and then, within one
     core, down to constant-size tiles moved element by element.  When
     ``m < B`` the rule hands every core a column-contiguous band whose
-    destination words are consecutive.
+    destination words are consecutive.  ``m`` and ``n`` are ``int``s (not
+    ``bool``s) of at least 0, checked before anything is allocated.
     """
     _check_cores(cores)
+    if any(type(d) is not int or d < 0 for d in (m, n)):
+        raise MachineFault(f"matrix dimensions must be non-negative ints; got {m!r} x {n!r}")
     if m * n != a.n:
         raise MachineFault("matrix shape disagrees with sequence length")
     dst = machine.alloc(m * n)
@@ -334,6 +360,7 @@ def compact(machine, parts, cores, dest: MemRegion | None = None, fn=None,
     """
     if type(tick) is not int or tick < 0:
         raise MachineFault(f"tick count must be a non-negative int; got {tick!r}")
+    _check_cores(cores)
     total = sum(part.n for part in parts)
     dst = dest if dest is not None else machine.alloc(total)
     if dst.len < total:
@@ -377,6 +404,7 @@ def brute_sort(machine, a: KeySeq, cores) -> KeySeq:
     ``n^2``-word scratch in ``n/p`` single-write rounds, and one core
     gathers the ranks back into a contiguous result.
     """
+    _check_cores(cores)
     n = a.n
     dst = machine.alloc(n)
     if n == 0:
@@ -416,6 +444,8 @@ def sample_splitters(machine, a: KeySeq, z: int, cores, stream: int = 0) -> tupl
     a ``z``-word region on one core.  Returns the splitters as a sorted
     tuple; raises unless ``1 <= z <= n``.
     """
+    _check_cores(cores)
+    _check_stream(stream)
     n = a.n
     if not 1 <= z <= n:
         raise MachineFault(f"need 1 <= z <= n splitters; got z={z} for n={n}")
@@ -463,10 +493,7 @@ def sample_k_of_n_seq(machine, a: KeySeq, k: int, core, stream: int = 0) -> KeyS
     def prog(c):
         c.write_run(ranks_reg, 0, rng.integers(n, size=k))
         yield
-        ranks = c.read_run(ranks_reg, 0, k)
-        ranks.sort()
-        c.tick(k * max(1, k.bit_length()))
-        c.write_run(ranks_reg, 0, ranks)
+        _host_sort(c, ranks_reg, k, ranks_reg)
         yield
         pos = 0
         for j in range(k):

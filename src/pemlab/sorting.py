@@ -4,7 +4,9 @@ The recursion has two arms.  A subproblem of at most ``M**2`` keys at the
 per-core grain ``N/P`` — or holding only one core — is a modelled leaf,
 which may be up to ``M`` caches' worth: a single core reads it,
 host-sorts it and writes it back, charged one read sweep, one write sweep
-and ``n log n`` ticks however many caches it spans.  Any other subproblem
+and ``n log n`` ticks however many caches it spans.  That charge is
+:func:`~pemlab.primitives._host_sort`, the one modelled sort, which
+``partition_seq`` and the sampler's rank sort also call.  Any other subproblem
 is one distribute-and-recurse branch: it samples splitters, distributes
 its keys into buckets, and recurses on each bucket with its cores handed
 out in proportion to bucket size.  On one core — the grain's single core,
@@ -33,10 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 from math import isqrt
+from operator import itemgetter
 
 from pemlab.machine import MachineFault, MemRegion
 from pemlab.partition import PartitionTask, _distribute_columns, partition_main
-from pemlab.primitives import KeySeq, _check_cores, _streams, parallel_for, sample_splitters
+from pemlab.primitives import (KeySeq, _check_cores, _host_sort, _streams, parallel_for,
+                               sample_splitters)
 
 __all__ = ["SortPlan", "SortStats", "sample_sort"]
 
@@ -132,7 +136,7 @@ def sample_sort(machine, a: KeySeq, cores, plan: SortPlan | None = None,
     ctx = _Ctx(plan=plan, N=n, P=len(cores), cap=cap,
                stats=stats, next_stream=next_stream)
     if len(cores) == 1 and n <= cap:
-        _leaf(machine, a, cores[0], out, 0, tagged=False)
+        machine.run_rounds({cores[0].idx: lambda c: _host_sort(c, a, n, out)})
         return KeySeq(out, n)
     tagged = _tag_keys(machine, a, cores)
     _sort_rec(machine, tagged, list(cores), out, 0, ctx)
@@ -151,26 +155,14 @@ def _tag_keys(machine, a: KeySeq, cores) -> KeySeq:
     return KeySeq(reg, a.n)
 
 
-def _leaf(machine, a: KeySeq, core, out: MemRegion, off: int, tagged: bool) -> None:
-    """Host-sort a cache-sized run and write it (unwrapped) into ``out``."""
-    n = a.n
-
-    def prog(c):
-        vals = c.read_run(a, 0, n)
-        vals.sort()
-        c.tick(n * max(1, n.bit_length()))
-        c.write_run(out, off, [v[0] for v in vals] if tagged else vals)
-
-    machine.run_rounds({core.idx: prog})
-
-
 def _sort_rec(machine, seq: KeySeq, cores, out: MemRegion, off: int, ctx: _Ctx) -> None:
     n = seq.n
     if n == 0:
         return
     at_grain = len(cores) == 1 or n <= max(ctx.N // ctx.P, _SEQ_FLOOR)
     if at_grain and n <= ctx.cap:
-        _leaf(machine, seq, cores[0], out, off, tagged=True)
+        # A leaf strips the ``(key, offset)`` wrapper as it writes.
+        machine.run_rounds({cores[0].idx: lambda c: _host_sort(c, seq, n, out, off, itemgetter(0))})
     else:
         _branch(machine, seq, cores[:1] if at_grain else cores, out, off, ctx)
 

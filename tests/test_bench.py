@@ -69,6 +69,9 @@ class TestSweepConfig:
             parse_sweep_config("n = 4\n")  # key before any section
         with pytest.raises(MachineFault):
             parse_sweep_config("[sort]\nn = four\n")
+        for key in ("p", "M", "B", "seed"):  # a key with no values
+            with pytest.raises(MachineFault, match=f"'{key}' on line 3 has no values"):
+                parse_sweep_config(f"[sort]\nn = 64\n{key} =\n")
 
 
 class TestRunSweep:

@@ -157,6 +157,27 @@ class TestPartitionMain:
         assert run.sizes == (16, 0)
         assert sorted(run_buckets(m, run)[0]) == sorted(vals)
 
+    def test_empty_input_gives_empty_buckets_once_the_cores_pass(self, make_machine):
+        m = make_machine(p=2)
+        task = PartitionTask(load_seq(m, []), [4, 8], N=1, P=2)
+        run = partition_main(m, task, m.cores)
+        assert run.sizes == (0, 0, 0)
+        assert m.snapshot_memory(run.seq) == []
+        with pytest.raises(MachineFault, match="at least one core"):
+            partition_main(m, task, [])
+
+    def test_no_splitters_copy_the_keys_into_one_bucket(self, make_machine):
+        m = make_machine(p=2)
+        vals = [5, 1, 9, 3, 7]
+        task = PartitionTask(load_seq(m, vals), (), N=5, P=2)
+        run = partition_main(m, task, m.cores)
+        assert run.sizes == (5,)
+        assert m.snapshot_memory(run.seq) == vals
+        ledger, limit = m.ledger(), m._sh._limit
+        with pytest.raises(MachineFault, match="repeats a core"):
+            partition_main(m, task, [m.cores[0], m.cores[0]])
+        assert (m.ledger(), m._sh._limit) == (ledger, limit)
+
     def test_structural_precondition_raises_before_work(self, make_machine):
         m = make_machine(p=1)
         with pytest.raises(MachineFault):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from pemlab import Machine, MachineConfig, MachineFault, MemRegion
 from pemlab.hull import convex_hull_2d, hull_main, maxima_par
 from pemlab.merge import BucketedRun, merge_bucketed
+from pemlab.partition import PartitionTask, partition_main
 from pemlab.primitives import (
     KeySeq,
     _reduce,
@@ -135,6 +136,37 @@ class TestCoreLists:
         assert m.diagnostics == []
 
 
+# Calls that an entry must refuse for their core list or stream before it
+# allocates or charges anything, each on the 100 words ``seq`` and the 100
+# points ``pts``.
+_REFUSED_CALLS = {
+    "brute_sort_no_cores": lambda m, seq, pts: brute_sort(m, seq, []),
+    "brute_sort_repeated_core": lambda m, seq, pts: brute_sort(m, seq, m.cores[:1] * 2),
+    "partition_main_no_cores": lambda m, seq, pts: partition_main(
+        m, PartitionTask(seq, (20, 50, 70), N=100, P=4), []),
+    "partition_main_repeated_core": lambda m, seq, pts: partition_main(
+        m, PartitionTask(seq, (20, 50, 70), N=100, P=4), [m.cores[i] for i in (0, 0, 1, 2)]),
+    "compact_no_cores": lambda m, seq, pts: compact(m, [seq], []),
+    "compact_empty_input_no_cores": lambda m, seq, pts: compact(m, [], []),
+    "maxima_par_no_cores": lambda m, seq, pts: maxima_par(m, pts, []),
+    "sample_splitters_negative_stream": lambda m, seq, pts: sample_splitters(
+        m, seq, 3, m.cores, stream=-1),
+    "sample_splitters_no_cores": lambda m, seq, pts: sample_splitters(m, seq, 3, []),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_REFUSED_CALLS))
+def test_a_refused_call_allocates_and_charges_nothing(make_machine, call):
+    m = make_machine(p=4, M=64, B=8)
+    seq = load_seq(m, [v * 37 % 100 for v in range(100)])
+    pts = load_seq(m, [(v, v * 37 % 100) for v in range(100)])
+    limit = m._sh._limit
+    with pytest.raises(MachineFault):
+        _REFUSED_CALLS[call](m, seq, pts)
+    assert m.ledger() == make_machine(p=4, M=64, B=8).ledger()
+    assert m._sh._limit == limit
+
+
 # Every entry that checks its stream itself, called on ``seq`` (40 words)
 # with it.  The others reach ``Machine.rng`` before they charge anything.
 _STREAM_ENTRIES = {
@@ -148,6 +180,7 @@ _STREAM_ENTRIES = {
         m, load_seq(m, [(v, v * 7 % 40) for v in range(40)]), m.cores, stream=stream),
     "oblivious_prefix_one_core": lambda m, seq, stream: oblivious_prefix(
         m, seq, m.cores[:1], stream=stream),
+    "sample_splitters": lambda m, seq, stream: sample_splitters(m, seq, 3, m.cores, stream=stream),
 }
 
 
@@ -255,6 +288,15 @@ class TestTranspose:
         seq = load_seq(mach, list(range(12)))
         with pytest.raises(MachineFault):
             transpose(mach, seq, 3, 5, mach.cores)
+
+    @pytest.mark.parametrize("m_rows,n_cols", [(-2, -3), (True, 6), (6, True), (2.0, 3), (2, "3")])
+    def test_bad_dimensions_fault_before_allocating(self, make_machine, m_rows, n_cols):
+        mach = make_machine(p=2)
+        seq = load_seq(mach, list(range(6)))
+        limit = mach._sh._limit
+        with pytest.raises(MachineFault, match="non-negative ints"):
+            transpose(mach, seq, m_rows, n_cols, mach.cores)
+        assert mach._sh._limit == limit
 
     def test_square_miss_count_scales_with_blocks(self, make_machine):
         mach = make_machine(p=1, M=1024, B=8)
